@@ -12,13 +12,10 @@ import math
 from ebrsim.metrics import breaking_threshold, concurrence_x
 from ebrsim.protocol import (
     ChannelConfig,
-    SingularPrescription,
     distinguishable,
     indistinguishable,
     partial,
     run_protocol,
-    stage1,
-    stage2,
 )
 
 SCENARIOS = [
@@ -31,12 +28,9 @@ GRID = [k / 20.0 for k in range(1, 20)]
 
 
 def stage_concurrences(scenario, t):
-    try:
-        stages = run_protocol(ChannelConfig(scenario=scenario, T=t, epsilon=EPSILON))
-        return [concurrence_x(s.params) for s in stages]
-    except SingularPrescription:
-        outs = [stage1(scenario, t), stage2(scenario, t, "H", False)]
-        return [concurrence_x(s.params) for s in outs] + [float("nan")]
+    """C_I, C_II, C_III; C_III is nan where the filter prescription is singular."""
+    stages = run_protocol(ChannelConfig(scenario=scenario, T=t, epsilon=EPSILON))
+    return [concurrence_x(s.params) for s in stages] + [math.nan] * (3 - len(stages))
 
 
 for name, scenario in SCENARIOS:
@@ -46,11 +40,8 @@ for name, scenario in SCENARIOS:
         c1, c2, c3 = stage_concurrences(scenario, t)
         bar = "#" * int(round(40 * c3)) if not math.isnan(c3) else "(singular filter)"
         print(f"{t:5.2f} {c1:8.4f} {c2:8.4f} {c3:8.4f}  {bar}")
-    try:
-        thr = breaking_threshold(scenario, "I")
-        print(f"stage-I entanglement-breaking threshold: T = {thr:.6f}")
-    except Exception:
-        pass
+    thr = breaking_threshold(scenario, "I")
+    print(f"stage-I entanglement-breaking threshold: T = {thr:.6f}")
     print()
 
 print("reference thresholds: sqrt(2)-1 =", f"{math.sqrt(2) - 1:.6f},",

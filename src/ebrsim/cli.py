@@ -16,9 +16,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import DensityOperator, EbrsimError, to_json
 from .fock import oracle_check
@@ -27,12 +25,9 @@ from .protocol import (
     ChannelConfig,
     FilterPair,
     Scenario,
-    SingularPrescription,
     StageOutput,
     resolve_filters,
     run_protocol,
-    stage1,
-    stage2,
 )
 from .tomography import counts_to_csv, error_bars, reconstruct, simulate_counts
 
@@ -47,18 +42,6 @@ class ConfigError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def thread_count() -> int:
-    """Worker threads for sweep evaluation; EBR_SIM_THREADS, 0 = auto."""
-    raw = os.environ.get("EBR_SIM_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"EBR_SIM_THREADS must be an integer, got {raw!r}") from exc
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -195,12 +178,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _RUN_KEYS)
     config = _parse_channel(cfg)
+    filters = resolve_filters(config)
     stages = run_protocol(config)
     print(
         f"scenario={config.scenario.kind} T={config.T!r} p={config.scenario.p!r}"
         f" branch={config.branch} feed_forward={'true' if config.feed_forward else 'false'}"
     )
-    filters = resolve_filters(config)
     print(f"filters A_A={filters.a_a!r} A_B={filters.a_b!r}")
     for out in stages:
         c = concurrence_x(out.params)
@@ -237,44 +220,25 @@ def _sweep_values(cfg: dict[str, str]) -> list[float]:
 
 def _sweep_point(config: ChannelConfig) -> list[tuple]:
     """Rows (as tuples) for one parameter point; stage III omitted if singular."""
-    try:
-        filters = resolve_filters(config)
-    except SingularPrescription:
-        filters = None
-    rows = []
+    outs = run_protocol(config)
+    filters = outs[-1].filters
+    a_a, a_b = (filters.a_a, filters.a_b) if filters is not None else (math.nan, math.nan)
     epsilon_echo = config.epsilon if config.epsilon is not None else 0.0
-    if filters is None:
-        outs = [
-            stage1(config.scenario, config.T),
-            stage2(config.scenario, config.T, config.branch, config.feed_forward),
-        ]
-        a_a = a_b = float("nan")
-    else:
-        resolved = ChannelConfig(
-            scenario=config.scenario,
-            T=config.T,
-            branch=config.branch,
-            feed_forward=config.feed_forward,
-            filters=filters,
+    return [
+        (
+            config.scenario.kind,
+            out.stage,
+            config.T,
+            epsilon_echo,
+            config.scenario.p,
+            a_a,
+            a_b,
+            concurrence_x(out.params),
+            out.probability,
+            out.cumulative_probability,
         )
-        outs = run_protocol(resolved)
-        a_a, a_b = filters.a_a, filters.a_b
-    for out in outs:
-        rows.append(
-            (
-                config.scenario.kind,
-                out.stage,
-                config.T,
-                epsilon_echo,
-                config.scenario.p,
-                a_a,
-                a_b,
-                concurrence_x(out.params),
-                out.probability,
-                out.cumulative_probability,
-            )
-        )
-    return rows
+        for out in outs
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -297,23 +261,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError("epsilon sweep conflicts with explicit A_A/A_B filters")
         base.setdefault("epsilon", "1")
     else:
-        if base.get("scenario") != "partial":
+        if base.get("scenario", "").lower() != "partial":
             raise ConfigError("p sweep requires scenario = partial")
         base.setdefault("p", "0")
 
-    configs = []
-    for v in values:
-        point = dict(base)
-        point[variable] = repr(v)
-        configs.append(_parse_channel(point))
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(_sweep_point, configs))
-    else:
-        per_point = [_sweep_point(c) for c in configs]
-    rows = [row for rows_ in per_point for row in rows_]
+    configs = [_parse_channel({**base, variable: repr(v)}) for v in values]
+    rows = [row for config in configs for row in _sweep_point(config)]
 
     if args.format == "json":
         names = SWEEP_HEADER.split(",")
@@ -396,6 +349,7 @@ def _tomography_truth(cfg: dict[str, str]) -> DensityOperator:
     if stage_label not in ("I", "II", "III"):
         raise ConfigError(f"stage must be I, II or III, got {stage_label!r}")
     config = _parse_channel({k: v for k, v in cfg.items() if k in _RUN_KEYS})
+    resolve_filters(config)  # a singular prescription is a domain error here
     stages = run_protocol(config)
     return {s.stage: s for s in stages}[stage_label].state
 

@@ -167,7 +167,8 @@ def apply_local(rho: DensityOperator, k_a: np.ndarray, k_b: np.ndarray) -> Densi
         raise ValueError(
             f"local operators of dims {ka.shape[0]}x{kb.shape[0]} do not match dim {rho.dim}"
         )
-    k = np.kron(ka, kb)
+    # np.kron(ka, kb) by broadcasting: the same products, a fraction of the call cost
+    k = (ka[:, None, :, None] * kb[None, :, None, :]).reshape(rho.dim, rho.dim)
     out = k @ rho.matrix @ k.conj().T
     return DensityOperator(out, float(np.trace(out).real))
 

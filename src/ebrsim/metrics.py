@@ -9,6 +9,7 @@ independent cross-check route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +28,7 @@ class NotTwoQubit(EbrsimError):
 
 
 class NoThreshold(EbrsimError):
-    """Concurrence does not cross zero on the scanned transmittivity grid."""
+    """Concurrence has no zero-to-positive transition for T in (0, 1)."""
 
 
 @dataclass(frozen=True)
@@ -215,21 +216,24 @@ def crossing_threshold(
     return 0.5 * (lo + hi)
 
 
-def breaking_threshold(scenario, stage: str = "I", grid_step: float = 0.01, tol: float = 1e-9) -> float:
-    """Largest transmittivity at which the stage output is still separable.
+def breaking_threshold(scenario, stage: str = "I") -> float:
+    """Largest transmittivity at which the stage's concurrence is still zero.
 
-    Intended for stage I, where the concurrence rises from exactly zero
-    past a scenario-dependent transmittivity.  Raises :class:`NoThreshold`
-    when no zero-to-positive crossing exists (for example stage II in the
-    distinguishable scenario, which is entangled for every ``T``).
+    Closed form in the scenario's overlap weight ``p``, with ``R = 1 - T``.
+    Stage I (``xi = -2T^2 + 2pRT``, ``alpha = delta = R^2``) is separable
+    iff ``|xi| <= R^2``; the largest such ``T`` is the positive root of
+    ``(1 + 2p) T^2 + 2(1 - p) T - 1``, which is ``sqrt(2) - 1`` at
+    ``p = 0`` and ``1/sqrt(3)`` at ``p = 1``.  The stage-II concurrence
+    ``|xi| / 2P`` with ``xi = -T^2 + pRT`` touches zero only at
+    ``T = p / (1 + p)``.  For ``p = 0`` that is ``T = 0``, so stage II is
+    entangled on all of ``(0, 1)`` and :class:`NoThreshold` is raised.
+    :func:`crossing_threshold` is the numerical reference for both.
     """
-    from . import protocol  # local import; protocol depends on this module
-
     if stage not in ("I", "II"):
         raise ValueError(f"stage must be 'I' or 'II', got {stage!r}")
-
-    def c_of_t(t: float) -> float:
-        out = protocol.stage1(scenario, t) if stage == "I" else protocol.stage2(scenario, t)
-        return concurrence_x(out.params)
-
-    return crossing_threshold(c_of_t, grid_step=grid_step, tol=tol)
+    p = scenario.p
+    if stage == "I":
+        return (math.sqrt(p * p + 2.0) - (1.0 - p)) / (1.0 + 2.0 * p)
+    if p == 0.0:
+        raise NoThreshold("stage-II concurrence is positive for every T in (0, 1)")
+    return p / (1.0 + p)

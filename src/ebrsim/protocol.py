@@ -117,6 +117,7 @@ class StageOutput:
     ``probability`` is the stage's own success probability (for stage III
     the conditional filter-pass probability); ``cumulative_probability``
     is the usable fraction of source pairs up to and including the stage.
+    ``filters`` is the attenuator pair a stage-III output was filtered with.
     """
 
     stage: str
@@ -124,6 +125,7 @@ class StageOutput:
     state: object
     probability: float
     cumulative_probability: float
+    filters: FilterPair | None = None
 
 
 def _stage1_distinguishable(t: float) -> XStateParams:
@@ -295,6 +297,7 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
         state=normalized_state(params),
         probability=pass_probability,
         cumulative_probability=stage_out.cumulative_probability * pass_probability,
+        filters=filters,
     )
 
 
@@ -305,7 +308,9 @@ def table_filters(scenario: Scenario, t: float, epsilon: float) -> FilterPair:
     as ``epsilon -> 0`` the filtered state approaches the scenario's best
     attainable state.  For the indistinguishable (and partial) scenario
     the prescription is singular at ``T = 1/2``, where the surviving
-    coherence amplitude ``2T - 1`` vanishes.
+    coherence amplitude ``2T - 1`` vanishes.  Every scenario's
+    prescription is singular where an attenuation factor comes out as
+    zero: at ``T = 0``, and where it underflows at tiny ``T``.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
@@ -313,18 +318,24 @@ def table_filters(scenario: Scenario, t: float, epsilon: float) -> FilterPair:
         raise ValueError(f"T must lie in [0, 1], got {t!r}")
     r = 1.0 - t
     if scenario.kind == "distinguishable":
-        denom = t * t + r * r
-        return FilterPair(a_a=epsilon * t * t / denom, a_b=epsilon, epsilon=epsilon)
-    # Indistinguishable prescription; also used for partial mixtures,
-    # whose coherence is dominated by the engineered-overlap component.
-    w = abs(2.0 * t - 1.0)
-    if w < SINGULAR_T_WINDOW:
+        a_a, a_b = epsilon * t * t / (t * t + r * r), epsilon
+    else:
+        # Indistinguishable prescription; also used for partial mixtures,
+        # whose coherence is dominated by the engineered-overlap component.
+        w = abs(2.0 * t - 1.0)
+        if w < SINGULAR_T_WINDOW:
+            raise SingularPrescription(
+                f"filter prescription is singular at T = {t!r} (|2T-1| = {w!r})"
+            )
+        if t > w:
+            a_a, a_b = epsilon, epsilon * (w / t) ** 2
+        else:
+            a_a, a_b = epsilon * (t / w) ** 2, epsilon
+    if a_a == 0.0 or a_b == 0.0:
         raise SingularPrescription(
-            f"filter prescription is singular at T = {t!r} (|2T-1| = {w!r})"
+            f"filter prescription is singular at T = {t!r} (A_A = {a_a!r}, A_B = {a_b!r})"
         )
-    if t > w:
-        return FilterPair(a_a=epsilon, a_b=epsilon * (w / t) ** 2, epsilon=epsilon)
-    return FilterPair(a_a=epsilon * (t / w) ** 2, a_b=epsilon, epsilon=epsilon)
+    return FilterPair(a_a=a_a, a_b=a_b, epsilon=epsilon)
 
 
 def resolve_filters(config: ChannelConfig) -> FilterPair:
@@ -337,10 +348,17 @@ def resolve_filters(config: ChannelConfig) -> FilterPair:
 
 
 def run_protocol(config: ChannelConfig) -> list[StageOutput]:
-    """Evaluate stages I, II and III for one configuration."""
+    """Evaluate stages I, II and III for one configuration.
+
+    Where the filter prescription is singular there is no stage III, and
+    only stages I and II are returned.
+    """
     s1 = stage1(config.scenario, config.T)
     s2 = stage2(
         config.scenario, config.T, branch=config.branch, feed_forward=config.feed_forward
     )
-    s3 = apply_filters(s2, resolve_filters(config))
-    return [s1, s2, s3]
+    try:
+        filters = resolve_filters(config)
+    except SingularPrescription:
+        return [s1, s2]
+    return [s1, s2, apply_filters(s2, filters)]

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from ebrsim.cli import ConfigError, SWEEP_HEADER, main, parse_config_text, thread_count
+from ebrsim.cli import ConfigError, SWEEP_HEADER, main, parse_config_text
 from ebrsim.protocol import ChannelConfig, FilterPair, Scenario, run_protocol
 from ebrsim.tomography import counts_from_csv
 
@@ -47,21 +47,6 @@ class TestConfigParsing:
     def test_error_message_numbers_the_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("T = 0.4\nbroken line\n")
-
-
-class TestThreadCount:
-    def test_explicit_value(self, monkeypatch):
-        monkeypatch.setenv("EBR_SIM_THREADS", "4")
-        assert thread_count() == 4
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("EBR_SIM_THREADS", "0")
-        assert thread_count() >= 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("EBR_SIM_THREADS", "many")
-        with pytest.raises(ConfigError):
-            thread_count()
 
 
 class TestRunCommand:
@@ -155,6 +140,13 @@ class TestRunCommand:
         assert code == 3
         assert err.startswith("domain error:")
 
+    def test_zero_transmittivity_prescription_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path, "scenario = distinguishable\nT = 0\nepsilon = 0.5\n")
+        code, out, err = run_cli(capsys, ["run", "--config", path])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error: filter prescription is singular at T = 0.0")
+
 
 class TestSweepCommand:
     def test_csv_header_and_shape(self, tmp_path, capsys):
@@ -188,6 +180,25 @@ class TestSweepCommand:
         assert all(r[5] == "nan" and r[6] == "nan" for r in at_half)
         at_03 = [r for r in rows if float(r[2]) == 0.3]
         assert [r[1] for r in at_03] == ["I", "II", "III"]
+
+    @pytest.mark.parametrize(
+        "scenario",
+        ["distinguishable", "indistinguishable", "partial\np = 0.85"],
+        ids=["distinguishable", "indistinguishable", "partial"],
+    )
+    def test_sweep_from_zero_transmittivity(self, tmp_path, capsys, scenario):
+        path = write_config(
+            tmp_path,
+            f"scenario = {scenario}\nvariable = T\nstart = 0\nstop = 0.3\n"
+            "steps = 2\nepsilon = 0.25\nfeed_forward = true\n",
+        )
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        at_zero = [r for r in rows if float(r[2]) == 0.0]
+        assert [r[1] for r in at_zero] == ["I", "II"]
+        assert all(r[5] == "nan" and r[6] == "nan" for r in at_zero)
+        assert [r[1] for r in rows if float(r[2]) == 0.3] == ["I", "II", "III"]
 
     def test_json_format_is_loadable(self, tmp_path, capsys):
         path = write_config(
@@ -227,6 +238,18 @@ class TestSweepCommand:
         assert code == 2
         assert "requires scenario = partial" in err
 
+    def test_p_sweep_scenario_is_case_insensitive(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            "scenario = Partial\nT = 0.3\nvariable = p\n"
+            "start = 0\nstop = 1\nsteps = 3\nepsilon = 0.5\n",
+        )
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert {r[0] for r in rows} == {"partial"}
+        assert sorted({float(r[4]) for r in rows}) == [0.0, 0.5, 1.0]
+
     def test_epsilon_sweep_rejects_explicit_filters(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -261,30 +284,15 @@ class TestSweepCommand:
         assert code == 0
         assert len(out.splitlines()) == 1 + 3
 
-    def test_deterministic_and_thread_invariant(self, tmp_path, capsys, monkeypatch):
+    def test_deterministic_output(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
             "scenario = partial\np = 0.85\nvariable = T\nstart = 0.05\nstop = 0.95\n"
             "steps = 19\nepsilon = 0.7\n",
         )
-        monkeypatch.setenv("EBR_SIM_THREADS", "1")
         _, first, _ = run_cli(capsys, ["sweep", "--config", path])
         _, second, _ = run_cli(capsys, ["sweep", "--config", path])
         assert first == second
-        monkeypatch.setenv("EBR_SIM_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, ["sweep", "--config", path])
-        assert threaded == first
-
-    def test_bad_thread_env_exits_2(self, tmp_path, capsys, monkeypatch):
-        path = write_config(
-            tmp_path,
-            "scenario = distinguishable\nvariable = T\nstart = 0.1\nstop = 0.9\n"
-            "steps = 3\n",
-        )
-        monkeypatch.setenv("EBR_SIM_THREADS", "lots")
-        code, _, err = run_cli(capsys, ["sweep", "--config", path])
-        assert code == 2
-        assert "EBR_SIM_THREADS" in err
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         path = write_config(
@@ -384,6 +392,17 @@ class TestTomographyCommand:
         assert out.splitlines()[0].startswith("settings=16")
         records = counts_from_csv((tmp_path / "tomo16.counts.csv").read_text())
         assert len(records) == 16
+
+    @pytest.mark.parametrize("stage", ["II", "III"])
+    def test_singular_prescription_exits_3(self, tmp_path, capsys, stage):
+        path = write_config(
+            tmp_path,
+            f"state = stage\nstage = {stage}\nscenario = indistinguishable\nT = 0.5\n"
+            "epsilon = 1\ntotal_triples = 500\ntrials = 5\n",
+        )
+        code, out, err = run_cli(capsys, ["tomography", "--config", path])
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: filter prescription is singular")
 
     def test_named_truth_states(self, tmp_path, capsys):
         path = write_config(tmp_path, "state = singlet\ntotal_triples = 400\ntrials = 5\n")

@@ -1,0 +1,31 @@
+import math
+import runpy
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def run_demo(capsys, name):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_restoration_curves(capsys):
+    out = run_demo(capsys, "restoration_curves.py")
+    singular = [line for line in out.splitlines() if line.endswith("(singular filter)")]
+    # indistinguishable and partial prescriptions are singular at T = 1/2 only
+    assert [line.split()[0] for line in singular] == ["0.50", "0.50"]
+    assert out.count("stage-I entanglement-breaking threshold: T = ") == 3
+    assert out.rstrip().endswith(
+        f"reference thresholds: sqrt(2)-1 = {math.sqrt(2) - 1:.6f},"
+        f" 1/sqrt(3) = {1 / math.sqrt(3):.6f}"
+    )
+    assert f"threshold: T = {math.sqrt(2) - 1:.6f}" in out
+    assert f"threshold: T = {1 / math.sqrt(3):.6f}" in out
+
+
+def test_oracle_crosscheck(capsys):
+    out = run_demo(capsys, "oracle_crosscheck.py")
+    assert "--- convention = real ---" in out
+    assert "--- convention = phase ---" in out
+    assert out.rstrip().endswith("ok: True")

@@ -17,7 +17,7 @@ from ebrsim.metrics import (
     normalized_state,
     werner_decompose,
 )
-from ebrsim.protocol import distinguishable, indistinguishable, partial, stage1
+from ebrsim.protocol import distinguishable, indistinguishable, partial, stage1, stage2
 
 
 def x_params(alpha, beta, gamma, delta, xi):
@@ -218,6 +218,17 @@ class TestThresholds:
         # C_II = T^2/(T^2+R^2) > 0 on the whole open grid
         with pytest.raises(NoThreshold):
             breaking_threshold(distinguishable(), "II")
+
+    def test_stage2_threshold_off_the_scan_grid(self):
+        # C_II touches zero at T = p/(1+p) = 0.4595..., between grid points
+        got = breaking_threshold(partial(0.85), "II")
+        assert got == pytest.approx(0.85 / 1.85, abs=1e-15)
+        assert concurrence_x(stage2(partial(0.85), got).params) < 1e-15
+
+    @pytest.mark.parametrize("p", [k / 20 for k in range(21)])
+    def test_closed_form_matches_crossing_scan(self, p):
+        scan = crossing_threshold(lambda t: concurrence_x(stage1(partial(p), t).params))
+        assert breaking_threshold(partial(p), "I") == pytest.approx(scan, abs=2e-9)
 
     def test_stage_label_is_checked(self):
         with pytest.raises(ValueError):

@@ -288,6 +288,15 @@ class TestTableFilters:
         # the distinguishable prescription has no singularity there
         table_filters(distinguishable(), 0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "scenario", [distinguishable(), indistinguishable(), partial(0.85)]
+    )
+    @pytest.mark.parametrize("t", [0.0, 1e-200])
+    def test_zero_attenuation_is_singular(self, scenario, t):
+        # T = 0 prescribes a zero factor exactly; tiny T underflows to one
+        with pytest.raises(SingularPrescription, match="singular"):
+            table_filters(scenario, t, 0.25)
+
     def test_resolve_precedence(self):
         explicit = FilterPair(0.4, 0.9)
         cfg = ChannelConfig(scenario=distinguishable(), T=0.41, filters=explicit)
@@ -355,6 +364,23 @@ class TestRunProtocol:
         assert s2.probability == pytest.approx(0.20075, abs=1e-5)
         assert concurrence_x(s3.params) == pytest.approx(0.4704, abs=5e-4)
         assert 0.015 <= s3.cumulative_probability <= 0.019
+
+    @pytest.mark.parametrize(
+        "scenario,t",
+        [(indistinguishable(), 0.5), (partial(0.85), 0.5), (distinguishable(), 0.0),
+         (indistinguishable(), 0.0), (partial(0.85), 0.0)],
+    )
+    def test_singular_prescription_yields_stages_one_and_two(self, scenario, t):
+        outs = run_protocol(ChannelConfig(scenario=scenario, T=t, epsilon=0.25))
+        assert [o.stage for o in outs] == ["I", "II"]
+        assert outs[0].params == stage1(scenario, t).params
+        assert outs[1].params == stage2(scenario, t).params
+
+    def test_stage_three_records_its_filters(self):
+        cfg = ChannelConfig(scenario=partial(0.85), T=0.3, epsilon=0.25)
+        s3 = run_protocol(cfg)[2]
+        assert s3.filters == table_filters(partial(0.85), 0.3, 0.25)
+        assert run_protocol(cfg)[1].filters is None
 
     def test_all_outputs_are_valid_states(self):
         from ebrsim.core import validate
