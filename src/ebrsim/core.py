@@ -179,10 +179,20 @@ def normalize(rho: DensityOperator) -> tuple[DensityOperator, float]:
     The probability is the incoming ``trace_weight``.  Raises
     :class:`ZeroTrace` when the branch weight has collapsed to zero.
     """
-    weight = float(np.trace(rho.matrix).real)
-    if weight <= ZERO_TRACE_FLOOR:
-        raise ZeroTrace(f"cannot normalize operator with trace {weight!r}")
-    return DensityOperator(rho.matrix / weight, 1.0), weight
+    matrices, weights = unit_trace(rho.matrix[None])
+    return DensityOperator(matrices[0], 1.0), float(weights[0])
+
+
+def unit_trace(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale every matrix of an ``(n, d, d)`` stack to unit trace.
+
+    Returns ``(rescaled, traces)``.  Raises :class:`ZeroTrace` when any
+    trace has collapsed to zero.
+    """
+    weights = np.trace(matrices, axis1=1, axis2=2).real
+    if np.any(weights <= ZERO_TRACE_FLOOR):
+        raise ZeroTrace(f"cannot normalize operator with trace {float(np.min(weights))!r}")
+    return matrices / weights[:, None, None], weights
 
 
 def singlet_vector() -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DensityOperator, EbrsimError, normalize, singlet_vector
+from .core import DensityOperator, EbrsimError, normalize, singlet_vector, unit_trace
 
 _EPS = 1e-12
 
@@ -117,38 +117,63 @@ def normalized_state(params: XStateParams) -> DensityOperator:
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Wootters concurrence plus the four sqrt-eigenvalues behind it."""
+    """Wootters concurrence plus the four sqrt-eigenvalues behind it.
 
-    value: float
-    sqrt_eigenvalues: tuple[float, float, float, float]
+    For a stack of ``n`` states ``value`` is an ``(n,)`` array and
+    ``sqrt_eigenvalues`` an ``(n, 4)`` array.
+    """
+
+    value: float | np.ndarray
+    sqrt_eigenvalues: tuple[float, float, float, float] | np.ndarray
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    herm = 0.5 * (matrix + matrix.conj().T)
-    vals, vecs = np.linalg.eigh(herm)
+def _as_stack(rho: DensityOperator | np.ndarray) -> np.ndarray:
+    """A ``DensityOperator`` as a one-matrix stack, or an ``(n, d, d)`` array as is."""
+    if isinstance(rho, DensityOperator):
+        return rho.matrix[None]
+    stack = np.asarray(rho, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected an (n, d, d) stack of states, got shape {stack.shape}")
+    return stack
+
+
+def _hermitian_part(matrices: np.ndarray) -> np.ndarray:
+    return 0.5 * (matrices + matrices.conj().swapaxes(-1, -2))
+
+
+def _psd_sqrt(matrices: np.ndarray) -> np.ndarray:
+    """Square root of the PSD part of each matrix in a ``(..., d, d)`` stack."""
+    vals, vecs = np.linalg.eigh(_hermitian_part(matrices))
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def concurrence(rho: DensityOperator) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit state.
+def concurrence(rho: DensityOperator | np.ndarray) -> ConcurrenceResult:
+    """Wootters concurrence of a two-qubit state or of an ``(n, 4, 4)`` stack.
 
     Computes the sqrt-eigenvalues of ``rho rho~`` (with the spin-flipped
     ``rho~``) through the Hermitian similarity ``sqrt(rho) rho~ sqrt(rho)``,
     which shares the spectrum but keeps the eigenproblem symmetric; tiny
-    negative eigenvalues from round-off are clamped to zero.
+    negative eigenvalues from round-off are clamped to zero.  A
+    ``DensityOperator`` gives float results; row ``i`` of a stack's
+    result equals the result for ``DensityOperator(stack[i])``.
     """
-    if rho.dim != 4:
-        raise NotTwoQubit(f"concurrence requires a two-qubit operator, got dim {rho.dim}")
-    state, _ = normalize(rho)
-    s = 0.5 * (state.matrix + state.matrix.conj().T)
+    stack = _as_stack(rho)
+    if stack.shape[-1] != 4:
+        raise NotTwoQubit(f"concurrence requires a two-qubit operator, got dim {stack.shape[-1]}")
+    states, _ = unit_trace(stack)
+    s = _hermitian_part(states)
     flipped = _SPIN_FLIP @ s.conj() @ _SPIN_FLIP
     root = _psd_sqrt(s)
     product = root @ flipped @ root
-    vals = np.linalg.eigvalsh(0.5 * (product + product.conj().T))
-    lams = np.sqrt(np.clip(vals, 0.0, None))[::-1]
-    value = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
-    return ConcurrenceResult(value=value, sqrt_eigenvalues=tuple(float(x) for x in lams))
+    vals = np.linalg.eigvalsh(_hermitian_part(product))
+    lams = np.sqrt(np.clip(vals, 0.0, None))[:, ::-1]
+    values = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
+    if isinstance(rho, DensityOperator):
+        return ConcurrenceResult(
+            value=float(values[0]), sqrt_eigenvalues=tuple(float(x) for x in lams[0])
+        )
+    return ConcurrenceResult(value=values, sqrt_eigenvalues=lams)
 
 
 def concurrence_x(params: XStateParams) -> float:
@@ -157,17 +182,28 @@ def concurrence_x(params: XStateParams) -> float:
     return max(0.0, float(num / (2.0 * params.P)))
 
 
-def fidelity(a: DensityOperator, b: DensityOperator) -> float:
-    """Uhlmann fidelity ``(Tr sqrt(sqrt(a) b sqrt(a)))^2`` of the normalized states."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    sa, _ = normalize(a)
-    sb, _ = normalize(b)
-    root = _psd_sqrt(sa.matrix)
-    inner = root @ sb.matrix @ root
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    total = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
-    return min(total * total, 1.0) if total * total > 1.0 - 1e-15 else total * total
+def fidelity(
+    a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray
+) -> float | np.ndarray:
+    """Uhlmann fidelity ``(Tr sqrt(sqrt(a) b sqrt(a)))^2`` of the normalized states.
+
+    Either argument may be an ``(n, d, d)`` stack of states, which
+    broadcasts against the other and gives an ``(n,)`` array; two
+    ``DensityOperator`` arguments give a float.
+    """
+    sa, sb = _as_stack(a), _as_stack(b)
+    if sa.shape[-1] != sb.shape[-1]:
+        raise ValueError(f"dimension mismatch: {sa.shape[-1]} vs {sb.shape[-1]}")
+    sa, _ = unit_trace(sa)
+    sb, _ = unit_trace(sb)
+    root = _psd_sqrt(sa)
+    inner = root @ sb @ root
+    vals = np.linalg.eigvalsh(_hermitian_part(inner))
+    total = np.sum(np.sqrt(np.clip(vals, 0.0, None)), axis=-1)
+    values = np.minimum(total * total, 1.0)
+    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
+        return float(values[0])
+    return values
 
 
 def werner_decompose(rho: DensityOperator, tol: float = 1e-10) -> float | None:

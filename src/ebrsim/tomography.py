@@ -12,6 +12,7 @@ bootstrap around the fitted state.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -40,6 +41,9 @@ _PAULIS = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
 )
+
+# The 16 two-qubit Pauli products, index 4 * i + j for sigma_i (x) sigma_j.
+_PAULI_BASIS = np.array([np.kron(si, sj) for si in _PAULIS for sj in _PAULIS])
 
 # Single-qubit Pauli expectations <k|sigma_i|k> per analyzer label.
 _STOKES_VECTORS = {
@@ -83,9 +87,14 @@ def projector(label: str) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
+_PAIR_PROJECTORS = {
+    (a, b): np.kron(projector(a), projector(b)) for a in _KETS for b in _KETS
+}
+
+
 def setting_rate(state: DensityOperator, setting: TomographySetting) -> float:
     """Projection probability ``Tr(rho P_a (x) P_b)`` for one analyzer pair."""
-    pi = np.kron(projector(setting.setting_a), projector(setting.setting_b))
+    pi = _PAIR_PROJECTORS[setting.setting_a, setting.setting_b]
     return max(float(np.trace(state.matrix @ pi).real), 0.0)
 
 
@@ -143,15 +152,13 @@ class TomographyResult:
     clipped_weight: float
 
 
-_DESIGN_CACHE: dict[tuple[tuple[str, str], ...], tuple[np.ndarray, np.ndarray]] = {}
+@functools.lru_cache(maxsize=8)
+def _design_matrix(settings: tuple[tuple[str, str], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows map the 16 Pauli components ``s * S_ij`` to expected counts.
 
-
-def _design_matrix(settings: Sequence[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows map the 16 Pauli components ``s * S_ij`` to expected counts."""
-    key = tuple(settings)
-    cached = _DESIGN_CACHE.get(key)
-    if cached is not None:
-        return cached
+    Returns ``(design, pinv)``.  The few most recent setting orders are
+    cached; the standard 16- and 36-setting schemes are the usual keys.
+    """
     rows = []
     for a, b in settings:
         va = _STOKES_VECTORS[a]
@@ -162,9 +169,41 @@ def _design_matrix(settings: Sequence[tuple[str, str]]) -> tuple[np.ndarray, np.
         raise RankDeficient(
             f"{len(settings)} settings span rank {np.linalg.matrix_rank(design)} < 16"
         )
-    pinv = np.linalg.pinv(design)
-    _DESIGN_CACHE[key] = (design, pinv)
-    return design, pinv
+    return design, np.linalg.pinv(design)
+
+
+def _invert(
+    settings: tuple[tuple[str, str], ...], counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reconstruct every row of an ``(n, len(settings))`` counts array.
+
+    Returns ``(states, scales, clipped)``: the ``(n, 4, 4)`` physical
+    states, the fitted count scales and the clipped negative weights.
+    The coefficients are one ``pinv @ row`` product per row, which keeps
+    every row's arithmetic identical to a one-row call.
+    """
+    if len(settings) < 16:
+        raise RankDeficient(f"need at least 16 settings, got {len(settings)}")
+    _, pinv = _design_matrix(settings)
+    coeffs = np.array([pinv @ row for row in counts])
+    scales = coeffs[:, 0]
+    if np.any(scales <= 0.0):
+        raise ValueError("count totals too low to calibrate the measurement scale")
+    pauli_components = coeffs / scales[:, None]
+    rho = np.zeros((len(counts), 4, 4), dtype=np.complex128)
+    for k in range(16):
+        rho += pauli_components[:, k, None, None] * _PAULI_BASIS[k]
+    rho /= 4.0
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
+    # 0.0 - sum rather than -sum: nothing clipped gives +0.0, not -0.0
+    clipped = 0.0 - np.sum(np.minimum(vals, 0.0), axis=-1)
+    vals = np.clip(vals, 0.0, None)
+    totals = np.sum(vals, axis=-1)
+    if np.any(totals <= 0.0):
+        raise ValueError("projection removed all weight; counts are unusable")
+    weights = vals / totals[:, None]
+    states = (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return states, scales, clipped
 
 
 def reconstruct(records: Sequence[CountRecord], background: float = 0.0) -> TomographyResult:
@@ -176,30 +215,13 @@ def reconstruct(records: Sequence[CountRecord], background: float = 0.0) -> Tomo
     calibration input is needed.  Raises :class:`RankDeficient` when the
     settings do not determine all 16 Pauli components.
     """
-    if len(records) < 16:
-        raise RankDeficient(f"need at least 16 settings, got {len(records)}")
-    settings = [(r.setting_a, r.setting_b) for r in records]
-    _, pinv = _design_matrix(settings)
-    counts = np.array([float(r.observed) - background for r in records])
-    coeffs = pinv @ counts
-    scale = float(coeffs[0])
-    if scale <= 0.0:
-        raise ValueError("count totals too low to calibrate the measurement scale")
-    pauli_components = coeffs / scale
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(4):
-        for j in range(4):
-            rho += pauli_components[4 * i + j] * np.kron(_PAULIS[i], _PAULIS[j])
-    rho /= 4.0
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    clipped = float(-np.sum(vals[vals < 0.0]))
-    vals = np.clip(vals, 0.0, None)
-    total = float(np.sum(vals))
-    if total <= 0.0:
-        raise ValueError("projection removed all weight; counts are unusable")
-    physical = (vecs * (vals / total)) @ vecs.conj().T
+    settings = tuple((r.setting_a, r.setting_b) for r in records)
+    counts = np.array([[float(r.observed) - background for r in records]])
+    states, scales, clipped = _invert(settings, counts)
     return TomographyResult(
-        state=DensityOperator(physical, 1.0), scale=scale, clipped_weight=clipped
+        state=DensityOperator(states[0], 1.0),
+        scale=float(scales[0]),
+        clipped_weight=float(clipped[0]),
     )
 
 
@@ -233,28 +255,23 @@ def error_bars(
     fitted scale), re-runs the reconstruction, and records the fidelity
     to the point estimate, the concurrence, and the relative scale.
     Trial ``b`` uses the RNG stream seeded by ``(seed, b)``, so results
-    do not depend on evaluation order.
+    do not depend on evaluation order.  All trials are reconstructed and
+    evaluated as one stack; each row equals a one-trial reconstruction.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a spread, got {trials}")
-    settings = [TomographySetting(r.setting_a, r.setting_b) for r in records]
+    settings = tuple(TomographySetting(r.setting_a, r.setting_b) for r in records)
     expected = np.array(
         [result.scale * setting_rate(result.state, s) for s in settings]
     )
-    fidelities = np.empty(trials)
-    concurrences = np.empty(trials)
-    probabilities = np.empty(trials)
-    for b in range(trials):
-        rng = np.random.default_rng([seed, b])
-        observed = rng.poisson(expected)
-        trial_records = [
-            CountRecord(s.setting_a, s.setting_b, 0.0, int(o))
-            for s, o in zip(settings, observed)
-        ]
-        trial = reconstruct(trial_records)
-        fidelities[b] = fidelity(trial.state, result.state)
-        concurrences[b] = concurrence(trial.state).value
-        probabilities[b] = trial.scale / result.scale
+    counts = np.array(
+        [np.random.default_rng([seed, b]).poisson(expected) for b in range(trials)],
+        dtype=float,
+    )
+    states, scales, _ = _invert(settings, counts)
+    fidelities = fidelity(states, result.state)
+    concurrences = concurrence(states).value
+    probabilities = scales / result.scale
     return UncertaintyReport(
         fidelity_mean=float(np.mean(fidelities)),
         fidelity_std=float(np.std(fidelities, ddof=1)),

@@ -404,6 +404,20 @@ class TestTomographyCommand:
         assert (code, out) == (3, "")
         assert err.startswith("domain error: filter prescription is singular")
 
+    def test_nothing_clipped_is_positive_zero(self, tmp_path, capsys):
+        # a fit that is already physical clips nothing: report 0, never -0
+        path = write_config(
+            tmp_path,
+            "state = stage\nstage = III\nscenario = partial\np = 0.85\nT = 0.3\n"
+            "epsilon = 0.4\ntotal_triples = 2000\ntrials = 5\nseed = 12345\n",
+        )
+        prefix = str(tmp_path / "tomo")
+        code, out, _ = run_cli(capsys, ["tomography", "--config", path, "--out", prefix])
+        assert code == 0
+        assert out.splitlines()[-1] == "clipped_weight=0"
+        text = (tmp_path / "tomo.result.json").read_text()
+        assert '"clipped_weight": 0.0,' in text
+
     def test_named_truth_states(self, tmp_path, capsys):
         path = write_config(tmp_path, "state = singlet\ntotal_triples = 400\ntrials = 5\n")
         code, out, _ = run_cli(capsys, ["tomography", "--config", path])

@@ -29,3 +29,17 @@ def test_oracle_crosscheck(capsys):
     assert "--- convention = real ---" in out
     assert "--- convention = phase ---" in out
     assert out.rstrip().endswith("ok: True")
+
+
+def test_tomography_pipeline(capsys):
+    out = run_demo(capsys, "tomography_pipeline.py")
+    lines = out.splitlines()
+    assert lines[0] == "true concurrence: 0.308"
+    rows = [line.split() for line in lines if line[:8].strip().isdigit()]
+    assert [int(row[0]) for row in rows] == [500, 2_000, 20_000, 200_000]
+    assert all(len(row) == 5 and row[3].endswith("%") for row in rows)
+    poisson = [line.split() for line in lines if line.startswith("  N=")]
+    assert [int(row[1].rstrip(":")) for row in poisson] == [1_000, 10_000, 100_000]
+    for row in poisson:
+        assert (row[2], row[4]) == ("measured", "predicted")
+        assert row[5] == f"{1 / math.sqrt(int(row[1].rstrip(':'))):.5f}"

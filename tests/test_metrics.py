@@ -33,6 +33,18 @@ def random_x_params(rng):
     return x_params(d[0], d[1], d[2], d[3], xi)
 
 
+def random_states(rng, n):
+    """Random two-qubit states of rank 1-4, plus three exact special states."""
+    mats = []
+    for i in range(n):
+        g = rng.normal(size=(4, i % 4 + 1)) + 1j * rng.normal(size=(4, i % 4 + 1))
+        m = g @ g.conj().T
+        mats.append(m / np.trace(m).real)
+    psi = singlet_vector()
+    mats += [np.outer(psi, psi.conj()), np.eye(4) / 4, np.diag([1.0, 0.0, 0.0, 0.0])]
+    return np.array(mats, dtype=np.complex128)
+
+
 class TestXStateParams:
     def test_rejects_negative_population(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -120,6 +132,24 @@ class TestConcurrence:
     def test_requires_two_qubits(self):
         with pytest.raises(NotTwoQubit):
             concurrence(maximally_mixed(2))
+        with pytest.raises(NotTwoQubit):
+            concurrence(maximally_mixed(2).matrix[None])
+
+    def test_stack_rows_equal_single_states(self):
+        stack = random_states(np.random.default_rng(11), 40)
+        res = concurrence(stack)
+        assert res.value.shape == (len(stack),)
+        assert res.sqrt_eigenvalues.shape == (len(stack), 4)
+        for i, m in enumerate(stack):
+            single = concurrence(DensityOperator(m))
+            assert type(single.value) is float
+            assert res.value[i] == single.value
+            assert tuple(res.sqrt_eigenvalues[i]) == single.sqrt_eigenvalues
+        assert np.count_nonzero(res.value) not in (0, len(stack))
+
+    def test_stack_must_be_three_dimensional(self):
+        with pytest.raises(ValueError, match="stack"):
+            concurrence(np.eye(4) / 4)
 
     def test_closed_form_matches_wootters(self):
         rng = np.random.default_rng(2024)
@@ -161,6 +191,24 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(maximally_mixed(4), maximally_mixed(2))
+        with pytest.raises(ValueError):
+            fidelity(maximally_mixed(4).matrix[None], maximally_mixed(2))
+
+    def test_stack_rows_equal_single_states(self):
+        rng = np.random.default_rng(12)
+        stack = random_states(rng, 40)
+        others = rng.permutation(random_states(rng, 40))
+        target = DensityOperator(others[0])
+        assert type(fidelity(target, target)) is float
+        left = fidelity(stack, target)
+        right = fidelity(target, stack)
+        paired = fidelity(stack, others)
+        assert left.shape == right.shape == paired.shape == (len(stack),)
+        for i, m in enumerate(stack):
+            single = DensityOperator(m)
+            assert left[i] == fidelity(single, target)
+            assert right[i] == fidelity(target, single)
+            assert paired[i] == fidelity(single, DensityOperator(others[i]))
 
 
 class TestWernerDecompose:

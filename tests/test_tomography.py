@@ -8,6 +8,8 @@ from ebrsim.tomography import (
     CountRecord,
     RankDeficient,
     TomographySetting,
+    UncertaintyReport,
+    _design_matrix,
     counts_from_csv,
     counts_to_csv,
     error_bars,
@@ -149,6 +151,22 @@ class TestReconstruct:
         corrected = reconstruct(shifted, background=7.0)
         assert np.allclose(corrected.state.matrix, clean.state.matrix, atol=1e-12)
 
+    def test_design_cache_is_bounded(self, stage2_state):
+        records = exact_records(stage2_state)
+        reference = reconstruct(records).state.matrix
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            shuffled = [records[i] for i in rng.permutation(len(records))]
+            assert np.allclose(reconstruct(shuffled).state.matrix, reference, atol=1e-12)
+        info = _design_matrix.cache_info()
+        assert info.maxsize == 8
+        assert info.currsize <= 8
+
+    def test_zero_counts_cannot_be_calibrated(self):
+        records = [CountRecord(s.setting_a, s.setting_b, 0.0, 0) for s in standard_settings()]
+        with pytest.raises(ValueError, match="calibrate"):
+            reconstruct(records)
+
     def test_rank_deficient_settings_raise(self, stage2_state):
         records = [CountRecord("H", "H", 0.1, 10)] * 20
         with pytest.raises(RankDeficient):
@@ -221,6 +239,35 @@ class TestErrorBars:
         assert report.concurrence_std < 1e-2
         assert report.probability_std < 1e-3
         assert report.probability_mean == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("minimal", [False, True])
+    def test_batch_equals_per_trial_loop(self, stage2_state, minimal):
+        records = simulate_counts(stage2_state, 2000, seed=13, minimal=minimal)
+        result = reconstruct(records)
+        trials, seed = 40, 13
+        expected = [
+            result.scale * setting_rate(result.state, TomographySetting(r.setting_a, r.setting_b))
+            for r in records
+        ]
+        fids, cons, probs = [], [], []
+        for b in range(trials):
+            observed = np.random.default_rng([seed, b]).poisson(expected)
+            trial = reconstruct([
+                CountRecord(r.setting_a, r.setting_b, 0.0, int(o))
+                for r, o in zip(records, observed)
+            ])
+            fids.append(fidelity(trial.state, result.state))
+            cons.append(concurrence(trial.state).value)
+            probs.append(trial.scale / result.scale)
+        assert error_bars(result, records, trials=trials, seed=seed) == UncertaintyReport(
+            fidelity_mean=float(np.mean(fids)),
+            fidelity_std=float(np.std(fids, ddof=1)),
+            concurrence_mean=float(np.mean(cons)),
+            concurrence_std=float(np.std(cons, ddof=1)),
+            probability_mean=float(np.mean(probs)),
+            probability_std=float(np.std(probs, ddof=1)),
+            trials=trials,
+        )
 
     def test_requires_two_trials(self, stage2_state):
         records = simulate_counts(stage2_state, 500, seed=8)
