@@ -123,22 +123,24 @@ def _parse_scenario(cfg: dict[str, str]) -> Scenario:
 
 
 def _parse_channel(cfg: dict[str, str]) -> ChannelConfig:
-    scenario = _parse_scenario(cfg)
-    _require(cfg, "T")
-    t = _as_float(cfg, "T")
-    branch = cfg.get("branch", "H").upper()
-    feed_forward = _as_bool(cfg, "feed_forward") if "feed_forward" in cfg else False
-    filters = None
-    epsilon = None
-    if ("A_A" in cfg) != ("A_B" in cfg):
-        raise ConfigError("A_A and A_B must be given together")
-    if "A_A" in cfg:
-        if "epsilon" in cfg:
-            raise ConfigError("give either epsilon or the A_A/A_B pair, not both")
-        filters = FilterPair(a_a=_as_float(cfg, "A_A"), a_b=_as_float(cfg, "A_B"))
-    elif "epsilon" in cfg:
-        epsilon = _as_float(cfg, "epsilon")
+    # Scenario, FilterPair and ChannelConfig reject out-of-range values
+    # with ValueError; in a config file those are config errors.
     try:
+        scenario = _parse_scenario(cfg)
+        _require(cfg, "T")
+        t = _as_float(cfg, "T")
+        branch = cfg.get("branch", "H").upper()
+        feed_forward = _as_bool(cfg, "feed_forward") if "feed_forward" in cfg else False
+        filters = None
+        epsilon = None
+        if ("A_A" in cfg) != ("A_B" in cfg):
+            raise ConfigError("A_A and A_B must be given together")
+        if "A_A" in cfg:
+            if "epsilon" in cfg:
+                raise ConfigError("give either epsilon or the A_A/A_B pair, not both")
+            filters = FilterPair(a_a=_as_float(cfg, "A_A"), a_b=_as_float(cfg, "A_B"))
+        elif "epsilon" in cfg:
+            epsilon = _as_float(cfg, "epsilon")
         return ChannelConfig(
             scenario=scenario,
             T=t,
@@ -357,14 +359,18 @@ def _tomography_truth(cfg: dict[str, str]) -> DensityOperator:
 def cmd_tomography(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _TOMO_KEYS)
-    truth = _tomography_truth(cfg)
     total = _as_float(cfg, "total_triples") if "total_triples" in cfg else 500.0
+    if not (0.0 < total < math.inf):
+        raise ConfigError(f"total_triples must be positive and finite, got {total!r}")
     trials = _as_int(cfg, "trials") if "trials" in cfg else 200
+    if trials < 2:
+        raise ConfigError(f"trials must be at least 2 for a spread, got {trials}")
     seed = args.seed if args.seed is not None else (_as_int(cfg, "seed") if "seed" in cfg else 0)
     n_settings = _as_int(cfg, "settings") if "settings" in cfg else 36
     if n_settings not in (16, 36):
         raise ConfigError(f"settings must be 16 or 36, got {n_settings}")
     background = _as_float(cfg, "background") if "background" in cfg else 0.0
+    truth = _tomography_truth(cfg)
 
     records = simulate_counts(truth, total, seed, minimal=(n_settings == 16))
     result = reconstruct(records, background=background)

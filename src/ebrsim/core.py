@@ -23,10 +23,6 @@ TOL_HERMITIAN = 1e-12
 TOL_POSITIVITY = 1e-10
 TOL_TRACE = 1e-12
 
-# Refuse tensor products beyond this dimension; guards runaway growth
-# when composing subsystems.
-MAX_DIM = 4096
-
 # Branch weights at or below this floor count as impossible branches.
 ZERO_TRACE_FLOOR = 1e-300
 
@@ -121,40 +117,6 @@ def validate(rho: DensityOperator) -> DiagnosticsReport:
     )
 
 
-def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product; trace weights multiply."""
-    new_dim = a.dim * b.dim
-    if new_dim > MAX_DIM:
-        raise ValueError(f"tensor product dimension {new_dim} exceeds MAX_DIM={MAX_DIM}")
-    return DensityOperator(np.kron(a.matrix, b.matrix), a.trace_weight * b.trace_weight)
-
-
-def partial_trace(
-    rho: DensityOperator, keep: int, dims: tuple[int, int] | None = None
-) -> DensityOperator:
-    """Trace out one side of a bipartite operator.
-
-    Parameters
-    ----------
-    keep : 0 to keep the first factor, 1 to keep the second.
-    dims : subsystem dimensions ``(d_first, d_second)``.  Defaults to the
-        square split, which covers the two-qubit case.
-    """
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    if dims is None:
-        side = int(round(rho.dim**0.5))
-        if side * side != rho.dim:
-            raise ValueError("dims required: operator dimension is not a perfect square")
-        dims = (side, side)
-    da, db = dims
-    if da * db != rho.dim:
-        raise ValueError(f"dims {dims} do not factor dimension {rho.dim}")
-    r = rho.matrix.reshape(da, db, da, db)
-    reduced = np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
-    return DensityOperator(reduced, rho.trace_weight)
-
-
 def apply_local(rho: DensityOperator, k_a: np.ndarray, k_b: np.ndarray) -> DensityOperator:
     """Apply a product operator ``(K_A (x) K_B) rho (K_A (x) K_B)^dag``.
 
@@ -209,7 +171,7 @@ def to_json(rho: DensityOperator, indent: int | None = None) -> str:
     """Serialize with ``[re, im]`` entry pairs; round-trips bit exactly.
 
     Python's JSON float formatting is shortest-roundtrip decimal, so
-    :func:`from_json` recovers the identical binary matrix.
+    ``json.loads`` recovers the identical binary entries.
     """
     obj: dict = {"dim": rho.dim}
     if rho.dim == 4:
@@ -219,16 +181,3 @@ def to_json(rho: DensityOperator, indent: int | None = None) -> str:
         [[float(z.real), float(z.imag)] for z in row] for row in rho.matrix
     ]
     return json.dumps(obj, indent=indent)
-
-
-def from_json(text: str) -> DensityOperator:
-    obj = json.loads(text)
-    dim = int(obj["dim"])
-    rows = obj["matrix"]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError("matrix shape does not match declared dim")
-    m = np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-        dtype=np.complex128,
-    )
-    return DensityOperator(m, float(obj["trace_weight"]))

@@ -9,8 +9,12 @@ per arm) defines stage III.  Every stage output is an X state, so the
 whole pipeline is tracked at the level of :class:`~ebrsim.metrics.XStateParams`.
 
 The environment photon's wave-packet overlap with the signal photon is a
-scenario choice: fully distinguishable, fully indistinguishable, or a
-probability-``p`` mixture of the two.
+scenario choice: fully distinguishable (``p = 0``), fully
+indistinguishable (``p = 1``), or a probability-``p`` mixture of the two.
+Stages I and II are each one map ``(p, T) -> XStateParams`` whose entries
+and branch probability are polynomials in ``T`` and linear in ``p``: a
+classical mixture of preparations mixes the unnormalized entries, and the
+state is their quotient by ``4P``.
 """
 
 from __future__ import annotations
@@ -108,6 +112,8 @@ class ChannelConfig:
             raise ValueError(f"branch must be 'H' or 'V', got {self.branch!r}")
         if self.filters is not None and self.epsilon is not None:
             raise ValueError("give either an explicit filter pair or epsilon, not both")
+        if self.epsilon is not None and not (0.0 < self.epsilon <= 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -128,82 +134,31 @@ class StageOutput:
     filters: FilterPair | None = None
 
 
-def _stage1_distinguishable(t: float) -> XStateParams:
+def _stage1_params(p: float, t: float) -> XStateParams:
     r = 1.0 - t
+    w = 2.0 * t - 1.0  # exact for t >= 1/4: the coherence keeps its digits near T = 1/2
+    beta = r * r + 2.0 * t * (t - p * r)
     return XStateParams(
         alpha=r * r,
-        beta=r * r + 2.0 * t * t,
-        gamma=r * r + 2.0 * t * t,
+        beta=beta,
+        gamma=beta,
         delta=r * r,
-        xi=-2.0 * t * t,
-        P=r * r + t * t,
+        xi=-2.0 * t * (p * w + (1.0 - p) * t),
+        P=r * r + t * (t - p * r),
     )
 
 
-def _stage1_indistinguishable(t: float) -> XStateParams:
+def _stage2_params(p: float, t: float) -> XStateParams:
     r = 1.0 - t
-    return XStateParams(
-        alpha=r * r,
-        beta=1.0 - 4.0 * t + 5.0 * t * t,
-        gamma=r * r + 2.0 * t * t - 2.0 * r * t,
-        delta=r * r,
-        xi=-2.0 * t * t + 2.0 * r * t,
-        P=r * r + t * t - r * t,
-    )
-
-
-def _stage2_distinguishable(t: float) -> XStateParams:
-    r = 1.0 - t
+    w = 2.0 * t - 1.0
     return XStateParams(
         alpha=0.0,
         beta=t * t,
-        gamma=r * r + t * t,
+        gamma=p * w * w + (1.0 - p) * (r * r + t * t),
         delta=r * r,
-        xi=-t * t,
-        P=0.5 * (r * r + t * t),
+        xi=-t * (p * w + (1.0 - p) * t),
+        P=0.5 * (r * r + t * (t - p * r)),
     )
-
-
-def _stage2_indistinguishable(t: float) -> XStateParams:
-    r = 1.0 - t
-    return XStateParams(
-        alpha=0.0,
-        beta=t * t,
-        gamma=(2.0 * t - 1.0) ** 2,
-        delta=r * r,
-        xi=-t * t + r * t,
-        P=0.5 * (r * r + t * t - r * t),
-    )
-
-
-def mix_partial(indist: XStateParams, dist: XStateParams, p: float) -> XStateParams:
-    """Probability-``p`` mixture taken at the unnormalized-entry level.
-
-    Both the matrix entries and the branch probabilities are convex
-    combinations; the mixed state is their quotient, so mixing and
-    normalization commute the way a classical mixture of preparations
-    requires.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    q = 1.0 - p
-    return XStateParams(
-        alpha=p * indist.alpha + q * dist.alpha,
-        beta=p * indist.beta + q * dist.beta,
-        gamma=p * indist.gamma + q * dist.gamma,
-        delta=p * indist.delta + q * dist.delta,
-        xi=p * indist.xi + q * dist.xi,
-        P=p * indist.P + q * dist.P,
-    )
-
-
-def _scenario_params(scenario: Scenario, t: float, stage_fns) -> XStateParams:
-    indist_fn, dist_fn = stage_fns
-    if scenario.kind == "distinguishable":
-        return dist_fn(t)
-    if scenario.kind == "indistinguishable":
-        return indist_fn(t)
-    return mix_partial(indist_fn(t), dist_fn(t), scenario.p)
 
 
 def stage1(scenario: Scenario, t: float) -> StageOutput:
@@ -215,9 +170,7 @@ def stage1(scenario: Scenario, t: float) -> StageOutput:
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"T must lie in [0, 1], got {t!r}")
-    params = _scenario_params(
-        scenario, t, (_stage1_indistinguishable, _stage1_distinguishable)
-    )
+    params = _stage1_params(scenario.p, t)
     return StageOutput(
         stage="I",
         params=params,
@@ -242,9 +195,7 @@ def stage2(
         raise ValueError(f"T must lie in [0, 1], got {t!r}")
     if branch not in ("H", "V"):
         raise ValueError(f"branch must be 'H' or 'V', got {branch!r}")
-    params = _scenario_params(
-        scenario, t, (_stage2_indistinguishable, _stage2_distinguishable)
-    )
+    params = _stage2_params(scenario.p, t)
     if branch == "V" and not feed_forward:
         params = XStateParams(
             alpha=params.delta,

@@ -114,8 +114,8 @@ def simulate_counts(
     """
     if state.dim != 4:
         raise ValueError(f"tomography expects a two-qubit state, got dim {state.dim}")
-    if total_triples <= 0:
-        raise ValueError(f"total_triples must be positive, got {total_triples!r}")
+    if not (0.0 < total_triples < np.inf):
+        raise ValueError(f"total_triples must be positive and finite, got {total_triples!r}")
     normalized, _ = normalize(state)
     if settings is None:
         settings = standard_settings(minimal)

@@ -118,6 +118,11 @@ class TestRunCommand:
             ("scenario = distinguishable\nT = 0.4\nfeed_forward = yes\n", "true or false"),
             ("scenario = distinguishable\nT = 1.4\n", ""),
             ("scenario = elsewhere\nT = 0.4\n", "scenario must be"),
+            ("scenario = partial\np = 1.5\nT = 0.4\n", "needs p in [0, 1]"),
+            ("scenario = partial\np = nan\nT = 0.4\n", "needs p in [0, 1]"),
+            ("scenario = distinguishable\nT = 0.4\nepsilon = 2\n", "epsilon must lie in (0, 1]"),
+            ("scenario = distinguishable\nT = 0.4\nepsilon = nan\n", "epsilon must lie in (0, 1]"),
+            ("scenario = distinguishable\nT = 0.4\nA_A = 0\nA_B = 1\n", "a_a must lie in (0, 1]"),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, cfg, fragment):
@@ -266,6 +271,10 @@ class TestSweepCommand:
             ("variable = Q", "variable must be"),
             ("variable = T\nstart = 0.1\nstop = 0.9\nsteps = 0", "steps must be"),
             ("variable = T\nstart = 0.1\nstop = 0.9", "missing required config key: steps"),
+            (
+                "T = 0.4\nvariable = epsilon\nstart = nan\nstop = 1\nsteps = 2",
+                "epsilon must lie in (0, 1]",
+            ),
         ],
     )
     def test_sweep_config_errors(self, tmp_path, capsys, line, fragment):
@@ -431,10 +440,15 @@ class TestTomographyCommand:
             ("state = thermal\n", "state must be"),
             (CFG + "settings = 20\n", "settings must be 16 or 36"),
             ("state = stage\nstage = IV\nscenario = distinguishable\nT = 0.4\n", "stage must be"),
+            ("state = singlet\ntotal_triples = nan\n", "total_triples must be positive"),
+            ("state = singlet\ntotal_triples = inf\n", "total_triples must be positive"),
+            ("state = singlet\ntotal_triples = 0\n", "total_triples must be positive"),
+            ("state = singlet\ntrials = 1\n", "trials must be at least 2"),
         ],
     )
     def test_config_errors(self, tmp_path, capsys, cfg, fragment):
         path = write_config(tmp_path, cfg)
         code, _, err = run_cli(capsys, ["tomography", "--config", path])
         assert code == 2
+        assert err.startswith("config error:")
         assert fragment in err

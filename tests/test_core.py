@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from ebrsim.core import (
-    MAX_DIM,
     TWO_QUBIT_BASIS,
     DensityOperator,
     ZeroTrace,
     apply_local,
-    from_json,
     maximally_mixed,
     normalize,
-    partial_trace,
     singlet_vector,
-    tensor,
     to_json,
     validate,
 )
@@ -84,50 +80,6 @@ def test_singlet_vector_entries():
     assert v[2] / v[1] == pytest.approx(-1j)
 
 
-def test_tensor_multiplies_weights_and_dims():
-    a = DensityOperator(np.eye(2) / 2, 1.0)
-    b = DensityOperator(np.diag([0.3, 0.1]), 0.4)
-    ab = tensor(a, b)
-    assert ab.dim == 4
-    assert ab.trace_weight == pytest.approx(0.4)
-    assert np.allclose(ab.matrix, np.kron(a.matrix, b.matrix))
-
-
-def test_tensor_guards_runaway_dimension():
-    big = DensityOperator(np.eye(128) / 128, 1.0)
-    with pytest.raises(ValueError):
-        tensor(tensor(big, big), DensityOperator(np.eye(2), 1.0))
-    assert tensor(big, DensityOperator(np.eye(MAX_DIM // 128), 1.0)).dim == MAX_DIM
-
-
-def test_partial_trace_recovers_tensor_factors():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    a = a @ a.conj().T
-    a /= np.trace(a).real
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = b @ b.conj().T
-    b /= np.trace(b).real
-    ab = tensor(DensityOperator(a), DensityOperator(b))
-    left = partial_trace(ab, keep=0, dims=(2, 3))
-    right = partial_trace(ab, keep=1, dims=(2, 3))
-    assert np.allclose(left.matrix, a, atol=1e-12)
-    assert np.allclose(right.matrix, b, atol=1e-12)
-
-
-def test_partial_trace_square_default_and_errors():
-    rho = DensityOperator.from_pure(singlet_vector())
-    reduced = partial_trace(rho, keep=0)
-    # each half of the singlet is unpolarized
-    assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
-    with pytest.raises(ValueError):
-        partial_trace(rho, keep=2)
-    with pytest.raises(ValueError):
-        partial_trace(DensityOperator(np.eye(6) / 6), keep=0)
-    with pytest.raises(ValueError):
-        partial_trace(rho, keep=0, dims=(3, 2))
-
-
 def test_apply_local_filter_weight():
     rho = DensityOperator.from_pure(singlet_vector())
     k = np.diag([1.0, np.sqrt(0.5)])
@@ -161,16 +113,13 @@ def test_json_round_trip_is_bit_exact():
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = m @ m.conj().T
     rho = DensityOperator(m, trace_weight=float(np.trace(m).real))
-    back = from_json(to_json(rho))
-    assert np.array_equal(back.matrix, rho.matrix)
-    assert back.trace_weight == rho.trace_weight
+    doc = json.loads(to_json(rho))
+    pairs = np.array(doc["matrix"])
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], rho.matrix)
+    assert doc["trace_weight"] == rho.trace_weight
 
 
 def test_json_declares_polarization_basis():
     doc = json.loads(to_json(maximally_mixed(4)))
     assert doc["basis"] == list(TWO_QUBIT_BASIS)
     assert doc["dim"] == 4
-    bad = dict(doc)
-    bad["matrix"] = doc["matrix"][:3]
-    with pytest.raises(ValueError):
-        from_json(json.dumps(bad))

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from ebrsim.protocol import (
     apply_filters,
     distinguishable,
     indistinguishable,
-    mix_partial,
     partial,
     resolve_filters,
     run_protocol,
@@ -193,14 +193,6 @@ class TestPartialMixing:
         for name in ("alpha", "beta", "gamma", "delta", "xi", "P"):
             expected = p * getattr(i, name) + (1 - p) * getattr(d, name)
             assert getattr(m, name) == pytest.approx(expected, abs=1e-15)
-
-    def test_mix_partial_function_agrees(self):
-        t = 0.45
-        d = stage1(distinguishable(), t).params
-        i = stage1(indistinguishable(), t).params
-        m = mix_partial(i, d, 0.6)
-        s = stage1(partial(0.6), t).params
-        assert m == s
 
     def test_coherence_signs_oppose_below_half(self):
         # below T = 1/2 the two components interfere destructively in xi
@@ -390,3 +382,59 @@ class TestRunProtocol:
                 for out in run_protocol(ChannelConfig(scenario=scenario, T=t)):
                     report = validate(out.state)
                     assert report.ok, (scenario.kind, t, out.stage)
+
+
+def _exact_states(p, t, a_a, a_b):
+    """Normalized stage I-III matrices in 60-digit arithmetic from float inputs.
+
+    Each stage's entries are the probability-``p`` mixture of the
+    per-scenario polynomials, written the way they are usually quoted
+    (``xi = -T^2 + R T`` and so on), so the reference shares no
+    rearrangement with the closed form under test.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, t, a_a, a_b = (Decimal(x) for x in (p, t, a_a, a_b))
+        r, q = 1 - t, 1 - p
+
+        def mix(indist, dist):
+            return [p * i + q * d for i, d in zip(indist, dist)]
+
+        # (alpha, beta, gamma, delta, xi) and the branch probability P
+        s1 = mix(
+            [r * r, 1 - 4 * t + 5 * t * t, r * r + 2 * t * t - 2 * r * t, r * r,
+             -2 * t * t + 2 * r * t, r * r + t * t - r * t],
+            [r * r, r * r + 2 * t * t, r * r + 2 * t * t, r * r, -2 * t * t, r * r + t * t],
+        )
+        s2 = mix(
+            [0, t * t, (2 * t - 1) ** 2, r * r, -t * t + r * t, (r * r + t * t - r * t) / 2],
+            [0, t * t, r * r + t * t, r * r, -t * t, (r * r + t * t) / 2],
+        )
+        alpha, beta, gamma, delta, xi, _ = s2
+        s3 = [alpha, a_b * beta, a_a * gamma, a_a * a_b * delta, (a_a * a_b).sqrt() * xi]
+        s3.append(sum(s3[:4]) / 4)
+        states = []
+        for *diagonal, coherence, big_p in (s1, s2, s3):
+            m = np.diag([float(d / (4 * big_p)) for d in diagonal]).astype(np.complex128)
+            m[1, 2] = -1j * float(coherence / (4 * big_p))
+            m[2, 1] = 1j * float(coherence / (4 * big_p))
+            states.append(m)
+        return states
+
+
+class TestNearBalancedSplitter:
+    """Near T = 1/2 the indistinguishable coherence ``2T - 1`` vanishes and
+    the prescribed filters magnify it back to order one, so any cancellation
+    in the stage maps shows up in the stage-III state."""
+
+    @pytest.mark.parametrize(
+        "scenario", [indistinguishable(), partial(0.85)], ids=["indist", "partial"]
+    )
+    @pytest.mark.parametrize("t", [0.5 + 2e-9, 0.5 - 2e-9, 0.5 + 1e-7, 0.5 - 1e-7, 0.5 + 1e-5])
+    def test_states_match_60_digit_reference(self, scenario, t):
+        outs = run_protocol(ChannelConfig(scenario=scenario, T=t, epsilon=1e-6))
+        assert [o.stage for o in outs] == ["I", "II", "III"]
+        filters = outs[2].filters
+        exact = _exact_states(scenario.p, t, filters.a_a, filters.a_b)
+        for out, ref in zip(outs, exact):
+            assert np.max(np.abs(out.state.matrix - ref)) <= 1e-15, out.stage

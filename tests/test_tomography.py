@@ -114,8 +114,9 @@ class TestSimulateCounts:
     def test_input_validation(self, stage2_state):
         with pytest.raises(ValueError):
             simulate_counts(maximally_mixed(2), 500, seed=0)
-        with pytest.raises(ValueError):
-            simulate_counts(stage2_state, 0, seed=0)
+        for total in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                simulate_counts(stage2_state, total, seed=0)
 
 
 class TestReconstruct:
