@@ -6,7 +6,8 @@ byte-identical bytes.  CSV floats carry 17 significant digits; JSON
 floats use Python's shortest round-trip representation.
 
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
-error, 3 domain error raised by the simulation.
+error (including every :class:`~ebrsim.core.InvalidParameter` the
+library raises), 3 domain error raised by the simulation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import sys
 
-from .core import DensityOperator, EbrsimError, to_json
+from .core import DensityOperator, EbrsimError, InvalidParameter, to_json
 from .fock import oracle_check
 from .metrics import concurrence_x, fidelity
 from .protocol import (
@@ -112,8 +113,6 @@ def _as_bool(cfg: dict[str, str], key: str) -> bool:
 
 def _parse_scenario(cfg: dict[str, str]) -> Scenario:
     kind = _require(cfg, "scenario").lower()
-    if kind not in ("distinguishable", "indistinguishable", "partial"):
-        raise ConfigError(f"scenario must be distinguishable, indistinguishable or partial, got {kind!r}")
     if kind == "partial":
         _require(cfg, "p")
         return Scenario("partial", _as_float(cfg, "p"))
@@ -123,34 +122,25 @@ def _parse_scenario(cfg: dict[str, str]) -> Scenario:
 
 
 def _parse_channel(cfg: dict[str, str]) -> ChannelConfig:
-    # Scenario, FilterPair and ChannelConfig reject out-of-range values
-    # with ValueError; in a config file those are config errors.
-    try:
-        scenario = _parse_scenario(cfg)
-        _require(cfg, "T")
-        t = _as_float(cfg, "T")
-        branch = cfg.get("branch", "H").upper()
-        feed_forward = _as_bool(cfg, "feed_forward") if "feed_forward" in cfg else False
-        filters = None
-        epsilon = None
-        if ("A_A" in cfg) != ("A_B" in cfg):
-            raise ConfigError("A_A and A_B must be given together")
-        if "A_A" in cfg:
-            if "epsilon" in cfg:
-                raise ConfigError("give either epsilon or the A_A/A_B pair, not both")
-            filters = FilterPair(a_a=_as_float(cfg, "A_A"), a_b=_as_float(cfg, "A_B"))
-        elif "epsilon" in cfg:
-            epsilon = _as_float(cfg, "epsilon")
-        return ChannelConfig(
-            scenario=scenario,
-            T=t,
-            branch=branch,
-            feed_forward=feed_forward,
-            filters=filters,
-            epsilon=epsilon,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scenario = _parse_scenario(cfg)
+    _require(cfg, "T")
+    t = _as_float(cfg, "T")
+    branch = cfg.get("branch", "H").upper()
+    feed_forward = _as_bool(cfg, "feed_forward") if "feed_forward" in cfg else False
+    if ("A_A" in cfg) != ("A_B" in cfg):
+        raise ConfigError("A_A and A_B must be given together")
+    filters = None
+    if "A_A" in cfg:
+        filters = FilterPair(a_a=_as_float(cfg, "A_A"), a_b=_as_float(cfg, "A_B"))
+    epsilon = _as_float(cfg, "epsilon") if "epsilon" in cfg else None
+    return ChannelConfig(
+        scenario=scenario,
+        T=t,
+        branch=branch,
+        feed_forward=feed_forward,
+        filters=filters,
+        epsilon=epsilon,
+    )
 
 
 def _state_obj(state: DensityOperator) -> dict:
@@ -298,8 +288,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    if not (0.0 < args.grid_step < 1.0):
-        raise ConfigError(f"--grid-step must lie in (0, 1), got {args.grid_step}")
+    # the grid is k * step for k = 1 .. round(1/step) - 1, empty for step > 2/3
+    if not (args.grid_step > 0.0 and 1.0 / args.grid_step >= 1.5):
+        raise ConfigError(f"--grid-step must leave a grid point in (0, 1), got {args.grid_step}")
+    if not (0.0 <= args.tol < math.inf):
+        raise ConfigError(f"--tol must be nonnegative and finite, got {args.tol}")
     report = oracle_check(grid_step=args.grid_step, tol=args.tol)
     lines = []
     by_scenario: dict[str, list] = {}
@@ -360,11 +353,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _TOMO_KEYS)
     total = _as_float(cfg, "total_triples") if "total_triples" in cfg else 500.0
-    if not (0.0 < total < math.inf):
-        raise ConfigError(f"total_triples must be positive and finite, got {total!r}")
     trials = _as_int(cfg, "trials") if "trials" in cfg else 200
-    if trials < 2:
-        raise ConfigError(f"trials must be at least 2 for a spread, got {trials}")
     seed = args.seed if args.seed is not None else (_as_int(cfg, "seed") if "seed" in cfg else 0)
     n_settings = _as_int(cfg, "settings") if "settings" in cfg else 36
     if n_settings not in (16, 36):
@@ -452,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (EbrsimError, ValueError) as exc:

@@ -31,6 +31,10 @@ class EbrsimError(Exception):
     """Base class for domain errors raised by this package."""
 
 
+class InvalidParameter(EbrsimError, ValueError):
+    """A caller-supplied value outside its documented domain."""
+
+
 class ZeroTrace(EbrsimError):
     """Normalization was requested for an operator with (near-)zero trace."""
 

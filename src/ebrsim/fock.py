@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import DensityOperator, EbrsimError, ZERO_TRACE_FLOOR, apply_local
+from .core import DensityOperator, EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, apply_local
 from .metrics import XStateParams
 from .protocol import (
     ChannelConfig,
@@ -101,9 +101,9 @@ def prepare_input(scenario: Scenario, env_pol: str) -> FockState:
     mix the two pure ones with weights ``(p, 1-p)`` instead.
     """
     if env_pol not in ("H", "V"):
-        raise ValueError(f"env_pol must be 'H' or 'V', got {env_pol!r}")
+        raise InvalidParameter(f"env_pol must be 'H' or 'V', got {env_pol!r}")
     if scenario.kind == "partial":
-        raise ValueError("partial overlap is a mixture; prepare each pure scenario and mix")
+        raise InvalidParameter("partial overlap is a mixture; prepare each pure scenario and mix")
     env_bin = 0 if scenario.kind == "indistinguishable" else 1
     env = ModeLabel("E", env_pol, env_bin)
     amp = 1.0 / math.sqrt(2.0)
@@ -129,7 +129,7 @@ def _bs_rows(t: float, convention: str) -> tuple[tuple[complex, complex], tuple[
         return (rt, -rr), (rr, rt)
     if convention == "phase":
         return (rt, 1.0j * rr), (1.0j * rr, rt)
-    raise ValueError(f"unknown beam-splitter convention {convention!r}")
+    raise InvalidParameter(f"unknown beam-splitter convention {convention!r}")
 
 
 def evolve_bs(state: FockState, t: float, convention: str = "real") -> FockState:
@@ -140,12 +140,12 @@ def evolve_bs(state: FockState, t: float, convention: str = "real") -> FockState
     photon routings, with bosonic factorial factors restored at the end.
     """
     if not (0.0 <= t <= 1.0):
-        raise ValueError(f"T must lie in [0, 1], got {t!r}")
+        raise InvalidParameter(f"T must lie in [0, 1], got {t!r}")
     row_b, row_e = _bs_rows(t, convention)
     out: dict[Key, complex] = {}
     for key, amp in state.amps.items():
         if len(key) > MAX_PHOTONS:
-            raise ValueError(f"configuration with {len(key)} photons exceeds MAX_PHOTONS")
+            raise InvalidParameter(f"configuration with {len(key)} photons exceeds MAX_PHOTONS")
         coeff = amp / _occupation_factor(key)
         options: list[list[tuple[ModeLabel, complex]]] = []
         for mode in key:
@@ -212,14 +212,14 @@ def conditional_state(state: FockState, outcome: str | None = None) -> DensityOp
     probability given the input state.
     """
     if outcome not in (None, "H", "V"):
-        raise ValueError(f"outcome must be None, 'H' or 'V', got {outcome!r}")
+        raise InvalidParameter(f"outcome must be None, 'H' or 'V', got {outcome!r}")
     vectors: dict[tuple, np.ndarray] = {}
     for key, amp in state.amps.items():
         a_modes = [m for m in key if m.path == "A"]
         b_modes = [m for m in key if m.path == "B'"]
         e_modes = [m for m in key if m.path == "E'"]
         if len(a_modes) != 1 or len(b_modes) != 1 or len(e_modes) != 1:
-            raise ValueError("conditional_state expects post-selected one-per-arm states")
+            raise InvalidParameter("conditional_state expects post-selected one-per-arm states")
         a_mode, b_mode, e_mode = a_modes[0], b_modes[0], e_modes[0]
         if outcome is not None and e_mode.pol != outcome:
             continue
@@ -308,7 +308,7 @@ def hom_coincidence(t: float, p: float, convention: str = "real") -> float:
     is ``(1 - p)/2``, so the dip visibility equals ``p`` exactly.
     """
     if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+        raise InvalidParameter(f"p must lie in [0, 1], got {p!r}")
     results = {}
     for label, env_bin in (("same", 0), ("other", 1)):
         amps = {

@@ -15,7 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DensityOperator, EbrsimError, normalize, singlet_vector, unit_trace
+from .core import (
+    DensityOperator,
+    EbrsimError,
+    InvalidParameter,
+    normalize,
+    singlet_vector,
+    unit_trace,
+)
 
 _EPS = 1e-12
 
@@ -266,7 +273,7 @@ def breaking_threshold(scenario, stage: str = "I") -> float:
     :func:`crossing_threshold` is the numerical reference for both.
     """
     if stage not in ("I", "II"):
-        raise ValueError(f"stage must be 'I' or 'II', got {stage!r}")
+        raise InvalidParameter(f"stage must be 'I' or 'II', got {stage!r}")
     p = scenario.p
     if stage == "I":
         return (math.sqrt(p * p + 2.0) - (1.0 - p)) / (1.0 + 2.0 * p)

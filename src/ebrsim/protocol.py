@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EbrsimError, ZeroTrace, ZERO_TRACE_FLOOR
+from .core import EbrsimError, InvalidParameter, ZeroTrace, ZERO_TRACE_FLOOR
 from .metrics import XStateParams, normalized_state
 
 _SCENARIO_KINDS = ("distinguishable", "indistinguishable", "partial")
@@ -49,12 +49,14 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.kind not in _SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
+            raise InvalidParameter(
+                f"scenario must be distinguishable, indistinguishable or partial, got {self.kind!r}"
+            )
         if self.kind == "partial":
             if self.p_value is None or not (0.0 <= self.p_value <= 1.0):
-                raise ValueError(f"partial scenario needs p in [0, 1], got {self.p_value!r}")
+                raise InvalidParameter(f"partial scenario needs p in [0, 1], got {self.p_value!r}")
         elif self.p_value is not None:
-            raise ValueError(f"{self.kind} scenario takes no p value")
+            raise InvalidParameter(f"{self.kind} scenario takes no p value")
 
     @property
     def p(self) -> float:
@@ -91,7 +93,7 @@ class FilterPair:
     def __post_init__(self) -> None:
         for name, value in (("a_a", self.a_a), ("a_b", self.a_b)):
             if not (0.0 < value <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+                raise InvalidParameter(f"{name} must lie in (0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,13 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.T <= 1.0):
-            raise ValueError(f"T must lie in [0, 1], got {self.T!r}")
+            raise InvalidParameter(f"T must lie in [0, 1], got {self.T!r}")
         if self.branch not in ("H", "V"):
-            raise ValueError(f"branch must be 'H' or 'V', got {self.branch!r}")
+            raise InvalidParameter(f"branch must be 'H' or 'V', got {self.branch!r}")
         if self.filters is not None and self.epsilon is not None:
-            raise ValueError("give either an explicit filter pair or epsilon, not both")
+            raise InvalidParameter("give either an explicit filter pair or epsilon, not both")
         if self.epsilon is not None and not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
+            raise InvalidParameter(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ def stage1(scenario: Scenario, t: float) -> StageOutput:
     (unpolarized output).
     """
     if not (0.0 <= t <= 1.0):
-        raise ValueError(f"T must lie in [0, 1], got {t!r}")
+        raise InvalidParameter(f"T must lie in [0, 1], got {t!r}")
     params = _stage1_params(scenario.p, t)
     return StageOutput(
         stage="I",
@@ -192,9 +194,9 @@ def stage2(
     cumulative probability doubles; ``probability`` stays per-branch.
     """
     if not (0.0 <= t <= 1.0):
-        raise ValueError(f"T must lie in [0, 1], got {t!r}")
+        raise InvalidParameter(f"T must lie in [0, 1], got {t!r}")
     if branch not in ("H", "V"):
-        raise ValueError(f"branch must be 'H' or 'V', got {branch!r}")
+        raise InvalidParameter(f"branch must be 'H' or 'V', got {branch!r}")
     params = _stage2_params(scenario.p, t)
     if branch == "V" and not feed_forward:
         params = XStateParams(
@@ -264,9 +266,9 @@ def table_filters(scenario: Scenario, t: float, epsilon: float) -> FilterPair:
     zero: at ``T = 0``, and where it underflows at tiny ``T``.
     """
     if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+        raise InvalidParameter(f"epsilon must lie in (0, 1], got {epsilon!r}")
     if not (0.0 <= t <= 1.0):
-        raise ValueError(f"T must lie in [0, 1], got {t!r}")
+        raise InvalidParameter(f"T must lie in [0, 1], got {t!r}")
     r = 1.0 - t
     if scenario.kind == "distinguishable":
         a_a, a_b = epsilon * t * t / (t * t + r * r), epsilon

@@ -19,8 +19,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DensityOperator, EbrsimError, normalize
+from .core import DensityOperator, EbrsimError, InvalidParameter, normalize
 from .metrics import concurrence, fidelity
+
+# Largest expected count per setting: numpy's Poisson sampler rejects a
+# mean near 1e19 ("lam value too large"), and 9.2e18 still draws.
+MAX_EXPECTED_COUNT = 1e18
 
 STOKES_LABELS = ("H", "V", "D", "A", "R", "L")
 MINIMAL_LABELS = ("H", "V", "D", "R")
@@ -110,16 +114,24 @@ def simulate_counts(
     The budget is split evenly over settings; expected counts are
     ``4 * total_triples / n_settings * rate`` so that the expected grand
     total equals ``total_triples`` for the overcomplete scheme (whose
-    rates average 1/4 for any state).  Deterministic for a given seed.
+    rates average 1/4 for any state), and may not exceed
+    ``MAX_EXPECTED_COUNT`` per setting.  Deterministic for a given seed.
     """
     if state.dim != 4:
-        raise ValueError(f"tomography expects a two-qubit state, got dim {state.dim}")
+        raise InvalidParameter(f"tomography expects a two-qubit state, got dim {state.dim}")
     if not (0.0 < total_triples < np.inf):
-        raise ValueError(f"total_triples must be positive and finite, got {total_triples!r}")
+        raise InvalidParameter(
+            f"total_triples must be positive and finite, got {total_triples!r}"
+        )
     normalized, _ = normalize(state)
     if settings is None:
         settings = standard_settings(minimal)
     scale = 4.0 * float(total_triples) / len(settings)
+    if scale > MAX_EXPECTED_COUNT:
+        raise InvalidParameter(
+            f"total_triples {total_triples!r} exceeds {MAX_EXPECTED_COUNT!r} expected"
+            f" counts per setting ({scale!r})"
+        )
     rng = np.random.default_rng(seed)
     records = []
     for setting in settings:
@@ -209,12 +221,17 @@ def _invert(
 def reconstruct(records: Sequence[CountRecord], background: float = 0.0) -> TomographyResult:
     """Linear inversion on Pauli expectations, then projection to physical states.
 
-    A constant ``background`` count is subtracted from every setting
-    before inversion.  The count scale is fitted jointly with the state
-    (it is the identity-component coefficient), so no separate
-    calibration input is needed.  Raises :class:`RankDeficient` when the
-    settings do not determine all 16 Pauli components.
+    A constant ``background`` count (nonnegative and finite) is
+    subtracted from every setting before inversion.  The count scale is
+    fitted jointly with the state (it is the identity-component
+    coefficient), so no separate calibration input is needed.  Raises
+    :class:`RankDeficient` when the settings do not determine all 16
+    Pauli components.
     """
+    if not (0.0 <= background < np.inf):
+        raise InvalidParameter(
+            f"background must be nonnegative and finite, got {background!r}"
+        )
     settings = tuple((r.setting_a, r.setting_b) for r in records)
     counts = np.array([[float(r.observed) - background for r in records]])
     states, scales, clipped = _invert(settings, counts)
@@ -259,7 +276,7 @@ def error_bars(
     evaluated as one stack; each row equals a one-trial reconstruction.
     """
     if trials < 2:
-        raise ValueError(f"need at least 2 trials for a spread, got {trials}")
+        raise InvalidParameter(f"trials must be at least 2 for a spread, got {trials}")
     settings = tuple(TomographySetting(r.setting_a, r.setting_b) for r in records)
     expected = np.array(
         [result.scale * setting_rate(result.state, s) for s in settings]

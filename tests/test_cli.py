@@ -352,6 +352,30 @@ class TestOracleCheckCommand:
         assert code == 2
         assert "--grid-step" in err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--tol", "nan"),
+            ("--tol", "inf"),
+            ("--tol", "-1"),
+            # the grid k * step, k = 1 .. round(1/step) - 1, is empty
+            ("--grid-step", "0.7"),
+            ("--grid-step", "0.9"),
+        ],
+    )
+    def test_vacuous_check_exits_2(self, capsys, flag, value):
+        argv = ["oracle-check", "--grid-step", "0.25", flag, value]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert flag in err
+
+    def test_largest_grid_step_checks_one_point(self, capsys):
+        code, out, _ = run_cli(capsys, ["oracle-check", "--grid-step", "0.6"])
+        assert code == 0
+        assert out.count("PASS") == 3
+        assert out.count("points=") == 3
+
 
 class TestTomographyCommand:
     CFG = (
@@ -444,6 +468,10 @@ class TestTomographyCommand:
             ("state = singlet\ntotal_triples = inf\n", "total_triples must be positive"),
             ("state = singlet\ntotal_triples = 0\n", "total_triples must be positive"),
             ("state = singlet\ntrials = 1\n", "trials must be at least 2"),
+            ("state = singlet\nbackground = nan\n", "background must be nonnegative"),
+            ("state = singlet\nbackground = inf\n", "background must be nonnegative"),
+            ("state = singlet\nbackground = -3\n", "background must be nonnegative"),
+            ("state = singlet\ntotal_triples = 1e300\n", "expected counts per setting"),
         ],
     )
     def test_config_errors(self, tmp_path, capsys, cfg, fragment):

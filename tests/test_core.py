@@ -3,9 +3,21 @@ import json
 import numpy as np
 import pytest
 
+from ebrsim import (
+    ChannelConfig,
+    InvalidParameter,
+    XStateParams,
+    breaking_threshold,
+    distinguishable,
+    evolve_bs,
+    partial,
+    prepare_input,
+    simulate_counts,
+)
 from ebrsim.core import (
     TWO_QUBIT_BASIS,
     DensityOperator,
+    EbrsimError,
     ZeroTrace,
     apply_local,
     maximally_mixed,
@@ -123,3 +135,27 @@ def test_json_declares_polarization_basis():
     doc = json.loads(to_json(maximally_mixed(4)))
     assert doc["basis"] == list(TWO_QUBIT_BASIS)
     assert doc["dim"] == 4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: partial(1.5),
+        lambda: ChannelConfig(scenario=distinguishable(), T=2.0),
+        lambda: simulate_counts(maximally_mixed(4), total_triples=0, seed=0),
+        lambda: evolve_bs(prepare_input(distinguishable(), "H"), 1.5),
+        lambda: breaking_threshold(distinguishable(), "IV"),
+    ],
+    ids=["protocol", "channel", "tomography", "fock", "metrics"],
+)
+def test_out_of_domain_arguments_raise_invalid_parameter(call):
+    with pytest.raises(InvalidParameter) as info:
+        call()
+    assert isinstance(info.value, EbrsimError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_internal_inconsistency_is_not_invalid_parameter():
+    with pytest.raises(ValueError) as info:
+        XStateParams(alpha=-1.0, beta=1.0, gamma=1.0, delta=1.0, xi=0.0, P=0.5)
+    assert not isinstance(info.value, InvalidParameter)

@@ -43,3 +43,10 @@ def test_tomography_pipeline(capsys):
     for row in poisson:
         assert (row[2], row[4]) == ("measured", "predicted")
         assert row[5] == f"{1 / math.sqrt(int(row[1].rstrip(':'))):.5f}"
+
+
+def test_hom_calibration(capsys):
+    out = run_demo(capsys, "hom_calibration.py")
+    visibilities = [line.split()[-1] for line in out.splitlines() if "visibility:" in line]
+    # at T = 1/2 the HOM dip visibility equals the overlap p
+    assert visibilities == ["0.0000", "0.5000", "0.8500", "1.0000"]

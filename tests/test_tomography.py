@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from ebrsim.core import DensityOperator, maximally_mixed, singlet_vector, validate
+from ebrsim.core import (
+    DensityOperator,
+    InvalidParameter,
+    maximally_mixed,
+    singlet_vector,
+    validate,
+)
 from ebrsim.metrics import concurrence, fidelity
 from ebrsim.protocol import ChannelConfig, distinguishable, run_protocol
 from ebrsim.tomography import (
@@ -117,6 +123,9 @@ class TestSimulateCounts:
         for total in (0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive and finite"):
                 simulate_counts(stage2_state, total, seed=0)
+        # numpy's Poisson sampler fails near a mean of 1e19 per setting
+        with pytest.raises(InvalidParameter, match="expected counts per setting"):
+            simulate_counts(stage2_state, 1e300, seed=0)
 
 
 class TestReconstruct:
@@ -151,6 +160,11 @@ class TestReconstruct:
         clean = reconstruct(records)
         corrected = reconstruct(shifted, background=7.0)
         assert np.allclose(corrected.state.matrix, clean.state.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("background", [float("nan"), float("inf"), -3.0])
+    def test_background_must_be_nonnegative_and_finite(self, stage2_state, background):
+        with pytest.raises(InvalidParameter, match="background must be nonnegative and finite"):
+            reconstruct(exact_records(stage2_state), background=background)
 
     def test_design_cache_is_bounded(self, stage2_state):
         records = exact_records(stage2_state)
