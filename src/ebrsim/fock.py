@@ -11,10 +11,20 @@ Distinguishability is modeled with time bins: an environment photon in
 the signal's bin interferes on the beam splitter, one in the other bin
 does not.  Detectors are time-blind, so time bins are traced out of
 every reported state.
+
+A partial overlap is the ``(p, 1-p)`` mixture of the two pure
+preparations, and the filters act after the environment measurement, so
+the Fock expansion at one ``T`` depends only on the pure preparation,
+the environment polarization, the beam-splitter convention and the
+measured branch.  :func:`oracle_protocol` evaluates each such
+combination once and keeps the most recent ones, and
+:func:`oracle_check` walks its grid ``T`` first, so every scenario and
+``epsilon`` at one ``T`` shares the same four beam-splitter expansions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,6 +46,9 @@ from .protocol import (
 )
 
 MAX_PHOTONS = 3
+
+# Largest number of interior T values one oracle_check grid may have.
+MAX_GRID_POINTS = 10_000
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -242,6 +255,30 @@ def feed_forward_correction() -> tuple[np.ndarray, np.ndarray]:
     return _SIGMA_X.copy(), _SIGMA_Y.copy()
 
 
+@functools.lru_cache(maxsize=8)
+def _pure_branches(
+    kind: str, env_pol: str, t: float, convention: str, branch: str
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """One pure preparation through the beam splitter and post-selection.
+
+    Returns the one-per-arm selection probability and the unnormalized
+    stage-I and stage-II (``branch``) operators of the selected state.
+    None of it depends on the overlap weight ``p`` or on the filters, so
+    the few most recent keys are cached: every scenario and filter
+    prescription at one ``t`` reuses the same four expansions.  The
+    returned matrices are read-only because every caller shares them.
+    """
+    scenario = indistinguishable() if kind == "indistinguishable" else distinguishable()
+    selected, p_select = postselect_one_per_arm(
+        evolve_bs(prepare_input(scenario, env_pol), t, convention)
+    )
+    m_1 = conditional_state(selected, None).matrix
+    m_2 = conditional_state(selected, branch).matrix
+    m_1.flags.writeable = False
+    m_2.flags.writeable = False
+    return p_select, m_1, m_2
+
+
 def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[StageOutput]:
     """Stage I-III outputs obtained purely from the Fock simulation.
 
@@ -250,22 +287,20 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
     the cumulative doubling under feed-forward.
     """
     p_overlap = config.scenario.p
-    preparations: list[tuple[float, Scenario]] = []
+    preparations: list[tuple[float, str]] = []
     if p_overlap > 0.0:
-        preparations.append((p_overlap, indistinguishable()))
+        preparations.append((p_overlap, "indistinguishable"))
     if p_overlap < 1.0:
-        preparations.append((1.0 - p_overlap, distinguishable()))
+        preparations.append((1.0 - p_overlap, "distinguishable"))
 
     rho_1 = np.zeros((4, 4), dtype=np.complex128)
     rho_2 = np.zeros((4, 4), dtype=np.complex128)
-    for weight, prep in preparations:
+    for weight, kind in preparations:
         for env_pol in ("H", "V"):
-            state0 = prepare_input(prep, env_pol)
-            state1 = evolve_bs(state0, config.T, convention)
-            selected, p_select = postselect_one_per_arm(state1)
+            p_select, m_1, m_2 = _pure_branches(kind, env_pol, config.T, convention, config.branch)
             share = 0.5 * weight * p_select
-            rho_1 += share * conditional_state(selected, None).matrix
-            rho_2 += share * conditional_state(selected, config.branch).matrix
+            rho_1 += share * m_1
+            rho_2 += share * m_2
 
     op_1 = DensityOperator(rho_1)
     op_2 = DensityOperator(rho_2)
@@ -377,19 +412,38 @@ def oracle_check(
     where the prescription is singular contribute the stages I-II that
     :func:`ebrsim.protocol.run_protocol` returns there and are listed in
     ``skipped``.
+
+    The grid is ``k * grid_step`` for ``k = 1 .. round(1/grid_step) - 1``;
+    a step that leaves no point, or more than :data:`MAX_GRID_POINTS`, is
+    rejected, and so are an empty ``epsilons`` and a ``tol`` that is
+    negative, infinite or NaN, since each would make the check vacuous.  The loop runs ``T``-major, so
+    the four pure preparations evolved at one ``T`` serve every scenario
+    and ``epsilon`` there; ``records`` and ``skipped`` are still ordered
+    scenario by scenario, then by ``T``, then by ``epsilon``.
     """
+    if not (0.0 <= tol < math.inf):
+        raise InvalidParameter(f"tol must be nonnegative and finite, got {tol!r}")
+    if not epsilons:
+        raise InvalidParameter("epsilons must hold at least one filter prescription")
+    if not (grid_step > 0.0 and 1.0 / grid_step >= 1.5):
+        raise InvalidParameter(f"grid_step must leave a grid point in (0, 1), got {grid_step!r}")
+    # 1/grid_step overflows to inf for subnormal steps
+    intervals = 1.0 / grid_step
+    if not (math.isfinite(intervals) and round(intervals) - 1 <= MAX_GRID_POINTS):
+        raise InvalidParameter(
+            f"grid_step {grid_step!r} asks for more than {MAX_GRID_POINTS} grid points"
+        )
     scenarios = [distinguishable(), indistinguishable(), partial(0.5)]
-    steps = int(round(1.0 / grid_step))
-    grid = [k * grid_step for k in range(1, steps)]
-    records: list[OracleCheckRecord] = []
-    skipped: list[str] = []
-    for scenario in scenarios:
-        for t in grid:
+    grid = [k * grid_step for k in range(1, round(intervals))]
+    records: dict[str, list[OracleCheckRecord]] = {s.kind: [] for s in scenarios}
+    skipped: dict[str, list[str]] = {s.kind: [] for s in scenarios}
+    for t in grid:
+        for scenario in scenarios:
             for eps in epsilons:
                 closed = run_protocol(ChannelConfig(scenario=scenario, T=t, epsilon=eps))
                 filters = closed[-1].filters
                 if filters is None:
-                    skipped.append(
+                    skipped[scenario.kind].append(
                         f"{scenario.kind} T={t:.6g} epsilon={eps:.6g}: singular prescription"
                     )
                 # Without filters the oracle's stage III is unused: zip stops at II.
@@ -399,7 +453,7 @@ def oracle_check(
                     state_dev = float(np.max(np.abs(ref.state.matrix - alt.state.matrix)))
                     prob_dev = abs(ref.probability - alt.probability)
                     cum_dev = abs(ref.cumulative_probability - alt.cumulative_probability)
-                    records.append(
+                    records[scenario.kind].append(
                         OracleCheckRecord(
                             scenario=scenario.kind,
                             p=scenario.p,
@@ -411,4 +465,8 @@ def oracle_check(
                             cumulative_deviation=cum_dev,
                         )
                     )
-    return OracleCheckReport(records=records, skipped=skipped, tol=tol)
+    return OracleCheckReport(
+        records=[r for s in scenarios for r in records[s.kind]],
+        skipped=[note for s in scenarios for note in skipped[s.kind]],
+        tol=tol,
+    )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -231,34 +230,6 @@ def werner_decompose(rho: DensityOperator, tol: float = 1e-10) -> float | None:
     return q
 
 
-def crossing_threshold(
-    value_of_t: Callable[[float], float],
-    grid_step: float = 0.01,
-    tol: float = 1e-9,
-) -> float:
-    """Largest ``T`` at which ``value_of_t`` is still zero before turning positive.
-
-    Scans the open grid ``(0, 1)`` with ``grid_step``, brackets the last
-    zero-to-positive transition, then bisects to ``|dT| <= tol``.
-    """
-    grid = [grid_step * k for k in range(1, int(round(1.0 / grid_step)))]
-    values = [value_of_t(t) for t in grid]
-    bracket = None
-    for lo, hi, vlo, vhi in zip(grid, grid[1:], values, values[1:]):
-        if vlo <= 0.0 < vhi:
-            bracket = (lo, hi)
-    if bracket is None:
-        raise NoThreshold("concurrence has no zero-to-positive crossing on the grid")
-    lo, hi = bracket
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if value_of_t(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def breaking_threshold(scenario, stage: str = "I") -> float:
     """Largest transmittivity at which the stage's concurrence is still zero.
 
@@ -270,7 +241,8 @@ def breaking_threshold(scenario, stage: str = "I") -> float:
     ``|xi| / 2P`` with ``xi = -T^2 + pRT`` touches zero only at
     ``T = p / (1 + p)``.  For ``p = 0`` that is ``T = 0``, so stage II is
     entangled on all of ``(0, 1)`` and :class:`NoThreshold` is raised.
-    :func:`crossing_threshold` is the numerical reference for both.
+    ``crossing_threshold`` in ``tests/test_metrics.py``, a grid scan plus
+    bisection, is the numerical reference for both.
     """
     if stage not in ("I", "II"):
         raise InvalidParameter(f"stage must be 'I' or 'II', got {stage!r}")

@@ -350,7 +350,7 @@ class TestOracleCheckCommand:
     def test_bad_grid_step_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["oracle-check", "--grid-step", "1.5"])
         assert code == 2
-        assert "--grid-step" in err
+        assert "grid_step" in err
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -368,7 +368,15 @@ class TestOracleCheckCommand:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("config error:")
-        assert flag in err
+        assert flag.lstrip("-").replace("-", "_") in err
+
+    # 5e-324 overflows 1/step; 1e-9 would ask for 1e9 grid points
+    @pytest.mark.parametrize("step", ["5e-324", "1e-9"])
+    def test_oversized_grid_exits_2(self, capsys, step):
+        code, out, err = run_cli(capsys, ["oracle-check", "--grid-step", step])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
+        assert "grid_step" in err
 
     def test_largest_grid_step_checks_one_point(self, capsys):
         code, out, _ = run_cli(capsys, ["oracle-check", "--grid-step", "0.6"])

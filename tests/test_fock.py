@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from ebrsim import fock
+from ebrsim.core import InvalidParameter
 from ebrsim.fock import (
+    MAX_GRID_POINTS,
     FockState,
     ModeLabel,
+    OracleCheckRecord,
     ZeroProbability,
     _occupation_factor,
+    _pure_branches,
     conditional_state,
     evolve_bs,
     feed_forward_correction,
@@ -243,3 +248,125 @@ class TestOracleCheck:
         assert report.failures
         worst = max(r.max_deviation() for r in report.failures)
         assert worst <= 1e-12  # only round-off level deviations exist
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf])
+    def test_rejects_vacuous_tolerance(self, tol):
+        with pytest.raises(InvalidParameter, match="tol"):
+            oracle_check(grid_step=0.25, tol=tol)
+
+    def test_rejects_empty_epsilons(self):
+        with pytest.raises(InvalidParameter, match="epsilons"):
+            oracle_check(grid_step=0.25, epsilons=())
+
+    @pytest.mark.parametrize(
+        "grid_step",
+        [
+            0.0,
+            -0.1,
+            math.nan,
+            math.inf,
+            # k * step for k = 1 .. round(1/step) - 1 is empty above 2/3
+            0.7,
+            0.9,
+            # 1/step overflows to inf, or the grid is over the cap
+            5e-324,
+            1e-9,
+            1.0 / (MAX_GRID_POINTS + 2),
+        ],
+    )
+    def test_rejects_grid_without_points_or_over_cap(self, grid_step):
+        with pytest.raises(InvalidParameter, match="grid_step"):
+            oracle_check(grid_step=grid_step)
+
+
+def _reference_oracle_check(grid_step, epsilons, convention="real"):
+    """Scenario-major loop with a cold oracle cache at every point."""
+    records = []
+    skipped = []
+    for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
+        for t in [k * grid_step for k in range(1, round(1.0 / grid_step))]:
+            for eps in epsilons:
+                closed = run_protocol(ChannelConfig(scenario=scenario, T=t, epsilon=eps))
+                filters = closed[-1].filters
+                if filters is None:
+                    skipped.append(
+                        f"{scenario.kind} T={t:.6g} epsilon={eps:.6g}: singular prescription"
+                    )
+                _pure_branches.cache_clear()
+                oracle = oracle_protocol(
+                    ChannelConfig(scenario=scenario, T=t, filters=filters), convention
+                )
+                for ref, alt in zip(closed, oracle):
+                    records.append(
+                        OracleCheckRecord(
+                            scenario=scenario.kind,
+                            p=scenario.p,
+                            T=t,
+                            epsilon=eps,
+                            stage=ref.stage,
+                            state_deviation=float(
+                                np.max(np.abs(ref.state.matrix - alt.state.matrix))
+                            ),
+                            probability_deviation=abs(ref.probability - alt.probability),
+                            cumulative_deviation=abs(
+                                ref.cumulative_probability - alt.cumulative_probability
+                            ),
+                        )
+                    )
+    return records, skipped
+
+
+class TestPureBranchReuse:
+    def test_oracle_check_evolves_four_preparations_per_grid_t(self, monkeypatch):
+        calls = []
+        original = fock.evolve_bs
+
+        def counting(state, t, convention="real"):
+            calls.append(t)
+            return original(state, t, convention)
+
+        monkeypatch.setattr(fock, "evolve_bs", counting)
+        _pure_branches.cache_clear()
+        oracle_check(grid_step=0.25, epsilons=(1.0, 0.25))
+        # three grid T values, two kinds times two environment polarizations
+        assert len(calls) == 12
+        assert sorted(set(calls)) == [0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    def test_records_equal_cold_scenario_major_reference(self, convention):
+        epsilons = (1.0, 0.25)
+        records, skipped = _reference_oracle_check(0.25, epsilons, convention)
+        report = oracle_check(grid_step=0.25, epsilons=epsilons, convention=convention)
+        assert report.records == records
+        assert report.skipped == skipped
+
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    @pytest.mark.parametrize("branch", ["H", "V"])
+    @pytest.mark.parametrize("feed_forward", [False, True])
+    def test_warm_cache_matches_cold(self, convention, branch, feed_forward):
+        cfg = ChannelConfig(
+            scenario=partial(0.35),
+            T=0.62,
+            filters=FilterPair(0.4, 0.8),
+            branch=branch,
+            feed_forward=feed_forward,
+        )
+        _pure_branches.cache_clear()
+        cold = oracle_protocol(cfg, convention)
+        warm = oracle_protocol(cfg, convention)
+        assert _pure_branches.cache_info().hits == 4
+        for c, w in zip(cold, warm):
+            assert (c.stage, c.params, c.probability, c.cumulative_probability) == (
+                w.stage,
+                w.params,
+                w.probability,
+                w.cumulative_probability,
+            )
+            assert np.array_equal(c.state.matrix, w.state.matrix)
+
+    def test_cached_matrices_are_read_only(self):
+        _, m_1, m_2 = _pure_branches("indistinguishable", "H", 0.3, "real", "V")
+        for m in (m_1, m_2):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0

@@ -1,4 +1,5 @@
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -12,12 +13,39 @@ from ebrsim.metrics import (
     breaking_threshold,
     concurrence,
     concurrence_x,
-    crossing_threshold,
     fidelity,
     normalized_state,
     werner_decompose,
 )
 from ebrsim.protocol import distinguishable, indistinguishable, partial, stage1, stage2
+
+
+def crossing_threshold(
+    value_of_t: Callable[[float], float],
+    grid_step: float = 0.01,
+    tol: float = 1e-9,
+) -> float:
+    """Largest ``T`` at which ``value_of_t`` is still zero before turning positive.
+
+    Scans the open grid ``(0, 1)`` with ``grid_step``, brackets the last
+    zero-to-positive transition, then bisects to ``|dT| <= tol``.
+    """
+    grid = [grid_step * k for k in range(1, int(round(1.0 / grid_step)))]
+    values = [value_of_t(t) for t in grid]
+    bracket = None
+    for lo, hi, vlo, vhi in zip(grid, grid[1:], values, values[1:]):
+        if vlo <= 0.0 < vhi:
+            bracket = (lo, hi)
+    if bracket is None:
+        raise NoThreshold("concurrence has no zero-to-positive crossing on the grid")
+    lo, hi = bracket
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if value_of_t(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def x_params(alpha, beta, gamma, delta, xi):
