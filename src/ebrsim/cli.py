@@ -5,6 +5,18 @@ outputs are deterministic: identical config and seed produce
 byte-identical bytes.  CSV floats carry 17 significant digits; JSON
 floats use Python's shortest round-trip representation.
 
+The sweep writers format a whole table with one ``%``: the header, then
+a fixed row template (``_CSV_ROW``, ``_JSON_RECORD``) repeated once per
+row, filled from the flattened rows, so no row becomes a string of its
+own.  The bytes are those of ``csv.writer`` with ``_fmt`` on every
+float, and of ``json.dumps({"records": ...}, indent=2)`` with NaN as
+``null``: the scenario and stage labels never need CSV quoting, and
+``str`` of a finite float is the repr json writes.  The templates exist
+because the general writers cost more than the physics on a large
+sweep: with ``indent`` set, ``json.dumps`` skips its C encoder and walks
+every value in Python, and ``csv.writer`` makes one ``_fmt`` call per
+float.
+
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
 library raises), 3 domain error raised by the simulation.
@@ -13,11 +25,11 @@ library raises), 3 domain error raised by the simulation.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .core import DensityOperator, EbrsimError, InvalidParameter, to_json
 from .fock import oracle_check
@@ -35,6 +47,22 @@ from .tomography import counts_to_csv, error_bars, reconstruct, simulate_counts
 SWEEP_HEADER = (
     "scenario,stage,T,epsilon,p,A_A,A_B,concurrence,probability,cumulative_probability"
 )
+
+# Largest sweep the CLI builds; more steps is a config error, not an
+# allocation that runs until memory does.
+MAX_SWEEP_POINTS = 1_000_000
+
+# Row templates, repeated once per row into one table template.  Fields
+# 0-1 (scenario kind, stage label) never need CSV quoting, and "%.17g" is
+# _fmt for fields 2-9.
+_CSV_ROW = "%s,%s" + ",%.17g" * 8 + "\n"
+# One record of json.dumps({"records": [...]}, indent=2), keys pre-encoded.
+_JSON_RECORD = (
+    "    {\n"
+    + ",\n".join(f"      {encode_basestring_ascii(k)}: %s" for k in SWEEP_HEADER.split(","))
+    + "\n    }"
+)
+_FLOAT_ONLY = {float}
 
 
 class ConfigError(Exception):
@@ -205,6 +233,8 @@ def _sweep_values(cfg: dict[str, str]) -> list[float]:
     steps = _as_int(cfg, "steps")
     if steps < 1:
         raise ConfigError(f"steps must be at least 1, got {steps}")
+    if steps > MAX_SWEEP_POINTS:
+        raise ConfigError(f"steps must be at most {MAX_SWEEP_POINTS}, got {steps}")
     if steps == 1:
         return [start]
     return [start + i * (stop - start) / (steps - 1) for i in range(steps)]
@@ -231,6 +261,33 @@ def _sweep_point(config: ChannelConfig) -> list[tuple]:
         )
         for out in outs
     ]
+
+
+def _sweep_csv(rows: list[tuple]) -> str:
+    """The rows as CSV: what ``csv.writer`` writes with ``_fmt`` on each float."""
+    return (SWEEP_HEADER + "\n" + _CSV_ROW * len(rows)) % tuple(chain.from_iterable(rows))
+
+
+def _json_value(x) -> str:
+    return "null" if isinstance(x, float) and math.isnan(x) else json.dumps(x)
+
+
+def _sweep_json(rows: list[tuple]) -> str:
+    """The rows as ``json.dumps({"records": [...]}, indent=2)``, NaN as null.
+
+    ``str`` of a finite float is the ``float.__repr__`` json writes; a row
+    with a NaN, an infinity or a non-float goes through ``json.dumps``
+    value by value.  ``rows`` is not empty.
+    """
+    fields: list = []
+    for row in rows:
+        nums = row[2:]
+        if set(map(type, nums)) == _FLOAT_ONLY and math.isfinite(sum(nums)):
+            fields += (encode_basestring_ascii(row[0]), encode_basestring_ascii(row[1]), *nums)
+        else:
+            fields += map(_json_value, row)
+    template = '{\n  "records": [\n' + ",\n".join([_JSON_RECORD] * len(rows)) + "\n  ]\n}\n"
+    return template % tuple(fields)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -260,25 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = [_parse_channel({**base, variable: repr(v)}) for v in values]
     rows = [row for config in configs for row in _sweep_point(config)]
 
-    if args.format == "json":
-        names = SWEEP_HEADER.split(",")
-        records = [
-            {
-                k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in zip(names, row)
-            }
-            for row in rows
-        ]
-        payload = json.dumps({"records": records}, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER.split(","))
-        for row in rows:
-            writer.writerow(
-                [row[0], row[1]] + [_fmt(x) if isinstance(x, float) else str(x) for x in row[2:]]
-            )
-        payload = buf.getvalue()
+    payload = _sweep_json(rows) if args.format == "json" else _sweep_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -43,7 +43,7 @@ def _as_complex_matrix(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m.view(np.float64)).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 

@@ -25,6 +25,8 @@ from .core import (
 
 _EPS = 1e-12
 
+_ENTRY_NAMES = ("alpha", "beta", "gamma", "delta", "xi", "P")
+
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
@@ -62,6 +64,11 @@ class XStateParams:
     P: float
 
     def __post_init__(self) -> None:
+        entries = (self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P)
+        if not all(map(math.isfinite, entries)):
+            for name, value in zip(_ENTRY_NAMES, entries):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("alpha", "beta", "gamma", "delta"):
             if getattr(self, name) < -_EPS:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
@@ -70,7 +77,7 @@ class XStateParams:
         total = self.alpha + self.beta + self.gamma + self.delta
         if abs(total - 4.0 * self.P) > 4.0 * _EPS:
             raise ValueError(f"diagonal sum {total!r} does not match 4P = {4.0 * self.P!r}")
-        bound = np.sqrt(max(self.beta, 0.0) * max(self.gamma, 0.0))
+        bound = math.sqrt(max(self.beta, 0.0) * max(self.gamma, 0.0))
         if abs(self.xi) > bound + _EPS:
             raise ValueError(f"|xi| = {abs(self.xi)!r} exceeds sqrt(beta*gamma) = {bound!r}")
 
@@ -184,8 +191,8 @@ def concurrence(rho: DensityOperator | np.ndarray) -> ConcurrenceResult:
 
 def concurrence_x(params: XStateParams) -> float:
     """Closed-form concurrence for X states: ``max(0, (|xi| - sqrt(alpha delta)) / 2P)``."""
-    num = abs(params.xi) - np.sqrt(max(params.alpha, 0.0) * max(params.delta, 0.0))
-    return max(0.0, float(num / (2.0 * params.P)))
+    num = abs(params.xi) - math.sqrt(max(params.alpha, 0.0) * max(params.delta, 0.0))
+    return max(0.0, num / (2.0 * params.P))
 
 
 def fidelity(

@@ -1,13 +1,25 @@
 import csv
 import io
 import json
+import math
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ebrsim import cli
 from ebrsim.cli import ConfigError, SWEEP_HEADER, main, parse_config_text
 from ebrsim.protocol import ChannelConfig, FilterPair, Scenario, run_protocol
 from ebrsim.tomography import counts_from_csv
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_SWEEPS = [
+    "sweep_T_indistinguishable",
+    "sweep_T_filters",
+    "sweep_epsilon_V",
+    "sweep_p_partial",
+]
 
 STAGE_LINE = re.compile(
     r"^stage (I{1,3})\s+C=(\d\.\d{4})  P=(\d\.\d{4})  cumP=(\d\.\d{4})$"
@@ -317,6 +329,100 @@ class TestSweepCommand:
         assert code == 0
         assert silent == ""
         assert out_path.read_text() == out
+
+
+    @pytest.mark.parametrize("steps", [cli.MAX_SWEEP_POINTS + 1, 10**12])
+    def test_oversized_sweep_exits_2(self, tmp_path, capsys, steps):
+        path = write_config(
+            tmp_path,
+            f"scenario = distinguishable\nepsilon = 1\nvariable = T\nstart = 0.1\n"
+            f"stop = 0.9\nsteps = {steps}\n",
+        )
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: steps must be at most")
+
+    def test_steps_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
+        text = "scenario = distinguishable\nepsilon = 1\nvariable = T\nstart = 0.1\nstop = 0.9\n"
+        path = write_config(tmp_path, text + "steps = 3\n")
+        code, out, _ = run_cli(capsys, ["sweep", "--config", path])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3 * 3
+        path = write_config(tmp_path, text + "steps = 4\n")
+        code, _, err = run_cli(capsys, ["sweep", "--config", path])
+        assert code == 2
+        assert "steps must be at most 3, got 4" in err
+
+
+class TestSweepGoldenFiles:
+    """Sweep output is byte-identical to files written by the csv/json-module writers."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", GOLDEN_SWEEPS)
+    def test_stdout_and_out_file(self, tmp_path, capsys, name, fmt):
+        want = (DATA / f"{name}.{fmt}").read_bytes()
+        argv = ["sweep", "--config", str(DATA / f"{name}.cfg"), "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == want
+        out_path = tmp_path / f"sweep.{fmt}"
+        code, silent, _ = run_cli(capsys, argv + ["--out", str(out_path)])
+        assert (code, silent) == (0, "")
+        assert out_path.read_bytes() == want
+
+
+def reference_csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SWEEP_HEADER.split(","))
+    for row in rows:
+        writer.writerow(
+            [row[0], row[1]] + [cli._fmt(x) if isinstance(x, float) else str(x) for x in row[2:]]
+        )
+    return buf.getvalue()
+
+
+def reference_json(rows):
+    names = SWEEP_HEADER.split(",")
+    records = [
+        {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in zip(names, row)}
+        for row in rows
+    ]
+    return json.dumps({"records": records}, indent=2) + "\n"
+
+
+SYNTHETIC_ROWS = [
+    ("partial", "III", -0.0, 5e-324, 1e16, 1e-7, 0.1, 0.30000000000000004, 1.0, 0.0),
+    ("indistinguishable", "I", 0.5, 0.25, 1.0, math.nan, math.nan, 0.0, 1e-300, 2.5e-8),
+    ("distinguishable", "II", 1e16, -0.0, 0.0, math.inf, -math.inf, 1e22, 1.5, 123456789.125),
+    ("partial", "II", 0.3, 0.4, 0.85, 0.5, 1.0, 2, 0.25, 0.5),
+    ("partial", "I", 1e308, 1e308, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
+]
+
+
+class TestSweepWriters:
+    """The templated writers against csv.writer + _fmt and json.dumps(indent=2)."""
+
+    @pytest.mark.parametrize("index", range(len(SYNTHETIC_ROWS)))
+    def test_one_row(self, index):
+        rows = [SYNTHETIC_ROWS[index]]
+        assert cli._sweep_csv(rows) == reference_csv(rows)
+        assert cli._sweep_json(rows) == reference_json(rows)
+
+    def test_all_rows(self):
+        assert cli._sweep_csv(SYNTHETIC_ROWS) == reference_csv(SYNTHETIC_ROWS)
+        assert cli._sweep_json(SYNTHETIC_ROWS) == reference_json(SYNTHETIC_ROWS)
+
+    def test_random_bit_patterns(self):
+        # every float64 class: normal, subnormal, signed zero, inf, nan payloads
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**64, size=(400, 8), dtype=np.uint64)
+        rows = [("partial", "III", *v) for v in bits.view(np.float64).tolist()]
+        # and short decimals, which take the fewest repr digits
+        rows += [("partial", "II", *v) for v in rng.uniform(0, 1, size=(50, 8)).round(3).tolist()]
+        assert cli._sweep_csv(rows) == reference_csv(rows)
+        assert cli._sweep_json(rows) == reference_json(rows)
 
 
 class TestOracleCheckCommand:

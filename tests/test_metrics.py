@@ -4,7 +4,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from ebrsim.core import DensityOperator, maximally_mixed, singlet_vector
+from ebrsim.core import DensityOperator, InvalidParameter, maximally_mixed, singlet_vector
 from ebrsim.metrics import (
     NoThreshold,
     NotTwoQubit,
@@ -89,6 +89,21 @@ class TestXStateParams:
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError, match="P must"):
             XStateParams(alpha=0.0, beta=0.0, gamma=0.0, delta=0.0, xi=0.0, P=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "delta", "xi", "P"])
+    def test_rejects_non_finite_entry(self, name, value):
+        entries = dict(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, xi=0.0, P=1.0)
+        entries[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite") as info:
+            XStateParams(**entries)
+        assert not isinstance(info.value, InvalidParameter)
+
+    def test_from_operator_rejects_overflowing_entry(self):
+        # finite matrix, but 4 * 1e308 overflows to inf
+        rho = DensityOperator(np.diag([1e308, 0.0, 0.0, 0.0]).astype(complex))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            XStateParams.from_operator(rho)
 
     def test_signed_coherence_is_allowed(self):
         # indistinguishable-scenario outputs carry xi of either sign
