@@ -31,7 +31,14 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from .core import DensityOperator, EbrsimError, InvalidParameter, to_json
+from .core import (
+    DensityOperator,
+    EbrsimError,
+    InvalidParameter,
+    maximally_mixed,
+    singlet_vector,
+    to_json,
+)
 from .fock import oracle_check
 from .metrics import concurrence_x, fidelity
 from .protocol import (
@@ -145,7 +152,7 @@ def _parse_scenario(cfg: dict[str, str]) -> Scenario:
         _require(cfg, "p")
         return Scenario("partial", _as_float(cfg, "p"))
     if "p" in cfg:
-        raise ConfigError(f"config key p only applies to the partial scenario")
+        raise ConfigError("config key p only applies to the partial scenario")
     return Scenario(kind)
 
 
@@ -303,19 +310,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = dict(cfg)
     for key in ("variable", "start", "stop", "steps"):
         base.pop(key, None)
-    if variable == "T":
-        base.setdefault("T", "0")
-    elif variable == "epsilon":
-        if "A_A" in base or "A_B" in base:
-            raise ConfigError("epsilon sweep conflicts with explicit A_A/A_B filters")
-        base.setdefault("epsilon", "1")
-    else:
-        if base.get("scenario", "").lower() != "partial":
-            raise ConfigError("p sweep requires scenario = partial")
-        base.setdefault("p", "0")
+    if variable == "epsilon" and ("A_A" in base or "A_B" in base):
+        raise ConfigError("epsilon sweep conflicts with explicit A_A/A_B filters")
+    if variable == "p" and base.get("scenario", "").lower() != "partial":
+        raise ConfigError("p sweep requires scenario = partial")
 
-    configs = [_parse_channel({**base, variable: repr(v)}) for v in values]
-    rows = [row for config in configs for row in _sweep_point(config)]
+    # The grid is monotone, so its two ends hold any out-of-range value: a
+    # range error exits 2 before a point that fails to evaluate can exit 3.
+    for v in (values[0], values[-1]):
+        _parse_channel({**base, variable: repr(v)})
+    # each point's config is parsed where it is evaluated, so none outlives its rows
+    rows = [
+        row for v in values for row in _sweep_point(_parse_channel({**base, variable: repr(v)}))
+    ]
 
     payload = _sweep_json(rows) if args.format == "json" else _sweep_csv(rows)
     if args.out:
@@ -365,8 +372,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _tomography_truth(cfg: dict[str, str]) -> DensityOperator:
-    from .core import maximally_mixed, singlet_vector
-
     kind = cfg.get("state", "stage")
     if kind == "singlet":
         return DensityOperator.from_pure(singlet_vector())

@@ -19,10 +19,6 @@ import numpy as np
 
 TWO_QUBIT_BASIS = ("HH", "HV", "VH", "VV")
 
-TOL_HERMITIAN = 1e-12
-TOL_POSITIVITY = 1e-10
-TOL_TRACE = 1e-12
-
 # Branch weights at or below this floor count as impossible branches.
 ZERO_TRACE_FLOOR = 1e-300
 
@@ -54,8 +50,8 @@ class DensityOperator:
 
     ``trace_weight`` is the probability weight of the branch the operator
     describes.  A normalized state has ``trace_weight == 1``.  The
-    constructor does not reject unphysical matrices; use :func:`validate`
-    to obtain a diagnostics report.
+    constructor checks shape and finiteness only: it does not reject
+    unphysical matrices.
     """
 
     matrix: np.ndarray
@@ -73,52 +69,14 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_pure(cls, vector, weight: float = 1.0) -> "DensityOperator":
-        """Rank-one operator ``weight * |v><v|`` from a normalized ket."""
+    def from_pure(cls, vector) -> "DensityOperator":
+        """Unit-trace projector ``|v><v|`` onto the normalized ket."""
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise ValueError("cannot build a state from the zero vector")
         v = v / norm
-        return cls(weight * np.outer(v, v.conj()), trace_weight=weight)
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Numerical health check of a :class:`DensityOperator`."""
-
-    hermiticity_residual: float
-    min_eigenvalue: float
-    trace_deviation: float
-    hermitian: bool
-    positive: bool
-    trace_consistent: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.hermitian and self.positive and self.trace_consistent
-
-
-def validate(rho: DensityOperator) -> DiagnosticsReport:
-    """Report hermiticity, positivity and trace consistency.
-
-    Never raises: callers decide what to do with a failed check.
-    Positivity is judged on the Hermitian part, with eigenvalues allowed
-    to dip to ``-TOL_POSITIVITY`` to absorb round-off.
-    """
-    m = rho.matrix
-    herm_residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    herm_part = 0.5 * (m + m.conj().T)
-    min_eig = float(np.min(np.linalg.eigvalsh(herm_part))) if m.size else 0.0
-    trace_dev = float(abs(np.trace(m) - rho.trace_weight))
-    return DiagnosticsReport(
-        hermiticity_residual=herm_residual,
-        min_eigenvalue=min_eig,
-        trace_deviation=trace_dev,
-        hermitian=herm_residual <= TOL_HERMITIAN,
-        positive=min_eig >= -TOL_POSITIVITY,
-        trace_consistent=trace_dev <= TOL_TRACE,
-    )
+        return cls(np.outer(v, v.conj()), trace_weight=1.0)
 
 
 def apply_local(rho: DensityOperator, k_a: np.ndarray, k_b: np.ndarray) -> DensityOperator:
@@ -142,8 +100,9 @@ def apply_local(rho: DensityOperator, k_a: np.ndarray, k_b: np.ndarray) -> Densi
 def normalize(rho: DensityOperator) -> tuple[DensityOperator, float]:
     """Rescale to unit trace; return ``(state, probability)``.
 
-    The probability is the incoming ``trace_weight``.  Raises
-    :class:`ZeroTrace` when the branch weight has collapsed to zero.
+    The probability is the matrix's trace, not the stored
+    ``trace_weight``.  Raises :class:`ZeroTrace` when that trace has
+    collapsed to zero.
     """
     matrices, weights = unit_trace(rho.matrix[None])
     return DensityOperator(matrices[0], 1.0), float(weights[0])
@@ -171,7 +130,7 @@ def maximally_mixed(dim: int = 4) -> DensityOperator:
     return DensityOperator(np.eye(dim, dtype=np.complex128) / dim, 1.0)
 
 
-def to_json(rho: DensityOperator, indent: int | None = None) -> str:
+def to_json(rho: DensityOperator) -> str:
     """Serialize with ``[re, im]`` entry pairs; round-trips bit exactly.
 
     Python's JSON float formatting is shortest-roundtrip decimal, so
@@ -184,4 +143,4 @@ def to_json(rho: DensityOperator, indent: int | None = None) -> str:
     obj["matrix"] = [
         [[float(z.real), float(z.imag)] for z in row] for row in rho.matrix
     ]
-    return json.dumps(obj, indent=indent)
+    return json.dumps(obj)

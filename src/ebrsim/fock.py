@@ -416,10 +416,11 @@ def oracle_check(
     The grid is ``k * grid_step`` for ``k = 1 .. round(1/grid_step) - 1``;
     a step that leaves no point, or more than :data:`MAX_GRID_POINTS`, is
     rejected, and so are an empty ``epsilons`` and a ``tol`` that is
-    negative, infinite or NaN, since each would make the check vacuous.  The loop runs ``T``-major, so
-    the four pure preparations evolved at one ``T`` serve every scenario
-    and ``epsilon`` there; ``records`` and ``skipped`` are still ordered
-    scenario by scenario, then by ``T``, then by ``epsilon``.
+    negative, infinite or NaN, since each would make the check vacuous.
+    The loop runs ``T``-major, so the four pure preparations evolved at
+    one ``T`` serve every scenario and ``epsilon`` there; ``records`` and
+    ``skipped`` are still ordered scenario by scenario, then by ``T``,
+    then by ``epsilon``.
     """
     if not (0.0 <= tol < math.inf):
         raise InvalidParameter(f"tol must be nonnegative and finite, got {tol!r}")

@@ -24,6 +24,9 @@ from .core import (
 )
 
 _EPS = 1e-12
+# Largest entry an exact fit may miss by: stray X-pattern entries in
+# XStateParams.from_operator, the Werner model in werner_decompose.
+_FIT_TOL = 1e-10
 
 _ENTRY_NAMES = ("alpha", "beta", "gamma", "delta", "xi", "P")
 
@@ -82,13 +85,13 @@ class XStateParams:
             raise ValueError(f"|xi| = {abs(self.xi)!r} exceeds sqrt(beta*gamma) = {bound!r}")
 
     @classmethod
-    def from_operator(cls, rho: DensityOperator, tol: float = 1e-10) -> "XStateParams":
+    def from_operator(cls, rho: DensityOperator) -> "XStateParams":
         """Extract parameters from a branch operator whose trace is ``P``.
 
         The stored entries are four times the operator's, so that they sum
         to ``4 P`` as the convention requires.  Raises ``ValueError`` if
-        entries outside the X pattern exceed ``tol`` or if the coherence
-        is not purely imaginary.
+        entries outside the X pattern exceed ``_FIT_TOL`` or if the
+        coherence is not purely imaginary.
         """
         if rho.dim != 4:
             raise NotTwoQubit(f"expected dim 4, got {rho.dim}")
@@ -97,9 +100,9 @@ class XStateParams:
         for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)):
             mask[i, j] = False
         stray = float(np.max(np.abs(m[mask])))
-        if stray > tol:
+        if stray > _FIT_TOL:
             raise ValueError(f"operator is not X-shaped: stray entry magnitude {stray!r}")
-        if abs(m[1, 2].real) > tol:
+        if abs(m[1, 2].real) > _FIT_TOL:
             raise ValueError("HV-VH coherence is not purely imaginary")
         return cls(
             alpha=4.0 * float(m[0, 0].real),
@@ -219,12 +222,13 @@ def fidelity(
     return values
 
 
-def werner_decompose(rho: DensityOperator, tol: float = 1e-10) -> float | None:
+def werner_decompose(rho: DensityOperator) -> float | None:
     """Fit ``rho = q |psi-><psi-| + (1 - q) I/4``; return ``q`` or ``None``.
 
     ``q`` is read off the ``(HV, HV)`` diagonal entry and then verified
     against all sixteen entries.  Negative ``q`` (weight pushed onto the
-    triplet sector) is allowed as long as the fit is exact.
+    triplet sector) is allowed as long as the fit is exact to within
+    ``_FIT_TOL`` in every entry.
     """
     if rho.dim != 4:
         raise NotTwoQubit(f"expected dim 4, got {rho.dim}")
@@ -232,7 +236,7 @@ def werner_decompose(rho: DensityOperator, tol: float = 1e-10) -> float | None:
     q = float(4.0 * state.matrix[1, 1].real - 1.0)
     psi = singlet_vector()
     model = q * np.outer(psi, psi.conj()) + (1.0 - q) * np.eye(4) / 4.0
-    if float(np.max(np.abs(state.matrix - model))) > tol:
+    if float(np.max(np.abs(state.matrix - model))) > _FIT_TOL:
         return None
     return q
 

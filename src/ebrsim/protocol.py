@@ -80,15 +80,10 @@ def partial(p: float) -> Scenario:
 
 @dataclass(frozen=True)
 class FilterPair:
-    """Local V-attenuation factors ``|V> -> sqrt(A)|V>`` for the two arms.
-
-    ``epsilon`` records the prescription strength when the pair came from
-    :func:`table_filters`; it is ``None`` for hand-picked pairs.
-    """
+    """Local V-attenuation factors ``|V> -> sqrt(A)|V>`` for the two arms."""
 
     a_a: float
     a_b: float
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         for name, value in (("a_a", self.a_a), ("a_b", self.a_b)):
@@ -288,7 +283,7 @@ def table_filters(scenario: Scenario, t: float, epsilon: float) -> FilterPair:
         raise SingularPrescription(
             f"filter prescription is singular at T = {t!r} (A_A = {a_a!r}, A_B = {a_b!r})"
         )
-    return FilterPair(a_a=a_a, a_b=a_b, epsilon=epsilon)
+    return FilterPair(a_a=a_a, a_b=a_b)
 
 
 def resolve_filters(config: ChannelConfig) -> FilterPair:

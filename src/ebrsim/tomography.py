@@ -107,7 +107,6 @@ def simulate_counts(
     total_triples: float,
     seed: int,
     minimal: bool = False,
-    settings: Sequence[TomographySetting] | None = None,
 ) -> list[CountRecord]:
     """Poissonian coincidence counts for every analyzer setting.
 
@@ -124,8 +123,7 @@ def simulate_counts(
             f"total_triples must be positive and finite, got {total_triples!r}"
         )
     normalized, _ = normalize(state)
-    if settings is None:
-        settings = standard_settings(minimal)
+    settings = standard_settings(minimal)
     scale = 4.0 * float(total_triples) / len(settings)
     if scale > MAX_EXPECTED_COUNT:
         raise InvalidParameter(

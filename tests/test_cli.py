@@ -342,6 +342,20 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err.startswith("config error: steps must be at most")
 
+    def test_out_of_range_point_exits_2_before_a_failing_point(self, tmp_path, capsys):
+        # T = 0.1 filters all population away at epsilon = 1e-300 (exit 3),
+        # but the sweep's last T = 1.5 is out of range, a config error
+        path = write_config(
+            tmp_path,
+            "scenario = partial\np = 0.85\nepsilon = 1e-300\nvariable = T\nstart = 0.1\n"
+            "stop = 1.5\nsteps = 15\n",
+        )
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, ["sweep", "--config", path, "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: T must lie in [0, 1]")
+        assert not out_path.exists()
+
     def test_steps_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
         text = "scenario = distinguishable\nepsilon = 1\nvariable = T\nstart = 0.1\nstop = 0.9\n"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ebrsim
 from ebrsim import (
     ChannelConfig,
     InvalidParameter,
@@ -24,7 +25,6 @@ from ebrsim.core import (
     normalize,
     singlet_vector,
     to_json,
-    validate,
 )
 
 
@@ -47,41 +47,21 @@ def test_rejects_non_square_and_non_finite():
 
 
 def test_from_pure_normalizes_the_ket():
-    rho = DensityOperator.from_pure([2.0, 0.0], weight=0.5)
-    assert np.allclose(rho.matrix, [[0.5, 0], [0, 0]])
-    assert rho.trace_weight == 0.5
+    rho = DensityOperator.from_pure([2.0, 0.0])
+    assert np.array_equal(rho.matrix, [[1.0, 0], [0, 0]])
+    assert rho.trace_weight == 1.0
     with pytest.raises(ValueError):
         DensityOperator.from_pure([0.0, 0.0])
 
 
 def test_constructor_accepts_unphysical_matrices():
-    # validation is deferred: diagnostics flag the problems instead
-    rho = DensityOperator(np.array([[1.0, 1.0], [0.0, 1.0]]), trace_weight=1.0)
-    report = validate(rho)
-    assert not report.hermitian
-    assert not report.ok
-
-
-def test_validate_flags_negative_eigenvalue():
-    rho = DensityOperator(np.diag([1.5, -0.5]), trace_weight=1.0)
-    report = validate(rho)
-    assert report.hermitian
-    assert not report.positive
-    assert report.min_eigenvalue == pytest.approx(-0.5)
-
-
-def test_validate_flags_trace_mismatch():
-    rho = DensityOperator(np.eye(2) / 2, trace_weight=0.7)
-    report = validate(rho)
-    assert not report.trace_consistent
-    assert report.trace_deviation == pytest.approx(0.3)
-
-
-def test_validate_accepts_singlet():
-    rho = DensityOperator.from_pure(singlet_vector())
-    report = validate(rho)
-    assert report.ok
-    assert report.min_eigenvalue >= -1e-12
+    # the constructor checks shape and finiteness only, so a non-Hermitian
+    # matrix and a trace weight it does not have are stored as given
+    m = np.array([[1.0, 1.0], [0.0, 1.0]])
+    rho = DensityOperator(m, trace_weight=0.7)
+    assert np.array_equal(rho.matrix, m)
+    assert rho.matrix.dtype == np.complex128
+    assert rho.trace_weight == 0.7
 
 
 def test_singlet_vector_entries():
@@ -109,6 +89,14 @@ def test_apply_local_dimension_check():
         apply_local(rho, np.eye(3), np.eye(2))
 
 
+def test_normalize_reports_the_matrix_trace():
+    # the stored trace_weight (0.7) is not the branch probability normalize returns
+    state, prob = normalize(DensityOperator(np.eye(2) / 2, trace_weight=0.7))
+    assert prob == 1.0
+    assert state.trace_weight == 1.0
+    assert np.array_equal(state.matrix, np.eye(2) / 2)
+
+
 def test_normalize_zero_trace_raises():
     with pytest.raises(ZeroTrace):
         normalize(DensityOperator(np.zeros((4, 4)), trace_weight=0.0))
@@ -116,8 +104,11 @@ def test_normalize_zero_trace_raises():
 
 def test_maximally_mixed_is_isotropic():
     rho = maximally_mixed(4)
-    assert np.allclose(rho.matrix, np.eye(4) / 4)
-    assert validate(rho).ok
+    m = rho.matrix
+    assert np.allclose(m, np.eye(4) / 4)
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-10
+    assert abs(np.trace(m) - 1.0) <= 1e-12
 
 
 def test_json_round_trip_is_bit_exact():
@@ -159,3 +150,9 @@ def test_internal_inconsistency_is_not_invalid_parameter():
     with pytest.raises(ValueError) as info:
         XStateParams(alpha=-1.0, beta=1.0, gamma=1.0, delta=1.0, xi=0.0, P=0.5)
     assert not isinstance(info.value, InvalidParameter)
+
+
+def test_every_export_resolves():
+    assert len(set(ebrsim.__all__)) == len(ebrsim.__all__)
+    for name in ebrsim.__all__:
+        getattr(ebrsim, name)  # AttributeError names a stale export

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -266,6 +267,11 @@ class TestTableFilters:
         assert lo.a_a == pytest.approx(eps * (0.2 / (2 * 0.2 - 1)) ** 2)
         assert lo.a_b == pytest.approx(eps)
 
+    def test_prescription_is_a_plain_filter_pair(self):
+        pair = table_filters(partial(0.85), 0.3, 0.25)
+        assert pair == FilterPair(pair.a_a, pair.a_b)
+        assert dataclasses.astuple(pair) == (pair.a_a, pair.a_b)
+
     def test_partial_follows_indistinguishable_prescription(self):
         eps = 0.6
         a = table_filters(partial(0.85), 0.3, eps)
@@ -375,13 +381,14 @@ class TestRunProtocol:
         assert run_protocol(cfg)[1].filters is None
 
     def test_all_outputs_are_valid_states(self):
-        from ebrsim.core import validate
-
         for scenario in (distinguishable(), indistinguishable(), partial(0.3)):
             for t in (0.05, 0.5, 0.95):
                 for out in run_protocol(ChannelConfig(scenario=scenario, T=t)):
-                    report = validate(out.state)
-                    assert report.ok, (scenario.kind, t, out.stage)
+                    m = out.state.matrix
+                    where = (scenario.kind, t, out.stage)
+                    assert np.max(np.abs(m - m.conj().T)) <= 1e-12, where
+                    assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-10, where
+                    assert abs(np.trace(m) - 1.0) <= 1e-12, where
 
 
 def _exact_states(p, t, a_a, a_b):

@@ -6,7 +6,6 @@ from ebrsim.core import (
     InvalidParameter,
     maximally_mixed,
     singlet_vector,
-    validate,
 )
 from ebrsim.metrics import concurrence, fidelity
 from ebrsim.protocol import ChannelConfig, distinguishable, run_protocol
@@ -112,10 +111,11 @@ class TestSimulateCounts:
         assert hh.expected_rate == pytest.approx(0.0, abs=1e-12)
         assert hh.observed == 0
 
-    def test_explicit_settings_are_respected(self, stage2_state):
-        subset = standard_settings(minimal=True)
-        records = simulate_counts(stage2_state, 500, seed=3, settings=subset)
-        assert [(r.setting_a, r.setting_b) for r in records] == [tuple(s) for s in subset]
+    @pytest.mark.parametrize("minimal", [False, True])
+    def test_records_follow_standard_settings(self, stage2_state, minimal):
+        records = simulate_counts(stage2_state, 500, seed=3, minimal=minimal)
+        expected = standard_settings(minimal)
+        assert [(r.setting_a, r.setting_b) for r in records] == [tuple(s) for s in expected]
 
     def test_input_validation(self, stage2_state):
         with pytest.raises(ValueError):
@@ -148,8 +148,10 @@ class TestReconstruct:
     def test_output_is_always_physical(self, stage2_state):
         for seed in range(10):
             records = simulate_counts(stage2_state, 300, seed=seed)
-            result = reconstruct(records)
-            assert validate(result.state).ok
+            m = reconstruct(records).state.matrix
+            assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+            assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-10
+            assert abs(np.trace(m) - 1.0) <= 1e-12
 
     def test_background_subtraction(self, stage2_state):
         records = exact_records(stage2_state)
