@@ -5,13 +5,22 @@ outputs are deterministic: identical config and seed produce
 byte-identical bytes.  CSV floats carry 17 significant digits; JSON
 floats use Python's shortest round-trip representation.
 
-The sweep writers format a whole table with one ``%``: the header, then
-a fixed row template (``_CSV_ROW``, ``_JSON_RECORD``) repeated once per
-row, filled from the flattened rows, so no row becomes a string of its
-own.  The bytes are those of ``csv.writer`` with ``_fmt`` on every
-float, and of ``json.dumps({"records": ...}, indent=2)`` with NaN as
-``null``: the scenario and stage labels never need CSV quoting, and
-``str`` of a finite float is the repr json writes.  The templates exist
+A sweep range-checks its whole swept column first, so a config error
+exits 2 before any byte is written.  It then evaluates the column in
+blocks of ``SWEEP_BLOCK`` points, one columnar ``run_protocol`` call per
+block, and writes each block's text before the next block starts, so
+memory stays bounded whatever the number of steps.  A point without
+stage III (a singular prescription, or a filtered trace of zero) gets
+its stage I-II rows with NaN filter factors.
+
+The sweep writers format a block with one ``%``: the header (in the
+first block), then a fixed row template (``_CSV_ROW``, ``_JSON_RECORD``)
+repeated once per row, filled from the flattened rows, so no row becomes
+a string of its own.  The bytes of the whole table are those of
+``csv.writer`` with ``_fmt`` on every float, and of
+``json.dumps({"records": ...}, indent=2)`` with NaN as ``null``: the
+scenario and stage labels never need CSV quoting, and ``str`` of a
+finite float is the repr json writes.  The templates exist
 because the general writers cost more than the physics on a large
 sweep: with ``indent`` set, ``json.dumps`` skips its C encoder and walks
 every value in Python, and ``csv.writer`` makes one ``_fmt`` call per
@@ -25,11 +34,15 @@ library raises), 3 domain error raised by the simulation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from itertools import chain
+from contextlib import nullcontext
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .core import (
     DensityOperator,
@@ -58,6 +71,11 @@ SWEEP_HEADER = (
 # Largest sweep the CLI builds; more steps is a config error, not an
 # allocation that runs until memory does.
 MAX_SWEEP_POINTS = 1_000_000
+
+# Points per run_protocol call of a sweep.  Each block's three (n, 4, 4)
+# state stacks, rows and text are freed once the block is written, so a
+# sweep's memory does not grow with its length.
+SWEEP_BLOCK = 4096
 
 # Row templates, repeated once per row into one table template.  Fields
 # 0-1 (scenario kind, stage label) never need CSV quoting, and "%.17g" is
@@ -234,7 +252,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_values(cfg: dict[str, str]) -> list[float]:
+def _sweep_values(cfg: dict[str, str]) -> np.ndarray:
     start = _as_float(cfg, "start")
     stop = _as_float(cfg, "stop")
     steps = _as_int(cfg, "steps")
@@ -243,48 +261,72 @@ def _sweep_values(cfg: dict[str, str]) -> list[float]:
     if steps > MAX_SWEEP_POINTS:
         raise ConfigError(f"steps must be at most {MAX_SWEEP_POINTS}, got {steps}")
     if steps == 1:
-        return [start]
-    return [start + i * (stop - start) / (steps - 1) for i in range(steps)]
+        return np.array([start])
+    # the float operations of start + i * (stop - start) / (steps - 1), in that order
+    return start + np.arange(steps) * (stop - start) / (steps - 1)
 
 
-def _sweep_point(config: ChannelConfig) -> list[tuple]:
-    """Rows (as tuples) for one parameter point; stage III omitted if singular."""
-    outs = run_protocol(config)
-    filters = outs[-1].filters
-    a_a, a_b = (filters.a_a, filters.a_b) if filters is not None else (math.nan, math.nan)
-    epsilon_echo = config.epsilon if config.epsilon is not None else 0.0
-    return [
-        (
-            config.scenario.kind,
-            out.stage,
-            config.T,
-            epsilon_echo,
-            config.scenario.p,
-            a_a,
-            a_b,
-            concurrence_x(out.params),
-            out.probability,
-            out.cumulative_probability,
+def _swept(config: ChannelConfig, variable: str, values: np.ndarray) -> ChannelConfig:
+    """``config`` with the swept variable set to a column, which is range-checked."""
+    if variable == "p":
+        return dataclasses.replace(config, scenario=Scenario("partial", values))
+    return dataclasses.replace(config, **{variable: values})
+
+
+def _sweep_rows(config: ChannelConfig) -> list[tuple]:
+    """Row tuples of a column of points, stage by stage within each point.
+
+    A point whose stage III is masked (a singular prescription, or a
+    filtered trace of zero) gets stages I-II with NaN filter factors.
+    """
+    stages = run_protocol(config)
+    kept = stages[2].kept
+    n = kept.size
+    a_a = np.full(n, math.nan)
+    a_b = np.full(n, math.nan)
+    a_a[kept] = stages[2].filters.a_a
+    a_b[kept] = stages[2].filters.a_b
+    epsilon = config.epsilon if config.epsilon is not None else 0.0
+    shared = [np.broadcast_to(x, n) for x in (config.T, epsilon, config.scenario.p, a_a, a_b)]
+    per_stage = []
+    for out in stages:
+        # stages I-II hold every point (or one, where only epsilon is swept), III the kept ones
+        fields = [concurrence_x(out.params), out.probability, out.cumulative_probability]
+        if out.kept is None:
+            fields = shared + [np.broadcast_to(x, n) for x in fields]
+        else:
+            fields = [x[kept] for x in shared] + fields
+        per_stage.append(
+            zip(repeat(config.scenario.kind), repeat(out.stage), *(x.tolist() for x in fields))
         )
-        for out in outs
-    ]
+    first, second, third = per_stage
+    rows: list[tuple] = []
+    for row_1, row_2, has_3 in zip(first, second, kept.tolist()):
+        rows += (row_1, row_2, next(third)) if has_3 else (row_1, row_2)
+    return rows
 
 
-def _sweep_csv(rows: list[tuple]) -> str:
-    """The rows as CSV: what ``csv.writer`` writes with ``_fmt`` on each float."""
-    return (SWEEP_HEADER + "\n" + _CSV_ROW * len(rows)) % tuple(chain.from_iterable(rows))
+def _sweep_csv(rows: list[tuple], header: bool = True) -> str:
+    """The rows as CSV: what ``csv.writer`` writes with ``_fmt`` on each float.
+
+    Without ``header`` the text continues a table begun by an earlier block.
+    """
+    head = SWEEP_HEADER + "\n" if header else ""
+    return (head + _CSV_ROW * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def _json_value(x) -> str:
     return "null" if isinstance(x, float) and math.isnan(x) else json.dumps(x)
 
 
-def _sweep_json(rows: list[tuple]) -> str:
+def _sweep_json(rows: list[tuple], first: bool = True, last: bool = True) -> str:
     """The rows as ``json.dumps({"records": [...]}, indent=2)``, NaN as null.
 
     ``str`` of a finite float is the ``float.__repr__`` json writes; a row
     with a NaN, an infinity or a non-float goes through ``json.dumps``
-    value by value.  ``rows`` is not empty.
+    value by value.  ``rows`` is not empty.  A table written in blocks
+    opens the document in its ``first`` block and closes it in its
+    ``last``; the blocks between continue the record list.
     """
     fields: list = []
     for row in rows:
@@ -293,7 +335,11 @@ def _sweep_json(rows: list[tuple]) -> str:
             fields += (encode_basestring_ascii(row[0]), encode_basestring_ascii(row[1]), *nums)
         else:
             fields += map(_json_value, row)
-    template = '{\n  "records": [\n' + ",\n".join([_JSON_RECORD] * len(rows)) + "\n  ]\n}\n"
+    template = (
+        ('{\n  "records": [\n' if first else ",\n")
+        + ",\n".join([_JSON_RECORD] * len(rows))
+        + ("\n  ]\n}\n" if last else "")
+    )
     return template % tuple(fields)
 
 
@@ -315,21 +361,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if variable == "p" and base.get("scenario", "").lower() != "partial":
         raise ConfigError("p sweep requires scenario = partial")
 
-    # The grid is monotone, so its two ends hold any out-of-range value: a
-    # range error exits 2 before a point that fails to evaluate can exit 3.
-    for v in (values[0], values[-1]):
-        _parse_channel({**base, variable: repr(v)})
-    # each point's config is parsed where it is evaluated, so none outlives its rows
-    rows = [
-        row for v in values for row in _sweep_point(_parse_channel({**base, variable: repr(v)}))
-    ]
-
-    payload = _sweep_json(rows) if args.format == "json" else _sweep_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    # The whole swept column is range-checked here, so a config error exits 2
+    # before any byte is written; then each block is written as it is done.
+    config = _swept(_parse_channel({**base, variable: cfg["start"]}), variable, values)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        for start in range(0, values.size, SWEEP_BLOCK):
+            stop = start + SWEEP_BLOCK
+            rows = _sweep_rows(_swept(config, variable, values[start:stop]))
+            if args.format == "json":
+                fh.write(_sweep_json(rows, first=start == 0, last=stop >= values.size))
+            else:
+                fh.write(_sweep_csv(rows, header=start == 0))
     return 0
 
 

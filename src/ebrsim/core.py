@@ -35,6 +35,35 @@ class ZeroTrace(EbrsimError):
     """Normalization was requested for an operator with (near-)zero trace."""
 
 
+def columns(*values) -> tuple[list[np.ndarray], bool]:
+    """The values as equal-length 1-D float64 columns, and whether all were scalars.
+
+    Scalars broadcast against the columns, so a call with scalars only
+    gives length-1 columns: the closed-form layer evaluates a single
+    point as a one-element column and unwraps the result.
+    """
+    arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    shapes = {a.shape for a in arrays}
+    if any(len(shape) > 1 for shape in shapes):
+        raise InvalidParameter("expected floats or 1-D columns")
+    if len(shapes) > 1:
+        arrays = np.broadcast_arrays(*arrays)
+    return [a.reshape(-1) for a in arrays], arrays[0].ndim == 0
+
+
+def require(ok, values, message: str) -> None:
+    """Raise ``InvalidParameter(message.format(v))`` for the first ``v`` where ``ok`` fails.
+
+    ``ok`` and ``values`` are a scalar or same-shape columns, so one check
+    serves a single point and a whole column.
+    """
+    if ok is True or np.all(ok):
+        return
+    ok = np.asarray(ok).reshape(-1)
+    bad = np.broadcast_to(np.asarray(values, dtype=np.float64), ok.shape)[np.argmin(ok)]
+    raise InvalidParameter(message.format(float(bad)))
+
+
 def _as_complex_matrix(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

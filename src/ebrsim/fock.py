@@ -32,10 +32,18 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import DensityOperator, EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, apply_local
+from .core import (
+    DensityOperator,
+    EbrsimError,
+    InvalidParameter,
+    ZERO_TRACE_FLOOR,
+    ZeroTrace,
+    apply_local,
+)
 from .metrics import XStateParams
 from .protocol import (
     ChannelConfig,
+    FilterPair,
     Scenario,
     StageOutput,
     distinguishable,
@@ -411,16 +419,18 @@ def oracle_check(
     with the tabulated filter prescription at each ``epsilon``.  Points
     where the prescription is singular contribute the stages I-II that
     :func:`ebrsim.protocol.run_protocol` returns there and are listed in
-    ``skipped``.
+    ``skipped``; a point filtered down to zero trace raises
+    :class:`~ebrsim.core.ZeroTrace`.
 
     The grid is ``k * grid_step`` for ``k = 1 .. round(1/grid_step) - 1``;
     a step that leaves no point, or more than :data:`MAX_GRID_POINTS`, is
     rejected, and so are an empty ``epsilons`` and a ``tol`` that is
     negative, infinite or NaN, since each would make the check vacuous.
-    The loop runs ``T``-major, so the four pure preparations evolved at
-    one ``T`` serve every scenario and ``epsilon`` there; ``records`` and
-    ``skipped`` are still ordered scenario by scenario, then by ``T``,
-    then by ``epsilon``.
+    The closed form runs once per scenario and ``epsilon``, over the whole
+    grid as one column.  The oracle loop runs ``T``-major, so the four pure
+    preparations evolved at one ``T`` serve every scenario and ``epsilon``
+    there; ``records`` and ``skipped`` are still ordered scenario by
+    scenario, then by ``T``, then by ``epsilon``.
     """
     if not (0.0 <= tol < math.inf):
         raise InvalidParameter(f"tol must be nonnegative and finite, got {tol!r}")
@@ -436,24 +446,44 @@ def oracle_check(
         )
     scenarios = [distinguishable(), indistinguishable(), partial(0.5)]
     grid = [k * grid_step for k in range(1, round(intervals))]
+    column = np.array(grid)
+    closed = {}
+    for scenario in scenarios:
+        for eps in epsilons:
+            config = ChannelConfig(scenario=scenario, T=column, epsilon=eps)
+            # the prescription is NaN where singular; stage III keeps the other points
+            filters = resolve_filters(config)
+            stages = run_protocol(config)
+            kept = stages[2].kept
+            if not np.array_equal(kept, ~np.isnan(filters.a_a)):
+                raise ZeroTrace("filtering removed all population from the state")
+            # stage III's row for each kept grid point; stages I-II hold every point
+            third = np.cumsum(kept) - 1
+            closed[scenario.kind, eps] = stages, third, filters
     records: dict[str, list[OracleCheckRecord]] = {s.kind: [] for s in scenarios}
     skipped: dict[str, list[str]] = {s.kind: [] for s in scenarios}
-    for t in grid:
+    for i, t in enumerate(grid):
         for scenario in scenarios:
             for eps in epsilons:
-                closed = run_protocol(ChannelConfig(scenario=scenario, T=t, epsilon=eps))
-                filters = closed[-1].filters
-                if filters is None:
+                stages, third, filters = closed[scenario.kind, eps]
+                point = None
+                if np.isnan(filters.a_a[i]):
                     skipped[scenario.kind].append(
                         f"{scenario.kind} T={t:.6g} epsilon={eps:.6g}: singular prescription"
                     )
+                    stages = stages[:2]
+                else:
+                    point = FilterPair(float(filters.a_a[i]), float(filters.a_b[i]))
                 # Without filters the oracle's stage III is unused: zip stops at II.
-                config = ChannelConfig(scenario=scenario, T=t, filters=filters)
+                config = ChannelConfig(scenario=scenario, T=t, filters=point)
                 oracle = oracle_protocol(config, convention)
-                for ref, alt in zip(closed, oracle):
-                    state_dev = float(np.max(np.abs(ref.state.matrix - alt.state.matrix)))
-                    prob_dev = abs(ref.probability - alt.probability)
-                    cum_dev = abs(ref.cumulative_probability - alt.cumulative_probability)
+                for ref, alt in zip(stages, oracle):
+                    j = i if ref.kept is None else third[i]
+                    state_dev = float(np.max(np.abs(ref.state[j] - alt.state.matrix)))
+                    prob_dev = abs(float(ref.probability[j]) - alt.probability)
+                    cum_dev = abs(
+                        float(ref.cumulative_probability[j]) - alt.cumulative_probability
+                    )
                     records[scenario.kind].append(
                         OracleCheckRecord(
                             scenario=scenario.kind,

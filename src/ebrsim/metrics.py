@@ -5,6 +5,10 @@ the diagonal plus a single coherence between ``HV`` and ``VH``.  Those are
 captured by :class:`XStateParams`, for which the concurrence has a closed
 form.  The general Wootters computation is kept alongside it as an
 independent cross-check route.
+
+The X-state functions take parameters whose entries are either floats
+(one state) or equal-length 1-D float64 columns (one state per point);
+a single state runs the same code as a one-element column.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .core import (
     DensityOperator,
     EbrsimError,
     InvalidParameter,
+    columns,
     normalize,
     singlet_vector,
     unit_trace,
@@ -57,32 +62,63 @@ class XStateParams:
     ``4 P`` and ``P`` is the branch probability.  With this sign choice a
     transparent channel (``xi = -2 T^2`` at ``T = 1``) reproduces the
     source singlet ``(|HV> - i|VH>)/sqrt(2)`` exactly.
+
+    The entries are floats, or six equal-length columns holding one state
+    per point; the checks run on every point and report the first failure.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    xi: float
-    P: float
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
+    delta: float | np.ndarray
+    xi: float | np.ndarray
+    P: float | np.ndarray
 
     def __post_init__(self) -> None:
-        entries = (self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P)
-        if not all(map(math.isfinite, entries)):
-            for name, value in zip(_ENTRY_NAMES, entries):
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("alpha", "beta", "gamma", "delta"):
-            if getattr(self, name) < -_EPS:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        if not (0.0 < self.P <= 1.0 + _EPS):
-            raise ValueError(f"P must lie in (0, 1], got {self.P!r}")
-        total = self.alpha + self.beta + self.gamma + self.delta
-        if abs(total - 4.0 * self.P) > 4.0 * _EPS:
-            raise ValueError(f"diagonal sum {total!r} does not match 4P = {4.0 * self.P!r}")
-        bound = math.sqrt(max(self.beta, 0.0) * max(self.gamma, 0.0))
-        if abs(self.xi) > bound + _EPS:
-            raise ValueError(f"|xi| = {abs(self.xi)!r} exceeds sqrt(beta*gamma) = {bound!r}")
+        # One pass over floats or columns alike; on failure the ordered checks
+        # below name the first entry and point that fails.
+        alpha, beta, gamma, delta, xi, p = entries = (
+            self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P
+        )
+        if np.isfinite(entries).all():
+            total = alpha + beta + gamma + delta
+            bound = np.sqrt(np.maximum(beta, 0.0) * np.maximum(gamma, 0.0))
+            ok = (
+                (alpha >= -_EPS)
+                & (beta >= -_EPS)
+                & (gamma >= -_EPS)
+                & (delta >= -_EPS)
+                & (0.0 < p)
+                & (p <= 1.0 + _EPS)
+                & (abs(total - 4.0 * p) <= 4.0 * _EPS)
+                & (abs(xi) <= bound + _EPS)
+            )
+            if ok.all():
+                return
+        entries = np.array(entries, dtype=np.float64).reshape(6, -1)
+        alpha, beta, gamma, delta, xi, p = entries
+        _check(np.isfinite(entries), entries, "{name} must be finite, got {value!r}")
+        _check(entries[:4] >= -_EPS, entries, "{name} must be nonnegative, got {value!r}")
+        _check((0.0 < p) & (p <= 1.0 + _EPS), p, "P must lie in (0, 1], got {value!r}")
+        total = alpha + beta + gamma + delta
+        _check(
+            np.abs(total - 4.0 * p) <= 4.0 * _EPS,
+            total,
+            "diagonal sum {value!r} does not match 4P = {other!r}",
+            4.0 * p,
+        )
+        bound = np.sqrt(np.maximum(beta, 0.0) * np.maximum(gamma, 0.0))
+        _check(
+            np.abs(xi) <= bound + _EPS,
+            np.abs(xi),
+            "|xi| = {value!r} exceeds sqrt(beta*gamma) = {other!r}",
+            bound,
+        )
+
+    def row(self, i: int) -> "XStateParams":
+        """Point ``i`` of a column of parameters, with float entries."""
+        entries = columns(self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P)[0]
+        return XStateParams(*(float(v[i]) for v in entries))
 
     @classmethod
     def from_operator(cls, rho: DensityOperator) -> "XStateParams":
@@ -114,21 +150,40 @@ class XStateParams:
         )
 
 
+def _check(ok: np.ndarray, values: np.ndarray, message: str, other=None) -> None:
+    """Raise ``ValueError`` at the first point (entry-major) where ``ok`` fails."""
+    if ok.all():
+        return
+    k = np.unravel_index(np.argmin(ok), ok.shape)
+    raise ValueError(
+        message.format(
+            name=_ENTRY_NAMES[k[0]] if ok.ndim == 2 else None,
+            value=float(values[k]),
+            other=None if other is None else float(other[k]),
+        )
+    )
+
+
 def assemble(params: XStateParams) -> np.ndarray:
-    """Unnormalized X matrix with trace ``4 P``."""
-    m = np.zeros((4, 4), dtype=np.complex128)
-    m[0, 0] = params.alpha
-    m[1, 1] = params.beta
-    m[2, 2] = params.gamma
-    m[3, 3] = params.delta
-    m[1, 2] = -1.0j * params.xi
-    m[2, 1] = 1.0j * params.xi
-    return m
+    """Unnormalized X matrix with trace ``4 P``; an ``(n, 4, 4)`` stack for columns."""
+    (alpha, beta, gamma, delta, xi), scalar = columns(
+        params.alpha, params.beta, params.gamma, params.delta, params.xi
+    )
+    m = np.zeros((alpha.size, 4, 4), dtype=np.complex128)
+    m[:, 0, 0] = alpha
+    m[:, 1, 1] = beta
+    m[:, 2, 2] = gamma
+    m[:, 3, 3] = delta
+    m[:, 1, 2] = -1.0j * xi
+    m[:, 2, 1] = 1.0j * xi
+    return m[0] if scalar else m
 
 
-def normalized_state(params: XStateParams) -> DensityOperator:
-    """Unit-trace state ``assemble(params) / 4P``."""
-    return DensityOperator(assemble(params) / (4.0 * params.P), 1.0)
+def normalized_state(params: XStateParams) -> DensityOperator | np.ndarray:
+    """Unit-trace state ``assemble(params) / 4P``; an ``(n, 4, 4)`` stack for columns."""
+    (p,), scalar = columns(params.P)
+    states = assemble(params).reshape(-1, 4, 4) / (4.0 * p).reshape(-1, 1, 1)
+    return DensityOperator(states[0], 1.0) if scalar else states
 
 
 @dataclass(frozen=True)
@@ -192,10 +247,15 @@ def concurrence(rho: DensityOperator | np.ndarray) -> ConcurrenceResult:
     return ConcurrenceResult(value=values, sqrt_eigenvalues=lams)
 
 
-def concurrence_x(params: XStateParams) -> float:
-    """Closed-form concurrence for X states: ``max(0, (|xi| - sqrt(alpha delta)) / 2P)``."""
-    num = abs(params.xi) - math.sqrt(max(params.alpha, 0.0) * max(params.delta, 0.0))
-    return max(0.0, num / (2.0 * params.P))
+def concurrence_x(params: XStateParams) -> float | np.ndarray:
+    """Closed-form concurrence for X states: ``max(0, (|xi| - sqrt(alpha delta)) / 2P)``.
+
+    A float for float entries, a column for columns.
+    """
+    (alpha, delta, xi, p), scalar = columns(params.alpha, params.delta, params.xi, params.P)
+    num = np.abs(xi) - np.sqrt(np.maximum(alpha, 0.0) * np.maximum(delta, 0.0))
+    values = np.maximum(0.0, num / (2.0 * p))
+    return float(values[0]) if scalar else values
 
 
 def fidelity(

@@ -15,14 +15,31 @@ Stages I and II are each one map ``(p, T) -> XStateParams`` whose entries
 and branch probability are polynomials in ``T`` and linear in ``p``: a
 classical mixture of preparations mixes the unnormalized entries, and the
 state is their quotient by ``4P``.
+
+Every parameter of the pipeline (``p``, ``T``, ``epsilon`` and the filter
+factors) may be a float or a 1-D float64 column, and every stage function
+evaluates a column at once: a sweep is one call per block of points.  A
+float input runs the same code as a one-element column and comes back as
+floats, a :class:`~ebrsim.core.DensityOperator` state and the scalar
+errors; a column comes back as columns and ``(n, 4, 4)`` state stacks, and
+a point without stage III is masked instead of raising.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .core import EbrsimError, InvalidParameter, ZeroTrace, ZERO_TRACE_FLOOR
+import numpy as np
+
+from .core import (
+    DensityOperator,
+    EbrsimError,
+    InvalidParameter,
+    ZeroTrace,
+    ZERO_TRACE_FLOOR,
+    columns,
+    require,
+)
 from .metrics import XStateParams, normalized_state
 
 _SCENARIO_KINDS = ("distinguishable", "indistinguishable", "partial")
@@ -36,16 +53,25 @@ class SingularPrescription(EbrsimError):
     """The tabulated filter prescription is singular at this transmittivity."""
 
 
+def _as_float_or_column(x) -> float | np.ndarray:
+    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=np.float64)
+
+
+def _check_transmittivity(t: float | np.ndarray) -> None:
+    require((0.0 <= t) & (t <= 1.0), t, "T must lie in [0, 1], got {!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Wave-packet overlap scenario for the environment photon.
 
     ``kind`` is one of ``distinguishable``, ``indistinguishable`` or
-    ``partial``; the latter carries the overlap probability ``p_value``.
+    ``partial``; the latter carries the overlap probability ``p_value``,
+    a float or a column.
     """
 
     kind: str
-    p_value: float | None = None
+    p_value: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _SCENARIO_KINDS:
@@ -53,16 +79,18 @@ class Scenario:
                 f"scenario must be distinguishable, indistinguishable or partial, got {self.kind!r}"
             )
         if self.kind == "partial":
-            if self.p_value is None or not (0.0 <= self.p_value <= 1.0):
-                raise InvalidParameter(f"partial scenario needs p in [0, 1], got {self.p_value!r}")
+            if self.p_value is None:
+                raise InvalidParameter("partial scenario needs p in [0, 1], got None")
+            p = self.p_value
+            require((0.0 <= p) & (p <= 1.0), p, "partial scenario needs p in [0, 1], got {!r}")
         elif self.p_value is not None:
             raise InvalidParameter(f"{self.kind} scenario takes no p value")
 
     @property
-    def p(self) -> float:
+    def p(self) -> float | np.ndarray:
         """Indistinguishability weight: 0, 1, or the partial overlap."""
         if self.kind == "partial":
-            return float(self.p_value)  # type: ignore[arg-type]
+            return _as_float_or_column(self.p_value)
         return 1.0 if self.kind == "indistinguishable" else 0.0
 
 
@@ -74,43 +102,53 @@ def indistinguishable() -> Scenario:
     return Scenario("indistinguishable")
 
 
-def partial(p: float) -> Scenario:
-    return Scenario("partial", float(p))
+def partial(p: float | np.ndarray) -> Scenario:
+    return Scenario("partial", _as_float_or_column(p))
 
 
 @dataclass(frozen=True)
 class FilterPair:
-    """Local V-attenuation factors ``|V> -> sqrt(A)|V>`` for the two arms."""
+    """Local V-attenuation factors ``|V> -> sqrt(A)|V>`` for the two arms.
 
-    a_a: float
-    a_b: float
+    Floats, or columns with one pair per point; in a column, NaN marks a
+    point whose prescription is singular (see :func:`table_filters`).
+    """
+
+    a_a: float | np.ndarray
+    a_b: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name, value in (("a_a", self.a_a), ("a_b", self.a_b)):
-            if not (0.0 < value <= 1.0):
-                raise InvalidParameter(f"{name} must lie in (0, 1], got {value!r}")
+            ok = (0.0 < value) & (value <= 1.0)
+            if np.ndim(value):
+                ok |= np.isnan(value)
+            require(ok, value, name + " must lie in (0, 1], got {!r}")
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Full parameter set for one protocol run."""
+    """Full parameter set for one protocol run, or for a column of points.
+
+    ``T``, ``epsilon``, the scenario's ``p`` and the filter factors may each
+    be a column; the columns of one config have equal length.
+    """
 
     scenario: Scenario
-    T: float
+    T: float | np.ndarray
     branch: str = "H"
     feed_forward: bool = False
     filters: FilterPair | None = None
-    epsilon: float | None = None
+    epsilon: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.T <= 1.0):
-            raise InvalidParameter(f"T must lie in [0, 1], got {self.T!r}")
+        _check_transmittivity(self.T)
         if self.branch not in ("H", "V"):
             raise InvalidParameter(f"branch must be 'H' or 'V', got {self.branch!r}")
         if self.filters is not None and self.epsilon is not None:
             raise InvalidParameter("give either an explicit filter pair or epsilon, not both")
-        if self.epsilon is not None and not (0.0 < self.epsilon <= 1.0):
-            raise InvalidParameter(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
+        if self.epsilon is not None:
+            eps = self.epsilon
+            require((0.0 < eps) & (eps <= 1.0), eps, "epsilon must lie in (0, 1], got {!r}")
 
 
 @dataclass(frozen=True)
@@ -121,17 +159,38 @@ class StageOutput:
     the conditional filter-pass probability); ``cumulative_probability``
     is the usable fraction of source pairs up to and including the stage.
     ``filters`` is the attenuator pair a stage-III output was filtered with.
+
+    For a column of points, ``params``, the probabilities and ``filters``
+    hold columns and ``state`` is an ``(n, 4, 4)`` stack.  A stage-III
+    column holds only the points in its boolean mask ``kept``: the others
+    had a singular prescription or were filtered down to zero trace.
     """
 
     stage: str
     params: XStateParams
     state: object
-    probability: float
-    cumulative_probability: float
+    probability: float | np.ndarray
+    cumulative_probability: float | np.ndarray
     filters: FilterPair | None = None
+    kept: np.ndarray | None = None
 
 
-def _stage1_params(p: float, t: float) -> XStateParams:
+def _point(out: StageOutput) -> StageOutput:
+    """A one-point column output as floats and a ``DensityOperator``."""
+    filters = out.filters
+    if filters is not None:
+        filters = FilterPair(float(filters.a_a[0]), float(filters.a_b[0]))
+    return StageOutput(
+        stage=out.stage,
+        params=out.params.row(0),
+        state=DensityOperator(out.state[0], 1.0),
+        probability=float(out.probability[0]),
+        cumulative_probability=float(out.cumulative_probability[0]),
+        filters=filters,
+    )
+
+
+def _stage1_params(p: float | np.ndarray, t: float | np.ndarray) -> XStateParams:
     r = 1.0 - t
     w = 2.0 * t - 1.0  # exact for t >= 1/4: the coherence keeps its digits near T = 1/2
     beta = r * r + 2.0 * t * (t - p * r)
@@ -145,11 +204,11 @@ def _stage1_params(p: float, t: float) -> XStateParams:
     )
 
 
-def _stage2_params(p: float, t: float) -> XStateParams:
+def _stage2_params(p: float | np.ndarray, t: float | np.ndarray) -> XStateParams:
     r = 1.0 - t
     w = 2.0 * t - 1.0
     return XStateParams(
-        alpha=0.0,
+        alpha=0.0 * r,  # +0.0 in t's shape: r >= 0
         beta=t * t,
         gamma=p * w * w + (1.0 - p) * (r * r + t * t),
         delta=r * r,
@@ -158,27 +217,28 @@ def _stage2_params(p: float, t: float) -> XStateParams:
     )
 
 
-def stage1(scenario: Scenario, t: float) -> StageOutput:
+def stage1(scenario: Scenario, t: float | np.ndarray) -> StageOutput:
     """State after the beam splitter with the environment arm ignored.
 
     Valid on the full closed interval ``T in [0, 1]``: ``T = 1`` is the
     transparent channel (singlet survives), ``T = 0`` the full swap
     (unpolarized output).
     """
-    if not (0.0 <= t <= 1.0):
-        raise InvalidParameter(f"T must lie in [0, 1], got {t!r}")
-    params = _stage1_params(scenario.p, t)
-    return StageOutput(
+    (p, t), scalar = columns(scenario.p, t)
+    _check_transmittivity(t)
+    params = _stage1_params(p, t)
+    out = StageOutput(
         stage="I",
         params=params,
         state=normalized_state(params),
         probability=params.P,
         cumulative_probability=params.P,
     )
+    return _point(out) if scalar else out
 
 
 def stage2(
-    scenario: Scenario, t: float, branch: str = "H", feed_forward: bool = False
+    scenario: Scenario, t: float | np.ndarray, branch: str = "H", feed_forward: bool = False
 ) -> StageOutput:
     """State conditioned on the environment polarization measurement.
 
@@ -188,11 +248,11 @@ def stage2(
     flip is undone internally, both branches become usable, and the
     cumulative probability doubles; ``probability`` stays per-branch.
     """
-    if not (0.0 <= t <= 1.0):
-        raise InvalidParameter(f"T must lie in [0, 1], got {t!r}")
+    (p, t), scalar = columns(scenario.p, t)
+    _check_transmittivity(t)
     if branch not in ("H", "V"):
         raise InvalidParameter(f"branch must be 'H' or 'V', got {branch!r}")
-    params = _stage2_params(scenario.p, t)
+    params = _stage2_params(p, t)
     if branch == "V" and not feed_forward:
         params = XStateParams(
             alpha=params.delta,
@@ -203,13 +263,14 @@ def stage2(
             P=params.P,
         )
     factor = 2.0 if feed_forward else 1.0
-    return StageOutput(
+    out = StageOutput(
         stage="II",
         params=params,
         state=normalized_state(params),
         probability=params.P,
         cumulative_probability=factor * params.P,
     )
+    return _point(out) if scalar else out
 
 
 def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
@@ -219,37 +280,55 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     ``delta -> A_A A_B delta``, ``xi -> sqrt(A_A A_B) xi``; ``alpha`` is
     untouched.  ``probability`` is the conditional pass probability
     (new trace over old), and the cumulative probability multiplies.
+
+    A single point filtered down to a trace of at most
+    ``ZERO_TRACE_FLOOR`` raises :class:`~ebrsim.core.ZeroTrace`.  For a
+    column the output keeps only the points whose filtered trace exceeds
+    the floor, which also drops the NaN factors of a singular prescription.
     """
     p = stage_out.params
-    a_a, a_b = filters.a_a, filters.a_b
-    new_alpha = p.alpha
-    new_beta = a_b * p.beta
-    new_gamma = a_a * p.gamma
-    new_delta = a_a * a_b * p.delta
-    new_xi = math.sqrt(a_a * a_b) * p.xi
-    new_trace = new_alpha + new_beta + new_gamma + new_delta
-    if new_trace <= ZERO_TRACE_FLOOR:
+    (alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b), scalar = columns(
+        p.alpha, p.beta, p.gamma, p.delta, p.xi, p.P,
+        stage_out.cumulative_probability, filters.a_a, filters.a_b,
+    )
+    new_beta = a_b * beta
+    new_gamma = a_a * gamma
+    new_delta = a_a * a_b * delta
+    new_xi = np.sqrt(a_a * a_b) * xi
+    new_trace = alpha + new_beta + new_gamma + new_delta
+    kept = new_trace > ZERO_TRACE_FLOOR
+    if scalar and not kept[0]:
         raise ZeroTrace("filtering removed all population from the state")
+    if not kept.all():
+        alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p, cumulative, a_a, a_b = (
+            x[kept]
+            for x in (alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p,
+                      cumulative, a_a, a_b)
+        )
     params = XStateParams(
-        alpha=new_alpha,
+        alpha=alpha,
         beta=new_beta,
         gamma=new_gamma,
         delta=new_delta,
         xi=new_xi,
         P=new_trace / 4.0,
     )
-    pass_probability = new_trace / (4.0 * p.P)
-    return StageOutput(
+    pass_probability = new_trace / (4.0 * big_p)
+    out = StageOutput(
         stage="III",
         params=params,
         state=normalized_state(params),
         probability=pass_probability,
-        cumulative_probability=stage_out.cumulative_probability * pass_probability,
-        filters=filters,
+        cumulative_probability=cumulative * pass_probability,
+        filters=FilterPair(a_a=a_a, a_b=a_b),
+        kept=kept,
     )
+    return _point(out) if scalar else out
 
 
-def table_filters(scenario: Scenario, t: float, epsilon: float) -> FilterPair:
+def table_filters(
+    scenario: Scenario, t: float | np.ndarray, epsilon: float | np.ndarray
+) -> FilterPair:
     """Attenuation pair that drives the stage-II state toward the singlet.
 
     ``epsilon`` in ``(0, 1]`` trades success probability for concurrence;
@@ -259,31 +338,45 @@ def table_filters(scenario: Scenario, t: float, epsilon: float) -> FilterPair:
     coherence amplitude ``2T - 1`` vanishes.  Every scenario's
     prescription is singular where an attenuation factor comes out as
     zero: at ``T = 0``, and where it underflows at tiny ``T``.
+
+    At a single point a singular prescription raises
+    :class:`SingularPrescription`; in a column its points get NaN factors,
+    the column's ``singular`` mask.
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise InvalidParameter(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if not (0.0 <= t <= 1.0):
-        raise InvalidParameter(f"T must lie in [0, 1], got {t!r}")
+    (t, epsilon), scalar = columns(t, epsilon)
+    require((0.0 < epsilon) & (epsilon <= 1.0), epsilon, "epsilon must lie in (0, 1], got {!r}")
+    _check_transmittivity(t)
     r = 1.0 - t
+    w = np.abs(2.0 * t - 1.0)
     if scenario.kind == "distinguishable":
         a_a, a_b = epsilon * t * t / (t * t + r * r), epsilon
+        near = np.zeros_like(t, dtype=bool)  # the coherence does not vanish at T = 1/2
     else:
         # Indistinguishable prescription; also used for partial mixtures,
         # whose coherence is dominated by the engineered-overlap component.
-        w = abs(2.0 * t - 1.0)
-        if w < SINGULAR_T_WINDOW:
+        # The wider of T and |2T-1| keeps its arm unfiltered; the other arm
+        # gets epsilon times the squared ratio, written q * q because
+        # Python's float ** 2 calls pow, which need not round correctly.
+        near = w < SINGULAR_T_WINDOW
+        wide = t > w
+        q = np.where(wide, w, t) / np.where(wide, t, w)
+        scaled = epsilon * (q * q)
+        a_a, a_b = np.where(wide, epsilon, scaled), np.where(wide, scaled, epsilon)
+    zero = (a_a == 0.0) | (a_b == 0.0)
+    if scalar:
+        t0 = float(t[0])
+        if near[0]:
             raise SingularPrescription(
-                f"filter prescription is singular at T = {t!r} (|2T-1| = {w!r})"
+                f"filter prescription is singular at T = {t0!r} (|2T-1| = {float(w[0])!r})"
             )
-        if t > w:
-            a_a, a_b = epsilon, epsilon * (w / t) ** 2
-        else:
-            a_a, a_b = epsilon * (t / w) ** 2, epsilon
-    if a_a == 0.0 or a_b == 0.0:
-        raise SingularPrescription(
-            f"filter prescription is singular at T = {t!r} (A_A = {a_a!r}, A_B = {a_b!r})"
-        )
-    return FilterPair(a_a=a_a, a_b=a_b)
+        a_a, a_b = float(a_a[0]), float(a_b[0])
+        if zero[0]:
+            raise SingularPrescription(
+                f"filter prescription is singular at T = {t0!r} (A_A = {a_a!r}, A_B = {a_b!r})"
+            )
+        return FilterPair(a_a=a_a, a_b=a_b)
+    singular = near | zero
+    return FilterPair(a_a=np.where(singular, np.nan, a_a), a_b=np.where(singular, np.nan, a_b))
 
 
 def resolve_filters(config: ChannelConfig) -> FilterPair:
@@ -296,10 +389,13 @@ def resolve_filters(config: ChannelConfig) -> FilterPair:
 
 
 def run_protocol(config: ChannelConfig) -> list[StageOutput]:
-    """Evaluate stages I, II and III for one configuration.
+    """Evaluate stages I, II and III for one configuration or a column of points.
 
-    Where the filter prescription is singular there is no stage III, and
-    only stages I and II are returned.
+    At a single point with a singular filter prescription there is no
+    stage III, and only stages I and II are returned.  A column always
+    returns three outputs, the stage-III one holding the points in its
+    ``kept`` mask; stages I and II are single points when only
+    ``epsilon`` or the filters are columns.
     """
     s1 = stage1(config.scenario, config.T)
     s2 = stage2(

@@ -343,8 +343,8 @@ class TestSweepCommand:
         assert err.startswith("config error: steps must be at most")
 
     def test_out_of_range_point_exits_2_before_a_failing_point(self, tmp_path, capsys):
-        # T = 0.1 filters all population away at epsilon = 1e-300 (exit 3),
-        # but the sweep's last T = 1.5 is out of range, a config error
+        # the sweep's last T = 1.5 is out of range, a config error found when
+        # the whole T column is checked, before any point is evaluated or written
         path = write_config(
             tmp_path,
             "scenario = partial\np = 0.85\nepsilon = 1e-300\nvariable = T\nstart = 0.1\n"
@@ -355,6 +355,35 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err.startswith("config error: T must lie in [0, 1]")
         assert not out_path.exists()
+
+    def test_zero_trace_point_drops_stage_three(self, tmp_path, capsys):
+        # epsilon = 1e-300 filters the stage-II population down to zero trace
+        # at the 12 points up to T = 0.8071; each gets stages I-II, as at a singular one
+        path = write_config(
+            tmp_path,
+            "scenario = partial\np = 0.85\nepsilon = 1e-300\nvariable = T\nstart = 0.1\n"
+            "stop = 1\nsteps = 15\n",
+        )
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        points: dict[float, list] = {}
+        for r in rows:
+            points.setdefault(float(r[2]), []).append(r)
+        assert len(points) == 15
+        for t, point in points.items():
+            if t < 0.81:
+                assert [r[1] for r in point] == ["I", "II"], t
+                assert all(r[5] == "nan" and r[6] == "nan" for r in point)
+            else:
+                assert [r[1] for r in point] == ["I", "II", "III"], t
+        assert [len(p) for p in points.values()] == [2] * 12 + [3] * 3
+
+    def test_zero_trace_point_still_fails_a_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, "scenario = partial\np = 0.85\nepsilon = 1e-300\nT = 0.1\n")
+        code, out, err = run_cli(capsys, ["run", "--config", path])
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: filtering removed all population")
 
     def test_steps_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
@@ -375,6 +404,21 @@ class TestSweepGoldenFiles:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", GOLDEN_SWEEPS)
     def test_stdout_and_out_file(self, tmp_path, capsys, name, fmt):
+        want = (DATA / f"{name}.{fmt}").read_bytes()
+        argv = ["sweep", "--config", str(DATA / f"{name}.cfg"), "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == want
+        out_path = tmp_path / f"sweep.{fmt}"
+        code, silent, _ = run_cli(capsys, argv + ["--out", str(out_path)])
+        assert (code, silent) == (0, "")
+        assert out_path.read_bytes() == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", GOLDEN_SWEEPS)
+    def test_blocks_of_three_points(self, tmp_path, capsys, monkeypatch, name, fmt):
+        # every block seam, and a last block shorter than the others, leave the bytes alone
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
         want = (DATA / f"{name}.{fmt}").read_bytes()
         argv = ["sweep", "--config", str(DATA / f"{name}.cfg"), "--format", fmt]
         code, out, err = run_cli(capsys, argv)

@@ -295,6 +295,29 @@ class TestTableFilters:
         with pytest.raises(SingularPrescription, match="singular"):
             table_filters(scenario, t, 0.25)
 
+    def test_ratio_is_squared_by_multiplication(self):
+        # q * q is correctly rounded; Python's q ** 2 calls libm pow, which
+        # gives 0.6904343851524947 here on glibc
+        t = 0.8553762468369701
+        q = abs(2 * t - 1) / t
+        pair = table_filters(indistinguishable(), t, 1.0)
+        assert pair.a_b == q * q == 0.6904343851524948
+        assert pair.a_a == 1.0
+
+    @pytest.mark.parametrize(
+        "scenario", [distinguishable(), indistinguishable(), partial(0.85)]
+    )
+    def test_column_marks_singular_points_with_nan(self, scenario):
+        t = np.array([0.0, 0.5, 0.3, 1e-200, 0.5 + 1e-10, 0.7, 1.0])
+        pair = table_filters(scenario, t, 0.25)
+        for i, ti in enumerate(t.tolist()):
+            try:
+                point = table_filters(scenario, ti, 0.25)
+            except SingularPrescription:
+                assert math.isnan(pair.a_a[i]) and math.isnan(pair.a_b[i]), ti
+            else:
+                assert (pair.a_a[i], pair.a_b[i]) == (point.a_a, point.a_b), ti
+
     def test_resolve_precedence(self):
         explicit = FilterPair(0.4, 0.9)
         cfg = ChannelConfig(scenario=distinguishable(), T=0.41, filters=explicit)
@@ -445,3 +468,105 @@ class TestNearBalancedSplitter:
         exact = _exact_states(scenario.p, t, filters.a_a, filters.a_b)
         for out, ref in zip(outs, exact):
             assert np.max(np.abs(out.state.matrix - ref)) <= 1e-15, out.stage
+
+
+def _point_configs(kind, t, p, eps, filters, branch, feed_forward):
+    """The scalar config of every point of a column config's inputs."""
+    for i, ti in enumerate(t.tolist()):
+        scenario = partial(float(p[i])) if kind == "partial" else Scenario(kind)
+        yield i, ChannelConfig(
+            scenario=scenario,
+            T=ti,
+            branch=branch,
+            feed_forward=feed_forward,
+            epsilon=None if eps is None else float(eps[i]),
+            filters=None if filters is None else FilterPair(*(float(a[i]) for a in filters)),
+        )
+
+
+class TestColumns:
+    """A column of points runs the same code as each point alone."""
+
+    @pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable", "partial"])
+    @pytest.mark.parametrize("branch,feed_forward", [("H", False), ("V", False), ("V", True)])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["epsilon", "filters"])
+    def test_rows_equal_single_points(self, kind, branch, feed_forward, explicit):
+        rng = np.random.default_rng(20261018)
+        edges = [0.0, 1.0, 0.5, 0.5 + 1e-10, 0.5 - 1e-10, 0.25, 1e-200]
+        t = np.concatenate([edges, rng.uniform(0.0, 1.0, 13)])
+        n = t.size
+        p = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+        # epsilon = 1e-300 filters at least the T = 1/4 point (index 5) down to zero trace
+        eps = np.concatenate(
+            [[1e-12, 1.0, 1e-12, 1e-300, 1e-12, 1e-300], 10.0 ** rng.uniform(-12, 0, n - 6)]
+        )
+        filters = (
+            rng.uniform(1e-6, 1.0, n),
+            np.concatenate([[1.0], rng.uniform(1e-6, 1.0, n - 1)]),
+        )
+        if explicit:
+            eps = None
+        else:
+            filters = None
+        config = ChannelConfig(
+            scenario=partial(p) if kind == "partial" else Scenario(kind),
+            T=t,
+            branch=branch,
+            feed_forward=feed_forward,
+            epsilon=eps,
+            filters=None if filters is None else FilterPair(*filters),
+        )
+        s1, s2, s3 = run_protocol(config)
+        row_3 = np.cumsum(s3.kept) - 1
+        masked = 0
+        for i, point in _point_configs(kind, t, p, eps, filters, branch, feed_forward):
+            try:
+                outs = run_protocol(point)
+            except ZeroTrace:
+                # a point filtered to zero trace raises alone and is masked in a column
+                assert not s3.kept[i] and not np.isnan(resolve_filters(config).a_a[i])
+                masked += 1
+                continue
+            assert len(outs) == (3 if s3.kept[i] else 2), i
+            for column, j, out in zip((s1, s2, s3), (i, i, row_3[i]), outs):
+                assert column.params.row(j) == out.params, (i, out.stage)
+                assert np.array_equal(column.state[j], out.state.matrix), (i, out.stage)
+                assert column.probability[j] == out.probability, (i, out.stage)
+                assert column.cumulative_probability[j] == out.cumulative_probability
+            if s3.kept[i]:
+                assert (s3.filters.a_a[row_3[i]], s3.filters.a_b[row_3[i]]) == (
+                    outs[2].filters.a_a,
+                    outs[2].filters.a_b,
+                )
+                assert concurrence_x(s3.params)[row_3[i]] == concurrence_x(outs[2].params)
+        assert s3.params.alpha.size == np.count_nonzero(s3.kept)
+        # T = 0 is singular in every scenario; with explicit filters nothing is masked
+        assert s3.kept[0] == explicit
+        # the flipped V branch keeps R^2 in alpha, which no filter touches
+        assert (masked > 0) == (not explicit and (branch == "H" or feed_forward))
+
+    def test_scalar_inputs_give_floats(self):
+        outs = run_protocol(ChannelConfig(scenario=partial(0.85), T=0.3, epsilon=0.25))
+        for out in outs:
+            assert all(type(v) is float for v in dataclasses.astuple(out.params))
+            assert type(out.probability) is float
+            assert type(out.cumulative_probability) is float
+            assert isinstance(out.state, DensityOperator)
+            assert out.kept is None
+        assert type(outs[2].filters.a_a) is float
+
+    def test_zero_trace_is_masked_in_a_column_and_raised_alone(self):
+        t = np.array([0.1, 0.9])
+        s1, s2, s3 = run_protocol(ChannelConfig(scenario=partial(0.85), T=t, epsilon=1e-300))
+        assert s3.kept.tolist() == [False, True]
+        assert s1.probability.size == s2.probability.size == 2
+        with pytest.raises(ZeroTrace):
+            run_protocol(ChannelConfig(scenario=partial(0.85), T=0.1, epsilon=1e-300))
+
+    def test_column_range_check_names_the_first_bad_value(self):
+        with pytest.raises(ValueError, match=r"T must lie in \[0, 1\], got 1.25"):
+            ChannelConfig(scenario=distinguishable(), T=np.array([0.5, 1.25, 2.0]))
+        with pytest.raises(ValueError, match=r"needs p in \[0, 1\], got nan"):
+            partial(np.array([0.5, math.nan]))
+        with pytest.raises(ValueError, match=r"a_b must lie in \(0, 1\], got 0.0"):
+            FilterPair(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
