@@ -12,19 +12,20 @@ the signal's bin interferes on the beam splitter, one in the other bin
 does not.  Detectors are time-blind, so time bins are traced out of
 every reported state.
 
-A partial overlap is the ``(p, 1-p)`` mixture of the two pure
-preparations, and the filters act after the environment measurement, so
-the Fock expansion at one ``T`` depends only on the pure preparation,
-the environment polarization, the beam-splitter convention and the
-measured branch.  :func:`oracle_protocol` evaluates each such
-combination once and keeps the most recent ones, and
-:func:`oracle_check` walks its grid ``T`` first, so every scenario and
-``epsilon`` at one ``T`` shares the same four beam-splitter expansions.
+The transmittivity ``T`` may be a float or a 1-D column.  For a column
+each amplitude of a state is a column over the points, so the routing
+expansion of the beam splitter runs once for the whole column, and the
+operators come back as ``(n, 4, 4)`` stacks.  A partial overlap is the
+``(p, 1-p)`` mixture of the two pure preparations, and the filters act
+after the environment measurement, so the Fock expansion depends only on
+the pure preparation, the environment polarization, the beam-splitter
+convention and the measured branch.  :func:`oracle_check` evaluates each
+of its four pure preparations once over its whole ``T`` grid and hands
+them to one :func:`oracle_protocol` call per scenario and ``epsilon``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,19 +39,22 @@ from .core import (
     InvalidParameter,
     ZERO_TRACE_FLOOR,
     ZeroTrace,
-    apply_local,
+    columns,
+    require,
 )
 from .metrics import XStateParams
 from .protocol import (
     ChannelConfig,
-    FilterPair,
     Scenario,
+    SingularPrescription,
     StageOutput,
+    _point,
     distinguishable,
     indistinguishable,
     partial,
     resolve_filters,
     run_protocol,
+    table_filters,
 )
 
 MAX_PHOTONS = 3
@@ -85,12 +89,18 @@ Key = tuple[ModeLabel, ...]
 
 @dataclass
 class FockState:
-    """Sparse few-photon state vector."""
+    """Sparse few-photon state vector.
 
-    amps: dict[Key, complex] = field(default_factory=dict)
+    An amplitude is a complex number, or a complex column holding one
+    amplitude per point of a transmittivity column.
+    """
 
-    def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps.values()))
+    amps: dict[Key, complex | np.ndarray] = field(default_factory=dict)
+
+    def norm_squared(self) -> float | np.ndarray:
+        """Sum of the squared amplitude magnitudes; a column for column amplitudes."""
+        total = sum(abs(a) ** 2 for a in self.amps.values())
+        return total if np.ndim(total) else float(total)
 
     def photon_number(self) -> int:
         if not self.amps:
@@ -135,8 +145,8 @@ def prepare_input(scenario: Scenario, env_pol: str) -> FockState:
     return FockState(amps)
 
 
-def _bs_rows(t: float, convention: str) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Creation-operator substitution rows for paths B and E.
+def _bs_rows(t: np.ndarray, convention: str) -> tuple[tuple, tuple]:
+    """Creation-operator substitution rows for paths B and E, as columns over ``t``.
 
     ``b+ -> row_b[0] b'+ + row_b[1] e'+`` and likewise for ``e+``.  The
     default real convention pairs a transmitted plus sign with a
@@ -144,8 +154,8 @@ def _bs_rows(t: float, convention: str) -> tuple[tuple[complex, complex], tuple[
     reflections.  Both are unitary, and observable predictions must not
     depend on the choice.
     """
-    rt = math.sqrt(t)
-    rr = math.sqrt(1.0 - t)
+    rt = np.sqrt(t)
+    rr = np.sqrt(1.0 - t)
     if convention == "real":
         return (rt, -rr), (rr, rt)
     if convention == "phase":
@@ -153,21 +163,28 @@ def _bs_rows(t: float, convention: str) -> tuple[tuple[complex, complex], tuple[
     raise InvalidParameter(f"unknown beam-splitter convention {convention!r}")
 
 
-def evolve_bs(state: FockState, t: float, convention: str = "real") -> FockState:
+def evolve_bs(
+    state: FockState, t: float | np.ndarray, convention: str = "real"
+) -> FockState:
     """Beam splitter of transmittivity ``t`` on paths (B, E) -> (B', E').
 
     Acts identically on every (polarization, time-bin) sub-mode pair.
     Implemented as the creation-operator substitution expanded over all
     photon routings, with bosonic factorial factors restored at the end.
+
+    ``state`` has complex amplitudes.  For a float ``t`` so does the
+    result; for a 1-D column ``t`` each amplitude of the result is a
+    column over ``t``, computed by the same routing loop.  A configuration
+    whose amplitude is zero at every point is left out.
     """
-    if not (0.0 <= t <= 1.0):
-        raise InvalidParameter(f"T must lie in [0, 1], got {t!r}")
+    (t,), scalar = columns(t)
+    require((0.0 <= t) & (t <= 1.0), t, "T must lie in [0, 1], got {!r}")
     row_b, row_e = _bs_rows(t, convention)
-    out: dict[Key, complex] = {}
+    out: dict[Key, np.ndarray] = {}
     for key, amp in state.amps.items():
         if len(key) > MAX_PHOTONS:
             raise InvalidParameter(f"configuration with {len(key)} photons exceeds MAX_PHOTONS")
-        coeff = amp / _occupation_factor(key)
+        coeff = np.full(t.shape, amp / _occupation_factor(key), dtype=np.complex128)
         options: list[list[tuple[ModeLabel, complex]]] = []
         for mode in key:
             if mode.path == "B":
@@ -189,16 +206,14 @@ def evolve_bs(state: FockState, t: float, convention: str = "real") -> FockState
         for combo in itertools.product(*options):
             factor = coeff
             for _, c in combo:
-                factor *= c
-            if factor == 0.0:
-                continue
+                factor = factor * c
             new_key = _canonical(m for m, _ in combo)
             out[new_key] = out.get(new_key, 0.0j) + factor
     amps = {}
     for key, monomial_coeff in out.items():
         value = monomial_coeff * _occupation_factor(key)
-        if value != 0.0:
-            amps[key] = value
+        if np.any(value != 0.0):
+            amps[key] = complex(value[0]) if scalar else value
     return FockState(amps)
 
 
@@ -208,32 +223,37 @@ def _arm_counts(key: Key) -> tuple[int, int]:
     return nb, ne
 
 
-def postselect_one_per_arm(state: FockState) -> tuple[FockState, float]:
+def postselect_one_per_arm(state: FockState) -> tuple[FockState, float | np.ndarray]:
     """Keep exactly-one-photon-per-output-arm configurations.
 
     Returns the renormalized conditional state and the probability of
-    the selection.  Raises :class:`ZeroProbability` when nothing
-    survives.
+    the selection, a column for column amplitudes.  Raises
+    :class:`ZeroProbability` when nothing survives at some point.
     """
     kept = {k: a for k, a in state.amps.items() if _arm_counts(k) == (1, 1)}
-    probability = float(sum(abs(a) ** 2 for a in kept.values()))
-    if probability <= ZERO_TRACE_FLOOR:
+    # abs(a) ** 2 squares a column as x * x; a complex number goes through pow
+    probability = sum(abs(a) ** 2 for a in kept.values())
+    if np.any(probability <= ZERO_TRACE_FLOOR):
         raise ZeroProbability("no amplitude with one photon per output arm")
-    scale = 1.0 / math.sqrt(probability)
+    scale = 1.0 / np.sqrt(probability)
     return FockState({k: a * scale for k, a in kept.items()}), probability
 
 
-def conditional_state(state: FockState, outcome: str | None = None) -> DensityOperator:
+def conditional_state(
+    state: FockState, outcome: str | None = None
+) -> DensityOperator | np.ndarray:
     """Two-qubit polarization operator on (A, B') after handling the E' arm.
 
     With ``outcome`` ``None`` the E' modes are traced out (stage I).
     With ``outcome`` ``'H'`` or ``'V'`` the E' photon is projected on
     that polarization, time-blind, before tracing (stage II).  The
     returned operator is unnormalized: its trace is the branch
-    probability given the input state.
+    probability given the input state.  A state with column amplitudes
+    gives an ``(n, 4, 4)`` stack of these operators.
     """
     if outcome not in (None, "H", "V"):
         raise InvalidParameter(f"outcome must be None, 'H' or 'V', got {outcome!r}")
+    n = max((np.size(a) for a in state.amps.values()), default=1)
     vectors: dict[tuple, np.ndarray] = {}
     for key, amp in state.amps.items():
         a_modes = [m for m in key if m.path == "A"]
@@ -245,12 +265,14 @@ def conditional_state(state: FockState, outcome: str | None = None) -> DensityOp
         if outcome is not None and e_mode.pol != outcome:
             continue
         env_index = (a_mode.time_bin, b_mode.time_bin, e_mode)
-        vec = vectors.setdefault(env_index, np.zeros(4, dtype=np.complex128))
-        vec[2 * _POL_INDEX[a_mode.pol] + _POL_INDEX[b_mode.pol]] += amp
-    rho = np.zeros((4, 4), dtype=np.complex128)
+        vec = vectors.setdefault(env_index, np.zeros((n, 4), dtype=np.complex128))
+        vec[:, 2 * _POL_INDEX[a_mode.pol] + _POL_INDEX[b_mode.pol]] += amp
+    rho = np.zeros((n, 4, 4), dtype=np.complex128)
     for vec in vectors.values():
-        rho += np.outer(vec, vec.conj())
-    return DensityOperator(rho, float(np.trace(rho).real))
+        rho += vec[:, :, None] * vec[:, None, :].conj()
+    if any(np.ndim(a) for a in state.amps.values()):
+        return rho
+    return DensityOperator(rho[0], float(np.trace(rho[0]).real))
 
 
 def feed_forward_correction() -> tuple[np.ndarray, np.ndarray]:
@@ -263,84 +285,115 @@ def feed_forward_correction() -> tuple[np.ndarray, np.ndarray]:
     return _SIGMA_X.copy(), _SIGMA_Y.copy()
 
 
-@functools.lru_cache(maxsize=8)
 def _pure_branches(
-    kind: str, env_pol: str, t: float, convention: str, branch: str
-) -> tuple[float, np.ndarray, np.ndarray]:
+    kind: str, env_pol: str, t: np.ndarray, convention: str, branch: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One pure preparation through the beam splitter and post-selection.
 
-    Returns the one-per-arm selection probability and the unnormalized
-    stage-I and stage-II (``branch``) operators of the selected state.
-    None of it depends on the overlap weight ``p`` or on the filters, so
-    the few most recent keys are cached: every scenario and filter
-    prescription at one ``t`` reuses the same four expansions.  The
-    returned matrices are read-only because every caller shares them.
+    Returns the one-per-arm selection probability over the ``t`` column
+    and the ``(n, 4, 4)`` stacks of unnormalized stage-I and stage-II
+    (``branch``) operators of the selected state.  None of it depends on
+    the overlap weight ``p`` or on the filters.
     """
     scenario = indistinguishable() if kind == "indistinguishable" else distinguishable()
     selected, p_select = postselect_one_per_arm(
         evolve_bs(prepare_input(scenario, env_pol), t, convention)
     )
-    m_1 = conditional_state(selected, None).matrix
-    m_2 = conditional_state(selected, branch).matrix
-    m_1.flags.writeable = False
-    m_2.flags.writeable = False
-    return p_select, m_1, m_2
+    return p_select, conditional_state(selected, None), conditional_state(selected, branch)
 
 
-def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[StageOutput]:
+def oracle_protocol(
+    config: ChannelConfig,
+    convention: str = "real",
+    *,
+    branches: dict[tuple[str, str], tuple] | None = None,
+) -> list[StageOutput]:
     """Stage I-III outputs obtained purely from the Fock simulation.
 
     Mirrors :func:`ebrsim.protocol.run_protocol` for the same
-    configuration, including the per-branch probability bookkeeping and
-    the cumulative doubling under feed-forward.
-    """
-    p_overlap = config.scenario.p
-    preparations: list[tuple[float, str]] = []
-    if p_overlap > 0.0:
-        preparations.append((p_overlap, "indistinguishable"))
-    if p_overlap < 1.0:
-        preparations.append((1.0 - p_overlap, "distinguishable"))
+    configuration, including the per-branch probability bookkeeping, the
+    cumulative doubling under feed-forward and the points without a stage
+    III.  A column config gives columns and ``(n, 4, 4)`` state stacks,
+    and its stage III holds only the points in its ``kept`` mask: those
+    whose filter factors are not NaN and whose filtered X entries sum to
+    more than ``ZERO_TRACE_FLOOR``, the rule of
+    :func:`~ebrsim.protocol.apply_filters`.  A single point runs as a
+    one-element column and comes back as floats; with a singular
+    prescription it has stages I-II only, and filtered down to zero trace
+    it raises :class:`~ebrsim.core.ZeroTrace`, as :func:`run_protocol`
+    does.
 
-    rho_1 = np.zeros((4, 4), dtype=np.complex128)
-    rho_2 = np.zeros((4, 4), dtype=np.complex128)
+    ``branches`` maps ``(kind, env_pol)`` to the :func:`_pure_branches`
+    expansions already evaluated on this config's ``T`` column, convention
+    and branch, so that several calls share them; by default each call
+    evaluates its own.
+    """
+    try:
+        filters = resolve_filters(config)
+        factors = (filters.a_a, filters.a_b)
+    except SingularPrescription:
+        factors = (math.nan, math.nan)
+    (p, t, a_a, a_b), scalar = columns(config.scenario.p, config.T, *factors)
+    preparations: list[tuple[np.ndarray, str]] = []
+    if np.any(p > 0.0):
+        preparations.append((p, "indistinguishable"))
+    if np.any(p < 1.0):
+        preparations.append((1.0 - p, "distinguishable"))
+    if branches is None:
+        branches = {
+            (kind, env_pol): _pure_branches(kind, env_pol, t, convention, config.branch)
+            for _, kind in preparations
+            for env_pol in ("H", "V")
+        }
+
+    rho_1 = np.zeros((t.size, 4, 4), dtype=np.complex128)
+    rho_2 = np.zeros((t.size, 4, 4), dtype=np.complex128)
     for weight, kind in preparations:
         for env_pol in ("H", "V"):
-            p_select, m_1, m_2 = _pure_branches(kind, env_pol, config.T, convention, config.branch)
-            share = 0.5 * weight * p_select
+            p_select, m_1, m_2 = branches[kind, env_pol]
+            share = (0.5 * weight * p_select)[:, None, None]
             rho_1 += share * m_1
             rho_2 += share * m_2
-
-    op_1 = DensityOperator(rho_1)
-    op_2 = DensityOperator(rho_2)
     if config.branch == "V" and config.feed_forward:
-        op_2 = apply_local(op_2, *feed_forward_correction())
-
-    filters = resolve_filters(config)
-    k_a = np.diag([1.0, math.sqrt(filters.a_a)])
-    k_b = np.diag([1.0, math.sqrt(filters.a_b)])
-    op_3 = apply_local(op_2, k_a, k_b)
+        k = np.kron(*feed_forward_correction())
+        rho_2 = k @ rho_2 @ k.conj().T
+    # K_A (x) K_B is diagonal: (K rho K^dag)_ij = k_i rho_ij k_j
+    s_a, s_b = np.sqrt(a_a), np.sqrt(a_b)
+    k = np.stack([np.ones_like(s_a), s_b, s_a, s_a * s_b], axis=1)
+    rho_3 = k[:, :, None] * rho_2 * k[:, None, :]
+    # as in apply_filters, the floor bounds the X entries' sum, 4 times the trace
+    kept = 4.0 * np.trace(rho_3, axis1=1, axis2=2).real > ZERO_TRACE_FLOOR
 
     factor = 2.0 if config.feed_forward else 1.0
-    p1 = op_1.trace_weight
-    p2 = op_2.trace_weight
-    pass_probability = op_3.trace_weight / p2
+    params_1 = XStateParams.from_operator(rho_1)
+    params_2 = XStateParams.from_operator(rho_2)
+    p2 = params_2.P
 
-    def _stage(
-        stage: str, op: DensityOperator, probability: float, cumulative: float
-    ) -> StageOutput:
+    def _stage(stage, rho, params, probability, cumulative, mask=None) -> StageOutput:
         return StageOutput(
             stage=stage,
-            params=XStateParams.from_operator(op),
-            state=DensityOperator(op.matrix / op.trace_weight, 1.0),
+            params=params,
+            state=rho / params.P[:, None, None],
             probability=probability,
             cumulative_probability=cumulative,
+            kept=mask,
         )
 
-    return [
-        _stage("I", op_1, p1, p1),
-        _stage("II", op_2, p2, factor * p2),
-        _stage("III", op_3, pass_probability, factor * p2 * pass_probability),
+    stages = [
+        _stage("I", rho_1, params_1, params_1.P, params_1.P),
+        _stage("II", rho_2, params_2, p2, factor * p2),
     ]
+    if scalar and not kept[0]:
+        if math.isnan(a_a[0]):
+            return [_point(s) for s in stages]
+        raise ZeroTrace("filtering removed all population from the state")
+    rho_3, p2 = rho_3[kept], p2[kept]
+    params_3 = XStateParams.from_operator(rho_3)
+    pass_probability = params_3.P / p2
+    stages.append(
+        _stage("III", rho_3, params_3, pass_probability, factor * p2 * pass_probability, kept)
+    )
+    return [_point(s) for s in stages] if scalar else stages
 
 
 def hom_coincidence(t: float, p: float, convention: str = "real") -> float:
@@ -426,11 +479,12 @@ def oracle_check(
     a step that leaves no point, or more than :data:`MAX_GRID_POINTS`, is
     rejected, and so are an empty ``epsilons`` and a ``tol`` that is
     negative, infinite or NaN, since each would make the check vacuous.
-    The closed form runs once per scenario and ``epsilon``, over the whole
-    grid as one column.  The oracle loop runs ``T``-major, so the four pure
-    preparations evolved at one ``T`` serve every scenario and ``epsilon``
-    there; ``records`` and ``skipped`` are still ordered scenario by
-    scenario, then by ``T``, then by ``epsilon``.
+    The whole grid is one column: the four pure preparations are each
+    evolved once over it, and the closed form and the oracle each run once
+    per scenario and ``epsilon``, the oracle on the closed form's filter
+    column with its singular points marked NaN.  ``records`` and
+    ``skipped`` are ordered scenario by scenario, then by ``T``, then by
+    ``epsilon``, and a record's stages by I, II, III.
     """
     if not (0.0 <= tol < math.inf):
         raise InvalidParameter(f"tol must be nonnegative and finite, got {tol!r}")
@@ -444,60 +498,58 @@ def oracle_check(
         raise InvalidParameter(
             f"grid_step {grid_step!r} asks for more than {MAX_GRID_POINTS} grid points"
         )
-    scenarios = [distinguishable(), indistinguishable(), partial(0.5)]
     grid = [k * grid_step for k in range(1, round(intervals))]
     column = np.array(grid)
-    closed = {}
-    for scenario in scenarios:
+    branches = {
+        (kind, env_pol): _pure_branches(kind, env_pol, column, convention, "H")
+        for kind in ("indistinguishable", "distinguishable")
+        for env_pol in ("H", "V")
+    }
+    records: list[OracleCheckRecord] = []
+    skipped: list[str] = []
+    for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
+        compared = []
         for eps in epsilons:
-            config = ChannelConfig(scenario=scenario, T=column, epsilon=eps)
-            # the prescription is NaN where singular; stage III keeps the other points
-            filters = resolve_filters(config)
-            stages = run_protocol(config)
-            kept = stages[2].kept
-            if not np.array_equal(kept, ~np.isnan(filters.a_a)):
+            filters = table_filters(scenario, column, eps)
+            config = ChannelConfig(scenario=scenario, T=column, filters=filters)
+            closed = run_protocol(config)
+            oracle = oracle_protocol(config, convention, branches=branches)
+            kept = closed[2].kept
+            if not (
+                np.array_equal(kept, ~np.isnan(filters.a_a))
+                and np.array_equal(kept, oracle[2].kept)
+            ):
                 raise ZeroTrace("filtering removed all population from the state")
+            deviations = [
+                (
+                    ref.stage,
+                    np.max(np.abs(ref.state - alt.state), axis=(1, 2)).tolist(),
+                    np.abs(ref.probability - alt.probability).tolist(),
+                    np.abs(ref.cumulative_probability - alt.cumulative_probability).tolist(),
+                )
+                for ref, alt in zip(closed, oracle)
+            ]
             # stage III's row for each kept grid point; stages I-II hold every point
-            third = np.cumsum(kept) - 1
-            closed[scenario.kind, eps] = stages, third, filters
-    records: dict[str, list[OracleCheckRecord]] = {s.kind: [] for s in scenarios}
-    skipped: dict[str, list[str]] = {s.kind: [] for s in scenarios}
-    for i, t in enumerate(grid):
-        for scenario in scenarios:
-            for eps in epsilons:
-                stages, third, filters = closed[scenario.kind, eps]
-                point = None
-                if np.isnan(filters.a_a[i]):
-                    skipped[scenario.kind].append(
+            third = (np.cumsum(kept) - 1).tolist()
+            compared.append((eps, kept.tolist(), third, deviations))
+        for i, t in enumerate(grid):
+            for eps, kept, third, deviations in compared:
+                if not kept[i]:
+                    skipped.append(
                         f"{scenario.kind} T={t:.6g} epsilon={eps:.6g}: singular prescription"
                     )
-                    stages = stages[:2]
-                else:
-                    point = FilterPair(float(filters.a_a[i]), float(filters.a_b[i]))
-                # Without filters the oracle's stage III is unused: zip stops at II.
-                config = ChannelConfig(scenario=scenario, T=t, filters=point)
-                oracle = oracle_protocol(config, convention)
-                for ref, alt in zip(stages, oracle):
-                    j = i if ref.kept is None else third[i]
-                    state_dev = float(np.max(np.abs(ref.state[j] - alt.state.matrix)))
-                    prob_dev = abs(float(ref.probability[j]) - alt.probability)
-                    cum_dev = abs(
-                        float(ref.cumulative_probability[j]) - alt.cumulative_probability
-                    )
-                    records[scenario.kind].append(
+                for stage, state_dev, prob_dev, cum_dev in deviations[: 3 if kept[i] else 2]:
+                    j = third[i] if stage == "III" else i
+                    records.append(
                         OracleCheckRecord(
                             scenario=scenario.kind,
                             p=scenario.p,
                             T=t,
                             epsilon=eps,
-                            stage=ref.stage,
-                            state_deviation=state_dev,
-                            probability_deviation=prob_dev,
-                            cumulative_deviation=cum_dev,
+                            stage=stage,
+                            state_deviation=state_dev[j],
+                            probability_deviation=prob_dev[j],
+                            cumulative_deviation=cum_dev[j],
                         )
                     )
-    return OracleCheckReport(
-        records=[r for s in scenarios for r in records[s.kind]],
-        skipped=[note for s in scenarios for note in skipped[s.kind]],
-        tol=tol,
-    )
+    return OracleCheckReport(records=records, skipped=skipped, tol=tol)

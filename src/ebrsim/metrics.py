@@ -35,6 +35,11 @@ _FIT_TOL = 1e-10
 
 _ENTRY_NAMES = ("alpha", "beta", "gamma", "delta", "xi", "P")
 
+# Entries of a two-qubit operator outside the X pattern (the diagonal and
+# the HV-VH coherence).
+_OFF_X = ~np.eye(4, dtype=bool)
+_OFF_X[1, 2] = _OFF_X[2, 1] = False
+
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
@@ -121,33 +126,45 @@ class XStateParams:
         return XStateParams(*(float(v[i]) for v in entries))
 
     @classmethod
-    def from_operator(cls, rho: DensityOperator) -> "XStateParams":
+    def from_operator(cls, rho: DensityOperator | np.ndarray) -> "XStateParams":
         """Extract parameters from a branch operator whose trace is ``P``.
 
         The stored entries are four times the operator's, so that they sum
         to ``4 P`` as the convention requires.  Raises ``ValueError`` if
-        entries outside the X pattern exceed ``_FIT_TOL`` or if the
-        coherence is not purely imaginary.
+        an entry is not finite, if entries outside the X pattern exceed
+        ``_FIT_TOL`` or if the coherence is not purely imaginary.  A
+        ``DensityOperator`` gives float entries; an ``(n, 4, 4)`` stack of
+        operators gives columns, with every check run on every operator
+        and the first failure reported.
         """
-        if rho.dim != 4:
-            raise NotTwoQubit(f"expected dim 4, got {rho.dim}")
-        m = rho.matrix
-        mask = np.ones((4, 4), dtype=bool)
-        for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)):
-            mask[i, j] = False
-        stray = float(np.max(np.abs(m[mask])))
-        if stray > _FIT_TOL:
-            raise ValueError(f"operator is not X-shaped: stray entry magnitude {stray!r}")
-        if abs(m[1, 2].real) > _FIT_TOL:
-            raise ValueError("HV-VH coherence is not purely imaginary")
-        return cls(
-            alpha=4.0 * float(m[0, 0].real),
-            beta=4.0 * float(m[1, 1].real),
-            gamma=4.0 * float(m[2, 2].real),
-            delta=4.0 * float(m[3, 3].real),
-            xi=4.0 * float((1.0j * m[1, 2]).real),
-            P=float(np.trace(m).real),
+        stack = _as_stack(rho)
+        if stack.shape[-1] != 4:
+            raise NotTwoQubit(f"expected dim 4, got {stack.shape[-1]}")
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix contains non-finite entries")
+        stray = np.max(np.abs(stack[:, _OFF_X]), axis=1)
+        _check(
+            stray <= _FIT_TOL, stray, "operator is not X-shaped: stray entry magnitude {value!r}"
         )
+        coherence = stack[:, 1, 2]
+        _check(
+            np.abs(coherence.real) <= _FIT_TOL,
+            coherence.real,
+            "HV-VH coherence is not purely imaginary",
+        )
+        # an entry that overflows here fails the finiteness check of __post_init__
+        with np.errstate(over="ignore"):
+            entries = [
+                4.0 * stack[:, 0, 0].real,
+                4.0 * stack[:, 1, 1].real,
+                4.0 * stack[:, 2, 2].real,
+                4.0 * stack[:, 3, 3].real,
+                4.0 * (1.0j * coherence).real,
+                np.trace(stack, axis1=1, axis2=2).real,
+            ]
+        if isinstance(rho, DensityOperator):
+            entries = [float(e[0]) for e in entries]
+        return cls(*entries)
 
 
 def _check(ok: np.ndarray, values: np.ndarray, message: str, other=None) -> None:

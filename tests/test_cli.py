@@ -548,6 +548,18 @@ class TestOracleCheckCommand:
         assert out.count("PASS") == 3
         assert out.count("points=") == 3
 
+    # 0.02 puts a grid point on the singular T = 1/2; 0.05 is the default grid
+    @pytest.mark.parametrize("step", ["0.02", "0.05"])
+    def test_output_equals_golden_file(self, capsys, tmp_path, step):
+        golden = (DATA / f"oracle_check_{step}.txt").read_bytes()
+        out_path = tmp_path / "report.txt"
+        code, out, _ = run_cli(
+            capsys, ["oracle-check", "--grid-step", step, "--out", str(out_path)]
+        )
+        assert code == 0
+        assert out.encode() == golden
+        assert out_path.read_bytes() == golden
+
 
 class TestTomographyCommand:
     CFG = (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ebrsim import fock
-from ebrsim.core import InvalidParameter
+from ebrsim.core import InvalidParameter, ZeroTrace
 from ebrsim.fock import (
     MAX_GRID_POINTS,
     FockState,
@@ -25,6 +25,7 @@ from ebrsim.fock import (
 from ebrsim.protocol import (
     ChannelConfig,
     FilterPair,
+    SingularPrescription,
     distinguishable,
     indistinguishable,
     partial,
@@ -254,6 +255,11 @@ class TestOracleCheck:
         with pytest.raises(InvalidParameter, match="tol"):
             oracle_check(grid_step=0.25, tol=tol)
 
+    def test_zero_trace_point_raises(self):
+        # epsilon = 1e-300 filters the small-T points of the grid to zero trace
+        with pytest.raises(ZeroTrace):
+            oracle_check(grid_step=0.25, epsilons=(1e-300,))
+
     def test_rejects_empty_epsilons(self):
         with pytest.raises(InvalidParameter, match="epsilons"):
             oracle_check(grid_step=0.25, epsilons=())
@@ -280,22 +286,20 @@ class TestOracleCheck:
 
 
 def _reference_oracle_check(grid_step, epsilons, convention="real"):
-    """Scenario-major loop with a cold oracle cache at every point."""
+    """Scenario-major loop of single-point closed-form and oracle calls."""
     records = []
     skipped = []
     for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
         for t in [k * grid_step for k in range(1, round(1.0 / grid_step))]:
             for eps in epsilons:
-                closed = run_protocol(ChannelConfig(scenario=scenario, T=t, epsilon=eps))
-                filters = closed[-1].filters
-                if filters is None:
+                config = ChannelConfig(scenario=scenario, T=t, epsilon=eps)
+                closed = run_protocol(config)
+                oracle = oracle_protocol(config, convention)
+                assert len(oracle) == len(closed)
+                if len(closed) == 2:
                     skipped.append(
                         f"{scenario.kind} T={t:.6g} epsilon={eps:.6g}: singular prescription"
                     )
-                _pure_branches.cache_clear()
-                oracle = oracle_protocol(
-                    ChannelConfig(scenario=scenario, T=t, filters=filters), convention
-                )
                 for ref, alt in zip(closed, oracle):
                     records.append(
                         OracleCheckRecord(
@@ -316,21 +320,51 @@ def _reference_oracle_check(grid_step, epsilons, convention="real"):
     return records, skipped
 
 
+def _counting(monkeypatch, name):
+    """Replace ``fock.<name>`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(fock, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fock, name, counting)
+    return calls
+
+
+def _pure_expansions(t, convention, branch):
+    return {
+        (kind, env_pol): _pure_branches(kind, env_pol, t, convention, branch)
+        for kind in ("indistinguishable", "distinguishable")
+        for env_pol in ("H", "V")
+    }
+
+
+def _assert_same_stages(left, right):
+    assert [o.stage for o in left] == [o.stage for o in right]
+    for a, b in zip(left, right):
+        for name in ("alpha", "beta", "gamma", "delta", "xi", "P"):
+            assert np.array_equal(getattr(a.params, name), getattr(b.params, name)), name
+        assert np.array_equal(a.state, b.state)
+        assert np.array_equal(a.probability, b.probability)
+        assert np.array_equal(a.cumulative_probability, b.cumulative_probability)
+        assert np.array_equal(a.kept, b.kept)
+
+
 class TestPureBranchReuse:
-    def test_oracle_check_evolves_four_preparations_per_grid_t(self, monkeypatch):
-        calls = []
-        original = fock.evolve_bs
-
-        def counting(state, t, convention="real"):
-            calls.append(t)
-            return original(state, t, convention)
-
-        monkeypatch.setattr(fock, "evolve_bs", counting)
-        _pure_branches.cache_clear()
+    def test_oracle_check_evolves_four_preparations_over_the_grid(self, monkeypatch):
+        evolved = _counting(monkeypatch, "evolve_bs")
+        protocols = _counting(monkeypatch, "oracle_protocol")
+        conditionals = _counting(monkeypatch, "conditional_state")
         oracle_check(grid_step=0.25, epsilons=(1.0, 0.25))
-        # three grid T values, two kinds times two environment polarizations
-        assert len(calls) == 12
-        assert sorted(set(calls)) == [0.25, 0.5, 0.75]
+        # two kinds times two environment polarizations, each over the whole grid
+        assert len(evolved) == 4
+        for _, t, _ in evolved:
+            assert t.tolist() == [0.25, 0.5, 0.75]
+        # one oracle call per scenario and epsilon; stage I and II per preparation
+        assert len(protocols) == 6
+        assert len(conditionals) == 8
 
     @pytest.mark.parametrize("convention", ["real", "phase"])
     def test_records_equal_cold_scenario_major_reference(self, convention):
@@ -343,30 +377,172 @@ class TestPureBranchReuse:
     @pytest.mark.parametrize("convention", ["real", "phase"])
     @pytest.mark.parametrize("branch", ["H", "V"])
     @pytest.mark.parametrize("feed_forward", [False, True])
-    def test_warm_cache_matches_cold(self, convention, branch, feed_forward):
+    def test_warm_cache_matches_cold(self, monkeypatch, convention, branch, feed_forward):
+        # warm: the expansions come from an earlier evaluation, as in oracle_check
+        t = np.array([0.0, 0.3, 0.5, 0.62, 1.0])
         cfg = ChannelConfig(
             scenario=partial(0.35),
-            T=0.62,
+            T=t,
             filters=FilterPair(0.4, 0.8),
             branch=branch,
             feed_forward=feed_forward,
         )
-        _pure_branches.cache_clear()
         cold = oracle_protocol(cfg, convention)
-        warm = oracle_protocol(cfg, convention)
-        assert _pure_branches.cache_info().hits == 4
-        for c, w in zip(cold, warm):
-            assert (c.stage, c.params, c.probability, c.cumulative_probability) == (
-                w.stage,
-                w.params,
-                w.probability,
-                w.cumulative_probability,
-            )
-            assert np.array_equal(c.state.matrix, w.state.matrix)
+        branches = _pure_expansions(t, convention, branch)
+        evolved = _counting(monkeypatch, "evolve_bs")
+        warm = oracle_protocol(cfg, convention, branches=branches)
+        assert evolved == []
+        _assert_same_stages(cold, warm)
 
-    def test_cached_matrices_are_read_only(self):
-        _, m_1, m_2 = _pure_branches("indistinguishable", "H", 0.3, "real", "V")
-        for m in (m_1, m_2):
-            assert not m.flags.writeable
-            with pytest.raises(ValueError):
-                m[0, 0] = 1.0
+
+def _single_point(config, i):
+    """Point ``i`` of a column config with float fields."""
+    filters = config.filters
+    if filters is not None:
+        filters = FilterPair(float(filters.a_a[i]), float(filters.a_b[i]))
+    epsilon = config.epsilon
+    if np.ndim(epsilon):
+        epsilon = float(epsilon[i])
+    return ChannelConfig(
+        scenario=config.scenario,
+        T=float(config.T[i]),
+        branch=config.branch,
+        feed_forward=config.feed_forward,
+        filters=filters,
+        epsilon=epsilon,
+    )
+
+
+class TestOracleColumns:
+    """A column of points runs the same code as each point alone."""
+
+    T_EDGES = [0.0, 1.0, 0.5, 0.25, 0.75, 0.5 + 1e-7, 1e-200]
+
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    @pytest.mark.parametrize("branch,feed_forward", [("H", False), ("V", False), ("V", True)])
+    @pytest.mark.parametrize(
+        "scenario",
+        [distinguishable(), indistinguishable(), partial(0.85)],
+        ids=["dist", "indist", "partial"],
+    )
+    @pytest.mark.parametrize("explicit", [False, True], ids=["epsilon", "filters"])
+    def test_rows_equal_single_points(self, convention, branch, feed_forward, scenario, explicit):
+        rng = np.random.default_rng(20261018)
+        t = np.concatenate([self.T_EDGES, rng.uniform(0.0, 1.0, 9)])
+        if explicit:
+            a_a = rng.uniform(1e-6, 1.0, t.size)
+            a_a[3] = math.nan  # the NaN a singular prescription leaves in a column
+            filters = FilterPair(a_a, np.concatenate([[1.0], rng.uniform(1e-6, 1.0, t.size - 1)]))
+            config = ChannelConfig(scenario=scenario, T=t, branch=branch,
+                                   feed_forward=feed_forward, filters=filters)
+        else:
+            config = ChannelConfig(scenario=scenario, T=t, branch=branch,
+                                   feed_forward=feed_forward, epsilon=0.25)
+        columns = oracle_protocol(config, convention)
+        kept = columns[2].kept
+        row_3 = np.cumsum(kept) - 1
+        for i in range(t.size):
+            if explicit and i == 3:
+                assert not kept[i]
+                continue
+            outs = oracle_protocol(_single_point(config, i), convention)
+            assert len(outs) == (3 if kept[i] else 2), i
+            for column, j, out in zip(columns, (i, i, row_3[i]), outs):
+                assert column.params.row(j) == out.params, (i, out.stage)
+                assert np.array_equal(column.state[j], out.state.matrix), (i, out.stage)
+                assert column.probability[j] == out.probability, (i, out.stage)
+                assert column.cumulative_probability[j] == out.cumulative_probability
+        # T = 0 is singular in every scenario, T = 1/2 only with the 2T - 1 coherence
+        assert kept[0] == explicit
+        assert kept[2] == (explicit or scenario.kind == "distinguishable")
+
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    @pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+    @pytest.mark.parametrize("env_pol", ["H", "V"])
+    def test_evolve_bs_column_equals_each_t(self, convention, kind, env_pol):
+        t = np.array([0.0, 1e-200, 0.17, 0.5, 0.83, 1.0])
+        state = prepare_input(distinguishable() if kind == "distinguishable" else
+                              indistinguishable(), env_pol)
+        column = evolve_bs(state, t, convention)
+        keys = set()
+        for i, ti in enumerate(t.tolist()):
+            single = evolve_bs(state, ti, convention)
+            assert all(type(a) is complex for a in single.amps.values())
+            keys |= set(single.amps)
+            for key, amps in column.amps.items():
+                assert amps[i] == single.amps.get(key, 0.0), (ti, key)
+        assert keys == set(column.amps)
+        assert np.allclose(column.norm_squared(), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_column_stacks_and_kept_mask(self):
+        t = np.array([0.2, 0.5, 0.7])
+        outs = oracle_protocol(ChannelConfig(scenario=indistinguishable(), T=t, epsilon=0.25))
+        assert [o.stage for o in outs] == ["I", "II", "III"]
+        assert outs[0].state.shape == outs[1].state.shape == (3, 4, 4)
+        assert outs[2].kept.tolist() == [True, False, True]
+        assert outs[2].state.shape == (2, 4, 4)
+        assert outs[2].probability.shape == (2,)
+
+
+class TestOracleMirrorsRunProtocol:
+    """Points without a stage III behave as in :func:`run_protocol`."""
+
+    @pytest.mark.parametrize("t", [0.5, 0.0])
+    @pytest.mark.parametrize("scenario", [indistinguishable(), partial(0.85)],
+                             ids=["indist", "partial"])
+    def test_singular_point_returns_stages_one_and_two(self, scenario, t):
+        config = ChannelConfig(scenario=scenario, T=t, epsilon=0.25)
+        with pytest.raises(SingularPrescription):
+            fock.resolve_filters(config)
+        closed = run_protocol(config)
+        oracle = oracle_protocol(config)
+        assert [o.stage for o in oracle] == [o.stage for o in closed] == ["I", "II"]
+        for ref, alt in zip(closed, oracle):
+            assert np.max(np.abs(ref.state.matrix - alt.state.matrix)) <= 1e-12
+            assert alt.cumulative_probability == pytest.approx(
+                ref.cumulative_probability, abs=1e-12
+            )
+
+    def test_zero_trace_is_masked_in_a_column_and_raised_alone(self):
+        # epsilon = 1e-300 filters partial(0.85) to zero trace up to T = 0.8071
+        t = np.linspace(0.1, 1.0, 15)
+        config = ChannelConfig(scenario=partial(0.85), T=t, epsilon=1e-300)
+        closed = run_protocol(config)
+        oracle = oracle_protocol(config)
+        assert oracle[2].kept.tolist() == closed[2].kept.tolist() == [False] * 12 + [True] * 3
+        assert oracle[2].state.shape == (3, 4, 4)
+        with pytest.raises(ZeroTrace):
+            run_protocol(ChannelConfig(scenario=partial(0.85), T=0.1, epsilon=1e-300))
+        with pytest.raises(ZeroTrace):
+            oracle_protocol(ChannelConfig(scenario=partial(0.85), T=0.1, epsilon=1e-300))
+
+
+class TestDenseAgreement:
+    """The oracle and the closed form agree on a dense T column, away from T = 1/2,
+    where the oracle's coherence cancels as sqrt(T)^2 - sqrt(R)^2."""
+
+    T = np.linspace(0.0, 1.0, 2001)
+    FAR = np.abs(2.0 * T - 1.0) >= 1e-5
+
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    @pytest.mark.parametrize("branch,feed_forward", [("H", False), ("V", False), ("V", True)])
+    @pytest.mark.parametrize(
+        "scenario",
+        [distinguishable(), indistinguishable(), partial(0.5), partial(0.85)],
+        ids=["dist", "indist", "partial0.5", "partial0.85"],
+    )
+    def test_stages_agree_to_1e_12(self, convention, branch, feed_forward, scenario):
+        config = ChannelConfig(
+            scenario=scenario, T=self.T, branch=branch, feed_forward=feed_forward, epsilon=0.25
+        )
+        closed = run_protocol(config)
+        oracle = oracle_protocol(config, convention)
+        kept = closed[2].kept
+        assert np.array_equal(oracle[2].kept, kept)
+        for ref, alt in zip(closed, oracle):
+            far = self.FAR if ref.kept is None else self.FAR[kept]
+            state_dev = np.max(np.abs(ref.state - alt.state), axis=(1, 2))
+            assert np.all(state_dev[far] <= 1e-12), ref.stage
+            for name in ("probability", "cumulative_probability"):
+                dev = np.abs(getattr(ref, name) - getattr(alt, name))
+                assert np.all(dev[far] <= 1e-12), (ref.stage, name)

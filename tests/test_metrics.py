@@ -141,6 +141,29 @@ class TestXStateParams:
         with pytest.raises(NotTwoQubit):
             XStateParams.from_operator(maximally_mixed(2))
 
+    def test_from_operator_stack_equals_each_operator(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([assemble(random_x_params(rng)) / 4.0 for _ in range(5)])
+        params = XStateParams.from_operator(stack)
+        for i, m in enumerate(stack):
+            assert params.row(i) == XStateParams.from_operator(DensityOperator(m))
+
+    @pytest.mark.parametrize(
+        "entry,value,match",
+        [
+            ((0, 3), 1e-6, "stray entry magnitude 1e-06"),
+            ((1, 2), 0.05 - 0.1j, "imaginary"),
+            ((2, 2), math.nan, "non-finite"),
+        ],
+    )
+    def test_from_operator_stack_reports_first_failing_operator(self, entry, value, match):
+        base = assemble(x_params(0.2, 0.5, 0.5, 0.2, 0.1)) / 4.0
+        stack = np.array([base, base, base, base])
+        for i, scale in ((1, 1.0), (3, 2.0)):
+            stack[i][entry] = value * scale
+        with pytest.raises(ValueError, match=match):
+            XStateParams.from_operator(stack)
+
 
 def test_transparent_channel_is_the_source_singlet():
     # stage I at T = 1: alpha = delta = 0, xi = -2, nothing reflected
