@@ -260,6 +260,12 @@ def _sweep_values(cfg: dict[str, str]) -> np.ndarray:
         raise ConfigError(f"steps must be at least 1, got {steps}")
     if steps > MAX_SWEEP_POINTS:
         raise ConfigError(f"steps must be at most {MAX_SWEEP_POINTS}, got {steps}")
+    # an infinite end or span would meet a 0 in the grid (inf * 0); a NaN end
+    # passes on to the swept variable's range check
+    if math.isinf(start) or math.isinf(stop) or math.isinf((stop - start) * (steps - 1)):
+        raise ConfigError(
+            f"sweep start and stop must be finite with a finite span, got {start!r} and {stop!r}"
+        )
     if steps == 1:
         return np.array([start])
     # the float operations of start + i * (stop - start) / (steps - 1), in that order

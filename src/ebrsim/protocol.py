@@ -27,7 +27,7 @@ a point without stage III is masked instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -397,6 +397,10 @@ def run_protocol(config: ChannelConfig) -> list[StageOutput]:
     ``kept`` mask; stages I and II are single points when only
     ``epsilon`` or the filters are columns.
     """
+    if np.ndim(config.scenario.p) and not np.ndim(config.T):
+        # a p column with a scalar T: T takes the column's length, so the
+        # prescription masks its singular points instead of raising once
+        config = replace(config, T=np.full(np.size(config.scenario.p), config.T))
     s1 = stage1(config.scenario, config.T)
     s2 = stage2(
         config.scenario, config.T, branch=config.branch, feed_forward=config.feed_forward

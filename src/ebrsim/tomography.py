@@ -60,6 +60,10 @@ class RankDeficient(EbrsimError):
     """The measurement settings do not span the 16-dimensional operator space."""
 
 
+class UnusableCounts(EbrsimError, ValueError):
+    """The counts fix no count scale, or no physical state survives the projection."""
+
+
 class TomographySetting(NamedTuple):
     setting_a: str
     setting_b: str
@@ -102,6 +106,17 @@ def setting_rate(state: DensityOperator, setting: TomographySetting) -> float:
     return max(float(np.trace(state.matrix @ pi).real), 0.0)
 
 
+def _rates(matrix: np.ndarray, settings: Sequence[tuple[str, str]]) -> np.ndarray:
+    """``setting_rate`` of every setting, as one stacked product.
+
+    Each rate has the bits of its ``setting_rate``: the same 4x4 product
+    and diagonal sum, and the clamp keeps a ``-0.0`` as ``max`` does.
+    """
+    projectors = np.array([_PAIR_PROJECTORS[s] for s in settings])
+    rates = np.trace(matrix[None] @ projectors, axis1=1, axis2=2).real
+    return np.where(rates < 0.0, 0.0, rates)
+
+
 def simulate_counts(
     state: DensityOperator,
     total_triples: float,
@@ -114,7 +129,9 @@ def simulate_counts(
     ``4 * total_triples / n_settings * rate`` so that the expected grand
     total equals ``total_triples`` for the overcomplete scheme (whose
     rates average 1/4 for any state), and may not exceed
-    ``MAX_EXPECTED_COUNT`` per setting.  Deterministic for a given seed.
+    ``MAX_EXPECTED_COUNT`` per setting.  The counts are one Poisson draw
+    over all settings, in setting order, from ``default_rng(seed)``: the
+    same numbers as one scalar draw per setting from that generator.
     """
     if state.dim != 4:
         raise InvalidParameter(f"tomography expects a two-qubit state, got dim {state.dim}")
@@ -130,20 +147,12 @@ def simulate_counts(
             f"total_triples {total_triples!r} exceeds {MAX_EXPECTED_COUNT!r} expected"
             f" counts per setting ({scale!r})"
         )
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting in settings:
-        rate = setting_rate(normalized, setting)
-        observed = int(rng.poisson(scale * rate))
-        records.append(
-            CountRecord(
-                setting_a=setting.setting_a,
-                setting_b=setting.setting_b,
-                expected_rate=rate,
-                observed=observed,
-            )
-        )
-    return records
+    rates = _rates(normalized.matrix, settings)
+    observed = np.random.default_rng(seed).poisson(scale * rates)
+    return [
+        CountRecord(s.setting_a, s.setting_b, rate, count)
+        for s, rate, count in zip(settings, rates.tolist(), observed.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -190,15 +199,20 @@ def _invert(
     Returns ``(states, scales, clipped)``: the ``(n, 4, 4)`` physical
     states, the fitted count scales and the clipped negative weights.
     The coefficients are one ``pinv @ row`` product per row, which keeps
-    every row's arithmetic identical to a one-row call.
+    every row's arithmetic identical to a one-row call.  Counts that fix
+    no positive, finite scale raise :class:`UnusableCounts`, without a
+    numpy warning where the product overflows.
     """
     if len(settings) < 16:
         raise RankDeficient(f"need at least 16 settings, got {len(settings)}")
     _, pinv = _design_matrix(settings)
-    coeffs = np.array([pinv @ row for row in counts])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.array([pinv @ row for row in counts])
     scales = coeffs[:, 0]
-    if np.any(scales <= 0.0):
-        raise ValueError("count totals too low to calibrate the measurement scale")
+    if not np.all(scales > 0.0):
+        raise UnusableCounts("count totals too low to calibrate the measurement scale")
+    if not np.isfinite(coeffs).all():
+        raise UnusableCounts("counts too large for the linear inversion")
     pauli_components = coeffs / scales[:, None]
     rho = np.zeros((len(counts), 4, 4), dtype=np.complex128)
     for k in range(16):
@@ -210,7 +224,7 @@ def _invert(
     vals = np.clip(vals, 0.0, None)
     totals = np.sum(vals, axis=-1)
     if np.any(totals <= 0.0):
-        raise ValueError("projection removed all weight; counts are unusable")
+        raise UnusableCounts("projection removed all weight; counts are unusable")
     weights = vals / totals[:, None]
     states = (vecs * weights[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     return states, scales, clipped
@@ -258,6 +272,18 @@ class UncertaintyReport:
     trials: int
 
 
+def _bootstrap_counts(expected: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """``(trials, len(expected))`` Poisson counts from one generator call.
+
+    The generator is the first child of ``SeedSequence(seed)``, a stream
+    apart from the ``default_rng(seed)`` that drew the observed counts.
+    Rows are drawn in order, so the first ``k`` rows of any larger draw
+    are the rows of a ``k``-trial draw.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return rng.poisson(expected, size=(trials, len(expected))).astype(float)
+
+
 def error_bars(
     result: TomographyResult,
     records: Sequence[CountRecord],
@@ -268,21 +294,16 @@ def error_bars(
 
     Each trial draws Poisson counts from the fitted model (state times
     fitted scale), re-runs the reconstruction, and records the fidelity
-    to the point estimate, the concurrence, and the relative scale.
-    Trial ``b`` uses the RNG stream seeded by ``(seed, b)``, so results
-    do not depend on evaluation order.  All trials are reconstructed and
-    evaluated as one stack; each row equals a one-trial reconstruction.
+    to the point estimate, the concurrence, and the relative scale.  All
+    trials' counts come from one draw (see ``_bootstrap_counts``), and
+    all trials are reconstructed and evaluated as one stack; each row
+    equals a one-trial reconstruction.
     """
     if trials < 2:
         raise InvalidParameter(f"trials must be at least 2 for a spread, got {trials}")
     settings = tuple(TomographySetting(r.setting_a, r.setting_b) for r in records)
-    expected = np.array(
-        [result.scale * setting_rate(result.state, s) for s in settings]
-    )
-    counts = np.array(
-        [np.random.default_rng([seed, b]).poisson(expected) for b in range(trials)],
-        dtype=float,
-    )
+    expected = result.scale * _rates(result.state.matrix, settings)
+    counts = _bootstrap_counts(expected, trials, seed)
     states, scales, _ = _invert(settings, counts)
     fidelities = fidelity(states, result.state)
     concurrences = concurrence(states).value

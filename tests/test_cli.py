@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from ebrsim import cli
 from ebrsim.cli import ConfigError, SWEEP_HEADER, main, parse_config_text
 from ebrsim.protocol import ChannelConfig, FilterPair, Scenario, run_protocol
-from ebrsim.tomography import counts_from_csv
+from ebrsim.tomography import UnusableCounts, counts_from_csv
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_SWEEPS = [
@@ -19,6 +20,9 @@ GOLDEN_SWEEPS = [
     "sweep_T_filters",
     "sweep_epsilon_V",
     "sweep_p_partial",
+    # p sweeps at a singular T: stages I-II with NaN filters at every point
+    "sweep_p_T_half",
+    "sweep_p_T_zero",
 ]
 
 STAGE_LINE = re.compile(
@@ -287,13 +291,19 @@ class TestSweepCommand:
                 "T = 0.4\nvariable = epsilon\nstart = nan\nstop = 1\nsteps = 2",
                 "epsilon must lie in (0, 1]",
             ),
+            ("variable = T\nstart = 0.1\nstop = inf\nsteps = 3", "must be finite"),
+            ("variable = T\nstart = -inf\nstop = 0.9\nsteps = 1", "must be finite"),
+            ("variable = T\nstart = -1e308\nstop = 1e308\nsteps = 2", "finite span"),
+            ("variable = T\nstart = 0\nstop = 1e308\nsteps = 3", "finite span"),
         ],
     )
     def test_sweep_config_errors(self, tmp_path, capsys, line, fragment):
         path = write_config(tmp_path, f"scenario = distinguishable\nepsilon = 1\n{line}\n")
-        code, _, err = run_cli(capsys, ["sweep", "--config", path])
-        assert code == 2
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:")
         assert fragment in err
+        assert "Warning" not in err
 
     def test_single_step_sweep(self, tmp_path, capsys):
         path = write_config(
@@ -634,6 +644,33 @@ class TestTomographyCommand:
         assert out.splitlines()[-1] == "clipped_weight=0"
         text = (tmp_path / "tomo.result.json").read_text()
         assert '"clipped_weight": 0.0,' in text
+
+    def test_output_equals_golden_files(self, tmp_path, capsys):
+        # the counts file has the bytes the per-setting draw loop wrote
+        argv = ["tomography", "--config", str(DATA / "tomography_stage3.cfg")]
+        code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "tomo")])
+        assert (code, err) == (0, "")
+        assert out.encode() == (DATA / "tomography_stage3.txt").read_bytes()
+        for suffix in (".counts.csv", ".result.json"):
+            got = (tmp_path / f"tomo{suffix}").read_bytes()
+            assert got == (DATA / f"tomography_stage3{suffix}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "total_triples = 1e-300",
+            # the subtraction leaves counts near -1e308, whose inversion overflows
+            "background = 1e308",
+        ],
+    )
+    def test_uncalibrated_counts_are_typed(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, f"state = singlet\ntrials = 5\n{line}\n")
+        args = argparse.Namespace(config=path, out=None, seed=None)
+        with pytest.raises(UnusableCounts, match="too low to calibrate"):
+            cli.cmd_tomography(args)
+        code, out, err = run_cli(capsys, ["tomography", "--config", path])
+        assert (code, out) == (3, "")
+        assert err == "domain error: count totals too low to calibrate the measurement scale\n"
 
     def test_named_truth_states(self, tmp_path, capsys):
         path = write_config(tmp_path, "state = singlet\ntotal_triples = 400\ntrials = 5\n")

@@ -563,6 +563,19 @@ class TestColumns:
         with pytest.raises(ZeroTrace):
             run_protocol(ChannelConfig(scenario=partial(0.85), T=0.1, epsilon=1e-300))
 
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1e-300, 0.3])
+    def test_p_column_at_a_scalar_t_gives_three_outputs(self, t):
+        p = np.array([0.0, 0.85, 1.0])
+        config = ChannelConfig(scenario=partial(p), T=t, epsilon=0.4)
+        s1, s2, s3 = run_protocol(config)
+        singular = t != 0.3
+        assert s3.kept.tolist() == [not singular] * 3
+        for i, p_i in enumerate(p.tolist()):
+            outs = run_protocol(ChannelConfig(scenario=partial(p_i), T=t, epsilon=0.4))
+            assert len(outs) == (2 if singular else 3)
+            assert s1.params.row(i) == outs[0].params
+            assert s2.params.row(i) == outs[1].params
+
     def test_column_range_check_names_the_first_bad_value(self):
         with pytest.raises(ValueError, match=r"T must lie in \[0, 1\], got 1.25"):
             ChannelConfig(scenario=distinguishable(), T=np.array([0.5, 1.25, 2.0]))

@@ -14,7 +14,10 @@ from ebrsim.tomography import (
     RankDeficient,
     TomographySetting,
     UncertaintyReport,
+    UnusableCounts,
+    _bootstrap_counts,
     _design_matrix,
+    _rates,
     counts_from_csv,
     counts_to_csv,
     error_bars,
@@ -88,8 +91,38 @@ class TestRates:
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("minimal", [False, True])
+    def test_stacked_rates_equal_setting_rate(self, minimal):
+        rng = np.random.default_rng(30)
+        settings = standard_settings(minimal)
+        states = [DensityOperator.from_pure(singlet_vector()), maximally_mixed(4)]
+        for _ in range(60):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = m @ m.conj().T
+            states.append(DensityOperator(rho / np.trace(rho).real, 1.0))
+        for rho in states:
+            assert _rates(rho.matrix, settings).tolist() == [
+                setting_rate(rho, s) for s in settings
+            ]
+
 
 class TestSimulateCounts:
+    @pytest.mark.parametrize("minimal", [False, True])
+    def test_one_draw_equals_a_draw_per_setting(self, stage2_state, minimal):
+        normalized = DensityOperator(
+            stage2_state.matrix / np.trace(stage2_state.matrix).real, 1.0
+        )
+        settings = standard_settings(minimal)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            scale = 4.0 * 2000 / len(settings)
+            loop = [
+                CountRecord(s.setting_a, s.setting_b, setting_rate(normalized, s),
+                            int(rng.poisson(scale * setting_rate(normalized, s))))
+                for s in settings
+            ]
+            assert simulate_counts(stage2_state, 2000, seed, minimal) == loop
+
     def test_deterministic_per_seed(self, stage2_state):
         a = simulate_counts(stage2_state, 500, seed=9)
         b = simulate_counts(stage2_state, 500, seed=9)
@@ -184,6 +217,12 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="calibrate"):
             reconstruct(records)
 
+    def test_overflowing_counts_are_typed(self):
+        # the scale sums to +inf; any numpy overflow warning would fail this test
+        records = [CountRecord(s.setting_a, s.setting_b, 0.0, 10**308) for s in standard_settings()]
+        with pytest.raises(UnusableCounts, match="too large"):
+            reconstruct(records)
+
     def test_rank_deficient_settings_raise(self, stage2_state):
         records = [CountRecord("H", "H", 0.1, 10)] * 20
         with pytest.raises(RankDeficient):
@@ -266,9 +305,11 @@ class TestErrorBars:
             result.scale * setting_rate(result.state, TomographySetting(r.setting_a, r.setting_b))
             for r in records
         ]
+        # one bootstrap generator, one trial after another
+        g = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         fids, cons, probs = [], [], []
-        for b in range(trials):
-            observed = np.random.default_rng([seed, b]).poisson(expected)
+        for _ in range(trials):
+            observed = g.poisson(expected)
             trial = reconstruct([
                 CountRecord(r.setting_a, r.setting_b, 0.0, int(o))
                 for r, o in zip(records, observed)
@@ -285,6 +326,30 @@ class TestErrorBars:
             probability_std=float(np.std(probs, ddof=1)),
             trials=trials,
         )
+
+    @pytest.mark.parametrize("seed", [0, 13, 2**31 - 1])
+    def test_bootstrap_stream_is_not_the_observed_stream(self, seed):
+        def first_words(rng):
+            return rng.bit_generator.random_raw(4)
+
+        # SeedSequence pads its entropy with zeros: default_rng([seed, 0]) is default_rng(seed)
+        observed = first_words(np.random.default_rng(seed))
+        assert (first_words(np.random.default_rng([seed, 0])) == observed).all()
+        bootstrap = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        assert not (first_words(bootstrap) == observed).any()
+
+        expected = np.full(36, 1e6)
+        counts = _bootstrap_counts(expected, 1, seed)
+        assert (counts[0] != np.random.default_rng(seed).poisson(expected)).any()
+        bootstrap = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        assert (counts[0] == bootstrap.poisson(expected)).all()
+
+    def test_fewer_trials_draw_a_prefix(self):
+        expected = np.linspace(0.0, 100.0, 36)
+        many = _bootstrap_counts(expected, 50, seed=21)
+        assert many.shape == (50, 36)
+        for k in (2, 7, 49):
+            assert (many[:k] == _bootstrap_counts(expected, k, seed=21)).all()
 
     def test_requires_two_trials(self, stage2_state):
         records = simulate_counts(stage2_state, 500, seed=8)
