@@ -384,31 +384,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     report = oracle_check(grid_step=args.grid_step, tol=args.tol)
     lines = []
-    by_scenario: dict[str, list] = {}
-    for record in report.records:
-        by_scenario.setdefault(record.scenario, []).append(record)
-    for kind in ("distinguishable", "indistinguishable", "partial"):
-        records = by_scenario.get(kind, [])
-        if not records:
-            continue
-        worst_state = max(r.state_deviation for r in records)
-        worst_prob = max(max(r.probability_deviation, r.cumulative_deviation) for r in records)
-        bad = [r for r in records if r.max_deviation() > report.tol]
-        status = "FAIL" if bad else "PASS"
+    for check in report.scenarios:
+        status = "FAIL" if check.failures(report.tol).size else "PASS"
         lines.append(
-            f"{status} {kind:<18} points={len(records)}"
-            f" max|dstate|={worst_state:.3e} max|dP|={worst_prob:.3e}"
+            f"{status} {check.kind:<18} points={check.points}"
+            f" max|dstate|={check.max_state_deviation:.3e}"
+            f" max|dP|={check.max_probability_deviation:.3e}"
         )
-    for note in report.skipped:
-        lines.append(f"SKIPPED-singular {note}")
+    lines.extend(f"SKIPPED-singular {note}" for note in report.skipped)
     exit_code = 0
-    if report.failures:
-        first = report.failures[0]
+    first = report.first_failure
+    if first is not None:
         lines.append(
             "FAIL first offending tuple:"
             f" scenario={first.scenario} T={_fmt(first.T)}"
             f" epsilon={_fmt(first.epsilon)} stage={first.stage}"
-            f" deviation={first.max_deviation():.3e}"
+            f" deviation={first.deviation:.3e}"
         )
         exit_code = 1
     text = "\n".join(lines) + "\n"
@@ -442,6 +433,8 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     total = _as_float(cfg, "total_triples") if "total_triples" in cfg else 500.0
     trials = _as_int(cfg, "trials") if "trials" in cfg else 200
     seed = args.seed if args.seed is not None else (_as_int(cfg, "seed") if "seed" in cfg else 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     n_settings = _as_int(cfg, "settings") if "settings" in cfg else 36
     if n_settings not in (16, 36):
         raise ConfigError(f"settings must be 16 or 36, got {n_settings}")

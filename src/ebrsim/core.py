@@ -108,24 +108,6 @@ class DensityOperator:
         return cls(np.outer(v, v.conj()), trace_weight=1.0)
 
 
-def apply_local(rho: DensityOperator, k_a: np.ndarray, k_b: np.ndarray) -> DensityOperator:
-    """Apply a product operator ``(K_A (x) K_B) rho (K_A (x) K_B)^dag``.
-
-    The result is left unnormalized; its trace weight is the branch
-    weight after the (generally trace-decreasing) local operation.
-    """
-    ka = _as_complex_matrix(k_a)
-    kb = _as_complex_matrix(k_b)
-    if ka.shape[0] * kb.shape[0] != rho.dim:
-        raise ValueError(
-            f"local operators of dims {ka.shape[0]}x{kb.shape[0]} do not match dim {rho.dim}"
-        )
-    # np.kron(ka, kb) by broadcasting: the same products, a fraction of the call cost
-    k = (ka[:, None, :, None] * kb[None, :, None, :]).reshape(rho.dim, rho.dim)
-    out = k @ rho.matrix @ k.conj().T
-    return DensityOperator(out, float(np.trace(out).real))
-
-
 def normalize(rho: DensityOperator) -> tuple[DensityOperator, float]:
     """Rescale to unit trace; return ``(state, probability)``.
 

@@ -315,13 +315,13 @@ def oracle_protocol(
     cumulative doubling under feed-forward and the points without a stage
     III.  A column config gives columns and ``(n, 4, 4)`` state stacks,
     and its stage III holds only the points in its ``kept`` mask: those
-    whose filter factors are not NaN and whose filtered X entries sum to
-    more than ``ZERO_TRACE_FLOOR``, the rule of
-    :func:`~ebrsim.protocol.apply_filters`.  A single point runs as a
-    one-element column and comes back as floats; with a singular
-    prescription it has stages I-II only, and filtered down to zero trace
-    it raises :class:`~ebrsim.core.ZeroTrace`, as :func:`run_protocol`
-    does.
+    whose filter factors are not NaN and whose filtered diagonal X entries
+    sum to more than ``ZERO_TRACE_FLOOR``, the rule of
+    :func:`~ebrsim.protocol.apply_filters`.  That sum is four times the
+    trace of the filtered operator.  A single point runs as a one-element
+    column and comes back as floats; with a singular prescription it has
+    stages I-II only, and with a sum at most the floor it raises
+    :class:`~ebrsim.core.ZeroTrace`, as :func:`run_protocol` does.
 
     ``branches`` maps ``(kind, env_pol)`` to the :func:`_pure_branches`
     expansions already evaluated on this config's ``T`` column, convention
@@ -417,47 +417,97 @@ def hom_coincidence(t: float, p: float, convention: str = "real") -> float:
     return p * results["same"] + (1.0 - p) * results["other"]
 
 
-@dataclass(frozen=True)
-class OracleCheckRecord:
-    """Deviations between the closed form and the oracle at one grid point."""
+# Stage labels, in the order of the stage axis of a deviation array.
+STAGES = ("I", "II", "III")
+
+
+class OracleFailure(NamedTuple):
+    """A grid tuple whose largest deviation exceeds the tolerance."""
 
     scenario: str
-    p: float
     T: float
     epsilon: float
     stage: str
-    state_deviation: float
-    probability_deviation: float
-    cumulative_deviation: float
+    deviation: float
 
-    def max_deviation(self) -> float:
-        return max(self.state_deviation, self.probability_deviation, self.cumulative_deviation)
+
+@dataclass(frozen=True)
+class ScenarioDeviations:
+    """One scenario's deviations between the closed form and the oracle.
+
+    ``deviations[i, j, s]`` holds the state, probability and cumulative
+    probability deviations at the ``i``-th grid ``T``, the ``j``-th
+    ``epsilon`` and stage ``STAGES[s]``.  ``compared`` has the shape of
+    its first three axes and marks the stages compared: all of stages
+    I-II, and stage III where the prescription is not singular.
+    Uncompared entries hold zero.
+    """
+
+    kind: str
+    deviations: np.ndarray
+    compared: np.ndarray
+
+    @property
+    def points(self) -> int:
+        return int(np.count_nonzero(self.compared))
+
+    @property
+    def max_state_deviation(self) -> float:
+        return float(np.max(self.deviations[..., 0], where=self.compared, initial=0.0))
+
+    @property
+    def max_probability_deviation(self) -> float:
+        """Largest probability or cumulative probability deviation."""
+        return float(
+            np.max(self.deviations[..., 1:], where=self.compared[..., None], initial=0.0)
+        )
+
+    def failures(self, tol: float) -> np.ndarray:
+        """Flat C-order indices of the compared stages deviating by more than ``tol``."""
+        return np.flatnonzero((self.deviations.max(axis=-1) > tol) & self.compared)
 
 
 @dataclass(frozen=True)
 class OracleCheckReport:
-    records: list[OracleCheckRecord]
+    """:func:`oracle_check`'s deviation columns over the grid ``T`` and ``epsilons``."""
+
+    T: np.ndarray
+    epsilons: tuple[float, ...]
+    scenarios: tuple[ScenarioDeviations, ...]
     skipped: list[str]
     tol: float
 
     @property
-    def failures(self) -> list[OracleCheckRecord]:
-        return [r for r in self.records if r.max_deviation() > self.tol]
+    def first_failure(self) -> OracleFailure | None:
+        """The first failing tuple by scenario, then ``T``, ``epsilon`` and stage."""
+        for check in self.scenarios:
+            hits = check.failures(self.tol)
+            if hits.size:
+                i, j, s = np.unravel_index(hits[0], check.compared.shape)
+                return OracleFailure(
+                    scenario=check.kind,
+                    T=float(self.T[i]),
+                    epsilon=self.epsilons[j],
+                    stage=STAGES[s],
+                    deviation=float(check.deviations[i, j, s].max()),
+                )
+        return None
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.first_failure is None
+
+    @property
+    def points(self) -> int:
+        return sum(check.points for check in self.scenarios)
 
     @property
     def max_state_deviation(self) -> float:
-        return max((r.state_deviation for r in self.records), default=0.0)
+        return max((c.max_state_deviation for c in self.scenarios), default=0.0)
 
     @property
     def max_probability_deviation(self) -> float:
-        return max(
-            (max(r.probability_deviation, r.cumulative_deviation) for r in self.records),
-            default=0.0,
-        )
+        return max((c.max_probability_deviation for c in self.scenarios), default=0.0)
 
 
 def oracle_check(
@@ -482,9 +532,11 @@ def oracle_check(
     The whole grid is one column: the four pure preparations are each
     evolved once over it, and the closed form and the oracle each run once
     per scenario and ``epsilon``, the oracle on the closed form's filter
-    column with its singular points marked NaN.  ``records`` and
-    ``skipped`` are ordered scenario by scenario, then by ``T``, then by
-    ``epsilon``, and a record's stages by I, II, III.
+    column with its singular points marked NaN.  The report holds one
+    :class:`ScenarioDeviations` per scenario, whose arrays are indexed by
+    ``T``, ``epsilon`` and stage; ``skipped`` and
+    :attr:`OracleCheckReport.first_failure` follow the same order,
+    scenario by scenario, then by ``T``, ``epsilon`` and stage.
     """
     if not (0.0 <= tol < math.inf):
         raise InvalidParameter(f"tol must be nonnegative and finite, got {tol!r}")
@@ -498,18 +550,19 @@ def oracle_check(
         raise InvalidParameter(
             f"grid_step {grid_step!r} asks for more than {MAX_GRID_POINTS} grid points"
         )
-    grid = [k * grid_step for k in range(1, round(intervals))]
-    column = np.array(grid)
+    # k * grid_step for k = 1 .. round(1/grid_step) - 1, one product per point
+    column = np.arange(1, round(intervals)) * grid_step
     branches = {
         (kind, env_pol): _pure_branches(kind, env_pol, column, convention, "H")
         for kind in ("indistinguishable", "distinguishable")
         for env_pol in ("H", "V")
     }
-    records: list[OracleCheckRecord] = []
+    scenarios: list[ScenarioDeviations] = []
     skipped: list[str] = []
     for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
-        compared = []
-        for eps in epsilons:
+        deviations = np.zeros((column.size, len(epsilons), len(STAGES), 3))
+        compared = np.ones(deviations.shape[:-1], dtype=bool)
+        for j, eps in enumerate(epsilons):
             filters = table_filters(scenario, column, eps)
             config = ChannelConfig(scenario=scenario, T=column, filters=filters)
             closed = run_protocol(config)
@@ -520,36 +573,22 @@ def oracle_check(
                 and np.array_equal(kept, oracle[2].kept)
             ):
                 raise ZeroTrace("filtering removed all population from the state")
-            deviations = [
-                (
-                    ref.stage,
-                    np.max(np.abs(ref.state - alt.state), axis=(1, 2)).tolist(),
-                    np.abs(ref.probability - alt.probability).tolist(),
-                    np.abs(ref.cumulative_probability - alt.cumulative_probability).tolist(),
+            compared[:, j, 2] = kept
+            # stages I-II hold every grid point, stage III only the kept ones
+            for s, (ref, alt) in enumerate(zip(closed, oracle)):
+                deviations[compared[:, j, s], j, s] = np.stack(
+                    [
+                        np.max(np.abs(ref.state - alt.state), axis=(1, 2)),
+                        np.abs(ref.probability - alt.probability),
+                        np.abs(ref.cumulative_probability - alt.cumulative_probability),
+                    ],
+                    axis=-1,
                 )
-                for ref, alt in zip(closed, oracle)
-            ]
-            # stage III's row for each kept grid point; stages I-II hold every point
-            third = (np.cumsum(kept) - 1).tolist()
-            compared.append((eps, kept.tolist(), third, deviations))
-        for i, t in enumerate(grid):
-            for eps, kept, third, deviations in compared:
-                if not kept[i]:
-                    skipped.append(
-                        f"{scenario.kind} T={t:.6g} epsilon={eps:.6g}: singular prescription"
-                    )
-                for stage, state_dev, prob_dev, cum_dev in deviations[: 3 if kept[i] else 2]:
-                    j = third[i] if stage == "III" else i
-                    records.append(
-                        OracleCheckRecord(
-                            scenario=scenario.kind,
-                            p=scenario.p,
-                            T=t,
-                            epsilon=eps,
-                            stage=stage,
-                            state_deviation=state_dev[j],
-                            probability_deviation=prob_dev[j],
-                            cumulative_deviation=cum_dev[j],
-                        )
-                    )
-    return OracleCheckReport(records=records, skipped=skipped, tol=tol)
+        scenarios.append(ScenarioDeviations(scenario.kind, deviations, compared))
+        skipped.extend(
+            f"{scenario.kind} T={column[i]:.6g} epsilon={epsilons[j]:.6g}: singular prescription"
+            for i, j in zip(*np.nonzero(~compared[:, :, 2]))
+        )
+    return OracleCheckReport(
+        T=column, epsilons=tuple(epsilons), scenarios=tuple(scenarios), skipped=skipped, tol=tol
+    )

@@ -281,10 +281,13 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     untouched.  ``probability`` is the conditional pass probability
     (new trace over old), and the cumulative probability multiplies.
 
-    A single point filtered down to a trace of at most
-    ``ZERO_TRACE_FLOOR`` raises :class:`~ebrsim.core.ZeroTrace`.  For a
-    column the output keeps only the points whose filtered trace exceeds
-    the floor, which also drops the NaN factors of a singular prescription.
+    The floor applies to the sum of the filtered diagonal entries
+    ``alpha + beta + gamma + delta``, which is ``4P``: four times the
+    filtered branch probability, so a point keeps stage III while that
+    probability exceeds ``ZERO_TRACE_FLOOR / 4``.  A single point whose sum
+    is at most ``ZERO_TRACE_FLOOR`` raises :class:`~ebrsim.core.ZeroTrace`.
+    For a column the output keeps only the points whose sum exceeds the
+    floor, which also drops the NaN factors of a singular prescription.
     """
     p = stage_out.params
     (alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b), scalar = columns(

@@ -126,7 +126,7 @@ def test_05_fock_oracle_equivalence():
     elapsed = time.perf_counter() - start
     ok = rep.ok and elapsed < 30.0
     report(5, "fock-oracle-equivalence", ok,
-           f"points={len(rep.records)} max_state={rep.max_state_deviation:.2e}"
+           f"points={rep.points} max_state={rep.max_state_deviation:.2e}"
            f" max_prob={rep.max_probability_deviation:.2e} {elapsed:.2f}s")
 
 

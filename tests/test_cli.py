@@ -570,6 +570,16 @@ class TestOracleCheckCommand:
         assert out.encode() == golden
         assert out_path.read_bytes() == golden
 
+    def test_failing_output_equals_golden_file(self, capsys, tmp_path):
+        # every scenario fails at 7e-16, and the first failure is mid-grid (T = 0.96)
+        golden = (DATA / "oracle_check_0.02_tol7e-16.txt").read_bytes()
+        out_path = tmp_path / "report.txt"
+        argv = ["oracle-check", "--grid-step", "0.02", "--tol", "7e-16", "--out", str(out_path)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert out.encode() == golden
+        assert out_path.read_bytes() == golden
+
 
 class TestTomographyCommand:
     CFG = (
@@ -672,6 +682,12 @@ class TestTomographyCommand:
         assert (code, out) == (3, "")
         assert err == "domain error: count totals too low to calibrate the measurement scale\n"
 
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.CFG)
+        code, out, err = run_cli(capsys, ["tomography", "--config", path, "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "config error: seed must be nonnegative, got -1\n"
+
     def test_named_truth_states(self, tmp_path, capsys):
         path = write_config(tmp_path, "state = singlet\ntotal_triples = 400\ntrials = 5\n")
         code, out, _ = run_cli(capsys, ["tomography", "--config", path])
@@ -693,6 +709,7 @@ class TestTomographyCommand:
             ("state = singlet\nbackground = inf\n", "background must be nonnegative"),
             ("state = singlet\nbackground = -3\n", "background must be nonnegative"),
             ("state = singlet\ntotal_triples = 1e300\n", "expected counts per setting"),
+            ("state = singlet\nseed = -1\n", "seed must be nonnegative, got -1"),
         ],
     )
     def test_config_errors(self, tmp_path, capsys, cfg, fragment):

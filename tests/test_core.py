@@ -20,7 +20,6 @@ from ebrsim.core import (
     DensityOperator,
     EbrsimError,
     ZeroTrace,
-    apply_local,
     maximally_mixed,
     normalize,
     singlet_vector,
@@ -70,23 +69,6 @@ def test_singlet_vector_entries():
     assert v[0] == 0 and v[3] == 0
     # HV and VH amplitudes with relative phase -i
     assert v[2] / v[1] == pytest.approx(-1j)
-
-
-def test_apply_local_filter_weight():
-    rho = DensityOperator.from_pure(singlet_vector())
-    k = np.diag([1.0, np.sqrt(0.5)])
-    filtered = apply_local(rho, k, np.eye(2))
-    # V on Alice carries half the singlet weight, so it loses 0.25
-    assert filtered.trace_weight == pytest.approx(0.75)
-    state, prob = normalize(filtered)
-    assert prob == pytest.approx(0.75)
-    assert np.trace(state.matrix).real == pytest.approx(1.0)
-
-
-def test_apply_local_dimension_check():
-    rho = maximally_mixed(4)
-    with pytest.raises(ValueError):
-        apply_local(rho, np.eye(3), np.eye(2))
 
 
 def test_normalize_reports_the_matrix_trace():

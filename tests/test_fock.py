@@ -9,7 +9,7 @@ from ebrsim.fock import (
     MAX_GRID_POINTS,
     FockState,
     ModeLabel,
-    OracleCheckRecord,
+    STAGES,
     ZeroProbability,
     _occupation_factor,
     _pure_branches,
@@ -230,24 +230,24 @@ class TestOracleCheck:
         assert report.ok
         assert report.max_state_deviation <= 1e-12
         assert report.max_probability_deviation <= 1e-12
-        kinds = {r.scenario for r in report.records}
-        assert kinds == {"distinguishable", "indistinguishable", "partial"}
+        kinds = [check.kind for check in report.scenarios]
+        assert kinds == ["distinguishable", "indistinguishable", "partial"]
 
     def test_singular_points_are_skipped_not_compared(self):
         report = oracle_check(grid_step=0.25, epsilons=(1.0,))
         assert any("T=0.5" in note for note in report.skipped)
-        stages_at_half = {
-            r.stage
-            for r in report.records
-            if r.scenario == "indistinguishable" and r.T == 0.5
-        }
-        assert stages_at_half == {"I", "II"}
+        check = report.scenarios[1]
+        assert check.kind == "indistinguishable"
+        half = report.T.tolist().index(0.5)
+        stages_at_half = [STAGES[s] for s in np.flatnonzero(check.compared[half, 0])]
+        assert stages_at_half == ["I", "II"]
+        assert not check.deviations[half, 0, 2].any()
 
     def test_impossible_tolerance_reports_failures(self):
         report = oracle_check(grid_step=0.25, epsilons=(1.0,), tol=0.0)
         assert not report.ok
-        assert report.failures
-        worst = max(r.max_deviation() for r in report.failures)
+        assert 0.0 < report.first_failure.deviation
+        worst = max(report.max_state_deviation, report.max_probability_deviation)
         assert worst <= 1e-12  # only round-off level deviations exist
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-12, math.inf])
@@ -286,7 +286,11 @@ class TestOracleCheck:
 
 
 def _reference_oracle_check(grid_step, epsilons, convention="real"):
-    """Scenario-major loop of single-point closed-form and oracle calls."""
+    """Scenario-major loop of single-point closed-form and oracle calls.
+
+    Returns one ``(kind, T, epsilon, stage, state, probability,
+    cumulative)`` deviation tuple per compared stage, and the skipped notes.
+    """
     records = []
     skipped = []
     for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
@@ -302,19 +306,14 @@ def _reference_oracle_check(grid_step, epsilons, convention="real"):
                     )
                 for ref, alt in zip(closed, oracle):
                     records.append(
-                        OracleCheckRecord(
-                            scenario=scenario.kind,
-                            p=scenario.p,
-                            T=t,
-                            epsilon=eps,
-                            stage=ref.stage,
-                            state_deviation=float(
-                                np.max(np.abs(ref.state.matrix - alt.state.matrix))
-                            ),
-                            probability_deviation=abs(ref.probability - alt.probability),
-                            cumulative_deviation=abs(
-                                ref.cumulative_probability - alt.cumulative_probability
-                            ),
+                        (
+                            scenario.kind,
+                            t,
+                            eps,
+                            ref.stage,
+                            float(np.max(np.abs(ref.state.matrix - alt.state.matrix))),
+                            abs(ref.probability - alt.probability),
+                            abs(ref.cumulative_probability - alt.cumulative_probability),
                         )
                     )
     return records, skipped
@@ -353,6 +352,10 @@ def _assert_same_stages(left, right):
 
 
 class TestPureBranchReuse:
+    @pytest.fixture(scope="class")
+    def reference_002(self):
+        return _reference_oracle_check(0.02, (1.0, 0.25))
+
     def test_oracle_check_evolves_four_preparations_over_the_grid(self, monkeypatch):
         evolved = _counting(monkeypatch, "evolve_bs")
         protocols = _counting(monkeypatch, "oracle_protocol")
@@ -371,8 +374,38 @@ class TestPureBranchReuse:
         epsilons = (1.0, 0.25)
         records, skipped = _reference_oracle_check(0.25, epsilons, convention)
         report = oracle_check(grid_step=0.25, epsilons=epsilons, convention=convention)
-        assert report.records == records
+        grid = [0.25, 0.5, 0.75]
+        assert report.T.tolist() == grid
+        assert [c.kind for c in report.scenarios] == list(dict.fromkeys(r[0] for r in records))
+        for check in report.scenarios:
+            deviations = np.zeros((len(grid), len(epsilons), len(STAGES), 3))
+            compared = np.zeros(deviations.shape[:-1], dtype=bool)
+            for kind, t, eps, stage, *devs in records:
+                if kind == check.kind:
+                    at = (grid.index(t), epsilons.index(eps), STAGES.index(stage))
+                    deviations[at] = devs
+                    compared[at] = True
+            assert np.array_equal(check.deviations, deviations)
+            assert np.array_equal(check.compared, compared)
         assert report.skipped == skipped
+
+    # at 7e-16 on the 0.02 grid the first failure sits mid-grid, at T = 0.96;
+    # None stands for the largest deviation itself, which does not exceed it
+    @pytest.mark.parametrize("tol", [0.0, 3e-16, 7e-16, None])
+    def test_first_failure_follows_reference_order(self, reference_002, tol):
+        records, _ = reference_002
+        if tol is None:
+            tol = max(max(r[4:]) for r in records)
+        report = oracle_check(grid_step=0.02, epsilons=(1.0, 0.25), tol=tol)
+        over = [r for r in records if max(r[4:]) > tol]
+        if over:
+            kind, t, eps, stage, *devs = over[0]
+            assert report.first_failure == (kind, t, eps, stage, max(devs))
+        else:
+            assert report.first_failure is None and report.ok
+        for check in report.scenarios:
+            failing = any(r[0] == check.kind for r in over)
+            assert (check.failures(tol).size > 0) == failing
 
     @pytest.mark.parametrize("convention", ["real", "phase"])
     @pytest.mark.parametrize("branch", ["H", "V"])

@@ -237,14 +237,13 @@ class TestFilters:
 
     def test_filtering_is_physical(self):
         # KrhoK^dag with K = diag(1, sqrt(A)) per arm reproduces the entry map
-        from ebrsim.core import apply_local, normalize
+        from ebrsim.core import DensityOperator, normalize
 
         out = stage2(partial(0.6), 0.37)
         a_a, a_b = 0.41, 0.77
         filtered = apply_filters(out, FilterPair(a_a, a_b))
-        k_a = np.diag([1.0, math.sqrt(a_a)])
-        k_b = np.diag([1.0, math.sqrt(a_b)])
-        direct = apply_local(out.state, k_a, k_b)
+        k = np.kron(np.diag([1.0, math.sqrt(a_a)]), np.diag([1.0, math.sqrt(a_b)]))
+        direct = DensityOperator(k @ out.state.matrix @ k.conj().T)
         direct_state, passed = normalize(direct)
         assert np.allclose(direct_state.matrix, filtered.state.matrix, atol=1e-14)
         assert filtered.probability == pytest.approx(passed)
