@@ -13,18 +13,15 @@ memory stays bounded whatever the number of steps.  A point without
 stage III (a singular prescription, or a filtered trace of zero) gets
 its stage I-II rows with NaN filter factors.
 
-The sweep writers format a block with one ``%``: the header (in the
-first block), then a fixed row template (``_CSV_ROW``, ``_JSON_RECORD``)
-repeated once per row, filled from the flattened rows, so no row becomes
-a string of its own.  The bytes of the whole table are those of
-``csv.writer`` with ``_fmt`` on every float, and of
+A block is built as a ``(rows, 10)`` array of cell strings
+(``_sweep_cells``) in which each distinct value is formatted once: a
+swept-over constant once per block, a point's swept value and filter
+factors once per point, a stage's concurrence and probabilities once per
+stage row.  Non-finite values are handled per column.  Each writer fills
+one all-``%s`` table template with one ``%``, giving the bytes of
+``csv.writer`` with ``_fmt`` on every float and of
 ``json.dumps({"records": ...}, indent=2)`` with NaN as ``null``: the
-scenario and stage labels never need CSV quoting, and ``str`` of a
-finite float is the repr json writes.  The templates exist
-because the general writers cost more than the physics on a large
-sweep: with ``indent`` set, ``json.dumps`` skips its C encoder and walks
-every value in Python, and ``csv.writer`` makes one ``_fmt`` call per
-float.
+labels never need CSV quoting, and ``repr`` of a finite float is json's.
 
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
@@ -35,11 +32,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from contextlib import nullcontext
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -73,21 +70,18 @@ SWEEP_HEADER = (
 MAX_SWEEP_POINTS = 1_000_000
 
 # Points per run_protocol call of a sweep.  Each block's three (n, 4, 4)
-# state stacks, rows and text are freed once the block is written, so a
+# state stacks, cells and text are freed once the block is written, so a
 # sweep's memory does not grow with its length.
 SWEEP_BLOCK = 4096
 
-# Row templates, repeated once per row into one table template.  Fields
-# 0-1 (scenario kind, stage label) never need CSV quoting, and "%.17g" is
-# _fmt for fields 2-9.
-_CSV_ROW = "%s,%s" + ",%.17g" * 8 + "\n"
+# Row templates of the 10 cell strings, repeated once per row into one table template.
+_CSV_ROW = ",".join(["%s"] * 10) + "\n"
 # One record of json.dumps({"records": [...]}, indent=2), keys pre-encoded.
 _JSON_RECORD = (
     "    {\n"
     + ",\n".join(f"      {encode_basestring_ascii(k)}: %s" for k in SWEEP_HEADER.split(","))
     + "\n    }"
 )
-_FLOAT_ONLY = {float}
 
 
 class ConfigError(Exception):
@@ -126,9 +120,11 @@ def _load_config(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
-_RUN_KEYS = {"scenario", "p", "T", "epsilon", "A_A", "A_B", "branch", "feed_forward", "seed"}
+_RUN_KEYS = {"scenario", "p", "T", "epsilon", "A_A", "A_B", "branch", "feed_forward"}
 _SWEEP_KEYS = _RUN_KEYS | {"variable", "start", "stop", "steps"}
-_TOMO_KEYS = _RUN_KEYS | {"state", "stage", "total_triples", "trials", "settings", "background"}
+_TOMO_KEYS = _RUN_KEYS | {
+    "seed", "state", "stage", "total_triples", "trials", "settings", "background",
+}
 
 
 def _check_keys(cfg: dict[str, str], allowed: set[str]) -> None:
@@ -279,74 +275,75 @@ def _swept(config: ChannelConfig, variable: str, values: np.ndarray) -> ChannelC
     return dataclasses.replace(config, **{variable: values})
 
 
-def _sweep_rows(config: ChannelConfig) -> list[tuple]:
-    """Row tuples of a column of points, stage by stage within each point.
+def _csv_numbers(col: np.ndarray) -> list[str]:
+    """``_fmt`` of each value of a float64 column."""
+    return ["%.17g" % x for x in col.tolist()]
 
-    A point whose stage III is masked (a singular prescription, or a
-    filtered trace of zero) gets stages I-II with NaN filter factors.
+
+def _json_numbers(col: np.ndarray) -> list[str]:
+    """The JSON text of each value of a float64 column: ``repr``, or NaN as ``null``."""
+    if np.isfinite(col).all():
+        return list(map(repr, col.tolist()))
+    return ["null" if math.isnan(x) else json.dumps(x) for x in col.tolist()]
+
+
+def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
+    """The table of a column of points as a ``(rows, 10)`` array of cell strings.
+
+    Rows go point by point: stages I and II, then III where the point kept
+    it; a point without stage III (a singular prescription, or a filtered
+    trace of zero) has NaN filter factors.  ``number`` maps a float64
+    column to its strings and ``label`` a label to its cell.
     """
     stages = run_protocol(config)
     kept = stages[2].kept
-    n = kept.size
-    a_a = np.full(n, math.nan)
-    a_b = np.full(n, math.nan)
-    a_a[kept] = stages[2].filters.a_a
-    a_b[kept] = stages[2].filters.a_b
-    epsilon = config.epsilon if config.epsilon is not None else 0.0
-    shared = [np.broadcast_to(x, n) for x in (config.T, epsilon, config.scenario.p, a_a, a_b)]
-    per_stage = []
-    for out in stages:
-        # stages I-II hold every point (or one, where only epsilon is swept), III the kept ones
-        fields = [concurrence_x(out.params), out.probability, out.cumulative_probability]
-        if out.kept is None:
-            fields = shared + [np.broadcast_to(x, n) for x in fields]
-        else:
-            fields = [x[kept] for x in shared] + fields
-        per_stage.append(
-            zip(repeat(config.scenario.kind), repeat(out.stage), *(x.tolist() for x in fields))
-        )
-    first, second, third = per_stage
-    rows: list[tuple] = []
-    for row_1, row_2, has_3 in zip(first, second, kept.tolist()):
-        rows += (row_1, row_2, next(third)) if has_3 else (row_1, row_2)
-    return rows
+    per_point = 2 + kept
+    first = np.cumsum(per_point) - per_point
+    cells = np.empty((per_point.sum(), 10), dtype=object)
+    filters = np.full((2, kept.size), math.nan)
+    filters[:, kept] = stages[2].filters.a_a, stages[2].filters.a_b
+
+    def text(values) -> np.ndarray:
+        # a single value (a constant, or stage I-II of an epsilon sweep) broadcasts
+        return np.array(number(np.reshape(values, -1)), dtype=object)
+
+    cells[:, 0] = label(config.scenario.kind)
+    epsilon = 0.0 if config.epsilon is None else config.epsilon
+    for column, values in enumerate((config.T, epsilon, config.scenario.p, *filters), start=2):
+        cells[:, column] = np.repeat(text(values), per_point) if np.ndim(values) else text(values)
+    for out, rows in zip(stages, (first, first + 1, first[kept] + 2)):
+        probability = text(out.probability)
+        cells[rows, 1] = label(out.stage)
+        cells[rows, 7] = text(concurrence_x(out.params))
+        cells[rows, 8] = probability
+        # stage I's cumulative column, and stage II's without feed-forward, is its probability
+        cumulative = out.cumulative_probability
+        cells[rows, 9] = probability if cumulative is out.probability else text(cumulative)
+    return cells
 
 
-def _sweep_csv(rows: list[tuple], header: bool = True) -> str:
-    """The rows as CSV: what ``csv.writer`` writes with ``_fmt`` on each float.
+def _sweep_csv(cells: np.ndarray, header: bool = True) -> str:
+    """``_csv_numbers`` cells as what ``csv.writer`` writes with ``_fmt`` on each float.
 
     Without ``header`` the text continues a table begun by an earlier block.
     """
     head = SWEEP_HEADER + "\n" if header else ""
-    return (head + _CSV_ROW * len(rows)) % tuple(chain.from_iterable(rows))
+    return (head + _CSV_ROW * len(cells)) % tuple(cells.flat)
 
 
-def _json_value(x) -> str:
-    return "null" if isinstance(x, float) and math.isnan(x) else json.dumps(x)
+def _sweep_json(cells: np.ndarray, first: bool = True, last: bool = True) -> str:
+    """``_json_numbers`` cells as ``json.dumps({"records": [...]}, indent=2)``.
 
-
-def _sweep_json(rows: list[tuple], first: bool = True, last: bool = True) -> str:
-    """The rows as ``json.dumps({"records": [...]}, indent=2)``, NaN as null.
-
-    ``str`` of a finite float is the ``float.__repr__`` json writes; a row
-    with a NaN, an infinity or a non-float goes through ``json.dumps``
-    value by value.  ``rows`` is not empty.  A table written in blocks
-    opens the document in its ``first`` block and closes it in its
-    ``last``; the blocks between continue the record list.
+    ``cells`` is not empty.  A table written in blocks opens the document
+    in its ``first`` block and closes it in its ``last``; the blocks
+    between continue the record list.
     """
-    fields: list = []
-    for row in rows:
-        nums = row[2:]
-        if set(map(type, nums)) == _FLOAT_ONLY and math.isfinite(sum(nums)):
-            fields += (encode_basestring_ascii(row[0]), encode_basestring_ascii(row[1]), *nums)
-        else:
-            fields += map(_json_value, row)
     template = (
         ('{\n  "records": [\n' if first else ",\n")
-        + ",\n".join([_JSON_RECORD] * len(rows))
+        + ",\n".join([_JSON_RECORD] * len(cells))
         + ("\n  ]\n}\n" if last else "")
     )
-    return template % tuple(fields)
+    return template % tuple(cells.flat)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -370,14 +367,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The whole swept column is range-checked here, so a config error exits 2
     # before any byte is written; then each block is written as it is done.
     config = _swept(_parse_channel({**base, variable: cfg["start"]}), variable, values)
+    formats = (_json_numbers, encode_basestring_ascii) if args.format == "json" else (_csv_numbers,)
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         for start in range(0, values.size, SWEEP_BLOCK):
             stop = start + SWEEP_BLOCK
-            rows = _sweep_rows(_swept(config, variable, values[start:stop]))
+            cells = _sweep_cells(_swept(config, variable, values[start:stop]), *formats)
             if args.format == "json":
-                fh.write(_sweep_json(rows, first=start == 0, last=stop >= values.size))
+                fh.write(_sweep_json(cells, first=start == 0, last=stop >= values.size))
             else:
-                fh.write(_sweep_csv(rows, header=start == 0))
+                fh.write(_sweep_csv(cells, header=start == 0))
     return 0
 
 
@@ -482,7 +480,9 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="ebrsim",
         description="Simulator for beam-splitter entanglement breaking and restoration.",

@@ -262,13 +262,12 @@ def stage2(
             xi=params.xi,
             P=params.P,
         )
-    factor = 2.0 if feed_forward else 1.0
     out = StageOutput(
         stage="II",
         params=params,
         state=normalized_state(params),
         probability=params.P,
-        cumulative_probability=factor * params.P,
+        cumulative_probability=2.0 * params.P if feed_forward else params.P,
     )
     return _point(out) if scalar else out
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,10 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 class TestConfigParsing:
@@ -121,6 +126,7 @@ class TestRunCommand:
         "cfg,fragment",
         [
             ("scenario = distinguishable\nT = 0.4\nbogus = 1\n", "unknown config key: bogus"),
+            ("scenario = distinguishable\nT = 0.4\nseed = oops\n", "unknown config key: seed"),
             ("T = 0.4\n", "missing required config key: scenario"),
             ("scenario = distinguishable\n", "missing required config key: T"),
             ("scenario = distinguishable\nT = 0.4\np = 0.5\n", "p only applies"),
@@ -295,6 +301,10 @@ class TestSweepCommand:
             ("variable = T\nstart = -inf\nstop = 0.9\nsteps = 1", "must be finite"),
             ("variable = T\nstart = -1e308\nstop = 1e308\nsteps = 2", "finite span"),
             ("variable = T\nstart = 0\nstop = 1e308\nsteps = 3", "finite span"),
+            (
+                "variable = T\nstart = 0.1\nstop = 0.9\nsteps = 3\nseed = 1",
+                "unknown config key: seed",
+            ),
         ],
     )
     def test_sweep_config_errors(self, tmp_path, capsys, line, fragment):
@@ -464,23 +474,40 @@ SYNTHETIC_ROWS = [
     ("partial", "III", -0.0, 5e-324, 1e16, 1e-7, 0.1, 0.30000000000000004, 1.0, 0.0),
     ("indistinguishable", "I", 0.5, 0.25, 1.0, math.nan, math.nan, 0.0, 1e-300, 2.5e-8),
     ("distinguishable", "II", 1e16, -0.0, 0.0, math.inf, -math.inf, 1e22, 1.5, 123456789.125),
-    ("partial", "II", 0.3, 0.4, 0.85, 0.5, 1.0, 2, 0.25, 0.5),
+    ("partial", "II", 0.3, 0.4, 0.85, 0.5, 1.0, 2.0, 0.25, 0.5),
     ("partial", "I", 1e308, 1e308, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
 ]
 
 
+def csv_cells(rows):
+    return row_cells(rows, cli._csv_numbers, str)
+
+
+def json_cells(rows):
+    return row_cells(rows, cli._json_numbers, encode_basestring_ascii)
+
+
+def row_cells(rows, number, label):
+    """The rows' cells as the sweep builds them: each numeric column through ``number``."""
+    kinds, stages, *numbers = zip(*rows)
+    return np.column_stack(
+        [np.array([label(x) for x in labels], dtype=object) for labels in (kinds, stages)]
+        + [np.array(number(np.array(col, dtype=np.float64)), dtype=object) for col in numbers]
+    )
+
+
 class TestSweepWriters:
-    """The templated writers against csv.writer + _fmt and json.dumps(indent=2)."""
+    """The cell formatters and writers against csv.writer + _fmt and json.dumps(indent=2)."""
 
     @pytest.mark.parametrize("index", range(len(SYNTHETIC_ROWS)))
     def test_one_row(self, index):
         rows = [SYNTHETIC_ROWS[index]]
-        assert cli._sweep_csv(rows) == reference_csv(rows)
-        assert cli._sweep_json(rows) == reference_json(rows)
+        assert cli._sweep_csv(csv_cells(rows)) == reference_csv(rows)
+        assert cli._sweep_json(json_cells(rows)) == reference_json(rows)
 
     def test_all_rows(self):
-        assert cli._sweep_csv(SYNTHETIC_ROWS) == reference_csv(SYNTHETIC_ROWS)
-        assert cli._sweep_json(SYNTHETIC_ROWS) == reference_json(SYNTHETIC_ROWS)
+        assert cli._sweep_csv(csv_cells(SYNTHETIC_ROWS)) == reference_csv(SYNTHETIC_ROWS)
+        assert cli._sweep_json(json_cells(SYNTHETIC_ROWS)) == reference_json(SYNTHETIC_ROWS)
 
     def test_random_bit_patterns(self):
         # every float64 class: normal, subnormal, signed zero, inf, nan payloads
@@ -489,8 +516,8 @@ class TestSweepWriters:
         rows = [("partial", "III", *v) for v in bits.view(np.float64).tolist()]
         # and short decimals, which take the fewest repr digits
         rows += [("partial", "II", *v) for v in rng.uniform(0, 1, size=(50, 8)).round(3).tolist()]
-        assert cli._sweep_csv(rows) == reference_csv(rows)
-        assert cli._sweep_json(rows) == reference_json(rows)
+        assert cli._sweep_csv(csv_cells(rows)) == reference_csv(rows)
+        assert cli._sweep_json(json_cells(rows)) == reference_json(rows)
 
 
 class TestOracleCheckCommand:
