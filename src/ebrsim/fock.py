@@ -19,9 +19,12 @@ operators come back as ``(n, 4, 4)`` stacks.  A partial overlap is the
 ``(p, 1-p)`` mixture of the two pure preparations, and the filters act
 after the environment measurement, so the Fock expansion depends only on
 the pure preparation, the environment polarization, the beam-splitter
-convention and the measured branch.  :func:`oracle_check` evaluates each
-of its four pure preparations once over its whole ``T`` grid and hands
-them to one :func:`oracle_protocol` call per scenario and ``epsilon``.
+convention and the measured branch.  :func:`oracle_check` merges all of
+its scenarios and ``epsilon`` values into one column per block of its
+``T`` grid: it evaluates each of its four pure preparations once on the
+block's ``T`` values and hands them to one :func:`oracle_protocol` call on
+the merged column, which repeats those values once per scenario and
+``epsilon``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .core import (
 from .metrics import XStateParams
 from .protocol import (
     ChannelConfig,
+    FilterPair,
     Scenario,
     SingularPrescription,
     StageOutput,
@@ -61,6 +65,10 @@ MAX_PHOTONS = 3
 
 # Largest number of interior T values one oracle_check grid may have.
 MAX_GRID_POINTS = 10_000
+
+# Largest merged column (scenarios x epsilons x grid T values) that one
+# oracle_check block evaluates at once; it bounds the block's memory.
+CHECK_BLOCK = 4096
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -324,9 +332,12 @@ def oracle_protocol(
     :class:`~ebrsim.core.ZeroTrace`, as :func:`run_protocol` does.
 
     ``branches`` maps ``(kind, env_pol)`` to the :func:`_pure_branches`
-    expansions already evaluated on this config's ``T`` column, convention
-    and branch, so that several calls share them; by default each call
-    evaluates its own.
+    expansions already evaluated with this config's convention and branch,
+    on a column of ``k`` values whose ``m``-fold repetition is the
+    config's ``T`` column (``m = 1``: the column itself).  Point ``i`` of
+    the config then reads the expansions at ``i % k``, and they are
+    broadcast, not copied ``m`` times; by default each call evaluates its
+    own on ``T``.
     """
     try:
         filters = resolve_filters(config)
@@ -346,14 +357,25 @@ def oracle_protocol(
             for env_pol in ("H", "V")
         }
 
-    rho_1 = np.zeros((t.size, 4, 4), dtype=np.complex128)
-    rho_2 = np.zeros((t.size, 4, 4), dtype=np.complex128)
+    # the column repeats the expansions' points: accumulate on (repeats, points)
+    points = next(iter(branches.values()))[0].size if branches else t.size
+    repeats = t.size // max(points, 1)
+    if repeats * points != t.size:
+        raise InvalidParameter(f"branches on {points} points do not repeat to {t.size} points")
+    rho_1 = np.zeros((repeats, points, 4, 4), dtype=np.complex128)
+    rho_2 = np.zeros((repeats, points, 4, 4), dtype=np.complex128)
     for weight, kind in preparations:
+        # a preparation adds only zeros where its weight is 0: skip such repeats at either end
+        weight = weight.reshape(repeats, points)
+        weighted = np.flatnonzero(weight.any(axis=1))
+        span = slice(weighted[0], weighted[-1] + 1)
         for env_pol in ("H", "V"):
             p_select, m_1, m_2 = branches[kind, env_pol]
-            share = (0.5 * weight * p_select)[:, None, None]
-            rho_1 += share * m_1
-            rho_2 += share * m_2
+            share = (0.5 * weight[span] * p_select)[..., None, None]
+            rho_1[span] += share * m_1
+            rho_2[span] += share * m_2
+    rho_1 = rho_1.reshape(t.size, 4, 4)
+    rho_2 = rho_2.reshape(t.size, 4, 4)
     if config.branch == "V" and config.feed_forward:
         k = np.kron(*feed_forward_correction())
         rho_2 = k @ rho_2 @ k.conj().T
@@ -529,14 +551,17 @@ def oracle_check(
     a step that leaves no point, or more than :data:`MAX_GRID_POINTS`, is
     rejected, and so are an empty ``epsilons`` and a ``tol`` that is
     negative, infinite or NaN, since each would make the check vacuous.
-    The whole grid is one column: the four pure preparations are each
-    evolved once over it, and the closed form and the oracle each run once
-    per scenario and ``epsilon``, the oracle on the closed form's filter
-    column with its singular points marked NaN.  The report holds one
-    :class:`ScenarioDeviations` per scenario, whose arrays are indexed by
-    ``T``, ``epsilon`` and stage; ``skipped`` and
-    :attr:`OracleCheckReport.first_failure` follow the same order,
-    scenario by scenario, then by ``T``, ``epsilon`` and stage.
+    The grid is evaluated in blocks of ``T`` values, each one merged
+    column over every scenario (in order of ``p``), ``epsilon`` and ``T``
+    of the block, of at most :data:`CHECK_BLOCK` points.  Per block the
+    four pure preparations are evolved once, on the block's ``T`` values,
+    and the closed form and the oracle each run once, the oracle on the
+    closed form's filter column with its singular points marked NaN.  Every
+    step is elementwise, so a point's deviations do not depend on the block
+    it sits in.  The report holds one :class:`ScenarioDeviations` per
+    scenario, whose arrays are indexed by ``T``, ``epsilon`` and stage;
+    ``skipped`` and :attr:`OracleCheckReport.first_failure` follow the same
+    order, scenario by scenario, then by ``T``, ``epsilon`` and stage.
     """
     if not (0.0 <= tol < math.inf):
         raise InvalidParameter(f"tol must be nonnegative and finite, got {tol!r}")
@@ -552,43 +577,99 @@ def oracle_check(
         )
     # k * grid_step for k = 1 .. round(1/grid_step) - 1, one product per point
     column = np.arange(1, round(intervals)) * grid_step
+    scenarios = (distinguishable(), indistinguishable(), partial(0.5))
+    # The merged column takes the scenarios in order of p, so that each pure
+    # preparation weighs one contiguous run of it and the oracle adds it there only.
+    by_p = sorted(range(len(scenarios)), key=lambda s: scenarios[s].p)
+    eps = np.asarray(epsilons, dtype=np.float64)
+    # indexed by scenario, T, epsilon and stage
+    deviations = np.zeros((len(scenarios), column.size, eps.size, len(STAGES), 3))
+    compared = np.ones(deviations.shape[:-1], dtype=bool)
+    width = max(1, CHECK_BLOCK // (len(scenarios) * eps.size))
+    for lo in range(0, column.size, width):
+        block = slice(lo, lo + width)
+        t = column[block]
+        # The last block's outputs stay referenced until this block's replace
+        # them, so the allocator reuses their memory instead of handing it back
+        # to the system and faulting it in again for every block.
+        closed, oracle = _run_block([scenarios[s] for s in by_p], t, eps, convention)
+        deviations[by_p, block], compared[by_p, block] = _block_deviations(
+            closed, oracle, (len(scenarios), eps.size, t.size)
+        )
+    skipped = [
+        f"{scenario.kind} T={column[i]:.6g} epsilon={epsilons[j]:.6g}: singular prescription"
+        for scenario, mask in zip(scenarios, compared)
+        for i, j in zip(*np.nonzero(~mask[:, :, 2]))
+    ]
+    return OracleCheckReport(
+        T=column,
+        epsilons=tuple(epsilons),
+        scenarios=tuple(
+            ScenarioDeviations(scenario.kind, dev, mask)
+            for scenario, dev, mask in zip(scenarios, deviations, compared)
+        ),
+        skipped=skipped,
+        tol=tol,
+    )
+
+
+def _run_block(
+    scenarios: list[Scenario], t: np.ndarray, epsilons: np.ndarray, convention: str
+) -> tuple[list[StageOutput], list[StageOutput]]:
+    """The closed form's and the oracle's outputs on one block ``t`` of grid values.
+
+    Both run once on the merged column, ordered by scenario, then
+    ``epsilon``, then ``T``, so it repeats ``t`` once per scenario and
+    ``epsilon``, and the oracle reads the pure preparations evolved on
+    ``t`` alone.
+    """
+    eps = np.repeat(epsilons, t.size)
+    filters = [table_filters(scenario, np.tile(t, epsilons.size), eps) for scenario in scenarios]
+    config = ChannelConfig(
+        scenario=partial(np.repeat([scenario.p for scenario in scenarios], eps.size)),
+        T=np.tile(t, len(scenarios) * epsilons.size),
+        filters=FilterPair(
+            np.concatenate([f.a_a for f in filters]), np.concatenate([f.a_b for f in filters])
+        ),
+    )
     branches = {
-        (kind, env_pol): _pure_branches(kind, env_pol, column, convention, "H")
+        (kind, env_pol): _pure_branches(kind, env_pol, t, convention, "H")
         for kind in ("indistinguishable", "distinguishable")
         for env_pol in ("H", "V")
     }
-    scenarios: list[ScenarioDeviations] = []
-    skipped: list[str] = []
-    for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
-        deviations = np.zeros((column.size, len(epsilons), len(STAGES), 3))
-        compared = np.ones(deviations.shape[:-1], dtype=bool)
-        for j, eps in enumerate(epsilons):
-            filters = table_filters(scenario, column, eps)
-            config = ChannelConfig(scenario=scenario, T=column, filters=filters)
-            closed = run_protocol(config)
-            oracle = oracle_protocol(config, convention, branches=branches)
-            kept = closed[2].kept
-            if not (
-                np.array_equal(kept, ~np.isnan(filters.a_a))
-                and np.array_equal(kept, oracle[2].kept)
-            ):
-                raise ZeroTrace("filtering removed all population from the state")
-            compared[:, j, 2] = kept
-            # stages I-II hold every grid point, stage III only the kept ones
-            for s, (ref, alt) in enumerate(zip(closed, oracle)):
-                deviations[compared[:, j, s], j, s] = np.stack(
-                    [
-                        np.max(np.abs(ref.state - alt.state), axis=(1, 2)),
-                        np.abs(ref.probability - alt.probability),
-                        np.abs(ref.cumulative_probability - alt.cumulative_probability),
-                    ],
-                    axis=-1,
-                )
-        scenarios.append(ScenarioDeviations(scenario.kind, deviations, compared))
-        skipped.extend(
-            f"{scenario.kind} T={column[i]:.6g} epsilon={epsilons[j]:.6g}: singular prescription"
-            for i, j in zip(*np.nonzero(~compared[:, :, 2]))
+    closed = run_protocol(config)
+    oracle = oracle_protocol(config, convention, branches=branches)
+    kept = closed[2].kept
+    if not (
+        np.array_equal(kept, ~np.isnan(config.filters.a_a))
+        and np.array_equal(kept, oracle[2].kept)
+    ):
+        raise ZeroTrace("filtering removed all population from the state")
+    return closed, oracle
+
+
+def _block_deviations(
+    closed: list[StageOutput], oracle: list[StageOutput], shape: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deviations and compared mask of a merged column of ``shape`` (scenarios, epsilons, T).
+
+    Both come back indexed by scenario, ``T``, ``epsilon`` and stage.
+    """
+    kept = closed[2].kept
+    compared = np.ones((kept.size, len(STAGES)), dtype=bool)
+    compared[:, 2] = kept
+    deviations = np.zeros((kept.size, len(STAGES), 3))
+    # stages I-II hold every point, stage III only the kept ones
+    for s, (ref, alt) in enumerate(zip(closed, oracle)):
+        deviations[compared[:, s], s] = np.stack(
+            [
+                np.max(np.abs(ref.state - alt.state), axis=(1, 2)),
+                np.abs(ref.probability - alt.probability),
+                np.abs(ref.cumulative_probability - alt.cumulative_probability),
+            ],
+            axis=-1,
         )
-    return OracleCheckReport(
-        T=column, epsilons=tuple(epsilons), scenarios=tuple(scenarios), skipped=skipped, tol=tol
+    return (
+        deviations.reshape(*shape, len(STAGES), 3).swapaxes(1, 2),
+        compared.reshape(*shape, len(STAGES)).swapaxes(1, 2),
     )

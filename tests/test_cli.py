@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 from ebrsim import cli
 from ebrsim.cli import ConfigError, SWEEP_HEADER, main, parse_config_text
+from ebrsim.core import EbrsimError, InvalidParameter
 from ebrsim.protocol import ChannelConfig, FilterPair, Scenario, run_protocol
 from ebrsim.tomography import UnusableCounts, counts_from_csv
 
@@ -585,8 +587,9 @@ class TestOracleCheckCommand:
         assert out.count("PASS") == 3
         assert out.count("points=") == 3
 
-    # 0.02 puts a grid point on the singular T = 1/2; 0.05 is the default grid
-    @pytest.mark.parametrize("step", ["0.02", "0.05"])
+    # 0.02 puts a grid point on the singular T = 1/2; 0.05 is the default grid;
+    # 0.001 has 999 T values, more than one oracle_check block holds
+    @pytest.mark.parametrize("step", ["0.02", "0.05", "0.001"])
     def test_output_equals_golden_file(self, capsys, tmp_path, step):
         golden = (DATA / f"oracle_check_{step}.txt").read_bytes()
         out_path = tmp_path / "report.txt"
@@ -745,3 +748,113 @@ class TestTomographyCommand:
         assert code == 2
         assert err.startswith("config error:")
         assert fragment in err
+
+
+# Values at, just past or far beyond an edge of some input's domain, and one
+# that is not a number; the plain values let a config reach the deeper layers.
+EDGE_VALUES = [
+    "0", "1", repr(0.5 + 1e-10), repr(0.5 - 1e-10), "5e-324", "1e-300", "nan", "inf",
+    "-inf", "-0.0", "1e308", "-1", "2", "oops",
+]
+PLAIN_VALUES = ["0.3", "0.25", "0.85", "0.7"]
+# the same for the integer keys and flags
+INTEGER_EDGE_VALUES = ["0", "1", "2", "-1", "-0", "1e308", "nan", "oops"]
+
+
+def _value(rng, edges=EDGE_VALUES):
+    return rng.choice(edges if rng.random() < 0.7 else PLAIN_VALUES)
+
+
+def _channel_keys(rng):
+    cfg = {
+        "scenario": rng.choice(["distinguishable", "indistinguishable", "partial", "Partial"]),
+        "T": _value(rng),
+    }
+    if cfg["scenario"].lower() == "partial" or rng.random() < 0.1:
+        cfg["p"] = _value(rng)
+    filters = rng.random()
+    if filters < 0.4:
+        cfg["epsilon"] = _value(rng)
+    elif filters < 0.6:
+        cfg["A_A"], cfg["A_B"] = _value(rng), _value(rng)
+    if rng.random() < 0.3:
+        cfg["branch"] = "V"
+    if rng.random() < 0.3:
+        cfg["feed_forward"] = "true"
+    return cfg
+
+
+def _run_argv(rng, path):
+    return _channel_keys(rng), ["run", "--config", path]
+
+
+def _sweep_argv(rng, path):
+    cfg = _channel_keys(rng)
+    variable = rng.choice(["T", "epsilon", "p"])
+    if variable == "epsilon" and rng.random() < 0.8:
+        cfg.pop("A_A", None), cfg.pop("A_B", None)
+    if variable == "p" and rng.random() < 0.8:
+        cfg["scenario"] = "partial"
+    cfg.update(variable=variable, start=_value(rng), stop=_value(rng), steps=rng.choice("127"))
+    return cfg, ["sweep", "--config", path, "--format", rng.choice(["csv", "json"])]
+
+
+def _tomography_argv(rng, path):
+    cfg = _channel_keys(rng)
+    cfg["state"] = rng.choice(["stage", "stage", "singlet", "mixed"])
+    cfg["stage"] = rng.choice(["I", "II", "III"])
+    for key, plain, edges in (
+        ("total_triples", "2000", EDGE_VALUES),
+        ("trials", "20", INTEGER_EDGE_VALUES),
+        ("settings", rng.choice(["16", "36"]), INTEGER_EDGE_VALUES),
+        ("background", "0.5", EDGE_VALUES),
+        ("seed", "3", INTEGER_EDGE_VALUES),
+    ):
+        draw = rng.random()
+        if draw < 0.2:
+            cfg[key] = rng.choice(edges)
+        elif draw < 0.8:
+            cfg[key] = plain
+    argv = ["tomography", "--config", path]
+    if rng.random() < 0.2:
+        argv.append(f"--seed={rng.choice(INTEGER_EDGE_VALUES)}")
+    return cfg, argv
+
+
+def _oracle_check_argv(rng, path):
+    return {}, ["oracle-check", f"--grid-step={_value(rng)}", f"--tol={_value(rng)}"]
+
+
+class TestExitCodeContract:
+    """Whatever a config or flag holds, a command returns a status or raises a typed error.
+
+    ``main`` maps ``ConfigError`` and ``InvalidParameter`` to exit 2 and other
+    ``EbrsimError``s to exit 3; anything else, a warning included, is a bug.
+    """
+
+    @pytest.mark.parametrize(
+        "make,count",
+        [(_run_argv, 120), (_sweep_argv, 150), (_tomography_argv, 150), (_oracle_check_argv, 60)],
+        ids=["run", "sweep", "tomography", "oracle-check"],
+    )
+    def test_only_typed_errors_escape(self, tmp_path, capsys, make, count):
+        rng = random.Random(20261018)
+        path = str(tmp_path / "edge.cfg")
+        for _ in range(count):
+            cfg, argv = make(rng, path)
+            text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
+            Path(path).write_text(text)
+            try:
+                args = cli.build_parser().parse_args(argv)
+            except SystemExit as exc:
+                # argparse's own exit 2 for a flag value that is not a number
+                assert exc.code == 2, argv
+                continue
+            try:
+                code = args.func(args)
+            except (ConfigError, InvalidParameter, EbrsimError):
+                continue
+            except Exception as exc:  # noqa: BLE001 - any other escape fails the contract
+                raise AssertionError(f"{argv} with config {text!r} raised {exc!r}") from exc
+            assert code in (0, 1), (argv, text)
+        capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from ebrsim.fock import (
     MAX_GRID_POINTS,
     FockState,
     ModeLabel,
+    OracleCheckReport,
     STAGES,
+    ScenarioDeviations,
     ZeroProbability,
     _occupation_factor,
     _pure_branches,
@@ -30,6 +33,7 @@ from ebrsim.protocol import (
     indistinguishable,
     partial,
     run_protocol,
+    table_filters,
 )
 
 
@@ -358,6 +362,7 @@ class TestPureBranchReuse:
 
     def test_oracle_check_evolves_four_preparations_over_the_grid(self, monkeypatch):
         evolved = _counting(monkeypatch, "evolve_bs")
+        closed = _counting(monkeypatch, "run_protocol")
         protocols = _counting(monkeypatch, "oracle_protocol")
         conditionals = _counting(monkeypatch, "conditional_state")
         oracle_check(grid_step=0.25, epsilons=(1.0, 0.25))
@@ -365,9 +370,25 @@ class TestPureBranchReuse:
         assert len(evolved) == 4
         for _, t, _ in evolved:
             assert t.tolist() == [0.25, 0.5, 0.75]
-        # one oracle call per scenario and epsilon; stage I and II per preparation
-        assert len(protocols) == 6
+        # the grid is one block: one closed-form and one oracle call on the column
+        # merged over the three scenarios and two epsilons
+        assert len(closed) == len(protocols) == 1
+        assert protocols[0][0].T.tolist() == [0.25, 0.5, 0.75] * 6
+        # stage I and II per preparation
         assert len(conditionals) == 8
+
+    def test_oracle_check_evaluates_each_block_once(self, monkeypatch):
+        # 49 grid T values in blocks of 20 // 6 = 3 points: 16 full blocks and one short
+        monkeypatch.setattr(fock, "CHECK_BLOCK", 20)
+        evolved = _counting(monkeypatch, "evolve_bs")
+        closed = _counting(monkeypatch, "run_protocol")
+        protocols = _counting(monkeypatch, "oracle_protocol")
+        report = oracle_check(grid_step=0.02, epsilons=(1.0, 0.25))
+        assert len(closed) == len(protocols) == 17
+        assert len(evolved) == 4 * 17
+        blocks = [t.tolist() for _, t, _ in evolved[::4]]
+        assert [len(b) for b in blocks] == [3] * 16 + [1]
+        assert sum(blocks, []) == report.T.tolist()
 
     @pytest.mark.parametrize("convention", ["real", "phase"])
     def test_records_equal_cold_scenario_major_reference(self, convention):
@@ -426,6 +447,116 @@ class TestPureBranchReuse:
         warm = oracle_protocol(cfg, convention, branches=branches)
         assert evolved == []
         _assert_same_stages(cold, warm)
+
+
+def _per_slice_oracle_check(grid_step, epsilons, convention, tol):
+    """Reference for the merged blocks: one column call per scenario and epsilon.
+
+    Runs the closed form and the oracle on the whole grid once per slice and
+    returns the report built from their deviation arrays.
+    """
+    column = np.arange(1, round(1.0 / grid_step)) * grid_step
+    branches = _pure_expansions(column, convention, "H")
+    scenarios = []
+    skipped = []
+    for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
+        deviations = np.zeros((column.size, len(epsilons), len(STAGES), 3))
+        compared = np.ones(deviations.shape[:-1], dtype=bool)
+        for j, eps in enumerate(epsilons):
+            filters = table_filters(scenario, column, eps)
+            config = ChannelConfig(scenario=scenario, T=column, filters=filters)
+            closed = run_protocol(config)
+            oracle = oracle_protocol(config, convention, branches=branches)
+            kept = closed[2].kept
+            assert np.array_equal(kept, ~np.isnan(filters.a_a))
+            assert np.array_equal(kept, oracle[2].kept)
+            compared[:, j, 2] = kept
+            for s, (ref, alt) in enumerate(zip(closed, oracle)):
+                deviations[compared[:, j, s], j, s] = np.stack(
+                    [
+                        np.max(np.abs(ref.state - alt.state), axis=(1, 2)),
+                        np.abs(ref.probability - alt.probability),
+                        np.abs(ref.cumulative_probability - alt.cumulative_probability),
+                    ],
+                    axis=-1,
+                )
+        scenarios.append(ScenarioDeviations(scenario.kind, deviations, compared))
+        skipped.extend(
+            f"{scenario.kind} T={column[i]:.6g} epsilon={epsilons[j]:.6g}: singular prescription"
+            for i, j in zip(*np.nonzero(~compared[:, :, 2]))
+        )
+    return OracleCheckReport(
+        T=column, epsilons=tuple(epsilons), scenarios=tuple(scenarios), skipped=skipped, tol=tol
+    )
+
+
+def _assert_same_report(merged, reference):
+    assert np.array_equal(merged.T, reference.T)
+    assert merged.epsilons == reference.epsilons
+    assert [c.kind for c in merged.scenarios] == [c.kind for c in reference.scenarios]
+    for check, ref in zip(merged.scenarios, reference.scenarios):
+        assert check.deviations.shape == ref.deviations.shape
+        assert np.array_equal(check.deviations, ref.deviations), check.kind
+        assert np.array_equal(check.compared, ref.compared), check.kind
+    assert merged.skipped == reference.skipped
+    assert merged.first_failure == reference.first_failure
+
+
+class TestMergedColumns:
+    """oracle_check's merged blocks give the per-(scenario, epsilon) loop's bits."""
+
+    # 0.5: the only grid point is the singular T = 1/2; 0.001: 999 T values,
+    # a full block of 682 and a short one of 317 at two epsilons
+    @pytest.mark.parametrize("grid_step", [0.5, 0.25, 0.02, 0.0199, 0.001])
+    @pytest.mark.parametrize("epsilons", [(1.0,), (1.0, 0.25), (1.0, 0.25, 1e-3)])
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    def test_equals_per_slice_loop(self, grid_step, epsilons, convention):
+        merged = oracle_check(grid_step, epsilons, convention=convention)
+        reference = _per_slice_oracle_check(grid_step, epsilons, convention, 1e-10)
+        # on the finer grids 0 and 3e-16 put the first failure at different tuples
+        for tol in (0.0, 3e-16, 1e-10):
+            _assert_same_report(replace(merged, tol=tol), replace(reference, tol=tol))
+
+    @pytest.mark.parametrize("block", [6, 7, 50, 100])
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    def test_block_size_does_not_move_a_bit(self, monkeypatch, block, convention):
+        # blocks of 1, 1, 8 and 16 grid T values; the 0.02 grid's 49 end in a short one
+        monkeypatch.setattr(fock, "CHECK_BLOCK", block)
+        epsilons = (1.0, 0.25)
+        merged = oracle_check(0.02, epsilons, tol=3e-16, convention=convention)
+        _assert_same_report(merged, _per_slice_oracle_check(0.02, epsilons, convention, 3e-16))
+
+    @pytest.mark.parametrize("branch,feed_forward", [("H", False), ("V", False), ("V", True)])
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    def test_branches_on_a_repeated_column_equal_tiled_branches(
+        self, branch, feed_forward, convention
+    ):
+        t = np.array([0.0, 0.2, 0.5, 0.62, 1.0])
+        repeats = 3
+        config = ChannelConfig(
+            scenario=partial(np.repeat([0.0, 1.0, 0.35], t.size)),
+            T=np.tile(t, repeats),
+            filters=FilterPair(
+                np.tile([0.4, math.nan, 0.9, 1.0, 0.3], repeats),
+                np.tile([0.8, 1.0, 0.05, 0.6, 1.0], repeats),
+            ),
+            branch=branch,
+            feed_forward=feed_forward,
+        )
+        branches = _pure_expansions(t, convention, branch)
+        tiled = {
+            key: tuple(np.tile(x, (repeats,) + (1,) * (x.ndim - 1)) for x in value)
+            for key, value in branches.items()
+        }
+        repeated = oracle_protocol(config, convention, branches=branches)
+        _assert_same_stages(repeated, oracle_protocol(config, convention, branches=tiled))
+        _assert_same_stages(repeated, oracle_protocol(config, convention))
+
+    def test_branches_must_repeat_to_the_column(self):
+        config = ChannelConfig(scenario=partial(0.5), T=np.linspace(0.1, 0.9, 5), epsilon=0.25)
+        branches = _pure_expansions(np.array([0.1, 0.3]), "real", "H")
+        with pytest.raises(InvalidParameter, match="repeat"):
+            oracle_protocol(config, branches=branches)
 
 
 def _single_point(config, i):
