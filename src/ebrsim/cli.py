@@ -25,7 +25,8 @@ labels never need CSV quoting, and ``repr`` of a finite float is json's.
 
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
-library raises), 3 domain error raised by the simulation.
+library raises, and an ``--out`` path that cannot be opened for
+writing), 3 domain error raised by the simulation.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import math
 import sys
 from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
+from typing import TextIO
 
 import numpy as np
 
@@ -118,6 +120,13 @@ def _load_config(path: str) -> dict[str, str]:
             return parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+
+
+def _open_out(path: str) -> TextIO:
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 _RUN_KEYS = {"scenario", "p", "T", "epsilon", "A_A", "A_B", "branch", "feed_forward"}
@@ -242,7 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "filters": {"A_A": filters.a_a, "A_B": filters.a_b},
             "stages": [_stage_obj(s) for s in stages],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(json.dumps(doc, indent=2))
             fh.write("\n")
     return 0
@@ -368,7 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # before any byte is written; then each block is written as it is done.
     config = _swept(_parse_channel({**base, variable: cfg["start"]}), variable, values)
     formats = (_json_numbers, encode_basestring_ascii) if args.format == "json" else (_csv_numbers,)
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+    with _open_out(args.out) if args.out else nullcontext(sys.stdout) as fh:
         for start in range(0, values.size, SWEEP_BLOCK):
             stop = start + SWEEP_BLOCK
             cells = _sweep_cells(_swept(config, variable, values[start:stop]), *formats)
@@ -403,7 +412,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text)
     return exit_code
 
@@ -453,7 +462,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
 
     if args.out:
         counts_path = args.out + ".counts.csv"
-        with open(counts_path, "w", encoding="utf-8") as fh:
+        with _open_out(counts_path) as fh:
             fh.write(counts_to_csv(records))
         doc = {
             "settings": n_settings,
@@ -474,7 +483,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
                 "probability_std": report.probability_std,
             },
         }
-        with open(args.out + ".result.json", "w", encoding="utf-8") as fh:
+        with _open_out(args.out + ".result.json") as fh:
             fh.write(json.dumps(doc, indent=2))
             fh.write("\n")
     return 0

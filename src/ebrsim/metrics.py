@@ -40,8 +40,10 @@ _ENTRY_NAMES = ("alpha", "beta", "gamma", "delta", "xi", "P")
 _OFF_X = ~np.eye(4, dtype=bool)
 _OFF_X[1, 2] = _OFF_X[2, 1] = False
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+# The spin flip sigma_y (x) sigma_y reverses the HH, HV, VH, VV basis and
+# signs it by (-1, 1, 1, -1), so rho~ = _FLIP_SIGNS * conj(rho) reversed in
+# both indices: the bits of the two matrix products, signed zeros included.
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 class NotTwoQubit(EbrsimError):
@@ -251,7 +253,7 @@ def concurrence(rho: DensityOperator | np.ndarray) -> ConcurrenceResult:
         raise NotTwoQubit(f"concurrence requires a two-qubit operator, got dim {stack.shape[-1]}")
     states, _ = unit_trace(stack)
     s = _hermitian_part(states)
-    flipped = _SPIN_FLIP @ s.conj() @ _SPIN_FLIP
+    flipped = _FLIP_SIGNS * s.conj()[:, ::-1, ::-1]
     root = _psd_sqrt(s)
     product = root @ flipped @ root
     vals = np.linalg.eigvalsh(_hermitian_part(product))

@@ -198,8 +198,9 @@ def _invert(
 
     Returns ``(states, scales, clipped)``: the ``(n, 4, 4)`` physical
     states, the fitted count scales and the clipped negative weights.
-    The coefficients are one ``pinv @ row`` product per row, which keeps
-    every row's arithmetic identical to a one-row call.  Counts that fix
+    The coefficients are one stacked ``pinv @ row`` product over all rows:
+    each row goes through the same matrix-vector product as a one-row
+    call, so its bits do not depend on the other rows.  Counts that fix
     no positive, finite scale raise :class:`UnusableCounts`, without a
     numpy warning where the product overflows.
     """
@@ -207,7 +208,7 @@ def _invert(
         raise RankDeficient(f"need at least 16 settings, got {len(settings)}")
     _, pinv = _design_matrix(settings)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.array([pinv @ row for row in counts])
+        coeffs = np.matmul(pinv, counts[:, :, None])[:, :, 0]
     scales = coeffs[:, 0]
     if not np.all(scales > 0.0):
         raise UnusableCounts("count totals too low to calibrate the measurement scale")
@@ -297,7 +298,10 @@ def error_bars(
     to the point estimate, the concurrence, and the relative scale.  All
     trials' counts come from one draw (see ``_bootstrap_counts``), and
     all trials are reconstructed and evaluated as one stack; each row
-    equals a one-trial reconstruction.
+    equals a one-trial reconstruction.  The fidelity is taken as
+    ``fidelity(result.state, trial)``, which Uhlmann fidelity's symmetry
+    allows, so the fitted state's square root is computed once rather
+    than one root per trial.
     """
     if trials < 2:
         raise InvalidParameter(f"trials must be at least 2 for a spread, got {trials}")
@@ -305,7 +309,7 @@ def error_bars(
     expected = result.scale * _rates(result.state.matrix, settings)
     counts = _bootstrap_counts(expected, trials, seed)
     states, scales, _ = _invert(settings, counts)
-    fidelities = fidelity(states, result.state)
+    fidelities = fidelity(result.state, states)
     concurrences = concurrence(states).value
     probabilities = scales / result.scale
     return UncertaintyReport(

@@ -825,6 +825,21 @@ def _oracle_check_argv(rng, path):
     return {}, ["oracle-check", f"--grid-step={_value(rng)}", f"--tol={_value(rng)}"]
 
 
+def _out_argv(rng, command, work):
+    """No ``--out``, or one into a missing directory, onto a directory, or to a new file."""
+    kind = rng.choice(["none", "missing", "directory", "valid"])
+    if kind == "none":
+        return []
+    if kind == "missing":
+        return ["--out", str(work / "missing" / "out")]
+    if kind == "valid":
+        return ["--out", str(work / "out")]
+    # tomography's --out is a prefix: one of the two files it names is a directory
+    suffix = rng.choice([".counts.csv", ".result.json"]) if command == "tomography" else ""
+    (work / f"taken{suffix}").mkdir(exist_ok=True)
+    return ["--out", str(work / "taken")]
+
+
 class TestExitCodeContract:
     """Whatever a config or flag holds, a command returns a status or raises a typed error.
 
@@ -839,9 +854,12 @@ class TestExitCodeContract:
     )
     def test_only_typed_errors_escape(self, tmp_path, capsys, make, count):
         rng = random.Random(20261018)
+        # a stream of its own, so the configs drawn do not depend on the --out draws
+        out_rng = random.Random(20261019)
         path = str(tmp_path / "edge.cfg")
         for _ in range(count):
             cfg, argv = make(rng, path)
+            argv += _out_argv(out_rng, argv[0], tmp_path)
             text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
             Path(path).write_text(text)
             try:
@@ -858,3 +876,28 @@ class TestExitCodeContract:
                 raise AssertionError(f"{argv} with config {text!r} raised {exc!r}") from exc
             assert code in (0, 1), (argv, text)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "command,suffix",
+        [("run", ""), ("sweep", ""), ("oracle-check", ""),
+         ("tomography", ".counts.csv"), ("tomography", ".result.json")],
+    )
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command, suffix, kind):
+        # tomography's --out is a prefix: the directory takes one of the two file names
+        config = {
+            "run": "scenario = distinguishable\nT = 0.4\n",
+            "sweep": "scenario = distinguishable\nvariable = T\nstart = 0.2\nstop = 0.8\nsteps = 3\n",
+            "tomography": "state = singlet\ntotal_triples = 2000\ntrials = 20\n",
+        }
+        argv = [command]
+        if command in config:
+            argv += ["--config", write_config(tmp_path, config[command])]
+        if kind == "missing":
+            out = tmp_path / "missing" / "out"
+        else:
+            out = tmp_path / "taken"
+            Path(f"{out}{suffix}").mkdir()
+        code, _, err = run_cli(capsys, argv + ["--out", str(out)])
+        assert code == 2
+        assert err.startswith("config error: cannot write")

@@ -4,8 +4,17 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from ebrsim.core import DensityOperator, InvalidParameter, maximally_mixed, singlet_vector
+from ebrsim.core import (
+    DensityOperator,
+    InvalidParameter,
+    maximally_mixed,
+    singlet_vector,
+    unit_trace,
+)
 from ebrsim.metrics import (
+    _FLIP_SIGNS,
+    _hermitian_part,
+    _psd_sqrt,
     NoThreshold,
     NotTwoQubit,
     XStateParams,
@@ -217,6 +226,22 @@ class TestConcurrence:
         with pytest.raises(ValueError, match="stack"):
             concurrence(np.eye(4) / 4)
 
+    def test_indexed_spin_flip_equals_pauli_products(self):
+        sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        spin_flip = np.kron(sigma_y, sigma_y)
+        for seed in range(4):
+            stack = random_states(np.random.default_rng(seed), 100)
+            s = _hermitian_part(unit_trace(stack)[0])
+            products = spin_flip @ s.conj() @ spin_flip
+            indexed = _FLIP_SIGNS * s.conj()[:, ::-1, ::-1]
+            # bit for bit, the signs of zeros included
+            assert np.array_equal(indexed.view(np.int64), products.view(np.int64))
+            # and Wootters' sqrt-eigenvalues through the products, as concurrence takes them
+            root = _psd_sqrt(s)
+            vals = np.linalg.eigvalsh(_hermitian_part(root @ products @ root))
+            lams = np.sqrt(np.clip(vals, 0.0, None))[:, ::-1]
+            assert np.array_equal(concurrence(stack).sqrt_eigenvalues, lams)
+
     def test_closed_form_matches_wootters(self):
         rng = np.random.default_rng(2024)
         for _ in range(500):
@@ -259,6 +284,15 @@ class TestFidelity:
             fidelity(maximally_mixed(4), maximally_mixed(2))
         with pytest.raises(ValueError):
             fidelity(maximally_mixed(4).matrix[None], maximally_mixed(2))
+
+    def test_stack_order_is_symmetric(self):
+        # Uhlmann fidelity is symmetric; round-off on rank-deficient states
+        # moves the two argument orders apart by up to about 1.5e-8
+        rng = np.random.default_rng(15)
+        stack = random_states(rng, 200)
+        for ref in random_states(rng, 8)[:4]:
+            target = DensityOperator(ref)
+            assert np.max(np.abs(fidelity(target, stack) - fidelity(stack, target))) <= 1e-7
 
     def test_stack_rows_equal_single_states(self):
         rng = np.random.default_rng(12)

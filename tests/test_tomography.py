@@ -17,6 +17,7 @@ from ebrsim.tomography import (
     UnusableCounts,
     _bootstrap_counts,
     _design_matrix,
+    _invert,
     _rates,
     counts_from_csv,
     counts_to_csv,
@@ -223,6 +224,30 @@ class TestReconstruct:
         with pytest.raises(UnusableCounts, match="too large"):
             reconstruct(records)
 
+    @pytest.mark.parametrize("minimal", [False, True])
+    @pytest.mark.parametrize("rows", [1, 2, 200])
+    def test_stacked_product_equals_per_row_products(self, stage2_state, minimal, rows):
+        settings = tuple(standard_settings(minimal))
+        _, pinv = _design_matrix(settings)
+        counts = _bootstrap_counts(_rates(stage2_state.matrix, settings) * 500.0, rows, seed=rows)
+        # the stacked product _invert takes, against one matrix-vector product per row
+        stacked = np.matmul(pinv, counts[:, :, None])[:, :, 0]
+        assert np.array_equal(stacked, np.array([pinv @ row for row in counts]))
+        states, scales, clipped = _invert(settings, counts)
+        assert np.array_equal(scales, stacked[:, 0])
+        for i in range(rows):
+            one = _invert(settings, counts[i:i + 1])
+            assert np.array_equal(states[i], one[0][0])
+            assert scales[i] == one[1][0] and clipped[i] == one[2][0]
+
+    @pytest.mark.parametrize("rows", [1, 200])
+    def test_overflowing_background_is_typed(self, rows):
+        # counts near -1e308, as background = 1e308 leaves them: the scale sums
+        # to -inf, and any numpy overflow warning would fail this test
+        settings = tuple(standard_settings())
+        with pytest.raises(UnusableCounts, match="calibrate"):
+            _invert(settings, np.full((rows, len(settings)), -1e308))
+
     def test_rank_deficient_settings_raise(self, stage2_state):
         records = [CountRecord("H", "H", 0.1, 10)] * 20
         with pytest.raises(RankDeficient):
@@ -314,7 +339,7 @@ class TestErrorBars:
                 CountRecord(r.setting_a, r.setting_b, 0.0, int(o))
                 for r, o in zip(records, observed)
             ])
-            fids.append(fidelity(trial.state, result.state))
+            fids.append(fidelity(result.state, trial.state))
             cons.append(concurrence(trial.state).value)
             probs.append(trial.scale / result.scale)
         assert error_bars(result, records, trials=trials, seed=seed) == UncertaintyReport(
