@@ -26,20 +26,24 @@ labels never need CSV quoting, and ``repr`` of a finite float is json's.
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
 library raises, and an ``--out`` path that cannot be opened for
-writing), 3 domain error raised by the simulation.
+writing), 3 domain error raised by the simulation.  Every command opens
+all its output files before it writes any output, so an ``--out`` that
+cannot be opened exits 2 with nothing written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
-from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -122,11 +126,38 @@ def _load_config(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
-def _open_out(path: str) -> TextIO:
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+@contextlib.contextmanager
+def _open_outputs(*paths: str) -> Iterator[list[TextIO]]:
+    """Every output file opened for writing, before a command writes any output.
+
+    A path that cannot be opened is a :class:`ConfigError`: the files opened
+    so far are closed again, the ones this call created are removed, and no
+    file that existed has been emptied, since a regular file is truncated
+    only once all of them are open.
+    """
+    files: list[TextIO] = []
+    created = []
+    with contextlib.ExitStack() as stack:
+        try:
+            for path in paths:
+                existed = os.path.lexists(path)
+                files.append(stack.enter_context(open(path, "a", encoding="utf-8")))
+                if not existed:
+                    created.append(path)
+        except OSError as exc:
+            stack.close()
+            for made in created:
+                os.remove(made)
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+        for fh in files:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+        yield files
+
+
+def _out_paths(out: str | None, *suffixes: str) -> list[str]:
+    """The files an ``--out`` value names: the path, or for a prefix one per suffix."""
+    return [out + suffix for suffix in suffixes or ("",)] if out else []
 
 
 _RUN_KEYS = {"scenario", "p", "T", "epsilon", "A_A", "A_B", "branch", "feed_forward"}
@@ -230,28 +261,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _parse_channel(cfg)
     filters = resolve_filters(config)
     stages = run_protocol(config)
-    print(
-        f"scenario={config.scenario.kind} T={config.T!r} p={config.scenario.p!r}"
-        f" branch={config.branch} feed_forward={'true' if config.feed_forward else 'false'}"
-    )
-    print(f"filters A_A={filters.a_a!r} A_B={filters.a_b!r}")
-    for out in stages:
-        c = concurrence_x(out.params)
+    with _open_outputs(*_out_paths(args.out)) as files:
         print(
-            f"stage {out.stage:<4} C={c:.4f}  P={out.probability:.4f}"
-            f"  cumP={out.cumulative_probability:.4f}"
+            f"scenario={config.scenario.kind} T={config.T!r} p={config.scenario.p!r}"
+            f" branch={config.branch} feed_forward={'true' if config.feed_forward else 'false'}"
         )
-    if args.out:
-        doc = {
-            "scenario": config.scenario.kind,
-            "p": config.scenario.p,
-            "T": config.T,
-            "branch": config.branch,
-            "feed_forward": config.feed_forward,
-            "filters": {"A_A": filters.a_a, "A_B": filters.a_b},
-            "stages": [_stage_obj(s) for s in stages],
-        }
-        with _open_out(args.out) as fh:
+        print(f"filters A_A={filters.a_a!r} A_B={filters.a_b!r}")
+        for out in stages:
+            c = concurrence_x(out.params)
+            print(
+                f"stage {out.stage:<4} C={c:.4f}  P={out.probability:.4f}"
+                f"  cumP={out.cumulative_probability:.4f}"
+            )
+        for fh in files:
+            doc = {
+                "scenario": config.scenario.kind,
+                "p": config.scenario.p,
+                "T": config.T,
+                "branch": config.branch,
+                "feed_forward": config.feed_forward,
+                "filters": {"A_A": filters.a_a, "A_B": filters.a_b},
+                "stages": [_stage_obj(s) for s in stages],
+            }
             fh.write(json.dumps(doc, indent=2))
             fh.write("\n")
     return 0
@@ -313,21 +344,24 @@ def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
     filters[:, kept] = stages[2].filters.a_a, stages[2].filters.a_b
 
     def text(values) -> np.ndarray:
-        # a single value (a constant, or stage I-II of an epsilon sweep) broadcasts
+        # a single value (a constant) broadcasts
         return np.array(number(np.reshape(values, -1)), dtype=object)
 
     cells[:, 0] = label(config.scenario.kind)
     epsilon = 0.0 if config.epsilon is None else config.epsilon
     for column, values in enumerate((config.T, epsilon, config.scenario.p, *filters), start=2):
         cells[:, column] = np.repeat(text(values), per_point) if np.ndim(values) else text(values)
+    # with T and p constant, stages I-II repeat one point: its values are formatted once
+    one_point = np.ndim(config.T) == np.ndim(config.scenario.p) == 0
     for out, rows in zip(stages, (first, first + 1, first[kept] + 2)):
-        probability = text(out.probability)
+        n = 1 if one_point and out.kept is None else None
+        probability = text(out.probability[:n])
         cells[rows, 1] = label(out.stage)
-        cells[rows, 7] = text(concurrence_x(out.params))
+        cells[rows, 7] = text(concurrence_x(out.params)[:n])
         cells[rows, 8] = probability
         # stage I's cumulative column, and stage II's without feed-forward, is its probability
         cumulative = out.cumulative_probability
-        cells[rows, 9] = probability if cumulative is out.probability else text(cumulative)
+        cells[rows, 9] = probability if cumulative is out.probability else text(cumulative[:n])
     return cells
 
 
@@ -377,7 +411,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # before any byte is written; then each block is written as it is done.
     config = _swept(_parse_channel({**base, variable: cfg["start"]}), variable, values)
     formats = (_json_numbers, encode_basestring_ascii) if args.format == "json" else (_csv_numbers,)
-    with _open_out(args.out) if args.out else nullcontext(sys.stdout) as fh:
+    with _open_outputs(*_out_paths(args.out)) as files:
+        fh = files[0] if files else sys.stdout
         for start in range(0, values.size, SWEEP_BLOCK):
             stop = start + SWEEP_BLOCK
             cells = _sweep_cells(_swept(config, variable, values[start:stop]), *formats)
@@ -410,9 +445,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         )
         exit_code = 1
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with _open_out(args.out) as fh:
+    with _open_outputs(*_out_paths(args.out)) as files:
+        for fh in (sys.stdout, *files):
             fh.write(text)
     return exit_code
 
@@ -453,39 +487,37 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     report = error_bars(result, records, trials=trials, seed=seed)
     f_truth = fidelity(result.state, truth)
 
-    print(f"settings={n_settings} total_triples={_fmt(total)} seed={seed} trials={trials}")
-    print(f"fidelity_to_truth={f_truth:.6f}")
-    print(f"concurrence={report.concurrence_mean:.6f} std={report.concurrence_std:.6f}")
-    print(f"fidelity_spread_std={report.fidelity_std:.6f}")
-    print(f"scale={_fmt(result.scale)} relative_std={report.probability_std:.6f}")
-    print(f"clipped_weight={_fmt(result.clipped_weight)}")
-
-    if args.out:
-        counts_path = args.out + ".counts.csv"
-        with _open_out(counts_path) as fh:
-            fh.write(counts_to_csv(records))
-        doc = {
-            "settings": n_settings,
-            "total_triples": total,
-            "seed": seed,
-            "background": background,
-            "state": _state_obj(result.state),
-            "scale": result.scale,
-            "clipped_weight": result.clipped_weight,
-            "fidelity_to_truth": f_truth,
-            "uncertainty": {
-                "trials": report.trials,
-                "fidelity_mean": report.fidelity_mean,
-                "fidelity_std": report.fidelity_std,
-                "concurrence_mean": report.concurrence_mean,
-                "concurrence_std": report.concurrence_std,
-                "probability_mean": report.probability_mean,
-                "probability_std": report.probability_std,
-            },
-        }
-        with _open_out(args.out + ".result.json") as fh:
-            fh.write(json.dumps(doc, indent=2))
-            fh.write("\n")
+    doc = {
+        "settings": n_settings,
+        "total_triples": total,
+        "seed": seed,
+        "background": background,
+        "state": _state_obj(result.state),
+        "scale": result.scale,
+        "clipped_weight": result.clipped_weight,
+        "fidelity_to_truth": f_truth,
+        "uncertainty": {
+            "trials": report.trials,
+            "fidelity_mean": report.fidelity_mean,
+            "fidelity_std": report.fidelity_std,
+            "concurrence_mean": report.concurrence_mean,
+            "concurrence_std": report.concurrence_std,
+            "probability_mean": report.probability_mean,
+            "probability_std": report.probability_std,
+        },
+    }
+    with _open_outputs(*_out_paths(args.out, ".counts.csv", ".result.json")) as files:
+        print(f"settings={n_settings} total_triples={_fmt(total)} seed={seed} trials={trials}")
+        print(f"fidelity_to_truth={f_truth:.6f}")
+        print(f"concurrence={report.concurrence_mean:.6f} std={report.concurrence_std:.6f}")
+        print(f"fidelity_spread_std={report.fidelity_std:.6f}")
+        print(f"scale={_fmt(result.scale)} relative_std={report.probability_std:.6f}")
+        print(f"clipped_weight={_fmt(result.clipped_weight)}")
+        if files:
+            counts_fh, result_fh = files
+            counts_fh.write(counts_to_csv(records))
+            result_fh.write(json.dumps(doc, indent=2))
+            result_fh.write("\n")
     return 0
 
 

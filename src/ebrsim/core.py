@@ -51,15 +51,38 @@ def columns(*values) -> tuple[list[np.ndarray], bool]:
     return [a.reshape(-1) for a in arrays], arrays[0].ndim == 0
 
 
+def as_columns(*values) -> tuple[tuple | list, bool]:
+    """:func:`columns` of the values; values that already are such columns pass as they are."""
+    shape = getattr(values[0], "shape", None)
+    if shape is not None and len(shape) == 1 and all(
+        isinstance(v, np.ndarray) and v.shape == shape and v.dtype == np.float64 for v in values
+    ):
+        return values, False
+    return columns(*values)
+
+
+def unchecked(cls, **fields):
+    """A ``cls`` dataclass of values that were checked already, built without its checks."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+def first_point(obj):
+    """A dataclass of one-point columns as the dataclass of the point's floats, unchecked."""
+    return unchecked(type(obj), **{name: float(value[0]) for name, value in vars(obj).items()})
+
+
 def require(ok, values, message: str) -> None:
     """Raise ``InvalidParameter(message.format(v))`` for the first ``v`` where ``ok`` fails.
 
     ``ok`` and ``values`` are a scalar or same-shape columns, so one check
     serves a single point and a whole column.
     """
-    if ok is True or np.all(ok):
+    ok = np.asarray(ok)
+    if ok.all():
         return
-    ok = np.asarray(ok).reshape(-1)
+    ok = ok.reshape(-1)
     bad = np.broadcast_to(np.asarray(values, dtype=np.float64), ok.shape)[np.argmin(ok)]
     raise InvalidParameter(message.format(float(bad)))
 

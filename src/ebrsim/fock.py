@@ -50,8 +50,8 @@ from .protocol import (
     ChannelConfig,
     FilterPair,
     Scenario,
-    SingularPrescription,
     StageOutput,
+    _column_config,
     _point,
     distinguishable,
     indistinguishable,
@@ -104,16 +104,6 @@ class FockState:
     """
 
     amps: dict[Key, complex | np.ndarray] = field(default_factory=dict)
-
-    def norm_squared(self) -> float | np.ndarray:
-        """Sum of the squared amplitude magnitudes; a column for column amplitudes."""
-        total = sum(abs(a) ** 2 for a in self.amps.values())
-        return total if np.ndim(total) else float(total)
-
-    def photon_number(self) -> int:
-        if not self.amps:
-            return 0
-        return len(next(iter(self.amps)))
 
 
 def _canonical(modes: Iterable[ModeLabel]) -> Key:
@@ -326,10 +316,10 @@ def oracle_protocol(
     whose filter factors are not NaN and whose filtered diagonal X entries
     sum to more than ``ZERO_TRACE_FLOOR``, the rule of
     :func:`~ebrsim.protocol.apply_filters`.  That sum is four times the
-    trace of the filtered operator.  A single point runs as a one-element
-    column and comes back as floats; with a singular prescription it has
-    stages I-II only, and with a sum at most the floor it raises
-    :class:`~ebrsim.core.ZeroTrace`, as :func:`run_protocol` does.
+    trace of the filtered operator.  A single point is wrapped as a
+    one-element column once, with the closed form's wrap, and unwrapped once
+    by its single-point rule: stages I-II only with a singular prescription,
+    :class:`~ebrsim.core.ZeroTrace` with a sum at most the floor.
 
     ``branches`` maps ``(kind, env_pol)`` to the :func:`_pure_branches`
     expansions already evaluated with this config's convention and branch,
@@ -339,12 +329,10 @@ def oracle_protocol(
     broadcast, not copied ``m`` times; by default each call evaluates its
     own on ``T``.
     """
-    try:
-        filters = resolve_filters(config)
-        factors = (filters.a_a, filters.a_b)
-    except SingularPrescription:
-        factors = (math.nan, math.nan)
-    (p, t, a_a, a_b), scalar = columns(config.scenario.p, config.T, *factors)
+    p, config, scalar = _column_config(config)
+    t = config.T
+    filters = resolve_filters(config)
+    a_a, a_b = filters.a_a, filters.a_b
     preparations: list[tuple[np.ndarray, str]] = []
     if np.any(p > 0.0):
         preparations.append((p, "indistinguishable"))
@@ -405,17 +393,13 @@ def oracle_protocol(
         _stage("I", rho_1, params_1, params_1.P, params_1.P),
         _stage("II", rho_2, params_2, p2, factor * p2),
     ]
-    if scalar and not kept[0]:
-        if math.isnan(a_a[0]):
-            return [_point(s) for s in stages]
-        raise ZeroTrace("filtering removed all population from the state")
     rho_3, p2 = rho_3[kept], p2[kept]
     params_3 = XStateParams.from_operator(rho_3)
     pass_probability = params_3.P / p2
     stages.append(
         _stage("III", rho_3, params_3, pass_probability, factor * p2 * pass_probability, kept)
     )
-    return [_point(s) for s in stages] if scalar else stages
+    return _point(stages, math.isnan(a_a[0])) if scalar else stages
 
 
 def hom_coincidence(t: float, p: float, convention: str = "real") -> float:

@@ -22,6 +22,7 @@ from .core import (
     DensityOperator,
     EbrsimError,
     InvalidParameter,
+    as_columns,
     columns,
     normalize,
     singlet_vector,
@@ -84,25 +85,21 @@ class XStateParams:
     def __post_init__(self) -> None:
         # One pass over floats or columns alike; on failure the ordered checks
         # below name the first entry and point that fails.
-        alpha, beta, gamma, delta, xi, p = entries = (
-            self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P
+        entries = np.array(
+            (self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P), dtype=np.float64
         )
         if np.isfinite(entries).all():
+            alpha, beta, gamma, delta, xi, p = entries
             total = alpha + beta + gamma + delta
             bound = np.sqrt(np.maximum(beta, 0.0) * np.maximum(gamma, 0.0))
-            ok = (
-                (alpha >= -_EPS)
-                & (beta >= -_EPS)
-                & (gamma >= -_EPS)
-                & (delta >= -_EPS)
-                & (0.0 < p)
-                & (p <= 1.0 + _EPS)
-                & (abs(total - 4.0 * p) <= 4.0 * _EPS)
-                & (abs(xi) <= bound + _EPS)
-            )
-            if ok.all():
+            if (
+                (entries[:4] >= -_EPS).all()
+                and ((0.0 < p) & (p <= 1.0 + _EPS)).all()
+                and (abs(total - 4.0 * p) <= 4.0 * _EPS).all()
+                and (abs(xi) <= bound + _EPS).all()
+            ):
                 return
-        entries = np.array(entries, dtype=np.float64).reshape(6, -1)
+        entries = entries.reshape(6, -1)
         alpha, beta, gamma, delta, xi, p = entries
         _check(np.isfinite(entries), entries, "{name} must be finite, got {value!r}")
         _check(entries[:4] >= -_EPS, entries, "{name} must be nonnegative, got {value!r}")
@@ -121,11 +118,6 @@ class XStateParams:
             "|xi| = {value!r} exceeds sqrt(beta*gamma) = {other!r}",
             bound,
         )
-
-    def row(self, i: int) -> "XStateParams":
-        """Point ``i`` of a column of parameters, with float entries."""
-        entries = columns(self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P)[0]
-        return XStateParams(*(float(v[i]) for v in entries))
 
     @classmethod
     def from_operator(cls, rho: DensityOperator | np.ndarray) -> "XStateParams":
@@ -185,7 +177,7 @@ def _check(ok: np.ndarray, values: np.ndarray, message: str, other=None) -> None
 
 def assemble(params: XStateParams) -> np.ndarray:
     """Unnormalized X matrix with trace ``4 P``; an ``(n, 4, 4)`` stack for columns."""
-    (alpha, beta, gamma, delta, xi), scalar = columns(
+    (alpha, beta, gamma, delta, xi), scalar = as_columns(
         params.alpha, params.beta, params.gamma, params.delta, params.xi
     )
     m = np.zeros((alpha.size, 4, 4), dtype=np.complex128)
@@ -200,9 +192,9 @@ def assemble(params: XStateParams) -> np.ndarray:
 
 def normalized_state(params: XStateParams) -> DensityOperator | np.ndarray:
     """Unit-trace state ``assemble(params) / 4P``; an ``(n, 4, 4)`` stack for columns."""
-    (p,), scalar = columns(params.P)
-    states = assemble(params).reshape(-1, 4, 4) / (4.0 * p).reshape(-1, 1, 1)
-    return DensityOperator(states[0], 1.0) if scalar else states
+    matrices = assemble(params)
+    states = matrices.reshape(-1, 4, 4) / (4.0 * np.reshape(params.P, (-1, 1, 1)))
+    return DensityOperator(states[0], 1.0) if matrices.ndim == 2 else states
 
 
 @dataclass(frozen=True)

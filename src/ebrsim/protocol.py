@@ -19,15 +19,18 @@ state is their quotient by ``4P``.
 Every parameter of the pipeline (``p``, ``T``, ``epsilon`` and the filter
 factors) may be a float or a 1-D float64 column, and every stage function
 evaluates a column at once: a sweep is one call per block of points.  A
-float input runs the same code as a one-element column and comes back as
-floats, a :class:`~ebrsim.core.DensityOperator` state and the scalar
-errors; a column comes back as columns and ``(n, 4, 4)`` state stacks, and
-a point without stage III is masked instead of raising.
+single point is wrapped as a one-element column once, in :func:`run_protocol`,
+and unwrapped to floats and :class:`~ebrsim.core.DensityOperator` states
+once, by :func:`_point`, which holds the single-point rule; float calls to
+a stage function pass one door, :func:`_columnar`.  A column gets columns
+and ``(n, 4, 4)`` state stacks, and a point without stage III is masked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +40,11 @@ from .core import (
     InvalidParameter,
     ZeroTrace,
     ZERO_TRACE_FLOOR,
+    as_columns,
     columns,
+    first_point,
     require,
+    unchecked,
 )
 from .metrics import XStateParams, normalized_state
 
@@ -47,6 +53,9 @@ _SCENARIO_KINDS = ("distinguishable", "indistinguishable", "partial")
 # Below this distance from T = 1/2 the indistinguishable filter
 # prescription degenerates (the 2T-1 coherence amplitude vanishes).
 SINGULAR_T_WINDOW = 1e-9
+
+# A product of filter factors below the smallest normal float has lost digits.
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 class SingularPrescription(EbrsimError):
@@ -175,46 +184,56 @@ class StageOutput:
     kept: np.ndarray | None = None
 
 
-def _point(out: StageOutput) -> StageOutput:
-    """A one-point column output as floats and a ``DensityOperator``."""
-    filters = out.filters
-    if filters is not None:
-        filters = FilterPair(float(filters.a_a[0]), float(filters.a_b[0]))
-    return StageOutput(
-        stage=out.stage,
-        params=out.params.row(0),
-        state=DensityOperator(out.state[0], 1.0),
-        probability=float(out.probability[0]),
-        cumulative_probability=float(out.cumulative_probability[0]),
-        filters=filters,
-    )
+def _point(stages: list[StageOutput], singular: bool = False) -> list[StageOutput]:
+    """One-point column outputs as floats and states, by the single-point rule.
+
+    A point the last stage did not keep has the stages before it if its
+    prescription was ``singular`` (NaN factors), and raises ZeroTrace if not.
+    """
+    if stages[-1].kept is not None and not stages[-1].kept[0]:
+        if not singular:
+            raise ZeroTrace("filtering removed all population from the state")
+        stages = stages[:-1]
+    return [
+        StageOutput(
+            out.stage,
+            first_point(out.params),
+            unchecked(DensityOperator, matrix=out.state[0], trace_weight=1.0),
+            float(out.probability[0]),
+            float(out.cumulative_probability[0]),
+            out.filters and first_point(out.filters),
+        )
+        for out in stages
+    ]
 
 
-def _stage1_params(p: float | np.ndarray, t: float | np.ndarray) -> XStateParams:
+def _columnar(fn):
+    """The one door for float calls to ``fn``, which computes on 1-D float64 columns.
+
+    Values and column keywords (a partial ``p``) that are such columns pass;
+    others are broadcast, and a call of floats gets its output as floats.
+    """
+
+    @functools.wraps(fn)
+    def door(*values, **options):
+        names = [name for name, value in options.items() if isinstance(value, np.ndarray)]
+        given, scalar = as_columns(*values, *(options[name] for name in names))
+        options.update(zip(names, given[len(values):]))
+        out = fn(*given[: len(values)], **options)
+        return _point([out])[0] if scalar else out
+
+    return door
+
+
+@_columnar
+def _stage1(t: np.ndarray, *, p) -> StageOutput:
+    _check_transmittivity(t)
     r = 1.0 - t
     w = 2.0 * t - 1.0  # exact for t >= 1/4: the coherence keeps its digits near T = 1/2
     beta = r * r + 2.0 * t * (t - p * r)
-    return XStateParams(
-        alpha=r * r,
-        beta=beta,
-        gamma=beta,
-        delta=r * r,
-        xi=-2.0 * t * (p * w + (1.0 - p) * t),
-        P=r * r + t * (t - p * r),
-    )
-
-
-def _stage2_params(p: float | np.ndarray, t: float | np.ndarray) -> XStateParams:
-    r = 1.0 - t
-    w = 2.0 * t - 1.0
-    return XStateParams(
-        alpha=0.0 * r,  # +0.0 in t's shape: r >= 0
-        beta=t * t,
-        gamma=p * w * w + (1.0 - p) * (r * r + t * t),
-        delta=r * r,
-        xi=-t * (p * w + (1.0 - p) * t),
-        P=0.5 * (r * r + t * (t - p * r)),
-    )
+    xi = -2.0 * t * (p * w + (1.0 - p) * t)
+    params = XStateParams(r * r, beta, beta, r * r, xi, P=r * r + t * (t - p * r))
+    return StageOutput("I", params, normalized_state(params), params.P, params.P)
 
 
 def stage1(scenario: Scenario, t: float | np.ndarray) -> StageOutput:
@@ -224,17 +243,24 @@ def stage1(scenario: Scenario, t: float | np.ndarray) -> StageOutput:
     transparent channel (singlet survives), ``T = 0`` the full swap
     (unpolarized output).
     """
-    (p, t), scalar = columns(scenario.p, t)
+    return _stage1(t, p=scenario.p)
+
+
+@_columnar
+def _stage2(t: np.ndarray, *, p, branch: str, feed_forward: bool) -> StageOutput:
     _check_transmittivity(t)
-    params = _stage1_params(p, t)
-    out = StageOutput(
-        stage="I",
-        params=params,
-        state=normalized_state(params),
-        probability=params.P,
-        cumulative_probability=params.P,
-    )
-    return _point(out) if scalar else out
+    if branch not in ("H", "V"):
+        raise InvalidParameter(f"branch must be 'H' or 'V', got {branch!r}")
+    r = 1.0 - t
+    w = 2.0 * t - 1.0
+    # alpha is +0.0 in t's shape: r >= 0
+    diagonal = (0.0 * r, t * t, p * w * w + (1.0 - p) * (r * r + t * t), r * r)
+    if branch == "V" and not feed_forward:
+        diagonal = diagonal[::-1]
+    xi, big_p = -t * (p * w + (1.0 - p) * t), 0.5 * (r * r + t * (t - p * r))
+    params = XStateParams(*diagonal, xi, big_p)
+    cumulative = 2.0 * params.P if feed_forward else params.P
+    return StageOutput("II", params, normalized_state(params), params.P, cumulative)
 
 
 def stage2(
@@ -248,28 +274,32 @@ def stage2(
     flip is undone internally, both branches become usable, and the
     cumulative probability doubles; ``probability`` stays per-branch.
     """
-    (p, t), scalar = columns(scenario.p, t)
-    _check_transmittivity(t)
-    if branch not in ("H", "V"):
-        raise InvalidParameter(f"branch must be 'H' or 'V', got {branch!r}")
-    params = _stage2_params(p, t)
-    if branch == "V" and not feed_forward:
-        params = XStateParams(
-            alpha=params.delta,
-            beta=params.gamma,
-            gamma=params.beta,
-            delta=params.alpha,
-            xi=params.xi,
-            P=params.P,
+    return _stage2(t, p=scenario.p, branch=branch, feed_forward=feed_forward)
+
+
+@_columnar
+def _filtered(alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b) -> StageOutput:
+    new_beta = a_b * beta
+    new_gamma = a_a * gamma
+    product = a_a * a_b
+    new_delta = product * delta
+    # Below the normal range the product loses digits, or all of them: there
+    # the roots are taken apart, so a tiny filter pair keeps its coherence.
+    root = np.where(product >= _SMALLEST_NORMAL, np.sqrt(product), np.sqrt(a_a) * np.sqrt(a_b))
+    new_xi = root * xi
+    new_trace = alpha + new_beta + new_gamma + new_delta
+    kept = new_trace > ZERO_TRACE_FLOOR
+    if not kept.all():
+        alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p, cumulative, a_a, a_b = (
+            x[kept] for x in (alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p,
+                              cumulative, a_a, a_b)
         )
-    out = StageOutput(
-        stage="II",
-        params=params,
-        state=normalized_state(params),
-        probability=params.P,
-        cumulative_probability=2.0 * params.P if feed_forward else params.P,
+    params = XStateParams(alpha, new_beta, new_gamma, new_delta, new_xi, P=new_trace / 4.0)
+    passed = new_trace / (4.0 * big_p)
+    filters = unchecked(FilterPair, a_a=a_a, a_b=a_b)
+    return StageOutput(
+        "III", params, normalized_state(params), passed, cumulative * passed, filters, kept
     )
-    return _point(out) if scalar else out
 
 
 def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
@@ -279,6 +309,7 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     ``delta -> A_A A_B delta``, ``xi -> sqrt(A_A A_B) xi``; ``alpha`` is
     untouched.  ``probability`` is the conditional pass probability
     (new trace over old), and the cumulative probability multiplies.
+    Below the normal float range ``sqrt(A_A A_B)`` is ``sqrt(A_A) sqrt(A_B)``.
 
     The floor applies to the sum of the filtered diagonal entries
     ``alpha + beta + gamma + delta``, which is ``4P``: four times the
@@ -288,44 +319,8 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     For a column the output keeps only the points whose sum exceeds the
     floor, which also drops the NaN factors of a singular prescription.
     """
-    p = stage_out.params
-    (alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b), scalar = columns(
-        p.alpha, p.beta, p.gamma, p.delta, p.xi, p.P,
-        stage_out.cumulative_probability, filters.a_a, filters.a_b,
-    )
-    new_beta = a_b * beta
-    new_gamma = a_a * gamma
-    new_delta = a_a * a_b * delta
-    new_xi = np.sqrt(a_a * a_b) * xi
-    new_trace = alpha + new_beta + new_gamma + new_delta
-    kept = new_trace > ZERO_TRACE_FLOOR
-    if scalar and not kept[0]:
-        raise ZeroTrace("filtering removed all population from the state")
-    if not kept.all():
-        alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p, cumulative, a_a, a_b = (
-            x[kept]
-            for x in (alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p,
-                      cumulative, a_a, a_b)
-        )
-    params = XStateParams(
-        alpha=alpha,
-        beta=new_beta,
-        gamma=new_gamma,
-        delta=new_delta,
-        xi=new_xi,
-        P=new_trace / 4.0,
-    )
-    pass_probability = new_trace / (4.0 * big_p)
-    out = StageOutput(
-        stage="III",
-        params=params,
-        state=normalized_state(params),
-        probability=pass_probability,
-        cumulative_probability=cumulative * pass_probability,
-        filters=FilterPair(a_a=a_a, a_b=a_b),
-        kept=kept,
-    )
-    return _point(out) if scalar else out
+    entries = vars(stage_out.params).values()  # alpha, beta, gamma, delta, xi, P
+    return _filtered(*entries, stage_out.cumulative_probability, filters.a_a, filters.a_b)
 
 
 def table_filters(
@@ -341,11 +336,10 @@ def table_filters(
     prescription is singular where an attenuation factor comes out as
     zero: at ``T = 0``, and where it underflows at tiny ``T``.
 
-    At a single point a singular prescription raises
-    :class:`SingularPrescription`; in a column its points get NaN factors,
-    the column's ``singular`` mask.
+    In a column the singular points get NaN factors; a single point raises
+    :class:`SingularPrescription` instead, with a message naming the cause.
     """
-    (t, epsilon), scalar = columns(t, epsilon)
+    (t, epsilon), scalar = as_columns(t, epsilon)
     require((0.0 < epsilon) & (epsilon <= 1.0), epsilon, "epsilon must lie in (0, 1], got {!r}")
     _check_transmittivity(t)
     r = 1.0 - t
@@ -365,20 +359,15 @@ def table_filters(
         scaled = epsilon * (q * q)
         a_a, a_b = np.where(wide, epsilon, scaled), np.where(wide, scaled, epsilon)
     zero = (a_a == 0.0) | (a_b == 0.0)
-    if scalar:
-        t0 = float(t[0])
-        if near[0]:
-            raise SingularPrescription(
-                f"filter prescription is singular at T = {t0!r} (|2T-1| = {float(w[0])!r})"
-            )
-        a_a, a_b = float(a_a[0]), float(a_b[0])
-        if zero[0]:
-            raise SingularPrescription(
-                f"filter prescription is singular at T = {t0!r} (A_A = {a_a!r}, A_B = {a_b!r})"
-            )
-        return FilterPair(a_a=a_a, a_b=a_b)
+    if scalar and (near[0] or zero[0]):
+        t0, a_a0, a_b0 = float(t[0]), float(a_a[0]), float(a_b[0])
+        cause = f"|2T-1| = {float(w[0])!r}" if near[0] else f"A_A = {a_a0!r}, A_B = {a_b0!r}"
+        raise SingularPrescription(f"filter prescription is singular at T = {t0!r} ({cause})")
     singular = near | zero
-    return FilterPair(a_a=np.where(singular, np.nan, a_a), a_b=np.where(singular, np.nan, a_b))
+    # the factors lie in (0, 1] by construction, or are NaN
+    a_a, a_b = np.where(singular, np.nan, a_a), np.where(singular, np.nan, a_b)
+    pair = unchecked(FilterPair, a_a=a_a, a_b=a_b)
+    return first_point(pair) if scalar else pair
 
 
 def resolve_filters(config: ChannelConfig) -> FilterPair:
@@ -390,25 +379,35 @@ def resolve_filters(config: ChannelConfig) -> FilterPair:
     return FilterPair(a_a=1.0, a_b=1.0)
 
 
+def _column_config(config: ChannelConfig) -> tuple[np.ndarray, ChannelConfig, bool]:
+    """``p`` and the config as 1-D float64 columns of one length, and whether it was one point.
+
+    One :func:`~ebrsim.core.columns` call broadcasts ``p``, ``T``, ``epsilon``
+    and the filter factors (1 without either); the config checked them.
+    """
+    eps, f = config.epsilon, config.filters
+    values = (eps,) if eps is not None else (1.0, 1.0) if f is None else (f.a_a, f.a_b)
+    (p, t, *values), scalar = columns(config.scenario.p, config.T, *values)
+    if eps is None:
+        changes = {"T": t, "filters": unchecked(FilterPair, a_a=values[0], a_b=values[1])}
+    else:
+        changes = {"T": t, "epsilon": values[0]}
+    return p, unchecked(ChannelConfig, **(vars(config) | changes)), scalar
+
+
 def run_protocol(config: ChannelConfig) -> list[StageOutput]:
     """Evaluate stages I, II and III for one configuration or a column of points.
 
-    At a single point with a singular filter prescription there is no
-    stage III, and only stages I and II are returned.  A column always
-    returns three outputs, the stage-III one holding the points in its
-    ``kept`` mask; stages I and II are single points when only
-    ``epsilon`` or the filters are columns.
+    Every stage runs on the config's one broadcast column.  A column gets
+    three outputs, stage III holding the points of its ``kept`` mask.  A
+    single point gets floats: stages I-II only with a singular
+    prescription, and :class:`~ebrsim.core.ZeroTrace` if filtered to no trace.
     """
-    if np.ndim(config.scenario.p) and not np.ndim(config.T):
-        # a p column with a scalar T: T takes the column's length, so the
-        # prescription masks its singular points instead of raising once
-        config = replace(config, T=np.full(np.size(config.scenario.p), config.T))
+    _, config, scalar = _column_config(config)
     s1 = stage1(config.scenario, config.T)
     s2 = stage2(
         config.scenario, config.T, branch=config.branch, feed_forward=config.feed_forward
     )
-    try:
-        filters = resolve_filters(config)
-    except SingularPrescription:
-        return [s1, s2]
-    return [s1, s2, apply_filters(s2, filters)]
+    filters = resolve_filters(config)
+    stages = [s1, s2, apply_filters(s2, filters)]
+    return _point(stages, math.isnan(filters.a_a[0])) if scalar else stages

@@ -14,7 +14,16 @@ import pytest
 from ebrsim import cli
 from ebrsim.cli import ConfigError, SWEEP_HEADER, main, parse_config_text
 from ebrsim.core import EbrsimError, InvalidParameter
-from ebrsim.protocol import ChannelConfig, FilterPair, Scenario, run_protocol
+from ebrsim.fock import oracle_protocol
+from ebrsim.metrics import concurrence_x
+from ebrsim.protocol import (
+    ChannelConfig,
+    FilterPair,
+    Scenario,
+    partial,
+    resolve_filters,
+    run_protocol,
+)
 from ebrsim.tomography import UnusableCounts, counts_from_csv
 
 DATA = Path(__file__).parent / "data"
@@ -161,6 +170,15 @@ class TestRunCommand:
         assert code == 2
         assert "cannot read config" in err
 
+    def test_output_equals_golden_files(self, tmp_path, capsys):
+        # one closed-form point through the single-point wrap and unwrap: stdout and --out
+        argv = ["run", "--config", str(DATA / "run_partial_V_ff.cfg")]
+        code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "trace.json")])
+        assert (code, err) == (0, "")
+        assert out.encode() == (DATA / "run_partial_V_ff.txt").read_bytes()
+        got = (tmp_path / "trace.json").read_bytes()
+        assert got == (DATA / "run_partial_V_ff.json").read_bytes()
+
     def test_singular_prescription_exits_3(self, tmp_path, capsys):
         path = write_config(
             tmp_path, "scenario = indistinguishable\nT = 0.5\nepsilon = 1\n"
@@ -209,6 +227,53 @@ class TestSweepCommand:
         assert all(r[5] == "nan" and r[6] == "nan" for r in at_half)
         at_03 = [r for r in rows if float(r[2]) == 0.3]
         assert [r[1] for r in at_03] == ["I", "II", "III"]
+
+    @pytest.mark.parametrize(
+        "text,stage3_points",
+        [
+            # every T within 1e-10 of the singular T = 1/2
+            ("scenario = partial\np = 0.85\nvariable = T\nstart = 0.4999999999\n"
+             "stop = 0.5000000001\nsteps = 7\nepsilon = 0.25\n", 0),
+            ("scenario = partial\np = 0\nvariable = T\nstart = 0\nstop = 1\nsteps = 2\n"
+             "epsilon = 0.25\n", 1),
+            ("scenario = partial\nT = 1\nvariable = p\nstart = 0\nstop = 1\nsteps = 2\n"
+             "epsilon = 0.25\n", 2),
+            # A_A A_B = 1e-600 underflows: only sqrt(A_A) sqrt(A_B) keeps the T = 1 coherence
+            ("scenario = indistinguishable\nvariable = T\nstart = 0\nstop = 1\nsteps = 7\n"
+             "epsilon = 1e-300\nbranch = V\nfeed_forward = true\n", 1),
+        ],
+        ids=["T-half", "T-0-1-p-0", "p-0-1-T-1", "epsilon-1e-300-V-ff"],
+    )
+    def test_grid_of_edge_values_agrees_with_the_oracle(
+        self, tmp_path, capsys, text, stage3_points
+    ):
+        code, out, err = run_cli(capsys, ["sweep", "--config", write_config(tmp_path, text)])
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        points = [r for r in rows if r[1] == "I"]
+        stage3 = [r for r in rows if r[1] == "III"]
+        cfg = parse_config_text(text)
+        kind = cfg["scenario"]
+        p = np.array([float(r[4]) for r in points])
+        config = ChannelConfig(
+            scenario=partial(p) if kind == "partial" else Scenario(kind),
+            T=np.array([float(r[2]) for r in points]),
+            epsilon=float(cfg["epsilon"]),
+            branch=cfg.get("branch", "H"),
+            feed_forward=cfg.get("feed_forward") == "true",
+        )
+        oracle = oracle_protocol(config)[2]
+        singular = np.isnan(resolve_filters(config).a_a)
+        assert len(stage3) == stage3_points == np.count_nonzero(oracle.kept)
+        # a point keeps stage III where the oracle keeps it, singular points never
+        assert not np.any(oracle.kept & singular)
+        assert [float(r[2]) for r in stage3] == config.T[oracle.kept].tolist()
+        for row, c in zip(stage3, concurrence_x(oracle.params).tolist()):
+            assert float(row[7]) == pytest.approx(c, rel=1e-9, abs=1e-12), row
+        for row, point_kept in zip(rows, np.repeat(oracle.kept, 2 + oracle.kept)):
+            assert (row[5] == "nan") == (not point_kept), row
+        if kind == "indistinguishable":
+            assert float(stage3[-1][7]) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "scenario",
@@ -898,6 +963,47 @@ class TestExitCodeContract:
         else:
             out = tmp_path / "taken"
             Path(f"{out}{suffix}").mkdir()
-        code, _, err = run_cli(capsys, argv + ["--out", str(out)])
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run_cli(capsys, argv + ["--out", str(out)])
         assert code == 2
         assert err.startswith("config error: cannot write")
+        # every output is opened before the first write: nothing written, no file left
+        assert stdout == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_unwritable_out_exits_2_before_a_failing_check(self, tmp_path, capsys):
+        # the tolerance fails the check (exit 1 with a writable --out, see the golden file)
+        argv = ["oracle-check", "--grid-step", "0.02", "--tol", "7e-16"]
+        out = tmp_path / "taken"
+        out.mkdir()
+        code, stdout, err = run_cli(capsys, argv + ["--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err.startswith("config error: cannot write")
+        code, stdout, _ = run_cli(capsys, argv + ["--out", str(tmp_path / "report.txt")])
+        assert code == 1
+        assert stdout == (tmp_path / "report.txt").read_text() == (
+            DATA / "oracle_check_0.02_tol7e-16.txt"
+        ).read_text()
+
+    def test_failed_open_keeps_an_existing_file(self, tmp_path, capsys):
+        config = write_config(tmp_path, "state = singlet\ntotal_triples = 2000\ntrials = 20\n")
+        out = tmp_path / "tomo"
+        Path(f"{out}.counts.csv").write_text("earlier counts\n")
+        Path(f"{out}.result.json").mkdir()
+        code, stdout, _ = run_cli(capsys, ["tomography", "--config", config, "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert Path(f"{out}.counts.csv").read_text() == "earlier counts\n"
+
+    @pytest.mark.parametrize("command", ["run", "oracle-check"])
+    def test_out_replaces_an_existing_file(self, tmp_path, capsys, command):
+        # the file is opened without truncation and emptied only once every output is open
+        argv = [command]
+        if command == "run":
+            argv += ["--config", write_config(tmp_path, "scenario = distinguishable\nT = 0.4\n")]
+        out = tmp_path / "out.txt"
+        out.write_text("x" * 100_000)
+        code, stdout, _ = run_cli(capsys, argv + ["--out", str(out)])
+        assert code == 0
+        fresh = tmp_path / "fresh.txt"
+        assert run_cli(capsys, argv + ["--out", str(fresh)]) == (0, stdout, "")
+        assert out.read_bytes() == fresh.read_bytes()
