@@ -40,8 +40,14 @@ def columns(*values) -> tuple[list[np.ndarray], bool]:
 
     Scalars broadcast against the columns, so a call with scalars only
     gives length-1 columns: the closed-form layer evaluates a single
-    point as a one-element column and unwraps the result.
+    point as a one-element column and unwraps the result.  Values that
+    already are such columns pass as they are.
     """
+    shape = getattr(values[0], "shape", None)
+    if shape is not None and len(shape) == 1 and all(
+        isinstance(v, np.ndarray) and v.shape == shape and v.dtype == np.float64 for v in values
+    ):
+        return list(values), False
     arrays = [np.asarray(v, dtype=np.float64) for v in values]
     shapes = {a.shape for a in arrays}
     if any(len(shape) > 1 for shape in shapes):
@@ -51,26 +57,16 @@ def columns(*values) -> tuple[list[np.ndarray], bool]:
     return [a.reshape(-1) for a in arrays], arrays[0].ndim == 0
 
 
-def as_columns(*values) -> tuple[tuple | list, bool]:
-    """:func:`columns` of the values; values that already are such columns pass as they are."""
-    shape = getattr(values[0], "shape", None)
-    if shape is not None and len(shape) == 1 and all(
-        isinstance(v, np.ndarray) and v.shape == shape and v.dtype == np.float64 for v in values
-    ):
-        return values, False
-    return columns(*values)
-
-
 def unchecked(cls, **fields):
-    """A ``cls`` dataclass of values that were checked already, built without its checks."""
+    """A ``cls`` dataclass of values that were checked already, built without its checks.
+
+    Every field is given by name, so a field added to ``cls`` cannot be left unset.
+    """
+    if fields.keys() != cls.__dataclass_fields__.keys():
+        raise TypeError(f"{cls.__name__} needs the fields {list(cls.__dataclass_fields__)}")
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj
-
-
-def first_point(obj):
-    """A dataclass of one-point columns as the dataclass of the point's floats, unchecked."""
-    return unchecked(type(obj), **{name: float(value[0]) for name, value in vars(obj).items()})
 
 
 def require(ok, values, message: str) -> None:
@@ -79,6 +75,8 @@ def require(ok, values, message: str) -> None:
     ``ok`` and ``values`` are a scalar or same-shape columns, so one check
     serves a single point and a whole column.
     """
+    if ok is True:
+        return
     ok = np.asarray(ok)
     if ok.all():
         return

@@ -22,7 +22,6 @@ from .core import (
     DensityOperator,
     EbrsimError,
     InvalidParameter,
-    as_columns,
     columns,
     normalize,
     singlet_vector,
@@ -177,7 +176,7 @@ def _check(ok: np.ndarray, values: np.ndarray, message: str, other=None) -> None
 
 def assemble(params: XStateParams) -> np.ndarray:
     """Unnormalized X matrix with trace ``4 P``; an ``(n, 4, 4)`` stack for columns."""
-    (alpha, beta, gamma, delta, xi), scalar = as_columns(
+    (alpha, beta, gamma, delta, xi), scalar = columns(
         params.alpha, params.beta, params.gamma, params.delta, params.xi
     )
     m = np.zeros((alpha.size, 4, 4), dtype=np.complex128)

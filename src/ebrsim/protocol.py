@@ -40,9 +40,7 @@ from .core import (
     InvalidParameter,
     ZeroTrace,
     ZERO_TRACE_FLOOR,
-    as_columns,
     columns,
-    first_point,
     require,
     unchecked,
 )
@@ -194,14 +192,18 @@ def _point(stages: list[StageOutput], singular: bool = False) -> list[StageOutpu
         if not singular:
             raise ZeroTrace("filtering removed all population from the state")
         stages = stages[:-1]
+
+    def floats(obj):  # the column's checks covered its values
+        return unchecked(type(obj), **{name: float(v[0]) for name, v in vars(obj).items()})
+
     return [
         StageOutput(
             out.stage,
-            first_point(out.params),
-            unchecked(DensityOperator, matrix=out.state[0], trace_weight=1.0),
+            floats(out.params),
+            unchecked(DensityOperator, matrix=out.state[0].copy(), trace_weight=1.0),
             float(out.probability[0]),
             float(out.cumulative_probability[0]),
-            out.filters and first_point(out.filters),
+            out.filters and floats(out.filters),
         )
         for out in stages
     ]
@@ -217,7 +219,7 @@ def _columnar(fn):
     @functools.wraps(fn)
     def door(*values, **options):
         names = [name for name, value in options.items() if isinstance(value, np.ndarray)]
-        given, scalar = as_columns(*values, *(options[name] for name in names))
+        given, scalar = columns(*values, *(options[name] for name in names))
         options.update(zip(names, given[len(values):]))
         out = fn(*given[: len(values)], **options)
         return _point([out])[0] if scalar else out
@@ -296,7 +298,7 @@ def _filtered(alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b) -> Sta
         )
     params = XStateParams(alpha, new_beta, new_gamma, new_delta, new_xi, P=new_trace / 4.0)
     passed = new_trace / (4.0 * big_p)
-    filters = unchecked(FilterPair, a_a=a_a, a_b=a_b)
+    filters = unchecked(FilterPair, a_a=a_a, a_b=a_b)  # a subset of checked factors
     return StageOutput(
         "III", params, normalized_state(params), passed, cumulative * passed, filters, kept
     )
@@ -319,8 +321,9 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     For a column the output keeps only the points whose sum exceeds the
     floor, which also drops the NaN factors of a singular prescription.
     """
-    entries = vars(stage_out.params).values()  # alpha, beta, gamma, delta, xi, P
-    return _filtered(*entries, stage_out.cumulative_probability, filters.a_a, filters.a_b)
+    x, cumulative = stage_out.params, stage_out.cumulative_probability
+    entries = (x.alpha, x.beta, x.gamma, x.delta, x.xi, x.P)
+    return _filtered(*entries, cumulative, filters.a_a, filters.a_b)
 
 
 def table_filters(
@@ -339,7 +342,7 @@ def table_filters(
     In a column the singular points get NaN factors; a single point raises
     :class:`SingularPrescription` instead, with a message naming the cause.
     """
-    (t, epsilon), scalar = as_columns(t, epsilon)
+    (t, epsilon), scalar = columns(t, epsilon)
     require((0.0 < epsilon) & (epsilon <= 1.0), epsilon, "epsilon must lie in (0, 1], got {!r}")
     _check_transmittivity(t)
     r = 1.0 - t
@@ -363,11 +366,9 @@ def table_filters(
         t0, a_a0, a_b0 = float(t[0]), float(a_a[0]), float(a_b[0])
         cause = f"|2T-1| = {float(w[0])!r}" if near[0] else f"A_A = {a_a0!r}, A_B = {a_b0!r}"
         raise SingularPrescription(f"filter prescription is singular at T = {t0!r} ({cause})")
-    singular = near | zero
     # the factors lie in (0, 1] by construction, or are NaN
-    a_a, a_b = np.where(singular, np.nan, a_a), np.where(singular, np.nan, a_b)
-    pair = unchecked(FilterPair, a_a=a_a, a_b=a_b)
-    return first_point(pair) if scalar else pair
+    a_a, a_b = (float(x[0]) if scalar else np.where(near | zero, np.nan, x) for x in (a_a, a_b))
+    return unchecked(FilterPair, a_a=a_a, a_b=a_b)
 
 
 def resolve_filters(config: ChannelConfig) -> FilterPair:
@@ -405,9 +406,7 @@ def run_protocol(config: ChannelConfig) -> list[StageOutput]:
     """
     _, config, scalar = _column_config(config)
     s1 = stage1(config.scenario, config.T)
-    s2 = stage2(
-        config.scenario, config.T, branch=config.branch, feed_forward=config.feed_forward
-    )
+    s2 = stage2(config.scenario, config.T, branch=config.branch, feed_forward=config.feed_forward)
     filters = resolve_filters(config)
     stages = [s1, s2, apply_filters(s2, filters)]
     return _point(stages, math.isnan(filters.a_a[0])) if scalar else stages

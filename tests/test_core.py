@@ -20,10 +20,12 @@ from ebrsim.core import (
     DensityOperator,
     EbrsimError,
     ZeroTrace,
+    columns,
     maximally_mixed,
     normalize,
     singlet_vector,
     to_json,
+    unchecked,
 )
 
 
@@ -138,3 +140,20 @@ def test_every_export_resolves():
     assert len(set(ebrsim.__all__)) == len(ebrsim.__all__)
     for name in ebrsim.__all__:
         getattr(ebrsim, name)  # AttributeError names a stale export
+
+
+def test_columns_pass_float_columns_through():
+    a, b = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+    given, scalar = columns(a, b)
+    assert given[0] is a and given[1] is b and not scalar
+    (x, y), scalar = columns(0.5, b)  # a float broadcasts against the column
+    assert x.tolist() == [0.5, 0.5] and y.tolist() == [0.3, 0.4] and not scalar
+    (x,), scalar = columns(0.5)
+    assert x.tolist() == [0.5] and scalar
+
+
+def test_unchecked_needs_every_field():
+    rho = unchecked(DensityOperator, matrix=np.eye(2), trace_weight=2.0)
+    assert rho.trace_weight == 2.0 and rho.dim == 2
+    with pytest.raises(TypeError):
+        unchecked(DensityOperator, matrix=np.eye(2))

@@ -531,6 +531,9 @@ class TestColumns:
                 entries = {k: v[j] for k, v in vars(column.params).items()}
                 assert entries == vars(out.params), (i, out.stage)
                 assert np.array_equal(column.state[j], out.state.matrix), (i, out.stage)
+                # the point owns its floats and its matrix, not a view into the column
+                assert all(type(v) is float for v in vars(out.params).values())
+                assert out.state.matrix.flags.owndata, (i, out.stage)
                 assert column.probability[j] == out.probability, (i, out.stage)
                 assert column.cumulative_probability[j] == out.cumulative_probability
             if s3.kept[i]:
