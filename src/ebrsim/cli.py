@@ -17,7 +17,8 @@ A block is built as a ``(rows, 10)`` array of cell strings
 (``_sweep_cells``) in which each distinct value is formatted once: a
 swept-over constant once per block, a point's swept value and filter
 factors once per point, a stage's concurrence and probabilities once per
-stage row.  Non-finite values are handled per column.  Each writer fills
+stage row, and once in all for the one-point stages I-II of a sweep over
+``epsilon``.  Non-finite values are handled per column.  Each writer fills
 one all-``%s`` table template with one ``%``, giving the bytes of
 ``csv.writer`` with ``_fmt`` on every float and of
 ``json.dumps({"records": ...}, indent=2)`` with NaN as ``null``: the
@@ -262,8 +263,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _RUN_KEYS)
     config = _parse_channel(cfg)
-    filters = resolve_filters(config)
-    stages = run_protocol(config)
+    filters = resolve_filters(config)  # a singular prescription is a domain error here
+    stages = run_protocol(dataclasses.replace(config, filters=filters, epsilon=None))
     with _open_outputs(*_out_paths(args.out)) as files:
         print(
             f"scenario={config.scenario.kind} T={config.T!r} p={config.scenario.p!r}"
@@ -354,17 +355,15 @@ def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
     epsilon = 0.0 if config.epsilon is None else config.epsilon
     for column, values in enumerate((config.T, epsilon, config.scenario.p, *filters), start=2):
         cells[:, column] = np.repeat(text(values), per_point) if np.ndim(values) else text(values)
-    # with T and p constant, stages I-II repeat one point: its values are formatted once
-    one_point = np.ndim(config.T) == np.ndim(config.scenario.p) == 0
+    # stages I-II of a sweep over epsilon are one point, whose cells fill every row
     for out, rows in zip(stages, (first, first + 1, first[kept] + 2)):
-        n = 1 if one_point and out.kept is None else None
-        probability = text(out.probability[:n])
+        probability = text(out.probability)
         cells[rows, 1] = label(out.stage)
-        cells[rows, 7] = text(concurrence_x(out.params)[:n])
+        cells[rows, 7] = text(concurrence_x(out.params))
         cells[rows, 8] = probability
         # stage I's cumulative column, and stage II's without feed-forward, is its probability
         cumulative = out.cumulative_probability
-        cells[rows, 9] = probability if cumulative is out.probability else text(cumulative[:n])
+        cells[rows, 9] = probability if cumulative is out.probability else text(cumulative)
     return cells
 
 
@@ -466,8 +465,8 @@ def _tomography_truth(cfg: dict[str, str]) -> DensityOperator:
     if stage_label not in ("I", "II", "III"):
         raise ConfigError(f"stage must be I, II or III, got {stage_label!r}")
     config = _parse_channel({k: v for k, v in cfg.items() if k in _RUN_KEYS})
-    resolve_filters(config)  # a singular prescription is a domain error here
-    stages = run_protocol(config)
+    filters = resolve_filters(config)  # a singular prescription is a domain error here
+    stages = run_protocol(dataclasses.replace(config, filters=filters, epsilon=None))
     return {s.stage: s for s in stages}[stage_label].state
 
 

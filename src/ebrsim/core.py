@@ -35,13 +35,21 @@ class ZeroTrace(EbrsimError):
     """Normalization was requested for an operator with (near-)zero trace."""
 
 
+def require_lengths(*values) -> None:
+    """Raise ``InvalidParameter`` unless the 1-D columns among ``values`` have one length or 1."""
+    lengths = sorted({np.shape(v)[0] for v in values if np.ndim(v) == 1} - {1})
+    if len(lengths) > 1:
+        raise InvalidParameter(f"columns must have one length, got lengths {lengths}")
+
+
 def columns(*values) -> tuple[list[np.ndarray], bool]:
     """The values as equal-length 1-D float64 columns, and whether all were scalars.
 
-    Scalars broadcast against the columns, so a call with scalars only
-    gives length-1 columns: the closed-form layer evaluates a single
-    point as a one-element column and unwraps the result.  Values that
-    already are such columns pass as they are.
+    Scalars and one-element columns broadcast against the columns, so a
+    call with scalars only gives length-1 columns: the closed-form layer
+    evaluates a single point as a one-element column and unwraps the
+    result.  Values that already are such columns pass as they are.
+    Columns of two other lengths raise :class:`InvalidParameter`.
     """
     shape = getattr(values[0], "shape", None)
     if shape is not None and len(shape) == 1 and all(
@@ -53,6 +61,7 @@ def columns(*values) -> tuple[list[np.ndarray], bool]:
     if any(len(shape) > 1 for shape in shapes):
         raise InvalidParameter("expected floats or 1-D columns")
     if len(shapes) > 1:
+        require_lengths(*arrays)
         arrays = np.broadcast_arrays(*arrays)
     return [a.reshape(-1) for a in arrays], arrays[0].ndim == 0
 

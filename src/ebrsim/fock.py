@@ -18,13 +18,14 @@ expansion of the beam splitter runs once for the whole column, and the
 operators come back as ``(n, 4, 4)`` stacks.  A partial overlap is the
 ``(p, 1-p)`` mixture of the two pure preparations, and the filters act
 after the environment measurement, so the Fock expansion depends only on
-the pure preparation, the environment polarization, the beam-splitter
-convention and the measured branch.  :func:`oracle_check` merges all of
-its scenarios and ``epsilon`` values into one column per block of its
-``T`` grid: it evaluates each of its four pure preparations once on the
-block's ``T`` values and hands them to one :func:`oracle_protocol` call on
-the merged column, which repeats those values once per scenario and
-``epsilon``.
+``T``, the pure preparation, the environment polarization, the
+beam-splitter convention and the measured branch: :func:`oracle_protocol`
+expands each pure preparation once per distinct ``T`` of its column.
+:func:`oracle_check` merges all of its scenarios and ``epsilon`` values
+into one column per block of its ``T`` grid, which repeats the block's
+``T`` values once per scenario and ``epsilon``, so one
+:func:`oracle_protocol` call on it expands each preparation once on the
+block's ``T`` values.
 """
 
 from __future__ import annotations
@@ -300,37 +301,30 @@ def _pure_branches(
     return p_select, conditional_state(selected, None), conditional_state(selected, branch)
 
 
-def oracle_protocol(
-    config: ChannelConfig,
-    convention: str = "real",
-    *,
-    branches: dict[tuple[str, str], tuple] | None = None,
-) -> list[StageOutput]:
+def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[StageOutput]:
     """Stage I-III outputs obtained purely from the Fock simulation.
 
     Mirrors :func:`ebrsim.protocol.run_protocol` for the same
     configuration, including the per-branch probability bookkeeping, the
-    cumulative doubling under feed-forward and the points without a stage
-    III.  A column config gives columns and ``(n, 4, 4)`` state stacks,
-    and its stage III holds only the points in its ``kept`` mask: those
-    whose filter factors are not NaN and whose filtered diagonal X entries
-    sum to more than ``ZERO_TRACE_FLOOR``, the rule of
+    cumulative doubling under feed-forward, the points without a stage
+    III and the shapes: stages I-II hold one entry per point of the
+    ``(p, T)`` broadcast, and stage III broadcasts stage II against the
+    filter column.  A column config gives columns and ``(n, 4, 4)`` state
+    stacks, and its stage III holds only the points in its ``kept`` mask:
+    those whose filter factors are not NaN and whose filtered diagonal X
+    entries sum to more than ``ZERO_TRACE_FLOOR``, the rule of
     :func:`~ebrsim.protocol.apply_filters`.  That sum is four times the
     trace of the filtered operator.  A single point is wrapped as a
     one-element column once, with the closed form's wrap, and unwrapped once
     by its single-point rule: stages I-II only with a singular prescription,
     :class:`~ebrsim.core.ZeroTrace` with a sum at most the floor.
 
-    ``branches`` maps ``(kind, env_pol)`` to the :func:`_pure_branches`
-    expansions already evaluated with this config's convention and branch,
-    on a column of ``k`` values whose ``m``-fold repetition is the
-    config's ``T`` column (``m = 1``: the column itself).  Point ``i`` of
-    the config then reads the expansions at ``i % k``, and they are
-    broadcast, not copied ``m`` times; by default each call evaluates its
-    own on ``T``.
+    Each pure preparation is expanded once per distinct ``T`` of the
+    column, so a column that repeats its ``T`` values, as
+    :func:`oracle_check`'s merged blocks do, evolves each value once.
     """
     p, config, scalar = _column_config(config)
-    t = config.T
+    t, index = np.unique(config.T, return_inverse=True)
     filters = resolve_filters(config)
     a_a, a_b = filters.a_a, filters.a_b
     preparations: list[tuple[np.ndarray, str]] = []
@@ -338,32 +332,14 @@ def oracle_protocol(
         preparations.append((p, "indistinguishable"))
     if np.any(p < 1.0):
         preparations.append((1.0 - p, "distinguishable"))
-    if branches is None:
-        branches = {
-            (kind, env_pol): _pure_branches(kind, env_pol, t, convention, config.branch)
-            for _, kind in preparations
-            for env_pol in ("H", "V")
-        }
-
-    # the column repeats the expansions' points: accumulate on (repeats, points)
-    points = next(iter(branches.values()))[0].size if branches else t.size
-    repeats = t.size // max(points, 1)
-    if repeats * points != t.size:
-        raise InvalidParameter(f"branches on {points} points do not repeat to {t.size} points")
-    rho_1 = np.zeros((repeats, points, 4, 4), dtype=np.complex128)
-    rho_2 = np.zeros((repeats, points, 4, 4), dtype=np.complex128)
+    rho_1 = np.zeros((index.size, 4, 4), dtype=np.complex128)
+    rho_2 = np.zeros((index.size, 4, 4), dtype=np.complex128)
     for weight, kind in preparations:
-        # a preparation adds only zeros where its weight is 0: skip such repeats at either end
-        weight = weight.reshape(repeats, points)
-        weighted = np.flatnonzero(weight.any(axis=1))
-        span = slice(weighted[0], weighted[-1] + 1)
         for env_pol in ("H", "V"):
-            p_select, m_1, m_2 = branches[kind, env_pol]
-            share = (0.5 * weight[span] * p_select)[..., None, None]
-            rho_1[span] += share * m_1
-            rho_2[span] += share * m_2
-    rho_1 = rho_1.reshape(t.size, 4, 4)
-    rho_2 = rho_2.reshape(t.size, 4, 4)
+            p_select, m_1, m_2 = _pure_branches(kind, env_pol, t, convention, config.branch)
+            share = (0.5 * weight * p_select[index])[:, None, None]
+            rho_1 += share * m_1[index]
+            rho_2 += share * m_2[index]
     if config.branch == "V" and config.feed_forward:
         k = np.kron(*feed_forward_correction())
         rho_2 = k @ rho_2 @ k.conj().T
@@ -393,7 +369,7 @@ def oracle_protocol(
         _stage("I", rho_1, params_1, params_1.P, params_1.P),
         _stage("II", rho_2, params_2, p2, factor * p2),
     ]
-    rho_3, p2 = rho_3[kept], p2[kept]
+    rho_3, p2 = rho_3[kept], np.broadcast_to(p2, kept.shape)[kept]
     params_3 = XStateParams.from_operator(rho_3)
     pass_probability = params_3.P / p2
     stages.append(
@@ -604,8 +580,7 @@ def _run_block(
 
     Both run once on the merged column, ordered by scenario, then
     ``epsilon``, then ``T``, so it repeats ``t`` once per scenario and
-    ``epsilon``, and the oracle reads the pure preparations evolved on
-    ``t`` alone.
+    ``epsilon``, and the oracle evolves its pure preparations on ``t`` alone.
     """
     eps = np.repeat(epsilons, t.size)
     filters = [table_filters(scenario, np.tile(t, epsilons.size), eps) for scenario in scenarios]
@@ -616,13 +591,8 @@ def _run_block(
             np.concatenate([f.a_a for f in filters]), np.concatenate([f.a_b for f in filters])
         ),
     )
-    branches = {
-        (kind, env_pol): _pure_branches(kind, env_pol, t, convention, "H")
-        for kind in ("indistinguishable", "distinguishable")
-        for env_pol in ("H", "V")
-    }
     closed = run_protocol(config)
-    oracle = oracle_protocol(config, convention, branches=branches)
+    oracle = oracle_protocol(config, convention)
     kept = closed[2].kept
     if not (
         np.array_equal(kept, ~np.isnan(config.filters.a_a))

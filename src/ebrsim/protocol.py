@@ -18,12 +18,16 @@ state is their quotient by ``4P``.
 
 Every parameter of the pipeline (``p``, ``T``, ``epsilon`` and the filter
 factors) may be a float or a 1-D float64 column, and every stage function
-evaluates a column at once: a sweep is one call per block of points.  A
-single point is wrapped as a one-element column once, in :func:`run_protocol`,
-and unwrapped to floats and :class:`~ebrsim.core.DensityOperator` states
-once, by :func:`_point`, which holds the single-point rule; float calls to
-a stage function pass one door, :func:`_columnar`.  A column gets columns
-and ``(n, 4, 4)`` state stacks, and a point without stage III is masked.
+evaluates a column at once: a sweep is one call per block of points.  Each
+stage runs once per distinct input it depends on: stages I-II on the
+``(p, T)`` broadcast, stage III on that broadcast against the ``epsilon``
+or filter column, so a sweep over ``epsilon`` alone evaluates stages I-II
+on one point.  A single point is wrapped as a one-element column once, in
+:func:`run_protocol`, and unwrapped to floats and
+:class:`~ebrsim.core.DensityOperator` states once, by :func:`_point`, which
+holds the single-point rule; float calls to a stage function pass one
+door, :func:`_columnar`.  A column gets columns and ``(n, 4, 4)`` state
+stacks, and a point without stage III is masked.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .core import (
     ZERO_TRACE_FLOOR,
     columns,
     require,
+    require_lengths,
     unchecked,
 )
 from .metrics import XStateParams, normalized_state
@@ -137,7 +142,8 @@ class ChannelConfig:
     """Full parameter set for one protocol run, or for a column of points.
 
     ``T``, ``epsilon``, the scenario's ``p`` and the filter factors may each
-    be a column; the columns of one config have equal length.
+    be a column; the columns of one config have one length (a one-element
+    column broadcasts), or the config raises :class:`InvalidParameter`.
     """
 
     scenario: Scenario
@@ -156,6 +162,8 @@ class ChannelConfig:
         if self.epsilon is not None:
             eps = self.epsilon
             require((0.0 < eps) & (eps <= 1.0), eps, "epsilon must lie in (0, 1], got {!r}")
+        pair = () if self.filters is None else (self.filters.a_a, self.filters.a_b)
+        require_lengths(self.scenario.p, self.T, self.epsilon, *pair)
 
 
 @dataclass(frozen=True)
@@ -168,9 +176,10 @@ class StageOutput:
     ``filters`` is the attenuator pair a stage-III output was filtered with.
 
     For a column of points, ``params``, the probabilities and ``filters``
-    hold columns and ``state`` is an ``(n, 4, 4)`` stack.  A stage-III
-    column holds only the points in its boolean mask ``kept``: the others
-    had a singular prescription or were filtered down to zero trace.
+    hold columns and ``state`` is an ``(n, 4, 4)`` stack.  Stages I-II hold
+    one entry per point of the ``(p, T)`` broadcast, which may be one.  A
+    stage-III column holds only the points in its boolean mask ``kept``:
+    the others had a singular prescription or were filtered down to zero trace.
     """
 
     stage: str
@@ -381,26 +390,29 @@ def resolve_filters(config: ChannelConfig) -> FilterPair:
 
 
 def _column_config(config: ChannelConfig) -> tuple[np.ndarray, ChannelConfig, bool]:
-    """``p`` and the config as 1-D float64 columns of one length, and whether it was one point.
+    """``p`` and the config as 1-D float64 columns, and whether it was one point.
 
-    One :func:`~ebrsim.core.columns` call broadcasts ``p``, ``T``, ``epsilon``
-    and the filter factors (1 without either); the config checked them.
+    ``p`` and ``T``, all that stages I-II depend on, are broadcast to one
+    column; ``epsilon`` or the filter factors (1 without either), which
+    enter stage III only, to another.  The config checked them.
     """
     eps, f = config.epsilon, config.filters
     values = (eps,) if eps is not None else (1.0, 1.0) if f is None else (f.a_a, f.a_b)
-    (p, t, *values), scalar = columns(config.scenario.p, config.T, *values)
+    (p, t), scalar = columns(config.scenario.p, config.T)
+    values, scalar_filters = columns(*values)
     if eps is None:
         changes = {"T": t, "filters": unchecked(FilterPair, a_a=values[0], a_b=values[1])}
     else:
         changes = {"T": t, "epsilon": values[0]}
-    return p, unchecked(ChannelConfig, **(vars(config) | changes)), scalar
+    return p, unchecked(ChannelConfig, **(vars(config) | changes)), scalar and scalar_filters
 
 
 def run_protocol(config: ChannelConfig) -> list[StageOutput]:
     """Evaluate stages I, II and III for one configuration or a column of points.
 
-    Every stage runs on the config's one broadcast column.  A column gets
-    three outputs, stage III holding the points of its ``kept`` mask.  A
+    Stages I-II run on the ``(p, T)`` broadcast, one point where only
+    ``epsilon`` or the filter pair is a column; stage III broadcasts them
+    against the filter column and holds the points of its ``kept`` mask.  A
     single point gets floats: stages I-II only with a singular
     prescription, and :class:`~ebrsim.core.ZeroTrace` if filtered to no trace.
     """

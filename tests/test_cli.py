@@ -241,8 +241,14 @@ class TestSweepCommand:
             # A_A A_B = 1e-600 underflows: only sqrt(A_A) sqrt(A_B) keeps the T = 1 coherence
             ("scenario = indistinguishable\nvariable = T\nstart = 0\nstop = 1\nsteps = 7\n"
              "epsilon = 1e-300\nbranch = V\nfeed_forward = true\n", 1),
+            # epsilon sweeps: stages I-II are one point, whose rows fill every point
+            ("scenario = indistinguishable\nT = 1\nvariable = epsilon\nstart = 1e-300\n"
+             "stop = 1\nsteps = 7\nbranch = V\nfeed_forward = true\n", 7),
+            ("scenario = partial\np = 0.85\nT = 0.5\nvariable = epsilon\nstart = 1e-300\n"
+             "stop = 1\nsteps = 7\n", 0),
         ],
-        ids=["T-half", "T-0-1-p-0", "p-0-1-T-1", "epsilon-1e-300-V-ff"],
+        ids=["T-half", "T-0-1-p-0", "p-0-1-T-1", "epsilon-1e-300-V-ff", "epsilon-T-1-V-ff",
+             "epsilon-T-half"],
     )
     def test_grid_of_edge_values_agrees_with_the_oracle(
         self, tmp_path, capsys, text, stage3_points
@@ -258,11 +264,14 @@ class TestSweepCommand:
         config = ChannelConfig(
             scenario=partial(p) if kind == "partial" else Scenario(kind),
             T=np.array([float(r[2]) for r in points]),
-            epsilon=float(cfg["epsilon"]),
+            epsilon=np.array([float(r[3]) for r in points]),
             branch=cfg.get("branch", "H"),
             feed_forward=cfg.get("feed_forward") == "true",
         )
-        oracle = oracle_protocol(config)[2]
+        *stages, oracle = oracle_protocol(config)
+        for stage in stages:
+            got = [float(r[7]) for r in rows if r[1] == stage.stage]
+            assert got == pytest.approx(concurrence_x(stage.params).tolist(), rel=1e-9, abs=1e-12)
         singular = np.isnan(resolve_filters(config).a_a)
         assert len(stage3) == stage3_points == np.count_nonzero(oracle.kept)
         # a point keeps stage III where the oracle keeps it, singular points never
@@ -826,22 +835,27 @@ PLAIN_VALUES = ["0.3", "0.25", "0.85", "0.7"]
 INTEGER_EDGE_VALUES = ["0", "1", "2", "-1", "-0", "1e308", "nan", "oops"]
 
 
+# Ends of the seeded sweep grids, each of which runs from one to another in
+# 3-7 steps: 0 to 1 in an odd number of steps passes through 1/2 as well.
+GRID_EDGES = ["0", "1", repr(0.5 + 1e-10), repr(0.5 - 1e-10), "5e-324", "1e-300"]
+
+
 def _value(rng, edges=EDGE_VALUES):
     return rng.choice(edges if rng.random() < 0.7 else PLAIN_VALUES)
 
 
-def _channel_keys(rng):
+def _channel_keys(rng, edges=EDGE_VALUES):
     cfg = {
         "scenario": rng.choice(["distinguishable", "indistinguishable", "partial", "Partial"]),
-        "T": _value(rng),
+        "T": _value(rng, edges),
     }
     if cfg["scenario"].lower() == "partial" or rng.random() < 0.1:
-        cfg["p"] = _value(rng)
+        cfg["p"] = _value(rng, edges)
     filters = rng.random()
     if filters < 0.4:
-        cfg["epsilon"] = _value(rng)
+        cfg["epsilon"] = _value(rng, edges)
     elif filters < 0.6:
-        cfg["A_A"], cfg["A_B"] = _value(rng), _value(rng)
+        cfg["A_A"], cfg["A_B"] = _value(rng, edges), _value(rng, edges)
     if rng.random() < 0.3:
         cfg["branch"] = "V"
     if rng.random() < 0.3:
@@ -861,6 +875,19 @@ def _sweep_argv(rng, path):
     if variable == "p" and rng.random() < 0.8:
         cfg["scenario"] = "partial"
     cfg.update(variable=variable, start=_value(rng), stop=_value(rng), steps=rng.choice("127"))
+    return cfg, ["sweep", "--config", path, "--format", rng.choice(["csv", "json"])]
+
+
+def _sweep_grid_argv(rng, path):
+    """A sweep between two edge values, its constant keys drawn from the same edges."""
+    cfg = _channel_keys(rng, GRID_EDGES)
+    variable = rng.choice(["T", "epsilon", "p"])
+    if variable == "epsilon":
+        cfg.pop("A_A", None), cfg.pop("A_B", None)
+    if variable == "p":
+        cfg["scenario"] = "partial"
+    start, stop = rng.sample(GRID_EDGES, 2)
+    cfg.update(variable=variable, start=start, stop=stop, steps=rng.randint(3, 7))
     return cfg, ["sweep", "--config", path, "--format", rng.choice(["csv", "json"])]
 
 
@@ -914,8 +941,9 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize(
         "make,count",
-        [(_run_argv, 120), (_sweep_argv, 150), (_tomography_argv, 150), (_oracle_check_argv, 60)],
-        ids=["run", "sweep", "tomography", "oracle-check"],
+        [(_run_argv, 120), (_sweep_argv, 150), (_tomography_argv, 150), (_oracle_check_argv, 60),
+         (_sweep_grid_argv, 120)],
+        ids=["run", "sweep", "tomography", "oracle-check", "sweep-grid"],
     )
     def test_only_typed_errors_escape(self, tmp_path, capsys, make, count):
         rng = random.Random(20261018)

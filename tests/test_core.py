@@ -152,6 +152,14 @@ def test_columns_pass_float_columns_through():
     assert x.tolist() == [0.5] and scalar
 
 
+def test_columns_of_two_lengths_raise_a_typed_error():
+    with pytest.raises(InvalidParameter, match=r"one length, got lengths \[2, 3\]"):
+        columns(np.array([0.1, 0.2]), 0.5, np.array([0.1, 0.2, 0.3]))
+    # a one-element column broadcasts, as a float does
+    (x, y), scalar = columns(np.array([0.5]), np.array([0.1, 0.2, 0.3]))
+    assert x.tolist() == [0.5] * 3 and y.tolist() == [0.1, 0.2, 0.3] and not scalar
+
+
 def test_unchecked_needs_every_field():
     rho = unchecked(DensityOperator, matrix=np.eye(2), trace_weight=2.0)
     assert rho.trace_weight == 2.0 and rho.dim == 2

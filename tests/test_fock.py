@@ -15,7 +15,6 @@ from ebrsim.fock import (
     ScenarioDeviations,
     ZeroProbability,
     _occupation_factor,
-    _pure_branches,
     conditional_state,
     evolve_bs,
     feed_forward_correction,
@@ -25,7 +24,7 @@ from ebrsim.fock import (
     postselect_one_per_arm,
     prepare_input,
 )
-from ebrsim.metrics import concurrence_x
+from ebrsim.metrics import XStateParams, concurrence_x
 from ebrsim.protocol import (
     ChannelConfig,
     FilterPair,
@@ -337,14 +336,6 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def _pure_expansions(t, convention, branch):
-    return {
-        (kind, env_pol): _pure_branches(kind, env_pol, t, convention, branch)
-        for kind in ("indistinguishable", "distinguishable")
-        for env_pol in ("H", "V")
-    }
-
-
 def _assert_same_stages(left, right):
     assert [o.stage for o in left] == [o.stage for o in right]
     for a, b in zip(left, right):
@@ -433,21 +424,54 @@ class TestPureBranchReuse:
     @pytest.mark.parametrize("branch", ["H", "V"])
     @pytest.mark.parametrize("feed_forward", [False, True])
     def test_warm_cache_matches_cold(self, monkeypatch, convention, branch, feed_forward):
-        # warm: the expansions come from an earlier evaluation, as in oracle_check
-        t = np.array([0.0, 0.3, 0.5, 0.62, 1.0])
-        cfg = ChannelConfig(
-            scenario=partial(0.35),
-            T=t,
+        # warm: a column that repeats k = 5 values of T evolves each of them once;
+        # cold: each repeat's slice is evaluated alone
+        t = np.array([0.62, 0.0, 0.5, 0.3, 1.0])
+        repeats = 3
+        config = ChannelConfig(
+            scenario=partial(np.repeat([0.0, 1.0, 0.35], t.size)),
+            T=np.tile(t, repeats),
             filters=FilterPair(0.4, 0.8),
             branch=branch,
             feed_forward=feed_forward,
         )
-        cold = oracle_protocol(cfg, convention)
-        branches = _pure_expansions(t, convention, branch)
         evolved = _counting(monkeypatch, "evolve_bs")
-        warm = oracle_protocol(cfg, convention, branches=branches)
-        assert evolved == []
-        _assert_same_stages(cold, warm)
+        warm = oracle_protocol(config, convention)
+        assert len(evolved) == 4
+        assert all(sorted(args[1].tolist()) == sorted(t.tolist()) for args in evolved)
+        _assert_same_stages(warm, _per_slice(config, repeats, convention))
+
+
+def _per_slice(config, repeats, convention):
+    """``oracle_protocol`` on each of ``repeats`` equal slices of a column config, concatenated."""
+    size = config.T.size // repeats
+    outs = []
+    for r in range(repeats):
+        part = slice(r * size, (r + 1) * size)
+        filters = config.filters
+        if np.ndim(filters.a_a):
+            filters = FilterPair(filters.a_a[part], filters.a_b[part])
+        outs.append(oracle_protocol(
+            replace(config, scenario=partial(config.scenario.p[part]), T=config.T[part],
+                    filters=filters),
+            convention,
+        ))
+
+    def joined(*stages):
+        def cat(get):
+            return np.concatenate([get(s) for s in stages])
+
+        names = vars(stages[0].params)
+        return replace(
+            stages[0],
+            params=XStateParams(**{k: cat(lambda s: vars(s.params)[k]) for k in names}),
+            state=cat(lambda s: s.state),
+            probability=cat(lambda s: s.probability),
+            cumulative_probability=cat(lambda s: s.cumulative_probability),
+            kept=None if stages[0].kept is None else cat(lambda s: s.kept),
+        )
+
+    return [joined(*stages) for stages in zip(*outs)]
 
 
 def _per_slice_oracle_check(grid_step, epsilons, convention, tol):
@@ -457,7 +481,6 @@ def _per_slice_oracle_check(grid_step, epsilons, convention, tol):
     returns the report built from their deviation arrays.
     """
     column = np.arange(1, round(1.0 / grid_step)) * grid_step
-    branches = _pure_expansions(column, convention, "H")
     scenarios = []
     skipped = []
     for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
@@ -467,7 +490,7 @@ def _per_slice_oracle_check(grid_step, epsilons, convention, tol):
             filters = table_filters(scenario, column, eps)
             config = ChannelConfig(scenario=scenario, T=column, filters=filters)
             closed = run_protocol(config)
-            oracle = oracle_protocol(config, convention, branches=branches)
+            oracle = oracle_protocol(config, convention)
             kept = closed[2].kept
             assert np.array_equal(kept, ~np.isnan(filters.a_a))
             assert np.array_equal(kept, oracle[2].kept)
@@ -544,20 +567,10 @@ class TestMergedColumns:
             branch=branch,
             feed_forward=feed_forward,
         )
-        branches = _pure_expansions(t, convention, branch)
-        tiled = {
-            key: tuple(np.tile(x, (repeats,) + (1,) * (x.ndim - 1)) for x in value)
-            for key, value in branches.items()
-        }
-        repeated = oracle_protocol(config, convention, branches=branches)
-        _assert_same_stages(repeated, oracle_protocol(config, convention, branches=tiled))
-        _assert_same_stages(repeated, oracle_protocol(config, convention))
-
-    def test_branches_must_repeat_to_the_column(self):
-        config = ChannelConfig(scenario=partial(0.5), T=np.linspace(0.1, 0.9, 5), epsilon=0.25)
-        branches = _pure_expansions(np.array([0.1, 0.3]), "real", "H")
-        with pytest.raises(InvalidParameter, match="repeat"):
-            oracle_protocol(config, branches=branches)
+        # the column evolves t once; each repeat alone evolves it again
+        _assert_same_stages(
+            oracle_protocol(config, convention), _per_slice(config, repeats, convention)
+        )
 
 
 def _single_point(config, i):
@@ -576,6 +589,18 @@ def _single_point(config, i):
         filters=filters,
         epsilon=epsilon,
     )
+
+
+def _filter_column(scenario, branch, feed_forward, swept):
+    """A config at T = 0.3 whose only column is ``epsilon`` or the filter pair, and its points."""
+    eps = np.array([1e-300, 1e-12, 1e-3, 0.25, 1.0])  # 1e-300: zero trace on the H branch
+    pair = (np.array([0.4, 1e-6, 1.0, 0.9, 0.05]), np.array([0.8, 1.0, 1e-6, 0.3, 0.05]))
+    config = ChannelConfig(scenario, T=0.3, branch=branch, feed_forward=feed_forward)
+    if swept == "epsilon":
+        points = [replace(config, epsilon=e) for e in eps.tolist()]
+        return replace(config, epsilon=eps), points
+    points = [replace(config, filters=FilterPair(*f)) for f in zip(*pair)]
+    return replace(config, filters=FilterPair(*pair)), points
 
 
 class TestOracleColumns:
@@ -621,6 +646,44 @@ class TestOracleColumns:
         # T = 0 is singular in every scenario, T = 1/2 only with the 2T - 1 coherence
         assert kept[0] == explicit
         assert kept[2] == (explicit or scenario.kind == "distinguishable")
+
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    @pytest.mark.parametrize("branch,feed_forward", [("H", False), ("V", False), ("V", True)])
+    @pytest.mark.parametrize(
+        "scenario",
+        [distinguishable(), indistinguishable(), partial(0.85)],
+        ids=["dist", "indist", "partial"],
+    )
+    @pytest.mark.parametrize("swept", ["epsilon", "filters"])
+    def test_filter_column_gives_one_point_stages_one_and_two(
+        self, convention, branch, feed_forward, scenario, swept
+    ):
+        config, points = _filter_column(scenario, branch, feed_forward, swept)
+        columns = oracle_protocol(config, convention)
+        closed = run_protocol(config)
+        assert np.array_equal(columns[2].kept, closed[2].kept)
+        assert columns[2].kept.size == len(points)
+        row_3 = np.cumsum(columns[2].kept) - 1
+        for i, point in enumerate(points):
+            try:
+                outs = oracle_protocol(point, convention)
+            except ZeroTrace:
+                assert not columns[2].kept[i]
+                continue
+            assert len(outs) == 2 + columns[2].kept[i], i
+            # stages I-II are one point, equal to every point's own
+            for column, j, out in zip(columns, (0, 0, row_3[i]), outs):
+                assert {k: v[j] for k, v in vars(column.params).items()} == vars(out.params)
+                assert np.array_equal(column.state[j], out.state.matrix), (i, out.stage)
+                assert column.probability[j] == out.probability, (i, out.stage)
+                assert column.cumulative_probability[j] == out.cumulative_probability
+        # the closed form has the same shapes and agrees
+        for ref, alt in zip(closed, columns):
+            rows = 1 if ref.kept is None else np.count_nonzero(ref.kept)
+            assert ref.state.shape == alt.state.shape == (rows, 4, 4)
+            assert np.max(np.abs(ref.state - alt.state)) <= 1e-12, ref.stage
+            assert np.allclose(ref.cumulative_probability, alt.cumulative_probability,
+                               rtol=1e-12, atol=0.0), ref.stage
 
     @pytest.mark.parametrize("convention", ["real", "phase"])
     @pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])

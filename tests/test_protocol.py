@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from ebrsim.core import DensityOperator, ZeroTrace, singlet_vector
+from ebrsim.core import DensityOperator, InvalidParameter, ZeroTrace, singlet_vector
 from ebrsim.metrics import concurrence_x
 from ebrsim.protocol import (
     ChannelConfig,
@@ -70,6 +70,20 @@ class TestChannelConfig:
                 filters=FilterPair(0.5, 0.5),
                 epsilon=0.5,
             )
+
+    def test_columns_of_two_lengths_are_a_typed_error(self):
+        # the config raises it itself, before any stage broadcasts its columns
+        two, three = np.array([0.2, 0.4]), np.array([0.1, 0.2, 0.3])
+        for scenario, fields in [
+            (partial(three), {"epsilon": 0.25}),
+            (distinguishable(), {"epsilon": three}),
+            (indistinguishable(), {"filters": FilterPair(three, 0.5)}),
+        ]:
+            with pytest.raises(InvalidParameter, match=r"one length, got lengths \[2, 3\]"):
+                ChannelConfig(scenario, T=two, **fields)
+        # a one-element column broadcasts, as a float does
+        config = ChannelConfig(partial(three), T=np.array([0.4]), epsilon=three)
+        assert run_protocol(config)[2].kept.size == 3
 
     def test_filter_pair_range(self):
         with pytest.raises(ValueError):
@@ -483,6 +497,25 @@ def _point_configs(kind, t, p, eps, filters, branch, feed_forward):
         )
 
 
+def _filter_column(kind, branch, feed_forward, swept):
+    """A config at T = 0.3 whose only column is ``epsilon`` or the filter pair, and its points.
+
+    ``epsilon = 1e-300`` filters the H branch (and feed-forward) down to zero trace.
+    """
+    rng = np.random.default_rng(20261018)
+    eps = np.concatenate([[1e-300, 1e-12, 1.0], 10.0 ** rng.uniform(-12, 0, 9)])
+    pair = (rng.uniform(1e-6, 1.0, eps.size), np.concatenate([[1.0], rng.uniform(1e-6, 1.0, 11)]))
+    scenario = partial(0.85) if kind == "partial" else Scenario(kind)
+    config = ChannelConfig(scenario, T=0.3, branch=branch, feed_forward=feed_forward)
+    if swept == "epsilon":
+        column = dataclasses.replace(config, epsilon=eps)
+        points = [dataclasses.replace(config, epsilon=e) for e in eps.tolist()]
+    else:
+        column = dataclasses.replace(config, filters=FilterPair(*pair))
+        points = [dataclasses.replace(config, filters=FilterPair(*f)) for f in zip(*pair)]
+    return column, points
+
+
 class TestColumns:
     """A column of points runs the same code as each point alone."""
 
@@ -578,6 +611,43 @@ class TestColumns:
             assert len(outs) == (2 if singular else 3)
             for column, out in zip((s1, s2), outs):
                 assert {k: v[i] for k, v in vars(column.params).items()} == vars(out.params)
+
+    @pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable", "partial"])
+    @pytest.mark.parametrize("branch,feed_forward", [("H", False), ("V", False), ("V", True)])
+    @pytest.mark.parametrize("swept", ["epsilon", "filters"])
+    def test_filter_column_gives_one_point_stages_one_and_two(
+        self, kind, branch, feed_forward, swept
+    ):
+        config, points = _filter_column(kind, branch, feed_forward, swept)
+        s1, s2, s3 = run_protocol(config)
+        scenario, t = config.scenario, config.T
+        # stages I-II depend on (p, T) only: one point, equal to the single-point call
+        alone = (stage1(scenario, t), stage2(scenario, t, branch, feed_forward))
+        for column, out in zip((s1, s2), alone):
+            assert column.probability.shape == (1,) and column.state.shape == (1, 4, 4)
+            assert {k: v[0] for k, v in vars(column.params).items()} == vars(out.params)
+            assert np.array_equal(column.state[0], out.state.matrix)
+            assert column.probability[0] == out.probability
+            assert column.cumulative_probability[0] == out.cumulative_probability
+        assert s3.kept.size == len(points)
+        row_3 = np.cumsum(s3.kept) - 1
+        for i, point in enumerate(points):
+            try:
+                outs = run_protocol(point)
+            except ZeroTrace:
+                assert not s3.kept[i]
+                continue
+            assert len(outs) == 2 + s3.kept[i], i
+            for column, out in zip((s1, s2), outs):
+                assert {k: v[0] for k, v in vars(column.params).items()} == vars(out.params)
+            if s3.kept[i]:
+                j = row_3[i]
+                assert {k: v[j] for k, v in vars(s3.params).items()} == vars(outs[2].params)
+                assert np.array_equal(s3.state[j], outs[2].state.matrix), i
+                assert s3.probability[j] == outs[2].probability, i
+                assert s3.cumulative_probability[j] == outs[2].cumulative_probability, i
+                assert s3.filters.a_a[j] == outs[2].filters.a_a, i
+                assert s3.filters.a_b[j] == outs[2].filters.a_b, i
 
     def test_column_range_check_names_the_first_bad_value(self):
         with pytest.raises(ValueError, match=r"T must lie in \[0, 1\], got 1.25"):
