@@ -52,9 +52,9 @@ from .core import (
     DensityOperator,
     EbrsimError,
     InvalidParameter,
+    json_obj,
     maximally_mixed,
     singlet_vector,
-    to_json,
 )
 from .fock import oracle_check
 from .metrics import concurrence_x, fidelity
@@ -236,10 +236,6 @@ def _parse_channel(cfg: dict[str, str]) -> ChannelConfig:
     )
 
 
-def _state_obj(state: DensityOperator) -> dict:
-    return json.loads(to_json(state))
-
-
 def _stage_obj(out: StageOutput) -> dict:
     p = out.params
     return {
@@ -255,7 +251,7 @@ def _stage_obj(out: StageOutput) -> dict:
         "concurrence": concurrence_x(p),
         "probability": out.probability,
         "cumulative_probability": out.cumulative_probability,
-        "state": _state_obj(out.state),
+        "state": json_obj(out.state),
     }
 
 
@@ -494,7 +490,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         "total_triples": total,
         "seed": seed,
         "background": background,
-        "state": _state_obj(result.state),
+        "state": json_obj(result.state),
         "scale": result.scale,
         "clipped_weight": result.clipped_weight,
         "fidelity_to_truth": f_truth,

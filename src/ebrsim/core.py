@@ -62,7 +62,9 @@ def columns(*values) -> tuple[list[np.ndarray], bool]:
         raise InvalidParameter("expected floats or 1-D columns")
     if len(shapes) > 1:
         require_lengths(*arrays)
-        arrays = np.broadcast_arrays(*arrays)
+        shape = max(shapes)  # the longest of (), (1,) and (n,)
+        # a float p meets a T column in every stage call; np.full is the cheaper broadcast
+        arrays = [a if a.shape == shape else np.full(shape, a) for a in arrays]
     return [a.reshape(-1) for a in arrays], arrays[0].ndim == 0
 
 
@@ -123,6 +125,10 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "trace_weight", float(trace_weight))
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The matrix, so numpy reads an operator as its array; ``copy`` as numpy asks."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -145,20 +151,21 @@ def normalize(rho: DensityOperator) -> tuple[DensityOperator, float]:
     ``trace_weight``.  Raises :class:`ZeroTrace` when that trace has
     collapsed to zero.
     """
-    matrices, weights = unit_trace(rho.matrix[None])
-    return DensityOperator(matrices[0], 1.0), float(weights[0])
+    matrix, weight = unit_trace(rho.matrix)
+    return DensityOperator(matrix, 1.0), float(weight)
 
 
 def unit_trace(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale every matrix of an ``(n, d, d)`` stack to unit trace.
+    """Rescale every matrix of a ``(..., d, d)`` array to unit trace.
 
-    Returns ``(rescaled, traces)``.  Raises :class:`ZeroTrace` when any
-    trace has collapsed to zero.
+    Returns ``(rescaled, traces)``, the traces in the leading shape: a
+    numpy scalar for one ``(d, d)`` matrix.  Raises :class:`ZeroTrace`
+    when any trace has collapsed to zero.
     """
-    weights = np.trace(matrices, axis1=1, axis2=2).real
+    weights = np.trace(matrices, axis1=-2, axis2=-1).real
     if np.any(weights <= ZERO_TRACE_FLOOR):
         raise ZeroTrace(f"cannot normalize operator with trace {float(np.min(weights))!r}")
-    return matrices / weights[:, None, None], weights
+    return matrices / weights[..., None, None], weights
 
 
 def singlet_vector() -> np.ndarray:
@@ -171,12 +178,8 @@ def maximally_mixed(dim: int = 4) -> DensityOperator:
     return DensityOperator(np.eye(dim, dtype=np.complex128) / dim, 1.0)
 
 
-def to_json(rho: DensityOperator) -> str:
-    """Serialize with ``[re, im]`` entry pairs; round-trips bit exactly.
-
-    Python's JSON float formatting is shortest-roundtrip decimal, so
-    ``json.loads`` recovers the identical binary entries.
-    """
+def json_obj(rho: DensityOperator) -> dict:
+    """The JSON document of an operator, with ``[re, im]`` entry pairs, as a dict."""
     obj: dict = {"dim": rho.dim}
     if rho.dim == 4:
         obj["basis"] = list(TWO_QUBIT_BASIS)
@@ -184,4 +187,13 @@ def to_json(rho: DensityOperator) -> str:
     obj["matrix"] = [
         [[float(z.real), float(z.imag)] for z in row] for row in rho.matrix
     ]
-    return json.dumps(obj)
+    return obj
+
+
+def to_json(rho: DensityOperator) -> str:
+    """Serialize :func:`json_obj`'s document; round-trips bit exactly.
+
+    Python's JSON float formatting is shortest-roundtrip decimal, so
+    ``json.loads`` recovers the identical binary entries.
+    """
+    return json.dumps(json_obj(rho))

@@ -37,15 +37,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import (
-    DensityOperator,
-    EbrsimError,
-    InvalidParameter,
-    ZERO_TRACE_FLOOR,
-    ZeroTrace,
-    columns,
-    require,
-)
+from .core import EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, ZeroTrace, require
 from .metrics import XStateParams
 from .protocol import (
     ChannelConfig,
@@ -171,12 +163,12 @@ def evolve_bs(
     Implemented as the creation-operator substitution expanded over all
     photon routings, with bosonic factorial factors restored at the end.
 
-    ``state`` has complex amplitudes.  For a float ``t`` so does the
-    result; for a 1-D column ``t`` each amplitude of the result is a
-    column over ``t``, computed by the same routing loop.  A configuration
-    whose amplitude is zero at every point is left out.
+    ``state`` has complex amplitudes.  Each amplitude of the result has
+    ``t``'s shape: an ``np.complex128`` for a float ``t``, a column over a
+    1-D column ``t``, all computed by the same routing loop.  A
+    configuration whose amplitude is zero at every point is left out.
     """
-    (t,), scalar = columns(t)
+    t = np.asarray(t, dtype=np.float64)
     require((0.0 <= t) & (t <= 1.0), t, "T must lie in [0, 1], got {!r}")
     row_b, row_e = _bs_rows(t, convention)
     out: dict[Key, np.ndarray] = {}
@@ -212,7 +204,7 @@ def evolve_bs(
     for key, monomial_coeff in out.items():
         value = monomial_coeff * _occupation_factor(key)
         if np.any(value != 0.0):
-            amps[key] = complex(value[0]) if scalar else value
+            amps[key] = value
     return FockState(amps)
 
 
@@ -230,7 +222,7 @@ def postselect_one_per_arm(state: FockState) -> tuple[FockState, float | np.ndar
     :class:`ZeroProbability` when nothing survives at some point.
     """
     kept = {k: a for k, a in state.amps.items() if _arm_counts(k) == (1, 1)}
-    # abs(a) ** 2 squares a column as x * x; a complex number goes through pow
+    # abs(a) ** 2 squares a column as x * x; a single amplitude goes through pow
     probability = sum(abs(a) ** 2 for a in kept.values())
     if np.any(probability <= ZERO_TRACE_FLOOR):
         raise ZeroProbability("no amplitude with one photon per output arm")
@@ -238,21 +230,20 @@ def postselect_one_per_arm(state: FockState) -> tuple[FockState, float | np.ndar
     return FockState({k: a * scale for k, a in kept.items()}), probability
 
 
-def conditional_state(
-    state: FockState, outcome: str | None = None
-) -> DensityOperator | np.ndarray:
+def conditional_state(state: FockState, outcome: str | None = None) -> np.ndarray:
     """Two-qubit polarization operator on (A, B') after handling the E' arm.
 
     With ``outcome`` ``None`` the E' modes are traced out (stage I).
     With ``outcome`` ``'H'`` or ``'V'`` the E' photon is projected on
     that polarization, time-blind, before tracing (stage II).  The
     returned operator is unnormalized: its trace is the branch
-    probability given the input state.  A state with column amplitudes
-    gives an ``(n, 4, 4)`` stack of these operators.
+    probability given the input state.  It has the amplitudes' shape
+    plus ``(4, 4)``: one ``(4, 4)`` matrix for complex amplitudes, an
+    ``(n, 4, 4)`` stack for columns.
     """
     if outcome not in (None, "H", "V"):
         raise InvalidParameter(f"outcome must be None, 'H' or 'V', got {outcome!r}")
-    n = max((np.size(a) for a in state.amps.values()), default=1)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in state.amps.values()))
     vectors: dict[tuple, np.ndarray] = {}
     for key, amp in state.amps.items():
         a_modes = [m for m in key if m.path == "A"]
@@ -264,14 +255,12 @@ def conditional_state(
         if outcome is not None and e_mode.pol != outcome:
             continue
         env_index = (a_mode.time_bin, b_mode.time_bin, e_mode)
-        vec = vectors.setdefault(env_index, np.zeros((n, 4), dtype=np.complex128))
-        vec[:, 2 * _POL_INDEX[a_mode.pol] + _POL_INDEX[b_mode.pol]] += amp
-    rho = np.zeros((n, 4, 4), dtype=np.complex128)
+        vec = vectors.setdefault(env_index, np.zeros(shape + (4,), dtype=np.complex128))
+        vec[..., 2 * _POL_INDEX[a_mode.pol] + _POL_INDEX[b_mode.pol]] += amp
+    rho = np.zeros(shape + (4, 4), dtype=np.complex128)
     for vec in vectors.values():
-        rho += vec[:, :, None] * vec[:, None, :].conj()
-    if any(np.ndim(a) for a in state.amps.values()):
-        return rho
-    return DensityOperator(rho[0], float(np.trace(rho[0]).real))
+        rho += vec[..., :, None] * vec[..., None, :].conj()
+    return rho
 
 
 def feed_forward_correction() -> tuple[np.ndarray, np.ndarray]:
@@ -512,7 +501,7 @@ def oracle_check(
     rejected, and so are an empty ``epsilons`` and a ``tol`` that is
     negative, infinite or NaN, since each would make the check vacuous.
     The grid is evaluated in blocks of ``T`` values, each one merged
-    column over every scenario (in order of ``p``), ``epsilon`` and ``T``
+    column over every scenario, ``epsilon`` and ``T``
     of the block, of at most :data:`CHECK_BLOCK` points.  Per block the
     four pure preparations are evolved once, on the block's ``T`` values,
     and the closed form and the oracle each run once, the oracle on the
@@ -538,9 +527,6 @@ def oracle_check(
     # k * grid_step for k = 1 .. round(1/grid_step) - 1, one product per point
     column = np.arange(1, round(intervals)) * grid_step
     scenarios = (distinguishable(), indistinguishable(), partial(0.5))
-    # The merged column takes the scenarios in order of p, so that each pure
-    # preparation weighs one contiguous run of it and the oracle adds it there only.
-    by_p = sorted(range(len(scenarios)), key=lambda s: scenarios[s].p)
     eps = np.asarray(epsilons, dtype=np.float64)
     # indexed by scenario, T, epsilon and stage
     deviations = np.zeros((len(scenarios), column.size, eps.size, len(STAGES), 3))
@@ -552,8 +538,8 @@ def oracle_check(
         # The last block's outputs stay referenced until this block's replace
         # them, so the allocator reuses their memory instead of handing it back
         # to the system and faulting it in again for every block.
-        closed, oracle = _run_block([scenarios[s] for s in by_p], t, eps, convention)
-        deviations[by_p, block], compared[by_p, block] = _block_deviations(
+        closed, oracle = _run_block(scenarios, t, eps, convention)
+        deviations[:, block], compared[:, block] = _block_deviations(
             closed, oracle, (len(scenarios), eps.size, t.size)
         )
     skipped = [
@@ -574,7 +560,7 @@ def oracle_check(
 
 
 def _run_block(
-    scenarios: list[Scenario], t: np.ndarray, epsilons: np.ndarray, convention: str
+    scenarios: tuple[Scenario, ...], t: np.ndarray, epsilons: np.ndarray, convention: str
 ) -> tuple[list[StageOutput], list[StageOutput]]:
     """The closed form's and the oracle's outputs on one block ``t`` of grid values.
 

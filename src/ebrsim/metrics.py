@@ -6,9 +6,12 @@ captured by :class:`XStateParams`, for which the concurrence has a closed
 form.  The general Wootters computation is kept alongside it as an
 independent cross-check route.
 
-The X-state functions take parameters whose entries are either floats
-(one state) or equal-length 1-D float64 columns (one state per point);
-a single state runs the same code as a one-element column.
+Every function computes on numpy's batch axes: a state is a ``(4, 4)``
+array (or a :class:`~ebrsim.core.DensityOperator`, which numpy reads as
+its matrix) and a stack of states an ``(..., 4, 4)`` array; the X-state
+functions take parameters whose entries are floats or equal-shape float
+arrays.  A result has the input's leading shape, so a single state runs
+the stack's code and gets ``np.float64`` results.
 """
 
 from __future__ import annotations
@@ -18,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DensityOperator,
-    EbrsimError,
-    InvalidParameter,
-    columns,
-    normalize,
-    singlet_vector,
-    unit_trace,
-)
+from .core import EbrsimError, InvalidParameter, singlet_vector, unit_trace
 
 _EPS = 1e-12
 # Largest entry an exact fit may miss by: stray X-pattern entries in
@@ -70,7 +65,7 @@ class XStateParams:
     transparent channel (``xi = -2 T^2`` at ``T = 1``) reproduces the
     source singlet ``(|HV> - i|VH>)/sqrt(2)`` exactly.
 
-    The entries are floats, or six equal-length columns holding one state
+    The entries are floats, or six equal-shape arrays holding one state
     per point; the checks run on every point and report the first failure.
     """
 
@@ -119,44 +114,40 @@ class XStateParams:
         )
 
     @classmethod
-    def from_operator(cls, rho: DensityOperator | np.ndarray) -> "XStateParams":
+    def from_operator(cls, rho) -> "XStateParams":
         """Extract parameters from a branch operator whose trace is ``P``.
 
         The stored entries are four times the operator's, so that they sum
         to ``4 P`` as the convention requires.  Raises ``ValueError`` if
         an entry is not finite, if entries outside the X pattern exceed
-        ``_FIT_TOL`` or if the coherence is not purely imaginary.  A
-        ``DensityOperator`` gives float entries; an ``(n, 4, 4)`` stack of
-        operators gives columns, with every check run on every operator
-        and the first failure reported.
+        ``_FIT_TOL`` or if the coherence is not purely imaginary.  The
+        entries have the leading shape of ``rho``: ``np.float64`` for one
+        operator, columns for an ``(n, 4, 4)`` stack, with every check run
+        on every operator and the first failure reported.
         """
-        stack = _as_stack(rho)
+        stack = _matrices(rho)
         if stack.shape[-1] != 4:
             raise NotTwoQubit(f"expected dim 4, got {stack.shape[-1]}")
         if not np.isfinite(stack).all():
             raise ValueError("matrix contains non-finite entries")
-        stray = np.max(np.abs(stack[:, _OFF_X]), axis=1)
+        # the checks see the operators in C order, so they report the first failure
+        flat = stack.reshape(-1, 4, 4)
+        stray = np.max(np.abs(flat[:, _OFF_X]), axis=1)
         _check(
             stray <= _FIT_TOL, stray, "operator is not X-shaped: stray entry magnitude {value!r}"
         )
-        coherence = stack[:, 1, 2]
-        _check(
-            np.abs(coherence.real) <= _FIT_TOL,
-            coherence.real,
-            "HV-VH coherence is not purely imaginary",
-        )
+        real = flat[:, 1, 2].real
+        _check(np.abs(real) <= _FIT_TOL, real, "HV-VH coherence is not purely imaginary")
         # an entry that overflows here fails the finiteness check of __post_init__
         with np.errstate(over="ignore"):
             entries = [
-                4.0 * stack[:, 0, 0].real,
-                4.0 * stack[:, 1, 1].real,
-                4.0 * stack[:, 2, 2].real,
-                4.0 * stack[:, 3, 3].real,
-                4.0 * (1.0j * coherence).real,
-                np.trace(stack, axis1=1, axis2=2).real,
+                4.0 * stack[..., 0, 0].real,
+                4.0 * stack[..., 1, 1].real,
+                4.0 * stack[..., 2, 2].real,
+                4.0 * stack[..., 3, 3].real,
+                4.0 * (1.0j * stack[..., 1, 2]).real,
+                np.trace(stack, axis1=-2, axis2=-1).real,
             ]
-        if isinstance(rho, DensityOperator):
-            entries = [float(e[0]) for e in entries]
         return cls(*entries)
 
 
@@ -175,47 +166,42 @@ def _check(ok: np.ndarray, values: np.ndarray, message: str, other=None) -> None
 
 
 def assemble(params: XStateParams) -> np.ndarray:
-    """Unnormalized X matrix with trace ``4 P``; an ``(n, 4, 4)`` stack for columns."""
-    (alpha, beta, gamma, delta, xi), scalar = columns(
-        params.alpha, params.beta, params.gamma, params.delta, params.xi
-    )
-    m = np.zeros((alpha.size, 4, 4), dtype=np.complex128)
-    m[:, 0, 0] = alpha
-    m[:, 1, 1] = beta
-    m[:, 2, 2] = gamma
-    m[:, 3, 3] = delta
-    m[:, 1, 2] = -1.0j * xi
-    m[:, 2, 1] = 1.0j * xi
-    return m[0] if scalar else m
+    """Unnormalized X matrix with trace ``4 P``: ``(4, 4)``, or ``(n, 4, 4)`` for columns."""
+    xi = np.asarray(params.xi, dtype=np.float64)  # the entries share its shape
+    m = np.zeros(xi.shape + (4, 4), dtype=np.complex128)
+    m[..., 0, 0] = params.alpha
+    m[..., 1, 1] = params.beta
+    m[..., 2, 2] = params.gamma
+    m[..., 3, 3] = params.delta
+    m[..., 1, 2] = -1.0j * xi
+    m[..., 2, 1] = 1.0j * xi
+    return m
 
 
-def normalized_state(params: XStateParams) -> DensityOperator | np.ndarray:
-    """Unit-trace state ``assemble(params) / 4P``; an ``(n, 4, 4)`` stack for columns."""
-    matrices = assemble(params)
-    states = matrices.reshape(-1, 4, 4) / (4.0 * np.reshape(params.P, (-1, 1, 1)))
-    return DensityOperator(states[0], 1.0) if matrices.ndim == 2 else states
+def normalized_state(params: XStateParams) -> np.ndarray:
+    """Unit-trace state ``assemble(params) / 4P``: ``(4, 4)``, or ``(n, 4, 4)`` for columns."""
+    return assemble(params) / (4.0 * np.asarray(params.P)[..., None, None])
 
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Wootters concurrence plus the four sqrt-eigenvalues behind it.
+    """Wootters concurrence plus the four sqrt-eigenvalues behind it, in descending order.
 
-    For a stack of ``n`` states ``value`` is an ``(n,)`` array and
-    ``sqrt_eigenvalues`` an ``(n, 4)`` array.
+    ``value`` has the states' leading shape and ``sqrt_eigenvalues`` that
+    shape plus 4: an ``np.float64`` and a ``(4,)`` array for one state, an
+    ``(n,)`` and an ``(n, 4)`` array for a stack of ``n``.
     """
 
     value: float | np.ndarray
-    sqrt_eigenvalues: tuple[float, float, float, float] | np.ndarray
+    sqrt_eigenvalues: np.ndarray
 
 
-def _as_stack(rho: DensityOperator | np.ndarray) -> np.ndarray:
-    """A ``DensityOperator`` as a one-matrix stack, or an ``(n, d, d)`` array as is."""
-    if isinstance(rho, DensityOperator):
-        return rho.matrix[None]
-    stack = np.asarray(rho, dtype=np.complex128)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"expected an (n, d, d) stack of states, got shape {stack.shape}")
-    return stack
+def _matrices(rho) -> np.ndarray:
+    """``rho`` as a complex ``(..., d, d)`` array: one matrix, or a stack of them."""
+    m = np.asarray(rho, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    return m
 
 
 def _hermitian_part(matrices: np.ndarray) -> np.ndarray:
@@ -229,55 +215,46 @@ def _psd_sqrt(matrices: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def concurrence(rho: DensityOperator | np.ndarray) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit state or of an ``(n, 4, 4)`` stack.
+def concurrence(rho) -> ConcurrenceResult:
+    """Wootters concurrence of a two-qubit state or of an ``(..., 4, 4)`` stack.
 
     Computes the sqrt-eigenvalues of ``rho rho~`` (with the spin-flipped
     ``rho~``) through the Hermitian similarity ``sqrt(rho) rho~ sqrt(rho)``,
     which shares the spectrum but keeps the eigenproblem symmetric; tiny
-    negative eigenvalues from round-off are clamped to zero.  A
-    ``DensityOperator`` gives float results; row ``i`` of a stack's
-    result equals the result for ``DensityOperator(stack[i])``.
+    negative eigenvalues from round-off are clamped to zero.  Row ``i``
+    of a stack's result has the bits of the result for ``stack[i]``.
     """
-    stack = _as_stack(rho)
+    stack = _matrices(rho)
     if stack.shape[-1] != 4:
         raise NotTwoQubit(f"concurrence requires a two-qubit operator, got dim {stack.shape[-1]}")
     states, _ = unit_trace(stack)
     s = _hermitian_part(states)
-    flipped = _FLIP_SIGNS * s.conj()[:, ::-1, ::-1]
+    flipped = _FLIP_SIGNS * s.conj()[..., ::-1, ::-1]
     root = _psd_sqrt(s)
     product = root @ flipped @ root
     vals = np.linalg.eigvalsh(_hermitian_part(product))
-    lams = np.sqrt(np.clip(vals, 0.0, None))[:, ::-1]
-    values = np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
-    if isinstance(rho, DensityOperator):
-        return ConcurrenceResult(
-            value=float(values[0]), sqrt_eigenvalues=tuple(float(x) for x in lams[0])
-        )
+    lams = np.sqrt(np.clip(vals, 0.0, None))[..., ::-1]
+    values = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
     return ConcurrenceResult(value=values, sqrt_eigenvalues=lams)
 
 
 def concurrence_x(params: XStateParams) -> float | np.ndarray:
     """Closed-form concurrence for X states: ``max(0, (|xi| - sqrt(alpha delta)) / 2P)``.
 
-    A float for float entries, a column for columns.
+    An ``np.float64`` for float entries, an array of their shape for arrays.
     """
-    (alpha, delta, xi, p), scalar = columns(params.alpha, params.delta, params.xi, params.P)
-    num = np.abs(xi) - np.sqrt(np.maximum(alpha, 0.0) * np.maximum(delta, 0.0))
-    values = np.maximum(0.0, num / (2.0 * p))
-    return float(values[0]) if scalar else values
+    root = np.sqrt(np.maximum(params.alpha, 0.0) * np.maximum(params.delta, 0.0))
+    return np.maximum(0.0, (np.abs(params.xi) - root) / (2.0 * params.P))
 
 
-def fidelity(
-    a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray
-) -> float | np.ndarray:
+def fidelity(a, b) -> float | np.ndarray:
     """Uhlmann fidelity ``(Tr sqrt(sqrt(a) b sqrt(a)))^2`` of the normalized states.
 
-    Either argument may be an ``(n, d, d)`` stack of states, which
-    broadcasts against the other and gives an ``(n,)`` array; two
-    ``DensityOperator`` arguments give a float.
+    The arguments are states or ``(..., d, d)`` stacks of states, which
+    broadcast against each other; the result has the broadcast leading
+    shape, an ``np.float64`` for two states.
     """
-    sa, sb = _as_stack(a), _as_stack(b)
+    sa, sb = _matrices(a), _matrices(b)
     if sa.shape[-1] != sb.shape[-1]:
         raise ValueError(f"dimension mismatch: {sa.shape[-1]} vs {sb.shape[-1]}")
     sa, _ = unit_trace(sa)
@@ -286,27 +263,25 @@ def fidelity(
     inner = root @ sb @ root
     vals = np.linalg.eigvalsh(_hermitian_part(inner))
     total = np.sum(np.sqrt(np.clip(vals, 0.0, None)), axis=-1)
-    values = np.minimum(total * total, 1.0)
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return float(values[0])
-    return values
+    return np.minimum(total * total, 1.0)
 
 
-def werner_decompose(rho: DensityOperator) -> float | None:
-    """Fit ``rho = q |psi-><psi-| + (1 - q) I/4``; return ``q`` or ``None``.
+def werner_decompose(rho) -> float | None:
+    """Fit one state ``rho = q |psi-><psi-| + (1 - q) I/4``; return ``q`` or ``None``.
 
-    ``q`` is read off the ``(HV, HV)`` diagonal entry and then verified
-    against all sixteen entries.  Negative ``q`` (weight pushed onto the
-    triplet sector) is allowed as long as the fit is exact to within
-    ``_FIT_TOL`` in every entry.
+    ``q`` is read off the ``(HV, HV)`` diagonal entry of the normalized
+    state and then verified against all sixteen entries.  Negative ``q``
+    (weight pushed onto the triplet sector) is allowed as long as the fit
+    is exact to within ``_FIT_TOL`` in every entry.
     """
-    if rho.dim != 4:
-        raise NotTwoQubit(f"expected dim 4, got {rho.dim}")
-    state, _ = normalize(rho)
-    q = float(4.0 * state.matrix[1, 1].real - 1.0)
+    m = _matrices(rho)
+    if m.shape != (4, 4):
+        raise NotTwoQubit(f"expected one two-qubit state, got shape {m.shape}")
+    state, _ = unit_trace(m)
+    q = float(4.0 * state[1, 1].real - 1.0)
     psi = singlet_vector()
     model = q * np.outer(psi, psi.conj()) + (1.0 - q) * np.eye(4) / 4.0
-    if float(np.max(np.abs(state.matrix - model))) > _FIT_TOL:
+    if float(np.max(np.abs(state - model))) > _FIT_TOL:
         return None
     return q
 

@@ -221,23 +221,21 @@ def _point(stages: list[StageOutput], singular: bool = False) -> list[StageOutpu
 def _columnar(fn):
     """The one door for float calls to ``fn``, which computes on 1-D float64 columns.
 
-    Values and column keywords (a partial ``p``) that are such columns pass;
-    others are broadcast, and a call of floats gets its output as floats.
+    Positional values that are such columns pass; others are broadcast, and
+    a call of floats gets its output as floats.
     """
 
     @functools.wraps(fn)
     def door(*values, **options):
-        names = [name for name, value in options.items() if isinstance(value, np.ndarray)]
-        given, scalar = columns(*values, *(options[name] for name in names))
-        options.update(zip(names, given[len(values):]))
-        out = fn(*given[: len(values)], **options)
+        given, scalar = columns(*values)
+        out = fn(*given, **options)
         return _point([out])[0] if scalar else out
 
     return door
 
 
 @_columnar
-def _stage1(t: np.ndarray, *, p) -> StageOutput:
+def _stage1(p: np.ndarray, t: np.ndarray) -> StageOutput:
     _check_transmittivity(t)
     r = 1.0 - t
     w = 2.0 * t - 1.0  # exact for t >= 1/4: the coherence keeps its digits near T = 1/2
@@ -254,11 +252,11 @@ def stage1(scenario: Scenario, t: float | np.ndarray) -> StageOutput:
     transparent channel (singlet survives), ``T = 0`` the full swap
     (unpolarized output).
     """
-    return _stage1(t, p=scenario.p)
+    return _stage1(scenario.p, t)
 
 
 @_columnar
-def _stage2(t: np.ndarray, *, p, branch: str, feed_forward: bool) -> StageOutput:
+def _stage2(p: np.ndarray, t: np.ndarray, *, branch: str, feed_forward: bool) -> StageOutput:
     _check_transmittivity(t)
     if branch not in ("H", "V"):
         raise InvalidParameter(f"branch must be 'H' or 'V', got {branch!r}")
@@ -285,7 +283,7 @@ def stage2(
     flip is undone internally, both branches become usable, and the
     cumulative probability doubles; ``probability`` stays per-branch.
     """
-    return _stage2(t, p=scenario.p, branch=branch, feed_forward=feed_forward)
+    return _stage2(scenario.p, t, branch=branch, feed_forward=feed_forward)
 
 
 @_columnar

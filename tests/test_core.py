@@ -106,6 +106,19 @@ def test_json_round_trip_is_bit_exact():
     assert doc["trace_weight"] == rho.trace_weight
 
 
+def test_numpy_reads_an_operator_as_its_matrix():
+    rho = DensityOperator(np.diag([0.1, 0.2, 0.3, 0.4]))
+    # numpy passes copy=; a missing keyword would warn, and warnings are errors here
+    copied = np.asarray(rho, dtype=np.complex128, copy=True)
+    assert np.array_equal(copied, rho.matrix)
+    assert not np.shares_memory(copied, rho.matrix)
+    copied[0, 0] = 9.0
+    assert rho.matrix[0, 0] == 0.1
+    assert np.asarray(rho, copy=False) is rho.matrix
+    with pytest.raises(ValueError):  # a cast needs a copy
+        np.asarray(rho, dtype=np.complex64, copy=False)
+
+
 def test_json_declares_polarization_basis():
     doc = json.loads(to_json(maximally_mixed(4)))
     assert doc["basis"] == list(TWO_QUBIT_BASIS)

@@ -175,12 +175,44 @@ class TestXStateParams:
             XStateParams.from_operator(stack)
 
 
+def _bits(x) -> tuple:
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def test_operator_matrix_and_stack_row_give_the_same_bits():
+    # one code path: a DensityOperator, its (4, 4) matrix and row i of a stack
+    rng = np.random.default_rng(21)
+    stack = np.array([assemble(random_x_params(rng)) / 4.0 for _ in range(6)])
+    others = np.array([assemble(random_x_params(rng)) / 4.0 for _ in range(6)])
+    rows = concurrence(stack)
+    params = XStateParams.from_operator(stack)
+    states = normalized_state(params)
+    closed = concurrence_x(params)
+    fidelities = fidelity(stack, others)
+    assert states.shape == stack.shape and closed.shape == fidelities.shape == (6,)
+    for i, m in enumerate(stack):
+        for single in (DensityOperator(m), m):
+            res = concurrence(single)
+            assert _bits(res.value) == _bits(rows.value[i])
+            assert _bits(res.sqrt_eigenvalues) == _bits(rows.sqrt_eigenvalues[i])
+            assert _bits(fidelity(single, others[i])) == _bits(fidelities[i])
+            assert _bits(fidelity(others[i], single)) == _bits(fidelity(others, stack)[i])
+            x = XStateParams.from_operator(single)
+            for name, column in vars(params).items():
+                assert _bits(getattr(x, name)) == _bits(column[i]), name
+            assert _bits(normalized_state(x)) == _bits(states[i])
+            assert _bits(concurrence_x(x)) == _bits(closed[i])
+            assert type(concurrence_x(x)) is np.float64
+
+
 def test_transparent_channel_is_the_source_singlet():
     # stage I at T = 1: alpha = delta = 0, xi = -2, nothing reflected
     p = XStateParams(alpha=0.0, beta=2.0, gamma=2.0, delta=0.0, xi=-2.0, P=1.0)
     state = normalized_state(p)
     target = DensityOperator.from_pure(singlet_vector())
-    assert np.allclose(state.matrix, target.matrix, atol=1e-14)
+    assert state.shape == (4, 4)
+    assert np.allclose(state, target.matrix, atol=1e-14)
     assert concurrence_x(p) == pytest.approx(1.0)
 
 
@@ -218,14 +250,21 @@ class TestConcurrence:
         assert res.sqrt_eigenvalues.shape == (len(stack), 4)
         for i, m in enumerate(stack):
             single = concurrence(DensityOperator(m))
-            assert type(single.value) is float
+            assert type(single.value) is np.float64
+            assert single.sqrt_eigenvalues.shape == (4,)
             assert res.value[i] == single.value
-            assert tuple(res.sqrt_eigenvalues[i]) == single.sqrt_eigenvalues
+            assert np.array_equal(res.sqrt_eigenvalues[i], single.sqrt_eigenvalues)
         assert np.count_nonzero(res.value) not in (0, len(stack))
 
-    def test_stack_must_be_three_dimensional(self):
-        with pytest.raises(ValueError, match="stack"):
-            concurrence(np.eye(4) / 4)
+    def test_a_4x4_array_is_one_state(self):
+        res = concurrence(np.eye(4) / 4)
+        assert type(res.value) is np.float64 and res.value == 0.0
+        # rho rho~ = I/16 for the maximally mixed state
+        assert res.sqrt_eigenvalues.shape == (4,)
+        assert np.allclose(res.sqrt_eigenvalues, 0.25, rtol=0.0, atol=1e-15)
+        for shape in ((4,), (4, 3), (2, 4, 3)):
+            with pytest.raises(ValueError, match="square"):
+                concurrence(np.zeros(shape))
 
     def test_indexed_spin_flip_equals_pauli_products(self):
         sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -300,7 +339,7 @@ class TestFidelity:
         stack = random_states(rng, 40)
         others = rng.permutation(random_states(rng, 40))
         target = DensityOperator(others[0])
-        assert type(fidelity(target, target)) is float
+        assert type(fidelity(target, target)) is np.float64
         left = fidelity(stack, target)
         right = fidelity(target, stack)
         paired = fidelity(stack, others)
