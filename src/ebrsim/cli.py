@@ -255,12 +255,16 @@ def _stage_obj(out: StageOutput) -> dict:
     }
 
 
+def _run_point(cfg: dict[str, str]) -> tuple[ChannelConfig, FilterPair, list[StageOutput]]:
+    config = _parse_channel(cfg)
+    filters = resolve_filters(config)  # a singular prescription is a domain error here
+    return config, filters, run_protocol(dataclasses.replace(config, filters=filters, epsilon=None))
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _RUN_KEYS)
-    config = _parse_channel(cfg)
-    filters = resolve_filters(config)  # a singular prescription is a domain error here
-    stages = run_protocol(dataclasses.replace(config, filters=filters, epsilon=None))
+    config, filters, stages = _run_point(cfg)
     with _open_outputs(*_out_paths(args.out)) as files:
         print(
             f"scenario={config.scenario.kind} T={config.T!r} p={config.scenario.p!r}"
@@ -460,9 +464,7 @@ def _tomography_truth(cfg: dict[str, str]) -> DensityOperator:
     stage_label = cfg.get("stage", "II")
     if stage_label not in ("I", "II", "III"):
         raise ConfigError(f"stage must be I, II or III, got {stage_label!r}")
-    config = _parse_channel({k: v for k, v in cfg.items() if k in _RUN_KEYS})
-    filters = resolve_filters(config)  # a singular prescription is a domain error here
-    stages = run_protocol(dataclasses.replace(config, filters=filters, epsilon=None))
+    _, _, stages = _run_point({k: v for k, v in cfg.items() if k in _RUN_KEYS})
     return {s.stage: s for s in stages}[stage_label].state
 
 

@@ -63,7 +63,7 @@ def columns(*values) -> tuple[list[np.ndarray], bool]:
     if len(shapes) > 1:
         require_lengths(*arrays)
         shape = max(shapes)  # the longest of (), (1,) and (n,)
-        # a float p meets a T column in every stage call; np.full is the cheaper broadcast
+        # the wrap, the prescription and float stage calls broadcast floats: np.full is cheapest
         arrays = [a if a.shape == shape else np.full(shape, a) for a in arrays]
     return [a.reshape(-1) for a in arrays], arrays[0].ndim == 0
 

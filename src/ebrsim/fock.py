@@ -49,7 +49,6 @@ from .protocol import (
     distinguishable,
     indistinguishable,
     partial,
-    resolve_filters,
     run_protocol,
     table_filters,
 )
@@ -303,19 +302,18 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
     those whose filter factors are not NaN and whose filtered diagonal X
     entries sum to more than ``ZERO_TRACE_FLOOR``, the rule of
     :func:`~ebrsim.protocol.apply_filters`.  That sum is four times the
-    trace of the filtered operator.  A single point is wrapped as a
-    one-element column once, with the closed form's wrap, and unwrapped once
-    by its single-point rule: stages I-II only with a singular prescription,
+    trace of the filtered operator.  It reads only the ``p``, ``T`` and
+    filter columns of the closed form's wrap, and unwraps a point by its
+    single-point rule: stages I-II only with a singular prescription,
     :class:`~ebrsim.core.ZeroTrace` with a sum at most the floor.
 
     Each pure preparation is expanded once per distinct ``T`` of the
     column, so a column that repeats its ``T`` values, as
     :func:`oracle_check`'s merged blocks do, evolves each value once.
     """
-    p, config, scalar = _column_config(config)
+    config, scalar = _column_config(config)
+    p, a_a, a_b = config.scenario.p, config.filters.a_a, config.filters.a_b
     t, index = np.unique(config.T, return_inverse=True)
-    filters = resolve_filters(config)
-    a_a, a_b = filters.a_a, filters.a_b
     preparations: list[tuple[np.ndarray, str]] = []
     if np.any(p > 0.0):
         preparations.append((p, "indistinguishable"))

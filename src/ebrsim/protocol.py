@@ -18,12 +18,12 @@ state is their quotient by ``4P``.
 
 Every parameter of the pipeline (``p``, ``T``, ``epsilon`` and the filter
 factors) may be a float or a 1-D float64 column, and every stage function
-evaluates a column at once: a sweep is one call per block of points.  Each
-stage runs once per distinct input it depends on: stages I-II on the
-``(p, T)`` broadcast, stage III on that broadcast against the ``epsilon``
-or filter column, so a sweep over ``epsilon`` alone evaluates stages I-II
-on one point.  A single point is wrapped as a one-element column once, in
-:func:`run_protocol`, and unwrapped to floats and
+evaluates a column at once: a sweep is one call per block of points.  One
+wrap, :func:`_column_config`, converts a config to what an engine reads:
+the ``(p, T)`` broadcast, carried by the scenario, and the filter pair
+resolved on its ``T``.  So a sweep over ``epsilon`` alone evaluates stages
+I-II on one point, which stage III broadcasts against the filter column.
+A single point's outputs are unwrapped to floats and
 :class:`~ebrsim.core.DensityOperator` states once, by :func:`_point`, which
 holds the single-point rule; float calls to a stage function pass one
 door, :func:`_columnar`.  A column gets columns and ``(n, 4, 4)`` state
@@ -79,7 +79,8 @@ class Scenario:
 
     ``kind`` is one of ``distinguishable``, ``indistinguishable`` or
     ``partial``; the latter carries the overlap probability ``p_value``,
-    a float or a column.
+    a float or a column.  A config wrapped by :func:`_column_config` has a
+    scenario whose ``p_value`` is the ``(p, T)`` column, for every kind.
     """
 
     kind: str
@@ -100,8 +101,8 @@ class Scenario:
 
     @property
     def p(self) -> float | np.ndarray:
-        """Indistinguishability weight: 0, 1, or the partial overlap."""
-        if self.kind == "partial":
+        """Indistinguishability weight: ``p_value`` if set, else 0 or 1 by kind."""
+        if self.p_value is not None:
             return _as_float_or_column(self.p_value)
         return 1.0 if self.kind == "indistinguishable" else 0.0
 
@@ -387,36 +388,35 @@ def resolve_filters(config: ChannelConfig) -> FilterPair:
     return FilterPair(a_a=1.0, a_b=1.0)
 
 
-def _column_config(config: ChannelConfig) -> tuple[np.ndarray, ChannelConfig, bool]:
-    """``p`` and the config as 1-D float64 columns, and whether it was one point.
+def _column_config(config: ChannelConfig) -> tuple[ChannelConfig, bool]:
+    """The config as 1-D float64 columns, and whether it was one point: the one conversion.
 
-    ``p`` and ``T``, all that stages I-II depend on, are broadcast to one
-    column; ``epsilon`` or the filter factors (1 without either), which
-    enter stage III only, to another.  The config checked them.
+    The wrapped scenario carries the ``(p, T)`` column for every kind; the
+    filter pair is resolved on that ``T`` (NaN where the prescription is
+    singular; a float factor holds at every ``T``), and ``epsilon`` is None.
     """
-    eps, f = config.epsilon, config.filters
-    values = (eps,) if eps is not None else (1.0, 1.0) if f is None else (f.a_a, f.a_b)
-    (p, t), scalar = columns(config.scenario.p, config.T)
-    values, scalar_filters = columns(*values)
-    if eps is None:
-        changes = {"T": t, "filters": unchecked(FilterPair, a_a=values[0], a_b=values[1])}
-    else:
-        changes = {"T": t, "epsilon": values[0]}
-    return p, unchecked(ChannelConfig, **(vars(config) | changes)), scalar and scalar_filters
+    f = config.filters
+    inputs = (config.scenario.p, config.T, config.epsilon) + (() if f is None else (f.a_a, f.a_b))
+    (p, t), _ = columns(config.scenario.p, config.T)  # the config checked its values
+    scenario = unchecked(Scenario, kind=config.scenario.kind, p_value=p)
+    wrapped = vars(config) | {"scenario": scenario, "T": t}
+    resolved = resolve_filters(unchecked(ChannelConfig, **wrapped))
+    pair = (resolved.a_a, resolved.a_b)
+    (a_a, a_b, *_), _ = columns(*pair) if all(map(np.ndim, pair)) else columns(*pair, t)
+    wrapped |= {"filters": unchecked(FilterPair, a_a=a_a, a_b=a_b), "epsilon": None}
+    return unchecked(ChannelConfig, **wrapped), not any(map(np.ndim, inputs))
 
 
 def run_protocol(config: ChannelConfig) -> list[StageOutput]:
     """Evaluate stages I, II and III for one configuration or a column of points.
 
-    Stages I-II run on the ``(p, T)`` broadcast, one point where only
-    ``epsilon`` or the filter pair is a column; stage III broadcasts them
+    Stages I-II run on the ``(p, T)`` broadcast; stage III broadcasts them
     against the filter column and holds the points of its ``kept`` mask.  A
     single point gets floats: stages I-II only with a singular
     prescription, and :class:`~ebrsim.core.ZeroTrace` if filtered to no trace.
     """
-    _, config, scalar = _column_config(config)
+    config, scalar = _column_config(config)
     s1 = stage1(config.scenario, config.T)
     s2 = stage2(config.scenario, config.T, branch=config.branch, feed_forward=config.feed_forward)
-    filters = resolve_filters(config)
-    stages = [s1, s2, apply_filters(s2, filters)]
-    return _point(stages, math.isnan(filters.a_a[0])) if scalar else stages
+    stages = [s1, s2, apply_filters(s2, config.filters)]
+    return _point(stages, math.isnan(config.filters.a_a[0])) if scalar else stages

@@ -170,14 +170,19 @@ class TestRunCommand:
         assert code == 2
         assert "cannot read config" in err
 
-    def test_output_equals_golden_files(self, tmp_path, capsys):
+    # the wrap's three filter branches: a prescription, an explicit pair, the unit pair
+    @pytest.mark.parametrize(
+        "name",
+        ["run_partial_V_ff", "run_indistinguishable_H_filters", "run_distinguishable_V_unit"],
+    )
+    def test_output_equals_golden_files(self, tmp_path, capsys, name):
         # one closed-form point through the single-point wrap and unwrap: stdout and --out
-        argv = ["run", "--config", str(DATA / "run_partial_V_ff.cfg")]
+        argv = ["run", "--config", str(DATA / f"{name}.cfg")]
         code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "trace.json")])
         assert (code, err) == (0, "")
-        assert out.encode() == (DATA / "run_partial_V_ff.txt").read_bytes()
+        assert out.encode() == (DATA / f"{name}.txt").read_bytes()
         got = (tmp_path / "trace.json").read_bytes()
-        assert got == (DATA / "run_partial_V_ff.json").read_bytes()
+        assert got == (DATA / f"{name}.json").read_bytes()
 
     def test_singular_prescription_exits_3(self, tmp_path, capsys):
         path = write_config(

@@ -32,6 +32,7 @@ from ebrsim.protocol import (
     distinguishable,
     indistinguishable,
     partial,
+    resolve_filters,
     run_protocol,
     table_filters,
 )
@@ -726,7 +727,7 @@ class TestOracleMirrorsRunProtocol:
     def test_singular_point_returns_stages_one_and_two(self, scenario, t):
         config = ChannelConfig(scenario=scenario, T=t, epsilon=0.25)
         with pytest.raises(SingularPrescription):
-            fock.resolve_filters(config)
+            resolve_filters(config)
         closed = run_protocol(config)
         oracle = oracle_protocol(config)
         assert [o.stage for o in oracle] == [o.stage for o in closed] == ["I", "II"]

@@ -5,7 +5,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from ebrsim import protocol
 from ebrsim.core import DensityOperator, InvalidParameter, ZeroTrace, singlet_vector
+from ebrsim.fock import oracle_protocol
 from ebrsim.metrics import concurrence_x
 from ebrsim.protocol import (
     ChannelConfig,
@@ -656,3 +658,29 @@ class TestColumns:
             partial(np.array([0.5, math.nan]))
         with pytest.raises(ValueError, match=r"a_b must lie in \(0, 1\], got 0.0"):
             FilterPair(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+
+    def test_one_wrap_converts_every_column(self, monkeypatch):
+        # a columns call converts when it returns a value other than the one it was given:
+        # the wrap converts (p, T) once and the filter pair once, and the engines pass
+        # every column through, for each of the wrap's three filter branches
+        converted = []
+        columns = protocol.columns
+
+        def counting(*values):
+            given, scalar = columns(*values)
+            converted.append(any(g is not v for g, v in zip(given, values)))
+            return given, scalar
+
+        monkeypatch.setattr(protocol, "columns", counting)
+
+        def conversions(engine, config):
+            converted.clear()
+            engine(config)
+            return sum(converted)
+
+        t = np.linspace(0.0, 1.0, 4096)
+        for filters in ({"epsilon": 0.25}, {"filters": FilterPair(0.3, 0.65)}, {}):
+            point = ChannelConfig(partial(0.85), 0.3, branch="V", feed_forward=True, **filters)
+            assert conversions(run_protocol, point) == 2, filters
+            assert conversions(run_protocol, dataclasses.replace(point, T=t)) == 2, filters
+            assert conversions(oracle_protocol, point) <= 2, filters
