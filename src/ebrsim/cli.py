@@ -18,8 +18,13 @@ A block is built as a ``(rows, 10)`` array of cell strings
 swept-over constant once per block, a point's swept value and filter
 factors once per point, a stage's concurrence and probabilities once per
 stage row, and once in all for the one-point stages I-II of a sweep over
-``epsilon``.  Non-finite values are handled per column.  Each writer fills
-one all-``%s`` table template with one ``%``, giving the bytes of
+``epsilon``.  All of a block's distinct float columns are concatenated and
+formatted in one call: for CSV by ``_csv_numbers``, whose numpy kernel
+(:mod:`ebrsim.g17`) computes the exact ``%.17g`` text of a whole column
+(values outside its fast domain, and near-ties, go through ``"%.17g" %``
+one at a time), and for JSON by ``repr``, with NaN and infinities found
+by mask.  Each writer
+fills one all-``%s`` table template with one ``%``, giving the bytes of
 ``csv.writer`` with ``_fmt`` on every float and of
 ``json.dumps({"records": ...}, indent=2)`` with NaN as ``null``: the
 labels never need CSV quoting, and ``repr`` of a finite float is json's.
@@ -320,15 +325,27 @@ def _swept(config: ChannelConfig, variable: str, values: np.ndarray) -> ChannelC
 
 
 def _csv_numbers(col: np.ndarray) -> list[str]:
-    """``_fmt`` of each value of a float64 column."""
-    return ["%.17g" % x for x in col.tolist()]
+    """``_fmt`` of each value of a float64 column, by the numpy kernel ``g17.strings``.
+
+    The kernel is imported on first use: where no ``.pyc`` is written,
+    importing it costs about 3 ms, which a JSON sweep and the other
+    commands need not pay.
+    """
+    from . import g17
+
+    return g17.strings(col)
 
 
 def _json_numbers(col: np.ndarray) -> list[str]:
-    """The JSON text of each value of a float64 column: ``repr``, or NaN as ``null``."""
-    if np.isfinite(col).all():
-        return list(map(repr, col.tolist()))
-    return ["null" if math.isnan(x) else json.dumps(x) for x in col.tolist()]
+    """The JSON text of each value of a float64 column: ``repr``, or NaN as ``null``.
+
+    ``repr`` of a finite float is what ``json.dumps`` prints; the non-finite
+    values are found by mask, and an infinity is json's ``Infinity``.
+    """
+    out = list(map(repr, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        out[i] = "null" if math.isnan(col[i]) else json.dumps(float(col[i]))
+    return out
 
 
 def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
@@ -337,7 +354,8 @@ def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
     Rows go point by point: stages I and II, then III where the point kept
     it; a point without stage III (a singular prescription, or a filtered
     trace of zero) has NaN filter factors.  ``number`` maps a float64
-    column to its strings and ``label`` a label to its cell.
+    column to its strings, and is called once with every distinct column of
+    the block concatenated; ``label`` maps a label to its cell.
     """
     stages = run_protocol(config)
     kept = stages[2].kept
@@ -347,23 +365,30 @@ def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
     filters = np.full((2, kept.size), math.nan)
     filters[:, kept] = stages[2].filters.a_a, stages[2].filters.a_b
 
-    def text(values) -> np.ndarray:
-        # a single value (a constant) broadcasts
-        return np.array(number(np.reshape(values, -1)), dtype=object)
+    epsilon = 0.0 if config.epsilon is None else config.epsilon
+    inputs = (config.T, epsilon, config.scenario.p, *filters)
+    columns = [*inputs]
+    for out in stages:
+        columns += [concurrence_x(out.params), out.probability]
+        # stage I's cumulative column, and stage II's without feed-forward, is its probability
+        if out.cumulative_probability is not out.probability:
+            columns.append(out.cumulative_probability)
+    # a single value (a constant) broadcasts
+    columns = [np.reshape(values, -1) for values in columns]
+    ends = np.cumsum([values.size for values in columns])
+    text = iter(np.split(np.array(number(np.concatenate(columns)), dtype=object), ends[:-1]))
 
     cells[:, 0] = label(config.scenario.kind)
-    epsilon = 0.0 if config.epsilon is None else config.epsilon
-    for column, values in enumerate((config.T, epsilon, config.scenario.p, *filters), start=2):
-        cells[:, column] = np.repeat(text(values), per_point) if np.ndim(values) else text(values)
+    for column, values in enumerate(inputs, start=2):
+        cells[:, column] = np.repeat(next(text), per_point) if np.ndim(values) else next(text)
     # stages I-II of a sweep over epsilon are one point, whose cells fill every row
     for out, rows in zip(stages, (first, first + 1, first[kept] + 2)):
-        probability = text(out.probability)
         cells[rows, 1] = label(out.stage)
-        cells[rows, 7] = text(concurrence_x(out.params))
-        cells[rows, 8] = probability
-        # stage I's cumulative column, and stage II's without feed-forward, is its probability
-        cumulative = out.cumulative_probability
-        cells[rows, 9] = probability if cumulative is out.probability else text(cumulative)
+        cells[rows, 7] = next(text)
+        cells[rows, 8] = probability = next(text)
+        cells[rows, 9] = (
+            probability if out.cumulative_probability is out.probability else next(text)
+        )
     return cells
 
 

@@ -35,6 +35,9 @@ GOLDEN_SWEEPS = [
     # p sweeps at a singular T: stages I-II with NaN filters at every point
     "sweep_p_T_half",
     "sweep_p_T_zero",
+    # an epsilon sweep from 1e-300: filter factors and stage-III probabilities below
+    # 1e-200, and a p below the 1e-4 switch to scientific notation
+    "sweep_epsilon_tiny_ff",
 ]
 
 STAGE_LINE = re.compile(
@@ -530,6 +533,21 @@ class TestSweepGoldenFiles:
         assert (code, silent) == (0, "")
         assert out_path.read_bytes() == want
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_number_call_per_block(self, capsys, monkeypatch, fmt):
+        # every float column of a block is formatted in one call of the format's number map
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
+        name = {"csv": "_csv_numbers", "json": "_json_numbers"}[fmt]
+        number = getattr(cli, name)
+        sizes = []
+        monkeypatch.setattr(cli, name, lambda col: sizes.append(col.size) or number(col))
+        argv = ["sweep", "--config", str(DATA / "sweep_epsilon_tiny_ff.cfg"), "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (DATA / f"sweep_epsilon_tiny_ff.{fmt}").read_bytes()
+        # 26 points in blocks of 3
+        assert len(sizes) == 9
+
 
 def reference_csv(rows):
     buf = io.StringIO()
@@ -599,6 +617,35 @@ class TestSweepWriters:
         rows += [("partial", "II", *v) for v in rng.uniform(0, 1, size=(50, 8)).round(3).tolist()]
         assert cli._sweep_csv(csv_cells(rows)) == reference_csv(rows)
         assert cli._sweep_json(json_cells(rows)) == reference_json(rows)
+
+    def test_csv_numbers_equal_percent_format(self):
+        # the vectorized kernel against "%.17g" % x, one value at a time
+        rng = np.random.default_rng(11)
+        powers = np.array([float(f"1e{e}") for e in range(-200, 18)])
+        near = [powers]
+        up = down = powers
+        for _ in range(3):
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, 0.0)
+            near += [up, down]
+        odd = 2 * rng.integers(0, 2**20, size=20_000) + 1
+        col = np.concatenate(
+            [
+                rng.random(100_000),
+                10.0 ** rng.uniform(-30, 17, size=100_000),
+                # every power of ten from 1e-200 to 1e17 and 3 ulps either side: both
+                # sides of the switches at 1e-5/1e-4 and 1e16/1e17 among them
+                *near,
+                # exact binary fractions, among them 18-digit decimal ties
+                odd * 2.0 ** -rng.integers(1, 64, size=odd.size),
+                rng.integers(1, 2**52, size=1000, dtype=np.uint64).view(np.float64),  # subnormal
+                [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e-200, 1e300],
+            ]
+        )
+        col = np.concatenate([col, -col[::5]])
+        assert col.size >= 200_000
+        assert cli._csv_numbers(col) == ["%.17g" % x for x in col.tolist()]
+        # a half-even tie that rounds up: without a margin for it the kernel prints ...937e-08
+        assert cli._csv_numbers(np.array([3 * 2**-25])) == ["8.9406967163085938e-08"]
 
 
 class TestOracleCheckCommand:
