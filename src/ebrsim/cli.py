@@ -242,18 +242,10 @@ def _parse_channel(cfg: dict[str, str]) -> ChannelConfig:
 
 
 def _stage_obj(out: StageOutput) -> dict:
-    p = out.params
     return {
         "stage": out.stage,
-        "params": {
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "gamma": p.gamma,
-            "delta": p.delta,
-            "xi": p.xi,
-            "P": p.P,
-        },
-        "concurrence": concurrence_x(p),
+        "params": dataclasses.asdict(out.params),
+        "concurrence": concurrence_x(out.params),
         "probability": out.probability,
         "cumulative_probability": out.cumulative_probability,
         "state": json_obj(out.state),

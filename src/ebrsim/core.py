@@ -12,7 +12,6 @@ Basis convention for two polarization qubits: ``HH, HV, VH, VV``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,17 +143,6 @@ class DensityOperator:
         return cls(np.outer(v, v.conj()), trace_weight=1.0)
 
 
-def normalize(rho: DensityOperator) -> tuple[DensityOperator, float]:
-    """Rescale to unit trace; return ``(state, probability)``.
-
-    The probability is the matrix's trace, not the stored
-    ``trace_weight``.  Raises :class:`ZeroTrace` when that trace has
-    collapsed to zero.
-    """
-    matrix, weight = unit_trace(rho.matrix)
-    return DensityOperator(matrix, 1.0), float(weight)
-
-
 def unit_trace(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rescale every matrix of a ``(..., d, d)`` array to unit trace.
 
@@ -179,7 +167,11 @@ def maximally_mixed(dim: int = 4) -> DensityOperator:
 
 
 def json_obj(rho: DensityOperator) -> dict:
-    """The JSON document of an operator, with ``[re, im]`` entry pairs, as a dict."""
+    """The JSON document of an operator, with ``[re, im]`` entry pairs, as a dict.
+
+    Python's JSON float formatting is shortest-roundtrip decimal, so
+    ``json.loads(json.dumps(...))`` recovers the identical binary entries.
+    """
     obj: dict = {"dim": rho.dim}
     if rho.dim == 4:
         obj["basis"] = list(TWO_QUBIT_BASIS)
@@ -189,11 +181,3 @@ def json_obj(rho: DensityOperator) -> dict:
     ]
     return obj
 
-
-def to_json(rho: DensityOperator) -> str:
-    """Serialize :func:`json_obj`'s document; round-trips bit exactly.
-
-    Python's JSON float formatting is shortest-roundtrip decimal, so
-    ``json.loads`` recovers the identical binary entries.
-    """
-    return json.dumps(json_obj(rho))

@@ -25,14 +25,14 @@ resolved on its ``T``.  So a sweep over ``epsilon`` alone evaluates stages
 I-II on one point, which stage III broadcasts against the filter column.
 A single point's outputs are unwrapped to floats and
 :class:`~ebrsim.core.DensityOperator` states once, by :func:`_point`, which
-holds the single-point rule; float calls to a stage function pass one
-door, :func:`_columnar`.  A column gets columns and ``(n, 4, 4)`` state
+holds the single-point rule.  Each stage function is its own door: it
+converts its inputs with :func:`~ebrsim.core.columns` and unwraps a call of
+floats by :func:`_point`.  A column gets columns and ``(n, 4, 4)`` state
 stacks, and a point without stage III is masked.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -219,33 +219,6 @@ def _point(stages: list[StageOutput], singular: bool = False) -> list[StageOutpu
     ]
 
 
-def _columnar(fn):
-    """The one door for float calls to ``fn``, which computes on 1-D float64 columns.
-
-    Positional values that are such columns pass; others are broadcast, and
-    a call of floats gets its output as floats.
-    """
-
-    @functools.wraps(fn)
-    def door(*values, **options):
-        given, scalar = columns(*values)
-        out = fn(*given, **options)
-        return _point([out])[0] if scalar else out
-
-    return door
-
-
-@_columnar
-def _stage1(p: np.ndarray, t: np.ndarray) -> StageOutput:
-    _check_transmittivity(t)
-    r = 1.0 - t
-    w = 2.0 * t - 1.0  # exact for t >= 1/4: the coherence keeps its digits near T = 1/2
-    beta = r * r + 2.0 * t * (t - p * r)
-    xi = -2.0 * t * (p * w + (1.0 - p) * t)
-    params = XStateParams(r * r, beta, beta, r * r, xi, P=r * r + t * (t - p * r))
-    return StageOutput("I", params, normalized_state(params), params.P, params.P)
-
-
 def stage1(scenario: Scenario, t: float | np.ndarray) -> StageOutput:
     """State after the beam splitter with the environment arm ignored.
 
@@ -253,24 +226,15 @@ def stage1(scenario: Scenario, t: float | np.ndarray) -> StageOutput:
     transparent channel (singlet survives), ``T = 0`` the full swap
     (unpolarized output).
     """
-    return _stage1(scenario.p, t)
-
-
-@_columnar
-def _stage2(p: np.ndarray, t: np.ndarray, *, branch: str, feed_forward: bool) -> StageOutput:
+    (p, t), scalar = columns(scenario.p, t)
     _check_transmittivity(t)
-    if branch not in ("H", "V"):
-        raise InvalidParameter(f"branch must be 'H' or 'V', got {branch!r}")
     r = 1.0 - t
-    w = 2.0 * t - 1.0
-    # alpha is +0.0 in t's shape: r >= 0
-    diagonal = (0.0 * r, t * t, p * w * w + (1.0 - p) * (r * r + t * t), r * r)
-    if branch == "V" and not feed_forward:
-        diagonal = diagonal[::-1]
-    xi, big_p = -t * (p * w + (1.0 - p) * t), 0.5 * (r * r + t * (t - p * r))
-    params = XStateParams(*diagonal, xi, big_p)
-    cumulative = 2.0 * params.P if feed_forward else params.P
-    return StageOutput("II", params, normalized_state(params), params.P, cumulative)
+    w = 2.0 * t - 1.0  # exact for t >= 1/4: the coherence keeps its digits near T = 1/2
+    beta = r * r + 2.0 * t * (t - p * r)
+    xi = -2.0 * t * (p * w + (1.0 - p) * t)
+    params = XStateParams(r * r, beta, beta, r * r, xi, P=r * r + t * (t - p * r))
+    out = StageOutput("I", params, normalized_state(params), params.P, params.P)
+    return _point([out])[0] if scalar else out
 
 
 def stage2(
@@ -284,32 +248,21 @@ def stage2(
     flip is undone internally, both branches become usable, and the
     cumulative probability doubles; ``probability`` stays per-branch.
     """
-    return _stage2(scenario.p, t, branch=branch, feed_forward=feed_forward)
-
-
-@_columnar
-def _filtered(alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b) -> StageOutput:
-    new_beta = a_b * beta
-    new_gamma = a_a * gamma
-    product = a_a * a_b
-    new_delta = product * delta
-    # Below the normal range the product loses digits, or all of them: there
-    # the roots are taken apart, so a tiny filter pair keeps its coherence.
-    root = np.where(product >= _SMALLEST_NORMAL, np.sqrt(product), np.sqrt(a_a) * np.sqrt(a_b))
-    new_xi = root * xi
-    new_trace = alpha + new_beta + new_gamma + new_delta
-    kept = new_trace > ZERO_TRACE_FLOOR
-    if not kept.all():
-        alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p, cumulative, a_a, a_b = (
-            x[kept] for x in (alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p,
-                              cumulative, a_a, a_b)
-        )
-    params = XStateParams(alpha, new_beta, new_gamma, new_delta, new_xi, P=new_trace / 4.0)
-    passed = new_trace / (4.0 * big_p)
-    filters = unchecked(FilterPair, a_a=a_a, a_b=a_b)  # a subset of checked factors
-    return StageOutput(
-        "III", params, normalized_state(params), passed, cumulative * passed, filters, kept
-    )
+    (p, t), scalar = columns(scenario.p, t)
+    _check_transmittivity(t)
+    if branch not in ("H", "V"):
+        raise InvalidParameter(f"branch must be 'H' or 'V', got {branch!r}")
+    r = 1.0 - t
+    w = 2.0 * t - 1.0
+    # alpha is +0.0 in t's shape: r >= 0
+    diagonal = (0.0 * r, t * t, p * w * w + (1.0 - p) * (r * r + t * t), r * r)
+    if branch == "V" and not feed_forward:
+        diagonal = diagonal[::-1]
+    xi, big_p = -t * (p * w + (1.0 - p) * t), 0.5 * (r * r + t * (t - p * r))
+    params = XStateParams(*diagonal, xi, big_p)
+    cumulative = 2.0 * params.P if feed_forward else params.P
+    out = StageOutput("II", params, normalized_state(params), params.P, cumulative)
+    return _point([out])[0] if scalar else out
 
 
 def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
@@ -329,9 +282,33 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     For a column the output keeps only the points whose sum exceeds the
     floor, which also drops the NaN factors of a singular prescription.
     """
-    x, cumulative = stage_out.params, stage_out.cumulative_probability
-    entries = (x.alpha, x.beta, x.gamma, x.delta, x.xi, x.P)
-    return _filtered(*entries, cumulative, filters.a_a, filters.a_b)
+    old = stage_out.params
+    (alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b), scalar = columns(
+        old.alpha, old.beta, old.gamma, old.delta, old.xi, old.P,
+        stage_out.cumulative_probability, filters.a_a, filters.a_b,
+    )
+    new_beta = a_b * beta
+    new_gamma = a_a * gamma
+    product = a_a * a_b
+    new_delta = product * delta
+    # Below the normal range the product loses digits, or all of them: there
+    # the roots are taken apart, so a tiny filter pair keeps its coherence.
+    root = np.where(product >= _SMALLEST_NORMAL, np.sqrt(product), np.sqrt(a_a) * np.sqrt(a_b))
+    new_xi = root * xi
+    new_trace = alpha + new_beta + new_gamma + new_delta
+    kept = new_trace > ZERO_TRACE_FLOOR
+    if not kept.all():
+        alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p, cumulative, a_a, a_b = (
+            x[kept] for x in (alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p,
+                              cumulative, a_a, a_b)
+        )
+    params = XStateParams(alpha, new_beta, new_gamma, new_delta, new_xi, P=new_trace / 4.0)
+    passed = new_trace / (4.0 * big_p)
+    filters = unchecked(FilterPair, a_a=a_a, a_b=a_b)  # a subset of checked factors
+    out = StageOutput(
+        "III", params, normalized_state(params), passed, cumulative * passed, filters, kept
+    )
+    return _point([out])[0] if scalar else out
 
 
 def table_filters(

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DensityOperator, EbrsimError, InvalidParameter, normalize
+from .core import DensityOperator, EbrsimError, InvalidParameter, unit_trace
 from .metrics import concurrence, fidelity
 
 # Largest expected count per setting: numpy's Poisson sampler rejects a
@@ -139,7 +139,7 @@ def simulate_counts(
         raise InvalidParameter(
             f"total_triples must be positive and finite, got {total_triples!r}"
         )
-    normalized, _ = normalize(state)
+    normalized, _ = unit_trace(state.matrix)
     settings = standard_settings(minimal)
     scale = 4.0 * float(total_triples) / len(settings)
     if scale > MAX_EXPECTED_COUNT:
@@ -147,7 +147,7 @@ def simulate_counts(
             f"total_triples {total_triples!r} exceeds {MAX_EXPECTED_COUNT!r} expected"
             f" counts per setting ({scale!r})"
         )
-    rates = _rates(normalized.matrix, settings)
+    rates = _rates(normalized, settings)
     observed = np.random.default_rng(seed).poisson(scale * rates)
     return [
         CountRecord(s.setting_a, s.setting_b, rate, count)

@@ -647,6 +647,14 @@ class TestSweepWriters:
         # a half-even tie that rounds up: without a margin for it the kernel prints ...937e-08
         assert cli._csv_numbers(np.array([3 * 2**-25])) == ["8.9406967163085938e-08"]
 
+    def test_near_tie_keeps_its_digit(self):
+        # the rounding remainder lies within the tie margin of 1/2 but is no tie: without
+        # the margin the kernel rounds the 17th digit down and prints 4.421976605688792e-92
+        from ebrsim import g17
+
+        x = 4.421976605688792e-92
+        assert g17.strings(np.array([x, -x])) == ["%.17g" % v for v in (x, -x)]
+
 
 class TestOracleCheckCommand:
     def test_coarse_grid_passes(self, capsys):

@@ -253,15 +253,14 @@ class TestFilters:
 
     def test_filtering_is_physical(self):
         # KrhoK^dag with K = diag(1, sqrt(A)) per arm reproduces the entry map
-        from ebrsim.core import DensityOperator, normalize
+        from ebrsim.core import unit_trace
 
         out = stage2(partial(0.6), 0.37)
         a_a, a_b = 0.41, 0.77
         filtered = apply_filters(out, FilterPair(a_a, a_b))
         k = np.kron(np.diag([1.0, math.sqrt(a_a)]), np.diag([1.0, math.sqrt(a_b)]))
-        direct = DensityOperator(k @ out.state.matrix @ k.conj().T)
-        direct_state, passed = normalize(direct)
-        assert np.allclose(direct_state.matrix, filtered.state.matrix, atol=1e-14)
+        direct_state, passed = unit_trace(k @ out.state.matrix @ k.conj().T)
+        assert np.allclose(direct_state, filtered.state.matrix, atol=1e-14)
         assert filtered.probability == pytest.approx(passed)
 
 
@@ -592,6 +591,33 @@ class TestColumns:
             assert isinstance(out.state, DensityOperator)
             assert out.kept is None
         assert type(outs[2].filters.a_a) is float
+
+    def test_a_float_stage_call_is_row_zero_of_its_column(self):
+        # each stage function is its own door: floats in, floats and an owned state out
+        pair = FilterPair(0.4, 0.7)
+        doors = (
+            stage1,
+            lambda s, t: stage2(s, t, branch="V", feed_forward=True),
+            lambda s, t: apply_filters(stage2(s, t), pair),
+        )
+        for door in doors:
+            point = door(partial(0.85), 0.3)
+            row = door(partial(np.array([0.85])), np.array([0.3]))
+            assert all(type(v) is float for v in dataclasses.astuple(point.params))
+            assert type(point.probability) is float
+            assert type(point.cumulative_probability) is float
+            assert isinstance(point.state, DensityOperator) and point.state.matrix.flags.owndata
+            assert point.kept is None
+            assert dataclasses.astuple(point.params) == tuple(
+                v[0] for v in dataclasses.astuple(row.params)
+            )
+            assert (point.probability, point.cumulative_probability) == (
+                row.probability[0], row.cumulative_probability[0]
+            )
+            assert np.array_equal(point.state.matrix, row.state[0])
+        assert (point.filters.a_a, point.filters.a_b) == (row.filters.a_a[0], row.filters.a_b[0])
+        with pytest.raises(ZeroTrace):
+            apply_filters(stage2(partial(0.85), 0.1), table_filters(partial(0.85), 0.1, 1e-300))
 
     def test_zero_trace_is_masked_in_a_column_and_raised_alone(self):
         t = np.array([0.1, 0.9])
