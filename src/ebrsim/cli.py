@@ -23,11 +23,11 @@ formatted in one call: for CSV by ``_csv_numbers``, whose numpy kernel
 (:mod:`ebrsim.g17`) computes the exact ``%.17g`` text of a whole column
 (values outside its fast domain, and near-ties, go through ``"%.17g" %``
 one at a time), and for JSON by ``repr``, with NaN and infinities found
-by mask.  Each writer
-fills one all-``%s`` table template with one ``%``, giving the bytes of
-``csv.writer`` with ``_fmt`` on every float and of
-``json.dumps({"records": ...}, indent=2)`` with NaN as ``null``: the
-labels never need CSV quoting, and ``repr`` of a finite float is json's.
+by mask.  A CSV row is its cells joined by commas, since no label or
+number ever needs CSV quoting.  A JSON block fills one all-``%s``
+template of its records with one ``%``: the bytes of
+``json.dumps({"records": ...}, indent=2)`` with NaN as ``null``, since
+``repr`` of a finite float is json's.
 
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
@@ -86,8 +86,6 @@ MAX_SWEEP_POINTS = 1_000_000
 # sweep's memory does not grow with its length.
 SWEEP_BLOCK = 4096
 
-# Row templates of the 10 cell strings, repeated once per row into one table template.
-_CSV_ROW = ",".join(["%s"] * 10) + "\n"
 # One record of json.dumps({"records": [...]}, indent=2), keys pre-encoded.
 _JSON_RECORD = (
     "    {\n"
@@ -128,7 +126,7 @@ def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
@@ -385,12 +383,12 @@ def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
 
 
 def _sweep_csv(cells: np.ndarray, header: bool = True) -> str:
-    """``_csv_numbers`` cells as what ``csv.writer`` writes with ``_fmt`` on each float.
+    """``_csv_numbers`` cells as CSV lines, each row's cells joined by commas.
 
     Without ``header`` the text continues a table begun by an earlier block.
     """
     head = SWEEP_HEADER + "\n" if header else ""
-    return (head + _CSV_ROW * len(cells)) % tuple(cells.flat)
+    return head + "\n".join(map(",".join, cells.tolist())) + "\n"
 
 
 def _sweep_json(cells: np.ndarray, first: bool = True, last: bool = True) -> str:

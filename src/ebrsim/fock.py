@@ -37,13 +37,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, ZeroTrace, require
+from .core import EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, ZeroTrace
 from .metrics import XStateParams
 from .protocol import (
     ChannelConfig,
     FilterPair,
     Scenario,
     StageOutput,
+    _check_transmittivity,
     _column_config,
     _point,
     distinguishable,
@@ -168,7 +169,7 @@ def evolve_bs(
     configuration whose amplitude is zero at every point is left out.
     """
     t = np.asarray(t, dtype=np.float64)
-    require((0.0 <= t) & (t <= 1.0), t, "T must lie in [0, 1], got {!r}")
+    _check_transmittivity(t)
     row_b, row_e = _bs_rows(t, convention)
     out: dict[Key, np.ndarray] = {}
     for key, amp in state.amps.items():

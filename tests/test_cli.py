@@ -173,6 +173,16 @@ class TestRunCommand:
         assert code == 2
         assert "cannot read config" in err
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        # a Latin-1 e-acute in a comment: the decode error is a config error naming the file
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# caf\xe9\n" + self.CFG.encode())
+        code, out, err = run_cli(capsys, ["run", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot read config {str(path)!r}:")
+        assert "can't decode byte 0xe9" in err
+
     # the wrap's three filter branches: a prescription, an explicit pair, the unit pair
     @pytest.mark.parametrize(
         "name",
@@ -869,6 +879,8 @@ class TestTomographyCommand:
             ("state = singlet\ntotal_triples = inf\n", "total_triples must be positive"),
             ("state = singlet\ntotal_triples = 0\n", "total_triples must be positive"),
             ("state = singlet\ntrials = 1\n", "trials must be at least 2"),
+            ("state = singlet\ntrials = 100001\n", "trials must be at most 100000, got 100001"),
+            ("state = singlet\ntrials = 1000000000000000\n", "trials must be at most 100000"),
             ("state = singlet\nbackground = nan\n", "background must be nonnegative"),
             ("state = singlet\nbackground = inf\n", "background must be nonnegative"),
             ("state = singlet\nbackground = -3\n", "background must be nonnegative"),

@@ -116,7 +116,7 @@ class TestBeamSplitter:
 
     def test_rejects_bad_t_and_convention(self):
         state = FockState({key(("B", "H", 0),): 1.0 + 0j})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"T must lie in \[0, 1\], got 1.2"):
             evolve_bs(state, 1.2)
         with pytest.raises(ValueError):
             evolve_bs(state, 0.5, "sideways")

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from ebrsim.core import (
 )
 from ebrsim.metrics import concurrence, fidelity
 from ebrsim.protocol import ChannelConfig, distinguishable, run_protocol
+from ebrsim import tomography
 from ebrsim.tomography import (
+    MAX_TRIALS,
     CountRecord,
     RankDeficient,
     TomographySetting,
@@ -382,6 +387,17 @@ class TestErrorBars:
         with pytest.raises(ValueError):
             error_bars(result, records, trials=1)
 
+    def test_rejects_trials_above_bound_before_drawing(self, stage2_state, monkeypatch):
+        records = simulate_counts(stage2_state, 500, seed=8)
+        result = reconstruct(records)
+
+        def unreachable(*args):
+            raise AssertionError("bootstrap counts allocated for an over-bound trials")
+
+        monkeypatch.setattr(tomography, "_bootstrap_counts", unreachable)
+        with pytest.raises(InvalidParameter, match=f"trials must be at most {MAX_TRIALS}"):
+            error_bars(result, records, trials=MAX_TRIALS + 1)
+
 
 class TestCountsCsv:
     def test_round_trip(self, stage2_state):
@@ -390,6 +406,19 @@ class TestCountsCsv:
         assert text.splitlines()[0] == "setting_A,setting_B,expected_rate,observed"
         back = counts_from_csv(text)
         assert back == records
+
+    @pytest.mark.parametrize("minimal", [False, True])
+    def test_equals_csv_writer(self, stage2_state, minimal):
+        records = simulate_counts(stage2_state, 500, seed=11, minimal=minimal)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["setting_A", "setting_B", "expected_rate", "observed"])
+        for r in records:
+            writer.writerow([r.setting_a, r.setting_b, f"{r.expected_rate:.17g}", r.observed])
+        text = counts_to_csv(records)
+        assert len(records) == (16 if minimal else 36)
+        assert text == buf.getvalue()
+        assert counts_from_csv(text) == records
 
     def test_header_is_checked(self):
         with pytest.raises(ValueError):
