@@ -19,15 +19,16 @@ swept-over constant once per block, a point's swept value and filter
 factors once per point, a stage's concurrence and probabilities once per
 stage row, and once in all for the one-point stages I-II of a sweep over
 ``epsilon``.  All of a block's distinct float columns are concatenated and
-formatted in one call: for CSV by ``_csv_numbers``, whose numpy kernel
-(:mod:`ebrsim.g17`) computes the exact ``%.17g`` text of a whole column
-(values outside its fast domain, and near-ties, go through ``"%.17g" %``
-one at a time), and for JSON by ``repr``, with NaN and infinities found
-by mask.  A CSV row is its cells joined by commas, since no label or
-number ever needs CSV quoting.  A JSON block fills one all-``%s``
-template of its records with one ``%``: the bytes of
-``json.dumps({"records": ...}, indent=2)`` with NaN as ``null``, since
-``repr`` of a finite float is json's.
+formatted in one call by the numpy kernel :mod:`ebrsim.g17`: for CSV
+by ``_csv_numbers``, the exact ``%.17g`` text of the whole column, and
+for JSON by ``_json_numbers``, its exact ``repr`` text, the shortest
+digits that round back, with NaN and infinities found by mask.  Values
+outside the kernel's fast domain, and those whose digits it cannot
+decide, go through ``"%.17g" %`` or ``repr`` one at a time.  A CSV row
+is its cells joined by commas, since no label or number ever needs CSV
+quoting.  A JSON block fills one all-``%s`` template of its records
+with one ``%``: the bytes of ``json.dumps({"records": ...}, indent=2)``
+with NaN as ``null``, since ``repr`` of a finite float is json's.
 
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
@@ -317,9 +318,9 @@ def _swept(config: ChannelConfig, variable: str, values: np.ndarray) -> ChannelC
 def _csv_numbers(col: np.ndarray) -> list[str]:
     """``_fmt`` of each value of a float64 column, by the numpy kernel ``g17.strings``.
 
-    The kernel is imported on first use: where no ``.pyc`` is written,
-    importing it costs about 3 ms, which a JSON sweep and the other
-    commands need not pay.
+    ``g17`` is imported on first use, here and in ``_json_numbers``: where
+    no ``.pyc`` is written, importing it costs about 3 ms, which ``run``,
+    ``oracle-check`` and ``tomography`` need not pay.
     """
     from . import g17
 
@@ -329,10 +330,14 @@ def _csv_numbers(col: np.ndarray) -> list[str]:
 def _json_numbers(col: np.ndarray) -> list[str]:
     """The JSON text of each value of a float64 column: ``repr``, or NaN as ``null``.
 
-    ``repr`` of a finite float is what ``json.dumps`` prints; the non-finite
-    values are found by mask, and an infinity is json's ``Infinity``.
+    ``repr`` of a finite float is what ``json.dumps`` prints, and the numpy
+    kernel ``g17.shortest`` computes it for the whole column.  The
+    non-finite values are found by mask, and an infinity is json's
+    ``Infinity``.
     """
-    out = list(map(repr, col.tolist()))
+    from . import g17
+
+    out = g17.shortest(col)
     for i in np.flatnonzero(~np.isfinite(col)).tolist():
         out[i] = "null" if math.isnan(col[i]) else json.dumps(float(col[i]))
     return out

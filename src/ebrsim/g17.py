@@ -1,12 +1,24 @@
-"""Exact ``%.17g`` text of a float64 column, computed with numpy.
+"""Exact ``%.17g`` and ``repr`` text of a float64 column, computed with numpy.
 
-``strings(col)`` returns ``["%.17g" % x for x in col.tolist()]``, byte for
-byte, at a fraction of the per-value cost: the 17 correctly rounded
-significant digits of a whole column come from a double-double product
-(a fixed-precision conversion in the spirit of Adams, "Ryu revisited:
-printf floating point conversion", OOPSLA 2019, on Dekker's error-free
-product, Numer. Math. 18, 1971), and the text from table-driven bytes.
-Values outside the fast domain, and near-ties, are formatted one at a time.
+Two layouts share one kernel, each byte for byte at a fraction of the
+per-value cost:
+
+- ``strings(col)`` is ``["%.17g" % x for x in col.tolist()]``, the CSV
+  layout.  The 17 correctly rounded significant digits of a whole column
+  come from a double-double product (a fixed-precision conversion in the
+  spirit of Adams, "Ryu revisited: printf floating point conversion",
+  OOPSLA 2019, on Dekker's error-free product, Numer. Math. 18, 1971).
+- ``shortest(col)`` is ``list(map(repr, col.tolist()))``, the JSON layout:
+  the shortest digits that round back to each value, and of those the
+  nearest (Steele & White, PLDI 1990; Adams, "Ryu", PLDI 2018), found from
+  the same double-double and the value's rounding interval, with ``repr``'s
+  ``.0`` after an integral number.
+
+Both build the text from table-driven bytes.  Their fast domain is
+``1e-200 <= |x| < 1e16``, and zero for ``shortest``; values outside it, and
+those whose digits the double-double cannot decide (near-ties of the 17th
+digit, and for ``shortest`` an end of the rounding interval), are formatted
+one at a time by ``"%.17g" %`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -21,11 +33,18 @@ _SPLIT = 134217729.0
 # Least distance from 1/2 of a rounding remainder on the fast path: ten
 # thousand times a bound on the remainder's own error.
 _TIE_MARGIN = 1e-10
+# Least distance on shortest()'s fast path, in units of V's last digit, of an
+# end of a value's rounding interval from an integer, and between the
+# distances of two candidates: over ten thousand times a bound on the error
+# of the ends and of those distances, which is about 2e-14.
+_EDGE_MARGIN = 1e-9
 # First row of each word's entries in _tables' text and keep tables;
 # the four digit-group words have 324 keep rows each.
 _GROUP_TEXT, _EXPONENT_TEXT = 10, 10_010
 _GROUP_KEEP, _EXPONENT_KEEP = 24, 24 + 4 * 324
-# Values per pass of strings(): a pass's temporaries, about 300 bytes a
+# Row of the ".0" word after word 5's 202 exponent rows.
+_DOT_ZERO = 202
+# Values per pass of _text(): a pass's temporaries, about 300 bytes a
 # value, stay near a 2 MB L2 cache, where 4096-value passes over an
 # 11 000-value block ran faster than one pass (Xeon, 2 MB L2 per core), and a
 # long column needs no more memory than one pass.
@@ -34,16 +53,18 @@ _PASS = 4096
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """The constant tables of ``strings``, built on its first call.
+    """The constant tables of ``strings`` and ``shortest``, built on first use.
 
     - ``10**s`` for ``s`` in 0..217 as a double-double ``hi + lo``: ``hi`` is
       the float64 nearest it, as its two Veltkamp halves, and ``lo`` the
       float64 nearest ``10**s - hi``;
     - the text words: word 0 for each first digit, a group's word for each
-      of 0000..9999 and word 5 for each exponent 000..201;
-    - the keep words: word 0 by ``sign + 2 * lead + 12 * (point == 0)``,
+      of 0000..9999 and word 5 for each exponent 000..201, then ``.0``;
+    - the keep words, whose bytes are ``0xff`` under a text byte that is
+      printed and 0 elsewhere: word 0 by ``sign + 2 * lead + 12 * (point == 0)``,
       group word ``w`` (1-4) by ``18 * count + point + 1`` and word 5 by
-      notation (fixed, scientific, scientific with three exponent digits);
+      notation (fixed, scientific, scientific with three exponent digits,
+      fixed with ``.0``);
     - per group and value 0000..9999, the number of digits up to the group's
       last nonzero one, or 0.
     """
@@ -63,6 +84,7 @@ def _tables() -> tuple[np.ndarray, ...]:
     groups[..., 1] = pairs
     text = b"".join(b"-0.000%d." % d for d in range(10)) + groups.tobytes()
     text += b"".join(b"e-%03d\n\0\0" % e for e in range(202))
+    text += b".0\n\0\0\0\0\0"
 
     # by word, digit count 0..17, point -1..16, and digit or slot 1..16 of the words
     rank = np.arange(1, 17).reshape(4, 1, 1, 4)
@@ -74,21 +96,25 @@ def _tables() -> tuple[np.ndarray, ...]:
         for point0 in (0, 1) for lead in range(6) for sign in (0, 1)
     )
     keep += marks.tobytes() + b"\0\0\0\0\0\1\0\0" b"\1\1\0\1\1\1\0\0" b"\1\1\1\1\1\1\0\0"
+    keep += b"\1\1\1\0\0\0\0\0"
 
     pair_last = np.array([0] + [2 - (v % 10 == 0) for v in range(1, 100)], dtype=np.uint8)
     last = np.where(pair_last > 0, pair_last + 2, pair_last[:, None]).ravel()
     last = (last + np.arange(1, 17, 4, dtype=np.uint8)[:, None]) * (last > 0)
-    text, keep = (np.frombuffer(b, dtype=np.uint8).copy().view(np.uint64) for b in (text, keep))
+    text = np.frombuffer(text, dtype=np.uint8).copy().view(np.uint64)
+    keep = (np.frombuffer(keep, dtype=np.uint8) * np.uint8(0xFF)).view(np.uint64)
     return hi_head, hi - hi_head, np.array(lo), text, keep, last
 
 
-def _digits(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(fast, N, e)``: whether a value takes the fast path, and its digits and exponent.
+def _digits(col: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(fast, N, e, rem)``: whether a value takes the fast path, and its digits.
 
     ``N`` is the int64 of the 17 correctly rounded significant digits of
-    ``|x|``, from ``1e16`` to ``1e17 - 1``, and ``e`` its decimal exponent, so
-    ``|x|`` rounds to ``N * 10**(e - 16)``.  A value off the fast path has
-    ``N = 1e16``.
+    ``|x|``, from ``1e16`` to ``1e17``, and ``e`` the decimal exponent of its
+    first digit, so ``|x|`` rounds to ``N * 10**(e - 16)``; ``_normal``
+    writes ``N = 1e17`` as ``1e16`` at ``e + 1``.  ``rem`` is the float64
+    ``V - N`` for ``V = |x| * 10**(16 - e)``.  A value off the fast path has
+    ``N = 1e16`` and, if it is zero, ``e = 0``.
     """
     hi_head, hi_tail, lo_table = _tables()[:3]
     x = np.abs(col)
@@ -109,22 +135,78 @@ def _digits(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = product.astype(np.int64) + step.astype(np.int64)
     fast &= (np.abs(np.abs(remainder) - 0.5) > _TIE_MARGIN) & (n <= 10**17)
     fast &= (n > 10**16) | ((n == 10**16) & (remainder >= 0))
-    exponent += n == 10**17
-    return fast, np.where(fast & (n < 10**17), n, 10**16), exponent
+    return fast, np.where(fast, n, 10**16), exponent, remainder
 
 
-def _words(negative: np.ndarray, n: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ``(size, 6)`` text and keep words of each value's ``%.17g`` layout.
+def _normal(n: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(N, e)`` with ``N = 1e17`` written as ``1e16`` at ``e + 1``."""
+    top = n == 10**17
+    return np.where(top, 10**16, n), exponent + top
+
+
+def _g17_digits(col: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(fast, N, e)`` of ``%.17g``: ``_digits``' 17 digits."""
+    fast, n, exponent, _ = _digits(col)
+    return (fast, *_normal(n, exponent))
+
+
+def _shortest_digits(col: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(fast, N, e)`` of ``repr``: its shortest digits, padded with zeros to 17.
+
+    In ``_digits``' units ``V = N + rem``, ``|x| = m * 2**q`` (with
+    ``2**52 <= m < 2**53``) is the float64 nearest every decimal strictly
+    inside ``(V - lower, V + upper)``: the half-gap above is
+    ``upper = 2**(q - 1) * 10**(16 - e) = V / (2 * m)``, and the half-gap below
+    is ``lower = upper / 2`` for ``m = 2**52``, ``upper`` otherwise.  The
+    integers inside are ``a + 1 .. b``.  ``repr`` prints the multiple of the
+    largest ``10**k`` among them, the nearer to ``V`` of two: if neither the
+    floor nor the ceiling of ``V`` at ``10**k`` is inside, no multiple is.
+    The interval is under 23 wide (``upper <= 1e17 / 2**53``), so at most
+    one multiple of 100 is inside, and where one is, it is also the multiple
+    of the largest ``10**k``; so ``k`` needs testing only at 1 and 2, by
+    int64 division, and ``_words`` drops the padding zeros.
+
+    An end of the interval rounds back to ``x`` when ``m`` is even, a tie
+    between two candidates goes to the even one, and ``V`` and the ends
+    carry errors of about 1e-14; so a lane whose end lies within
+    ``_EDGE_MARGIN`` of an integer, or whose candidates lie that close to
+    equally near, is left to ``repr``.  A zero takes the fast path with
+    ``N = 0``.
+    """
+    fast, n, exponent, remainder = _digits(col)
+    bits = col.view(np.uint64) & np.uint64(2**52 - 1)  # m - 2**52
+    upper = (n + remainder) / (2.0 * (bits | np.uint64(2**52)))
+    lower = np.where(bits == 0, 0.5 * upper, upper)
+    ends = np.stack([remainder - lower, remainder + upper])
+    unsure = (np.abs(ends - np.rint(ends)) <= _EDGE_MARGIN).any(axis=0)
+    a, b = n + np.floor(ends).astype(np.int64)
+
+    # at most one multiple of 100 fits in the interval, which is under 23 wide
+    k = (b // 10 > a // 10) + (b // 100 > a // 100).astype(np.int64)
+    power = 10**k
+    floor = n - n % power
+    nearer_ceiling = 2.0 * (n - floor) + 2.0 * remainder - power  # > 0 where V is nearer it
+    floor_in, ceiling_in = floor > a, floor + power <= b
+    up = ceiling_in & ~(floor_in & (nearer_ceiling < 0))
+    unsure |= floor_in & ceiling_in & (np.abs(nearer_ceiling) <= _EDGE_MARGIN)
+    zero = col == 0
+    n, exponent = _normal(np.where(zero, 0, floor + power * up), exponent)  # a zero's e is 0
+    return (fast & ~unsure) | zero, n, exponent
+
+
+def _words(negative: np.ndarray, n: np.ndarray, exponent: np.ndarray, dot: bool) -> np.ndarray:
+    """The ``(size, 6)`` words of each value's layout: its text bytes, 0 where not printed.
 
     The six words of a value are: its sign, the ``0.000`` of a fixed number
     below 1, the first digit and a point slot; four groups of four digits,
     each digit followed by a point slot; and an exponent's ``e-`` and three
-    digits, the separator and two unused bytes.  A keep byte is 1 where
-    ``%.17g`` prints the text byte: the sign of a negative value, ``0.`` and
-    ``-e - 1`` zeros for a fixed number below 1, the digits up to the last
-    significant one (and the integer part's), the point where a fraction
-    follows it, the exponent in scientific notation (``e < -4``) and the
-    separator.
+    digits, or ``.0``, the separator and unused bytes.  A keep word masks
+    the text bytes the layout prints: the sign of a negative value,
+    ``0.`` and ``-e - 1`` zeros for a fixed number below 1, the digits up
+    to the last significant one (and the integer part's), the point where a
+    fraction follows it, the exponent in scientific notation (``e < -4``)
+    and the separator.  With ``dot`` an integral fixed number ends in
+    ``.0``, as ``repr`` prints it.
     """
     text_words, keep_words, last = _tables()[3:]
     high = n // 10**8
@@ -141,23 +223,51 @@ def _words(negative: np.ndarray, n: np.ndarray, exponent: np.ndarray) -> tuple[n
     point = np.where((point >= 0) & (significant > point + 1), point, -1)
     count = np.where(scientific, significant, np.maximum(significant, exponent + 1))
     lead = np.where(scientific | (exponent >= 0), 0, 1 - exponent)  # "0." and its zeros
+    # word 5 by notation: fixed, scientific, scientific with three exponent digits
+    ending = _EXPONENT_TEXT + np.where(scientific, -exponent, 0)
+    notation = _EXPONENT_KEEP + scientific + (exponent <= -100)
+    if dot:
+        integral = (exponent >= 0) & (point < 0)
+        ending = np.where(integral, _EXPONENT_TEXT + _DOT_ZERO, ending)
+        notation = np.where(integral, _EXPONENT_KEEP + 3, notation)
 
     index = np.empty((n.size, 6), dtype=np.intp)
     index[:, 0] = first
     for word, group in enumerate(groups, start=1):
         index[:, word] = _GROUP_TEXT + group
-    index[:, 5] = _EXPONENT_TEXT + np.where(scientific, -exponent, 0)
+    index[:, 5] = ending
     text = text_words.take(index)
     index[:, 0] = negative + 2 * lead + 12 * (point == 0)
     state = 18 * count + point + 1
     for word in range(1, 5):
         index[:, word] = _GROUP_KEEP + 324 * (word - 1) + state
-    index[:, 5] = _EXPONENT_KEEP + scientific + (exponent <= -100)
-    return text, keep_words.take(index)
+    index[:, 5] = notation
+    return text & keep_words.take(index)
+
+
+def _text(col: np.ndarray, digits, dot: bool, fallback) -> list[str]:
+    """Each value's text, ``_PASS`` values at a time, from ``digits`` and the ``dot`` layout.
+
+    One ``bytes.translate`` that deletes the unprinted (zero) bytes, one
+    ``decode`` and one ``split`` per pass make every string; a value off
+    ``digits``' fast path is formatted by ``fallback``.
+    """
+    out: list[str] = []
+    for start in range(0, col.size, _PASS):
+        part = col[start : start + _PASS]
+        fast, n, exponent = digits(part)
+        words = _words(np.signbit(part), n, exponent, dot)
+        text = words.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+        text.pop()  # the empty string after the last separator
+        slow = np.flatnonzero(~fast)
+        for i, x in zip(slow.tolist(), part[slow].tolist()):
+            text[i] = fallback(x)
+        out += text
+    return out
 
 
 def strings(col: np.ndarray) -> list[str]:
-    """``"%.17g" % x`` for each value ``x`` of a float64 column, ``_PASS`` values at a time.
+    """``"%.17g" % x`` for each value ``x`` of a float64 column.
 
     A finite ``x`` with ``1e-200 <= |x| < 1e16`` takes the fast path.  With
     ``e = floor(log10|x|)`` and ``s = 16 - e``, ``V = |x| * 10**s`` is computed
@@ -174,20 +284,22 @@ def strings(col: np.ndarray) -> list[str]:
     ``V`` lies outside ``[1e16, 1e17]`` because ``log10`` was one off at a
     power of ten.  ``N = 1e17`` is ``1e16`` at ``e + 1``.
 
-    Each value is laid out in six 8-byte text words with six keep words
-    that mark the bytes ``%.17g`` prints (``_words``), and one
-    ``np.compress``, ``decode`` and ``split`` per pass make every string.
+    Each value is laid out in six 8-byte text words, masked by six keep
+    words to the bytes ``%.17g`` prints (``_words``).
     """
-    out: list[str] = []
-    for start in range(0, col.size, _PASS):
-        part = col[start : start + _PASS]
-        fast, n, exponent = _digits(part)
-        words, keep = _words(np.signbit(part), n, exponent)
-        kept = np.compress(keep.view(bool).ravel(), words.view(np.uint8).ravel())
-        text = kept.tobytes().decode("ascii").split("\n")
-        text.pop()  # the empty string after the last separator
-        slow = np.flatnonzero(~fast)
-        for i, x in zip(slow.tolist(), part[slow].tolist()):
-            text[i] = "%.17g" % x
-        out += text
-    return out
+    return _text(col, _g17_digits, False, "%.17g".__mod__)
+
+
+def shortest(col: np.ndarray) -> list[str]:
+    """``repr(x)`` for each value ``x`` of a float64 column: the shortest round-trip text.
+
+    The digits come from ``strings``' double-double ``V`` by
+    ``_shortest_digits``, on the same fast domain plus the zeros.  A value
+    ``strings`` would format one at a time, or one with an end of its
+    rounding interval within ``_EDGE_MARGIN`` of an integer in ``V``'s
+    units, or two candidates that near to a tie, is formatted by ``repr``.
+    The layout is ``strings``' with ``repr``'s ``.0`` after an integral
+    fixed number: both switch to scientific notation below ``1e-4``, and
+    the fast domain ends before ``repr``'s switch at ``1e16``.
+    """
+    return _text(col, _shortest_digits, True, repr)

@@ -38,6 +38,8 @@ GOLDEN_SWEEPS = [
     # an epsilon sweep from 1e-300: filter factors and stage-III probabilities below
     # 1e-200, and a p below the 1e-4 switch to scientific notation
     "sweep_epsilon_tiny_ff",
+    # p in tenths on the V branch: short decimals, zeros and 1.0 as JSON prints them
+    "sweep_p_decimal",
 ]
 
 STAGE_LINE = re.compile(
@@ -656,6 +658,56 @@ class TestSweepWriters:
         assert cli._csv_numbers(col) == ["%.17g" % x for x in col.tolist()]
         # a half-even tie that rounds up: without a margin for it the kernel prints ...937e-08
         assert cli._csv_numbers(np.array([3 * 2**-25])) == ["8.9406967163085938e-08"]
+
+    def test_json_numbers_equal_repr(self):
+        # the shortest-digit kernel against repr, one value at a time
+        rng = np.random.default_rng(13)
+        powers = np.array([float(f"1e{e}") for e in range(-210, 18)])
+        near = [powers]
+        up = down = powers
+        for _ in range(3):
+            up, down = np.nextafter(up, math.inf), np.nextafter(down, 0.0)
+            near += [up, down]
+        places = rng.integers(1, 15, size=20_000)
+        col = np.concatenate(
+            [
+                rng.random(60_000),
+                10.0 ** rng.uniform(-210, 17, size=60_000),
+                rng.integers(0, 2**64, size=30_000, dtype=np.uint64).view(np.float64),
+                rng.integers(1, 2**52, size=1000, dtype=np.uint64).view(np.float64),  # subnormal
+                np.arange(1000) / 999,
+                # decimals with 1-14 places, which repr prints in few digits
+                rng.integers(0, 10**6, size=places.size) / 10.0**places,
+                2.0 ** np.arange(-700, 60),
+                # every power of ten from 1e-210 to 1e17 and 3 ulps either side
+                *near,
+                [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e-200, 1e300],
+            ]
+        )
+        col = np.concatenate([col, -col[::3]])
+        assert col.size >= 200_000
+        assert cli._json_numbers(col) == [
+            "null" if math.isnan(x) else repr(x).replace("inf", "Infinity") for x in col.tolist()
+        ]
+
+    @pytest.mark.parametrize(
+        "x,text",
+        [
+            # the gap below a power of two is half the gap above: the nearest 16-digit
+            # candidate, ...801e-14, lies outside it, so only the one above fits
+            (2.0**-44, "5.684341886080802e-14"),
+            (2.0**-24, "5.960464477539063e-08"),
+            (123.0, "123.0"),
+            (-0.0, "-0.0"),
+            (0.0, "0.0"),
+            (1e16, "1e+16"),
+            (9999999999999998.0, "9999999999999998.0"),
+            (0.1 + 0.2, "0.30000000000000004"),
+        ],
+    )
+    def test_json_number_pins(self, x, text):
+        assert repr(x) == text
+        assert cli._json_numbers(np.array([x])) == [text]
 
     def test_near_tie_keeps_its_digit(self):
         # the rounding remainder lies within the tie margin of 1/2 but is no tie: without
