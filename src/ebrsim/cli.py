@@ -26,9 +26,11 @@ digits that round back, with NaN and infinities found by mask.  Values
 outside the kernel's fast domain, and those whose digits it cannot
 decide, go through ``"%.17g" %`` or ``repr`` one at a time.  A CSV row
 is its cells joined by commas, since no label or number ever needs CSV
-quoting.  A JSON block fills one all-``%s`` template of its records
-with one ``%``: the bytes of ``json.dumps({"records": ...}, indent=2)``
-with NaN as ``null``, since ``repr`` of a finite float is json's.
+quoting.  A JSON cell carries the record text that follows it, and the
+scenario cell the record's opening, added once per distinct value before
+it fills rows, so a JSON block is its cells in one ``"".join``: the bytes
+of ``json.dumps({"records": ...}, indent=2)`` with NaN as ``null``, since
+``repr`` of a finite float is json's.
 
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
@@ -87,11 +89,13 @@ MAX_SWEEP_POINTS = 1_000_000
 # sweep's memory does not grow with its length.
 SWEEP_BLOCK = 4096
 
-# One record of json.dumps({"records": [...]}, indent=2), keys pre-encoded.
-_JSON_RECORD = (
-    "    {\n"
-    + ",\n".join(f"      {encode_basestring_ascii(k)}: %s" for k in SWEEP_HEADER.split(","))
-    + "\n    }"
+# The text around the ten cells of a record of json.dumps({"records": [...]},
+# indent=2), keys pre-encoded: the record's opening before its first cell, then
+# the text after each cell.  A record ends in "},\n", which the last one drops.
+_JSON_SEPARATORS = (
+    "    {\n      " + encode_basestring_ascii("scenario") + ": ",
+    *(f",\n      {encode_basestring_ascii(k)}: " for k in SWEEP_HEADER.split(",")[1:]),
+    "\n    },\n",
 )
 
 
@@ -343,7 +347,7 @@ def _json_numbers(col: np.ndarray) -> list[str]:
     return out
 
 
-def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
+def _sweep_cells(config: ChannelConfig, number, label=str, separators=None) -> np.ndarray:
     """The table of a column of points as a ``(rows, 10)`` array of cell strings.
 
     Rows go point by point: stages I and II, then III where the point kept
@@ -351,6 +355,13 @@ def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
     trace of zero) has NaN filter factors.  ``number`` maps a float64
     column to its strings, and is called once with every distinct column of
     the block concatenated; ``label`` maps a label to its cell.
+
+    ``separators``, if given, is the text before a row's first cell and then
+    the text after each of its ten cells (``_JSON_SEPARATORS``), so the
+    block's text is its cells joined.  Each is added to a column's distinct
+    values before they fill rows: once per point, or once for a constant.  A
+    stage whose cumulative probability is its probability adds both of
+    those columns' separators to the one formatted text.
     """
     stages = run_protocol(config)
     kept = stages[2].kept
@@ -373,17 +384,29 @@ def _sweep_cells(config: ChannelConfig, number, label=str) -> np.ndarray:
     ends = np.cumsum([values.size for values in columns])
     text = iter(np.split(np.array(number(np.concatenate(columns)), dtype=object), ends[:-1]))
 
-    cells[:, 0] = label(config.scenario.kind)
+    scenario = label(config.scenario.kind)
+    if separators:
+        scenario = separators[0] + scenario + separators[1]
+    cells[:, 0] = scenario
+    # a separator replaces a value's text in place, so its bare text is freed
     for column, values in enumerate(inputs, start=2):
-        cells[:, column] = np.repeat(next(text), per_point) if np.ndim(values) else next(text)
+        cell = next(text)
+        if separators:
+            cell += separators[column + 1]
+        cells[:, column] = np.repeat(cell, per_point) if np.ndim(values) else cell
     # stages I-II of a sweep over epsilon are one point, whose cells fill every row
     for out, rows in zip(stages, (first, first + 1, first[kept] + 2)):
-        cells[rows, 1] = label(out.stage)
-        cells[rows, 7] = next(text)
-        cells[rows, 8] = probability = next(text)
-        cells[rows, 9] = (
-            probability if out.cumulative_probability is out.probability else next(text)
-        )
+        stage, concurrence, probability = label(out.stage), next(text), next(text)
+        cumulative = probability if out.cumulative_probability is out.probability else next(text)
+        if separators:
+            stage += separators[2]
+            concurrence += separators[8]
+            cumulative = cumulative + separators[10]  # before the probability's text changes
+            probability += separators[9]
+        cells[rows, 1] = stage
+        cells[rows, 7] = concurrence
+        cells[rows, 8] = probability
+        cells[rows, 9] = cumulative
     return cells
 
 
@@ -399,16 +422,18 @@ def _sweep_csv(cells: np.ndarray, header: bool = True) -> str:
 def _sweep_json(cells: np.ndarray, first: bool = True, last: bool = True) -> str:
     """``_json_numbers`` cells as ``json.dumps({"records": [...]}, indent=2)``.
 
-    ``cells`` is not empty.  A table written in blocks opens the document
-    in its ``first`` block and closes it in its ``last``; the blocks
-    between continue the record list.
+    ``cells`` is not empty and carries ``_JSON_SEPARATORS``, so the text is
+    its cells joined.  A table written in blocks opens the document in its
+    ``first`` block, whose first cell gains the head, and closes it in its
+    ``last``, whose last cell drops the ``,\n`` after its record and gains
+    the tail; the blocks between continue the record list.
     """
-    template = (
-        ('{\n  "records": [\n' if first else ",\n")
-        + ",\n".join([_JSON_RECORD] * len(cells))
-        + ("\n  ]\n}\n" if last else "")
-    )
-    return template % tuple(cells.flat)
+    text = cells.ravel().tolist()
+    if first:
+        text[0] = '{\n  "records": [\n' + text[0]
+    if last:
+        text[-1] = text[-1][:-2] + "\n  ]\n}\n"
+    return "".join(text)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -432,7 +457,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The whole swept column is range-checked here, so a config error exits 2
     # before any byte is written; then each block is written as it is done.
     config = _swept(_parse_channel({**base, variable: cfg["start"]}), variable, values)
-    formats = (_json_numbers, encode_basestring_ascii) if args.format == "json" else (_csv_numbers,)
+    formats = (
+        (_json_numbers, encode_basestring_ascii, _JSON_SEPARATORS)
+        if args.format == "json"
+        else (_csv_numbers,)
+    )
     with _open_outputs(*_out_paths(args.out)) as files:
         fh = files[0] if files else sys.stdout
         for start in range(0, values.size, SWEEP_BLOCK):

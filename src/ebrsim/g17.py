@@ -106,21 +106,9 @@ def _tables() -> tuple[np.ndarray, ...]:
     return hi_head, hi - hi_head, np.array(lo), text, keep, last
 
 
-def _digits(col: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(fast, N, e, rem)``: whether a value takes the fast path, and its digits.
-
-    ``N`` is the int64 of the 17 correctly rounded significant digits of
-    ``|x|``, from ``1e16`` to ``1e17``, and ``e`` the decimal exponent of its
-    first digit, so ``|x|`` rounds to ``N * 10**(e - 16)``; ``_normal``
-    writes ``N = 1e17`` as ``1e16`` at ``e + 1``.  ``rem`` is the float64
-    ``V - N`` for ``V = |x| * 10**(16 - e)``.  A value off the fast path has
-    ``N = 1e16`` and, if it is zero, ``e = 0``.
-    """
+def _scaled(x: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(N, rem)`` of ``V = x * 10**(16 - e)``: the int64 ``N = round(V)`` and ``V - N``."""
     hi_head, hi_tail, lo_table = _tables()[:3]
-    x = np.abs(col)
-    fast = (x >= 1e-200) & (x < 1e16)
-    x = np.where(fast, x, 1.0)  # the other lanes compute on 1, free of warnings
-    exponent = np.floor(np.log10(x)).astype(np.int64)
     s = 16 - exponent
     b_head, b_tail = hi_head[s], hi_tail[s]
     c = _SPLIT * x
@@ -132,9 +120,35 @@ def _digits(col: np.ndarray) -> tuple[np.ndarray, ...]:
     # a kept product is at least 2**53, so an integer, and N = product + rint(rest)
     step = np.rint(rest)
     remainder = rest - step  # exact where kept: |rest| < 21, step its nearest integer
-    n = product.astype(np.int64) + step.astype(np.int64)
+    return product.astype(np.int64) + step.astype(np.int64), remainder
+
+
+def _digits(col: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(fast, N, e, rem)``: whether a value takes the fast path, and its digits.
+
+    ``N`` is the int64 of the 17 correctly rounded significant digits of
+    ``|x|``, from ``1e16`` to ``1e17``, and ``e`` the decimal exponent of its
+    first digit, so ``|x|`` rounds to ``N * 10**(e - 16)``; ``_normal``
+    writes ``N = 1e17`` as ``1e16`` at ``e + 1``.  ``rem`` is the float64
+    ``V - N`` for ``V = |x| * 10**(16 - e)``.  A value off the fast path has
+    ``N = 1e16`` and, if it is zero, ``e = 0``.
+
+    ``e`` starts as ``floor(log10|x|)``, which a value a few ulps below a
+    power of ten rounds up to that power; its ``V`` falls just below
+    ``1e16``, and those lanes are computed again at ``e - 1``.  A lane off
+    the domain computes on 1, whose ``V`` is ``1e16`` exactly.
+    """
+    x = np.abs(col)
+    fast = (x >= 1e-200) & (x < 1e16)
+    x = np.where(fast, x, 1.0)  # the other lanes compute on 1, free of warnings
+    exponent = np.floor(np.log10(x)).astype(np.int64)
+    n, remainder = _scaled(x, exponent)
+    # V < 1e16 only where log10 rounded up, and a decade lower V lies in [1e16, 1e17)
+    low = np.flatnonzero((n < 10**16) | ((n == 10**16) & (remainder < 0)))
+    if low.size:
+        exponent[low] -= 1
+        n[low], remainder[low] = _scaled(x[low], exponent[low])
     fast &= (np.abs(np.abs(remainder) - 0.5) > _TIE_MARGIN) & (n <= 10**17)
-    fast &= (n > 10**16) | ((n == 10**16) & (remainder >= 0))
     return fast, np.where(fast, n, 10**16), exponent, remainder
 
 
@@ -281,8 +295,9 @@ def strings(col: np.ndarray) -> list[str]:
     ``_TIE_MARGIN`` of 1/2 may be a tie that ``%.17g`` breaks to even, and
     such a value is formatted by ``"%.17g" %`` instead, as are NaN,
     infinities, zero, every value outside the domain and every ``N`` whose
-    ``V`` lies outside ``[1e16, 1e17]`` because ``log10`` was one off at a
-    power of ten.  ``N = 1e17`` is ``1e16`` at ``e + 1``.
+    ``V`` lies outside ``[1e16, 1e17]``.  Where ``log10`` rounded a value
+    just below a power of ten up to it, ``V`` is computed again at ``e - 1``
+    (``_digits``).  ``N = 1e17`` is ``1e16`` at ``e + 1``.
 
     Each value is laid out in six 8-byte text words, masked by six keep
     words to the bytes ``%.17g`` prints (``_words``).

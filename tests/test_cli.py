@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -590,12 +591,27 @@ SYNTHETIC_ROWS = [
 ]
 
 
+def near_powers(first, stop):
+    """The powers of ten from ``1e{first}`` below ``1e{stop}``, then 1, 2 and 3 ulps either side."""
+    powers = np.array([float(f"1e{e}") for e in range(first, stop)])
+    near = [powers]
+    up = down = powers
+    for _ in range(3):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    return np.concatenate(near)
+
+
 def csv_cells(rows):
     return row_cells(rows, cli._csv_numbers, str)
 
 
 def json_cells(rows):
-    return row_cells(rows, cli._json_numbers, encode_basestring_ascii)
+    """The rows' JSON cells, each carrying the record text around it, as the sweep adds it."""
+    cells = row_cells(rows, cli._json_numbers, encode_basestring_ascii)
+    opening, *after = cli._JSON_SEPARATORS
+    cells[:, 0] = opening + cells[:, 0]
+    return cells + np.array(after, dtype=object)
 
 
 def row_cells(rows, number, label):
@@ -620,6 +636,24 @@ class TestSweepWriters:
         assert cli._sweep_csv(csv_cells(SYNTHETIC_ROWS)) == reference_csv(SYNTHETIC_ROWS)
         assert cli._sweep_json(json_cells(SYNTHETIC_ROWS)) == reference_json(SYNTHETIC_ROWS)
 
+    def test_json_blocks(self):
+        # a table written as a first, a middle and a last block is one document; the
+        # last record's last cell, whose ",\n" the last block drops, is integral and
+        # follows a null and a -Infinity
+        rows = SYNTHETIC_ROWS + [
+            ("partial", "III", 0.25, 1e-300, 0.5, 1.0, 2.0, math.nan, -math.inf, 3.0)
+        ]
+        text = (
+            cli._sweep_json(json_cells(rows[:2]), first=True, last=False)
+            + cli._sweep_json(json_cells(rows[2:4]), first=False, last=False)
+            + cli._sweep_json(json_cells(rows[4:]), first=False, last=True)
+        )
+        assert text == reference_json(rows)
+        assert text.endswith(
+            '      "concurrence": null,\n      "probability": -Infinity,\n'
+            '      "cumulative_probability": 3.0\n    }\n  ]\n}\n'
+        )
+
     def test_random_bit_patterns(self):
         # every float64 class: normal, subnormal, signed zero, inf, nan payloads
         rng = np.random.default_rng(7)
@@ -633,12 +667,6 @@ class TestSweepWriters:
     def test_csv_numbers_equal_percent_format(self):
         # the vectorized kernel against "%.17g" % x, one value at a time
         rng = np.random.default_rng(11)
-        powers = np.array([float(f"1e{e}") for e in range(-200, 18)])
-        near = [powers]
-        up = down = powers
-        for _ in range(3):
-            up, down = np.nextafter(up, math.inf), np.nextafter(down, 0.0)
-            near += [up, down]
         odd = 2 * rng.integers(0, 2**20, size=20_000) + 1
         col = np.concatenate(
             [
@@ -646,7 +674,7 @@ class TestSweepWriters:
                 10.0 ** rng.uniform(-30, 17, size=100_000),
                 # every power of ten from 1e-200 to 1e17 and 3 ulps either side: both
                 # sides of the switches at 1e-5/1e-4 and 1e16/1e17 among them
-                *near,
+                near_powers(-200, 18),
                 # exact binary fractions, among them 18-digit decimal ties
                 odd * 2.0 ** -rng.integers(1, 64, size=odd.size),
                 rng.integers(1, 2**52, size=1000, dtype=np.uint64).view(np.float64),  # subnormal
@@ -662,12 +690,6 @@ class TestSweepWriters:
     def test_json_numbers_equal_repr(self):
         # the shortest-digit kernel against repr, one value at a time
         rng = np.random.default_rng(13)
-        powers = np.array([float(f"1e{e}") for e in range(-210, 18)])
-        near = [powers]
-        up = down = powers
-        for _ in range(3):
-            up, down = np.nextafter(up, math.inf), np.nextafter(down, 0.0)
-            near += [up, down]
         places = rng.integers(1, 15, size=20_000)
         col = np.concatenate(
             [
@@ -680,7 +702,7 @@ class TestSweepWriters:
                 rng.integers(0, 10**6, size=places.size) / 10.0**places,
                 2.0 ** np.arange(-700, 60),
                 # every power of ten from 1e-210 to 1e17 and 3 ulps either side
-                *near,
+                near_powers(-210, 18),
                 [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e-200, 1e300],
             ]
         )
@@ -716,6 +738,30 @@ class TestSweepWriters:
 
         x = 4.421976605688792e-92
         assert g17.strings(np.array([x, -x])) == ["%.17g" % v for v in (x, -x)]
+
+
+    def test_near_power_values_take_the_fast_path(self):
+        # log10 rounds a value a few ulps below a power of ten up to that power; such a
+        # value is computed again one decade lower and stays on the fast path, unless its
+        # exact V = |x| * 10**(16 - e) lies within the tie margin of a half-integer
+        from ebrsim import g17
+
+        col = near_powers(-200, 16)
+        col = col[col >= 1e-200]  # the fast domain's lower end
+        ties = []
+        for x in col.tolist():
+            exact = Fraction(x)
+            e = math.floor(math.log10(x))
+            e += (exact >= Fraction(10) ** (e + 1)) - (exact < Fraction(10) ** e)
+            v = exact * Fraction(10) ** (16 - e)
+            ties.append(abs(v - math.floor(v) - Fraction(1, 2)) <= 2 * g17._TIE_MARGIN)
+        ties = np.array(ties)
+        # 1e15 - 0.125, + 0.25 and - 0.375 are exact 17-digit ties
+        assert ties.sum() == 3
+        assert g17._digits(col)[0].tolist() == (~ties).tolist()
+        col = np.concatenate([col, -col])
+        assert g17.strings(col) == ["%.17g" % x for x in col.tolist()]
+        assert g17.shortest(col) == [repr(x) for x in col.tolist()]
 
 
 class TestOracleCheckCommand:
