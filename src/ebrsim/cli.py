@@ -24,13 +24,16 @@ by ``_csv_numbers``, the exact ``%.17g`` text of the whole column, and
 for JSON by ``_json_numbers``, its exact ``repr`` text, the shortest
 digits that round back, with NaN and infinities found by mask.  Values
 outside the kernel's fast domain, and those whose digits it cannot
-decide, go through ``"%.17g" %`` or ``repr`` one at a time.  A CSV row
-is its cells joined by commas, since no label or number ever needs CSV
-quoting.  A JSON cell carries the record text that follows it, and the
-scenario cell the record's opening, added once per distinct value before
-it fills rows, so a JSON block is its cells in one ``"".join``: the bytes
-of ``json.dumps({"records": ...}, indent=2)`` with NaN as ``null``, since
-``repr`` of a finite float is json's.
+decide, go through ``"%.17g" %`` or ``repr`` one at a time.  Each format
+is one ``_SweepFormat`` record: its number and label maps, the text
+around a record's cells, the table's head and its close.  Every cell
+carries the text that follows it (a comma or newline for CSV, which no
+label or number ever needs to quote; the next key or the record's end
+for JSON), added once per distinct value before it fills rows, so one
+writer, ``_sweep_text``, gives either format's block as its cells in one
+``"".join``.  A JSON table is the bytes of ``json.dumps({"records":
+...}, indent=2)`` with NaN as ``null``, since ``repr`` of a finite float
+is json's.
 
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
@@ -52,7 +55,7 @@ import os
 import stat
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -84,19 +87,50 @@ SWEEP_HEADER = (
 # allocation that runs until memory does.
 MAX_SWEEP_POINTS = 1_000_000
 
-# Points per run_protocol call of a sweep.  Each block's three (n, 4, 4)
-# state stacks, cells and text are freed once the block is written, so a
-# sweep's memory does not grow with its length.
+# Points per run_protocol call of a sweep.  A block's three (n, 4, 4) state
+# stacks, cells and text are no longer referenced once its text is written,
+# before the next block is built, so a sweep's memory does not grow with its
+# length.
 SWEEP_BLOCK = 4096
 
-# The text around the ten cells of a record of json.dumps({"records": [...]},
-# indent=2), keys pre-encoded: the record's opening before its first cell, then
-# the text after each cell.  A record ends in "},\n", which the last one drops.
-_JSON_SEPARATORS = (
-    "    {\n      " + encode_basestring_ascii("scenario") + ": ",
-    *(f",\n      {encode_basestring_ascii(k)}: " for k in SWEEP_HEADER.split(",")[1:]),
-    "\n    },\n",
-)
+
+class _SweepFormat(NamedTuple):
+    """How a sweep table is written: its maps and the text around its cells.
+
+    ``number`` maps a float64 column to its cells' strings and ``label`` a
+    scenario or stage label to its cell.  ``separators`` is the text before
+    a record's first cell, then the text after each of its ten cells;
+    ``head`` opens the table, and ``close`` replaces the last record's final
+    separator.
+    """
+
+    number: Callable[[np.ndarray], list[str]]
+    label: Callable[[str], str]
+    separators: tuple[str, ...]
+    head: str
+    close: str
+
+
+# The keys of json.dumps({"records": [...]}, indent=2), pre-encoded, each on
+# its own line of a record
+_JSON_KEYS = [f"\n      {encode_basestring_ascii(k)}: " for k in SWEEP_HEADER.split(",")]
+
+# The number maps are looked up when called, so the module's current
+# _csv_numbers or _json_numbers formats the cells.
+_SWEEP_FORMATS = {
+    "csv": _SweepFormat(
+        lambda col: _csv_numbers(col), str, ("", *[","] * 9, "\n"), SWEEP_HEADER + "\n", "\n"
+    ),
+    # a JSON record opens with "{" before its first key and ends in "},", whose
+    # comma the last record drops
+    "json": _SweepFormat(
+        lambda col: _json_numbers(col),
+        encode_basestring_ascii,
+        ("    {" + _JSON_KEYS[0], *("," + key for key in _JSON_KEYS[1:]), "\n    },\n"),
+        head='{\n  "records": [\n',
+        close="\n    }\n  ]\n}\n",
+    ),
+}
 
 
 class ConfigError(Exception):
@@ -347,21 +381,20 @@ def _json_numbers(col: np.ndarray) -> list[str]:
     return out
 
 
-def _sweep_cells(config: ChannelConfig, number, label=str, separators=None) -> np.ndarray:
-    """The table of a column of points as a ``(rows, 10)`` array of cell strings.
+def _sweep_cells(config: ChannelConfig, fmt: _SweepFormat) -> np.ndarray:
+    """The table of a column of points as a ``(rows, 10)`` array of ``fmt``'s cells.
 
     Rows go point by point: stages I and II, then III where the point kept
     it; a point without stage III (a singular prescription, or a filtered
-    trace of zero) has NaN filter factors.  ``number`` maps a float64
-    column to its strings, and is called once with every distinct column of
-    the block concatenated; ``label`` maps a label to its cell.
+    trace of zero) has NaN filter factors.  ``fmt.number`` is called once,
+    with every distinct float column of the block concatenated.
 
-    ``separators``, if given, is the text before a row's first cell and then
-    the text after each of its ten cells (``_JSON_SEPARATORS``), so the
-    block's text is its cells joined.  Each is added to a column's distinct
-    values before they fill rows: once per point, or once for a constant.  A
-    stage whose cumulative probability is its probability adds both of
-    those columns' separators to the one formatted text.
+    Each cell carries the separator that follows it, and the scenario cell
+    also the record's opening, so the block's text is its cells joined.  A
+    separator is added to a column's distinct values before they fill rows:
+    once per point, or once for a constant.  A stage whose cumulative
+    probability is its probability adds both of those columns' separators
+    to the one formatted text.
     """
     stages = run_protocol(config)
     kept = stages[2].kept
@@ -382,57 +415,41 @@ def _sweep_cells(config: ChannelConfig, number, label=str, separators=None) -> n
     # a single value (a constant) broadcasts
     columns = [np.reshape(values, -1) for values in columns]
     ends = np.cumsum([values.size for values in columns])
-    text = iter(np.split(np.array(number(np.concatenate(columns)), dtype=object), ends[:-1]))
+    text = iter(np.split(np.array(fmt.number(np.concatenate(columns)), dtype=object), ends[:-1]))
 
-    scenario = label(config.scenario.kind)
-    if separators:
-        scenario = separators[0] + scenario + separators[1]
-    cells[:, 0] = scenario
+    opening, *after = fmt.separators
+    cells[:, 0] = opening + fmt.label(config.scenario.kind) + after[0]
     # a separator replaces a value's text in place, so its bare text is freed
     for column, values in enumerate(inputs, start=2):
         cell = next(text)
-        if separators:
-            cell += separators[column + 1]
+        cell += after[column]
         cells[:, column] = np.repeat(cell, per_point) if np.ndim(values) else cell
     # stages I-II of a sweep over epsilon are one point, whose cells fill every row
     for out, rows in zip(stages, (first, first + 1, first[kept] + 2)):
-        stage, concurrence, probability = label(out.stage), next(text), next(text)
+        concurrence, probability = next(text), next(text)
         cumulative = probability if out.cumulative_probability is out.probability else next(text)
-        if separators:
-            stage += separators[2]
-            concurrence += separators[8]
-            cumulative = cumulative + separators[10]  # before the probability's text changes
-            probability += separators[9]
-        cells[rows, 1] = stage
+        concurrence += after[7]
+        cumulative = cumulative + after[9]  # before the probability's text changes
+        probability += after[8]
+        cells[rows, 1] = fmt.label(out.stage) + after[1]
         cells[rows, 7] = concurrence
         cells[rows, 8] = probability
         cells[rows, 9] = cumulative
     return cells
 
 
-def _sweep_csv(cells: np.ndarray, header: bool = True) -> str:
-    """``_csv_numbers`` cells as CSV lines, each row's cells joined by commas.
+def _sweep_text(cells: np.ndarray, fmt: _SweepFormat, first: bool, last: bool) -> str:
+    """A block's cells joined: ``fmt``'s table, or the part of it this block continues.
 
-    Without ``header`` the text continues a table begun by an earlier block.
-    """
-    head = SWEEP_HEADER + "\n" if header else ""
-    return head + "\n".join(map(",".join, cells.tolist())) + "\n"
-
-
-def _sweep_json(cells: np.ndarray, first: bool = True, last: bool = True) -> str:
-    """``_json_numbers`` cells as ``json.dumps({"records": [...]}, indent=2)``.
-
-    ``cells`` is not empty and carries ``_JSON_SEPARATORS``, so the text is
-    its cells joined.  A table written in blocks opens the document in its
-    ``first`` block, whose first cell gains the head, and closes it in its
-    ``last``, whose last cell drops the ``,\n`` after its record and gains
-    the tail; the blocks between continue the record list.
+    The ``first`` block's first cell gains the table's head, and the
+    ``last`` block's last cell has its final separator replaced by the
+    table's close.
     """
     text = cells.ravel().tolist()
     if first:
-        text[0] = '{\n  "records": [\n' + text[0]
+        text[0] = fmt.head + text[0]
     if last:
-        text[-1] = text[-1][:-2] + "\n  ]\n}\n"
+        text[-1] = text[-1][: -len(fmt.separators[-1])] + fmt.close
     return "".join(text)
 
 
@@ -457,20 +474,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The whole swept column is range-checked here, so a config error exits 2
     # before any byte is written; then each block is written as it is done.
     config = _swept(_parse_channel({**base, variable: cfg["start"]}), variable, values)
-    formats = (
-        (_json_numbers, encode_basestring_ascii, _JSON_SEPARATORS)
-        if args.format == "json"
-        else (_csv_numbers,)
-    )
+    fmt = _SWEEP_FORMATS[args.format]
     with _open_outputs(*_out_paths(args.out)) as files:
         fh = files[0] if files else sys.stdout
         for start in range(0, values.size, SWEEP_BLOCK):
             stop = start + SWEEP_BLOCK
-            cells = _sweep_cells(_swept(config, variable, values[start:stop]), *formats)
-            if args.format == "json":
-                fh.write(_sweep_json(cells, first=start == 0, last=stop >= values.size))
-            else:
-                fh.write(_sweep_csv(cells, header=start == 0))
+            # no name holds a block's cells, so they are freed once its text is
+            # written, before the next block is built
+            block = _swept(config, variable, values[start:stop])
+            fh.write(_sweep_text(_sweep_cells(block, fmt), fmt, start == 0, stop >= values.size))
     return 0
 
 

@@ -5,8 +5,8 @@ import json
 import math
 import random
 import re
+import weakref
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -561,6 +561,26 @@ class TestSweepGoldenFiles:
         # 26 points in blocks of 3
         assert len(sizes) == 9
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_block_cells_freed_before_next_block(self, capsys, monkeypatch, fmt):
+        # at most one block's cells are alive: each block's are freed before the next is built
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
+        sweep_cells = cli._sweep_cells
+        blocks = []
+
+        def watched(*args):
+            assert [ref() for ref in blocks] == [None] * len(blocks)
+            cells = sweep_cells(*args)
+            blocks.append(weakref.ref(cells))
+            return cells
+
+        monkeypatch.setattr(cli, "_sweep_cells", watched)
+        argv = ["sweep", "--config", str(DATA / "sweep_epsilon_tiny_ff.cfg"), "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (DATA / f"sweep_epsilon_tiny_ff.{fmt}").read_bytes()
+        assert len(blocks) == 9
+
 
 def reference_csv(rows):
     buf = io.StringIO()
@@ -602,57 +622,64 @@ def near_powers(first, stop):
     return np.concatenate(near)
 
 
-def csv_cells(rows):
-    return row_cells(rows, cli._csv_numbers, str)
+def format_cells(rows, fmt):
+    """The rows' cells as the sweep builds them from the format record ``fmt``.
 
-
-def json_cells(rows):
-    """The rows' JSON cells, each carrying the record text around it, as the sweep adds it."""
-    cells = row_cells(rows, cli._json_numbers, encode_basestring_ascii)
-    opening, *after = cli._JSON_SEPARATORS
+    Each numeric column goes through ``fmt.number`` and each label through
+    ``fmt.label``, and every cell carries the text after it, the first also
+    the record's opening.
+    """
+    kinds, stages, *numbers = zip(*rows)
+    opening, *after = fmt.separators
+    cells = np.column_stack(
+        [np.array([fmt.label(x) for x in labels], dtype=object) for labels in (kinds, stages)]
+        + [np.array(fmt.number(np.array(col, dtype=np.float64)), dtype=object) for col in numbers]
+    )
     cells[:, 0] = opening + cells[:, 0]
     return cells + np.array(after, dtype=object)
 
 
-def row_cells(rows, number, label):
-    """The rows' cells as the sweep builds them: each numeric column through ``number``."""
-    kinds, stages, *numbers = zip(*rows)
-    return np.column_stack(
-        [np.array([label(x) for x in labels], dtype=object) for labels in (kinds, stages)]
-        + [np.array(number(np.array(col, dtype=np.float64)), dtype=object) for col in numbers]
-    )
+def sweep_text(rows, fmt, first=True, last=True):
+    """The rows written by the sweep's one writer as ``fmt``'s table, or a block of it."""
+    record = cli._SWEEP_FORMATS[fmt]
+    return cli._sweep_text(format_cells(rows, record), record, first, last)
 
 
 class TestSweepWriters:
-    """The cell formatters and writers against csv.writer + _fmt and json.dumps(indent=2)."""
+    """The cell formatters and writer against csv.writer + _fmt and json.dumps(indent=2)."""
 
     @pytest.mark.parametrize("index", range(len(SYNTHETIC_ROWS)))
     def test_one_row(self, index):
         rows = [SYNTHETIC_ROWS[index]]
-        assert cli._sweep_csv(csv_cells(rows)) == reference_csv(rows)
-        assert cli._sweep_json(json_cells(rows)) == reference_json(rows)
+        assert sweep_text(rows, "csv") == reference_csv(rows)
+        assert sweep_text(rows, "json") == reference_json(rows)
 
     def test_all_rows(self):
-        assert cli._sweep_csv(csv_cells(SYNTHETIC_ROWS)) == reference_csv(SYNTHETIC_ROWS)
-        assert cli._sweep_json(json_cells(SYNTHETIC_ROWS)) == reference_json(SYNTHETIC_ROWS)
+        assert sweep_text(SYNTHETIC_ROWS, "csv") == reference_csv(SYNTHETIC_ROWS)
+        assert sweep_text(SYNTHETIC_ROWS, "json") == reference_json(SYNTHETIC_ROWS)
 
-    def test_json_blocks(self):
-        # a table written as a first, a middle and a last block is one document; the
-        # last record's last cell, whose ",\n" the last block drops, is integral and
-        # follows a null and a -Infinity
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks(self, fmt):
+        # a table written as a first, a middle and a last block is one table; the last
+        # record's last cell, whose separator the last block replaces, is integral and
+        # follows a NaN and a -inf
         rows = SYNTHETIC_ROWS + [
             ("partial", "III", 0.25, 1e-300, 0.5, 1.0, 2.0, math.nan, -math.inf, 3.0)
         ]
         text = (
-            cli._sweep_json(json_cells(rows[:2]), first=True, last=False)
-            + cli._sweep_json(json_cells(rows[2:4]), first=False, last=False)
-            + cli._sweep_json(json_cells(rows[4:]), first=False, last=True)
+            sweep_text(rows[:2], fmt, first=True, last=False)
+            + sweep_text(rows[2:4], fmt, first=False, last=False)
+            + sweep_text(rows[4:], fmt, first=False, last=True)
         )
-        assert text == reference_json(rows)
-        assert text.endswith(
-            '      "concurrence": null,\n      "probability": -Infinity,\n'
-            '      "cumulative_probability": 3.0\n    }\n  ]\n}\n'
-        )
+        if fmt == "csv":
+            assert text == reference_csv(rows)
+            assert text.endswith("\npartial,III,0.25,1e-300,0.5,1,2,nan,-inf,3\n")
+        else:
+            assert text == reference_json(rows)
+            assert text.endswith(
+                '      "concurrence": null,\n      "probability": -Infinity,\n'
+                '      "cumulative_probability": 3.0\n    }\n  ]\n}\n'
+            )
 
     def test_random_bit_patterns(self):
         # every float64 class: normal, subnormal, signed zero, inf, nan payloads
@@ -661,8 +688,8 @@ class TestSweepWriters:
         rows = [("partial", "III", *v) for v in bits.view(np.float64).tolist()]
         # and short decimals, which take the fewest repr digits
         rows += [("partial", "II", *v) for v in rng.uniform(0, 1, size=(50, 8)).round(3).tolist()]
-        assert cli._sweep_csv(csv_cells(rows)) == reference_csv(rows)
-        assert cli._sweep_json(json_cells(rows)) == reference_json(rows)
+        assert sweep_text(rows, "csv") == reference_csv(rows)
+        assert sweep_text(rows, "json") == reference_json(rows)
 
     def test_csv_numbers_equal_percent_format(self):
         # the vectorized kernel against "%.17g" % x, one value at a time
