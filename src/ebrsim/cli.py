@@ -67,7 +67,7 @@ from .core import (
     maximally_mixed,
     singlet_vector,
 )
-from .fock import oracle_check
+from .fock import OracleCheckReport, oracle_check
 from .metrics import concurrence_x, fidelity
 from .protocol import (
     ChannelConfig,
@@ -486,8 +486,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    report = oracle_check(grid_step=args.grid_step, tol=args.tol)
+def _oracle_check_text(report: OracleCheckReport) -> str:
+    """``oracle-check``'s text: a line per scenario, per skipped point and the first failure."""
     lines = []
     for check in report.scenarios:
         status = "FAIL" if check.failures(report.tol).size else "PASS"
@@ -497,7 +497,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             f" max|dP|={check.max_probability_deviation:.3e}"
         )
     lines.extend(f"SKIPPED-singular {note}" for note in report.skipped)
-    exit_code = 0
     first = report.first_failure
     if first is not None:
         lines.append(
@@ -506,12 +505,16 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             f" epsilon={_fmt(first.epsilon)} stage={first.stage}"
             f" deviation={first.deviation:.3e}"
         )
-        exit_code = 1
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def cmd_oracle_check(args: argparse.Namespace) -> int:
+    report = oracle_check(grid_step=args.grid_step, tol=args.tol)
+    text = _oracle_check_text(report)
     with _open_outputs(*_out_paths(args.out)) as files:
         for fh in (sys.stdout, *files):
             fh.write(text)
-    return exit_code
+    return 0 if report.ok else 1
 
 
 def _tomography_truth(cfg: dict[str, str]) -> DensityOperator:

@@ -13,23 +13,24 @@ does not.  Detectors are time-blind, so time bins are traced out of
 every reported state.
 
 The transmittivity ``T`` may be a float or a 1-D column.  For a column
-each amplitude of a state is a column over the points, so the routing
-expansion of the beam splitter runs once for the whole column, and the
-operators come back as ``(n, 4, 4)`` stacks.  A partial overlap is the
+each amplitude of a state is a column over the points, and the operators
+come back as ``(n, 4, 4)`` stacks.  The beam splitter's photon routings,
+the post-selected configurations and the conditional states' slots depend
+only on the configurations, so each is planned once, cached, and replayed
+on every ``T`` column as stacked numpy products.  A partial overlap is the
 ``(p, 1-p)`` mixture of the two pure preparations, and the filters act
 after the environment measurement, so the Fock expansion depends only on
 ``T``, the pure preparation, the environment polarization, the
 beam-splitter convention and the measured branch: :func:`oracle_protocol`
 expands each pure preparation once per distinct ``T`` of its column.
-:func:`oracle_check` merges all of its scenarios and ``epsilon`` values
-into one column per block of its ``T`` grid, which repeats the block's
-``T`` values once per scenario and ``epsilon``, so one
-:func:`oracle_protocol` call on it expands each preparation once on the
-block's ``T`` values.
+:func:`oracle_check` merges its scenarios and ``epsilon`` values into one
+column per block of its ``T`` grid, so one :func:`oracle_protocol` call
+expands each preparation once on the block's ``T`` values.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -154,6 +155,44 @@ def _bs_rows(t: np.ndarray, convention: str) -> tuple[tuple, tuple]:
     raise InvalidParameter(f"unknown beam-splitter convention {convention!r}")
 
 
+# evolve_bs's multiplier rows: 0 keeps a mode (1+0j), 1-2 are row_b, 3-4 row_e.
+_ROUTES = {"B": ((1, "B'"), (2, "E'")), "E": ((3, "B'"), (4, "E'"))}
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(build, *keys):
+    """``build(*keys)``, built once per argument tuple; a build that raises is not cached."""
+    return build(*keys)
+
+
+def _route(keys: tuple[Key, ...]) -> tuple:
+    """:func:`evolve_bs`'s plan: the configurations' occupation factors, one
+    ``(source, modes, ranks, occupation)`` group of terms per photon number,
+    and each output configuration's ``(key, (group, row))`` in order."""
+    outputs, sizes = {}, {}  # key -> (group, row); photon number -> (terms, outputs' terms)
+    for i, key in enumerate(keys):
+        if len(key) > MAX_PHOTONS:
+            raise InvalidParameter(f"configuration with {len(key)} photons exceeds MAX_PHOTONS")
+        terms, rows = sizes.setdefault(len(key), ([], {}))
+        options = [_ROUTES.get(m.path, [(0, m.path)]) for m in key]
+        for combo in itertools.product(*options):
+            new_key = _canonical(m._replace(path=p) for m, (_, p) in zip(key, combo))
+            outputs.setdefault(new_key, (list(sizes).index(len(key)), len(rows)))
+            rows.setdefault(new_key, []).append(len(terms))
+            terms.append((i, *(r for r, _ in combo)))
+    groups = []
+    for terms, rows in sizes.values():
+        source, *modes = map(np.array, zip(*terms))
+        picks = list(rows.values())
+        # ranks[k] pairs the output rows that have a k-th term with that term
+        ranks = tuple(
+            tuple(map(np.array, zip(*[(r, js[k]) for r, js in enumerate(picks) if k < len(js)])))
+            for k in range(max(map(len, picks)))
+        )
+        groups.append((source, np.array(modes), ranks, np.array([*map(_occupation_factor, rows)])))
+    return tuple(map(_occupation_factor, keys)), tuple(groups), tuple(outputs.items())
+
+
 def evolve_bs(
     state: FockState, t: float | np.ndarray, convention: str = "real"
 ) -> FockState:
@@ -162,66 +201,57 @@ def evolve_bs(
     Acts identically on every (polarization, time-bin) sub-mode pair.
     Implemented as the creation-operator substitution expanded over all
     photon routings, with bosonic factorial factors restored at the end.
+    The routings are planned once per tuple of configurations; ``t`` replays
+    the per-routing IEEE operations as products stacked by photon number,
+    unpadded, as ``x * (1+0j)`` can flip a signed zero.
 
-    ``state`` has complex amplitudes.  Each amplitude of the result has
-    ``t``'s shape: an ``np.complex128`` for a float ``t``, a column over a
-    1-D column ``t``, all computed by the same routing loop.  A
-    configuration whose amplitude is zero at every point is left out.
+    ``state`` has complex amplitudes, each a number or a column that
+    broadcasts to ``t``'s shape.  Each amplitude of the result has ``t``'s
+    shape: an ``np.complex128`` for a float ``t``, a column over a 1-D
+    column ``t``.  A configuration whose amplitude is zero at every point
+    is left out.
     """
     t = np.asarray(t, dtype=np.float64)
     _check_transmittivity(t)
     row_b, row_e = _bs_rows(t, convention)
-    out: dict[Key, np.ndarray] = {}
-    for key, amp in state.amps.items():
-        if len(key) > MAX_PHOTONS:
-            raise InvalidParameter(f"configuration with {len(key)} photons exceeds MAX_PHOTONS")
-        coeff = np.full(t.shape, amp / _occupation_factor(key), dtype=np.complex128)
-        options: list[list[tuple[ModeLabel, complex]]] = []
-        for mode in key:
-            if mode.path == "B":
-                options.append(
-                    [
-                        (ModeLabel("B'", mode.pol, mode.time_bin), row_b[0]),
-                        (ModeLabel("E'", mode.pol, mode.time_bin), row_b[1]),
-                    ]
-                )
-            elif mode.path == "E":
-                options.append(
-                    [
-                        (ModeLabel("B'", mode.pol, mode.time_bin), row_e[0]),
-                        (ModeLabel("E'", mode.pol, mode.time_bin), row_e[1]),
-                    ]
-                )
-            else:
-                options.append([(mode, 1.0 + 0.0j)])
-        for combo in itertools.product(*options):
-            factor = coeff
-            for _, c in combo:
-                factor = factor * c
-            new_key = _canonical(m for m, _ in combo)
-            out[new_key] = out.get(new_key, 0.0j) + factor
-    amps = {}
-    for key, monomial_coeff in out.items():
-        value = monomial_coeff * _occupation_factor(key)
-        if np.any(value != 0.0):
-            amps[key] = value
-    return FockState(amps)
+    occupation, groups, outputs = _plan(_route, tuple(state.amps))
+    coeff = np.empty((len(occupation),) + t.shape, dtype=np.complex128)
+    for i, (amp, factor) in enumerate(zip(state.amps.values(), occupation)):
+        try:
+            coeff[i, ...] = amp / factor
+        except ValueError:
+            shapes = f"amplitude of shape {np.shape(amp)} does not broadcast to T's shape {t.shape}"
+            raise InvalidParameter(shapes) from None
+    multipliers = np.empty((5,) + t.shape, dtype=np.complex128)
+    multipliers[0], multipliers[1:3], multipliers[3:] = 1.0 + 0.0j, row_b, row_e
+    values = []
+    for source, modes, ((_, first), *ranks), factors in groups:
+        terms = coeff[source]
+        for mode in multipliers[modes]:
+            terms = terms * mode
+        total = 0.0j + terms[first]
+        for rows, picked in ranks:
+            total[rows] += terms[picked]
+        total *= factors.reshape(factors.shape + (1,) * t.ndim)
+        values.append((total, (total != 0.0).any(axis=tuple(range(1, total.ndim))).tolist()))
+    return FockState({key: values[g][0][r] for key, (g, r) in outputs if values[g][1][r]})
 
 
-def _arm_counts(key: Key) -> tuple[int, int]:
-    nb = sum(1 for m in key if m.path == "B'")
-    ne = sum(1 for m in key if m.path == "E'")
-    return nb, ne
+def _selection(keys: tuple[Key, ...]) -> tuple[Key, ...]:
+    """The configurations with exactly one photon in each of B' and E'."""
+    paths = [[m.path for m in key] for key in keys]
+    return tuple(k for k, p in zip(keys, paths) if p.count("B'") == p.count("E'") == 1)
 
 
 def postselect_one_per_arm(state: FockState) -> tuple[FockState, float | np.ndarray]:
     """Keep exactly-one-photon-per-output-arm configurations.
 
+    Which configurations survive is planned once per tuple of them.
     Returns the renormalized conditional state and the probability of
     the selection, a column for column amplitudes.  Raises
     :class:`ZeroProbability` when nothing survives at some point.
     """
-    kept = {k: a for k, a in state.amps.items() if _arm_counts(k) == (1, 1)}
+    kept = {k: state.amps[k] for k in _plan(_selection, tuple(state.amps))}
     # abs(a) ** 2 squares a column as x * x; a single amplitude goes through pow
     probability = sum(abs(a) ** 2 for a in kept.values())
     if np.any(probability <= ZERO_TRACE_FLOOR):
@@ -230,37 +260,43 @@ def postselect_one_per_arm(state: FockState) -> tuple[FockState, float | np.ndar
     return FockState({k: a * scale for k, a in kept.items()}), probability
 
 
+def _feeds(keys: tuple[Key, ...], outcome: str | None) -> tuple[int, tuple]:
+    """The count of (time bins, E' mode) groups, and each kept key's ``4 * group + slot`` row."""
+    groups, feeds = {}, []
+    for i, key in enumerate(keys):
+        if sorted(m.path for m in key) != ["A", "B'", "E'"]:
+            raise InvalidParameter("conditional_state expects post-selected one-per-arm states")
+        a_mode, b_mode, e_mode = sorted(key)
+        if outcome is None or e_mode.pol == outcome:
+            group = groups.setdefault((a_mode.time_bin, b_mode.time_bin, e_mode), len(groups))
+            feeds.append((i, 4 * group + 2 * _POL_INDEX[a_mode.pol] + _POL_INDEX[b_mode.pol]))
+    return len(groups), tuple(feeds)
+
+
 def conditional_state(state: FockState, outcome: str | None = None) -> np.ndarray:
     """Two-qubit polarization operator on (A, B') after handling the E' arm.
 
     With ``outcome`` ``None`` the E' modes are traced out (stage I).
     With ``outcome`` ``'H'`` or ``'V'`` the E' photon is projected on
-    that polarization, time-blind, before tracing (stage II).  The
-    returned operator is unnormalized: its trace is the branch
-    probability given the input state.  It has the amplitudes' shape
-    plus ``(4, 4)``: one ``(4, 4)`` matrix for complex amplitudes, an
+    that polarization, time-blind, before tracing (stage II).  Where each
+    configuration lands is planned once per tuple of them and outcome.
+    The returned operator is unnormalized: its trace is the branch
+    probability given the input state.  It has the amplitudes' shape plus
+    ``(4, 4)``: one ``(4, 4)`` matrix for complex amplitudes, an
     ``(n, 4, 4)`` stack for columns.
     """
     if outcome not in (None, "H", "V"):
         raise InvalidParameter(f"outcome must be None, 'H' or 'V', got {outcome!r}")
-    shape = np.broadcast_shapes(*(np.shape(a) for a in state.amps.values()))
-    vectors: dict[tuple, np.ndarray] = {}
-    for key, amp in state.amps.items():
-        a_modes = [m for m in key if m.path == "A"]
-        b_modes = [m for m in key if m.path == "B'"]
-        e_modes = [m for m in key if m.path == "E'"]
-        if len(a_modes) != 1 or len(b_modes) != 1 or len(e_modes) != 1:
-            raise InvalidParameter("conditional_state expects post-selected one-per-arm states")
-        a_mode, b_mode, e_mode = a_modes[0], b_modes[0], e_modes[0]
-        if outcome is not None and e_mode.pol != outcome:
-            continue
-        env_index = (a_mode.time_bin, b_mode.time_bin, e_mode)
-        vec = vectors.setdefault(env_index, np.zeros(shape + (4,), dtype=np.complex128))
-        vec[..., 2 * _POL_INDEX[a_mode.pol] + _POL_INDEX[b_mode.pol]] += amp
-    rho = np.zeros(shape + (4, 4), dtype=np.complex128)
-    for vec in vectors.values():
-        rho += vec[..., :, None] * vec[..., None, :].conj()
-    return rho
+    groups, feeds = _plan(_feeds, tuple(state.amps), outcome)
+    amps = list(state.amps.values())
+    shape = np.broadcast_shapes(*map(np.shape, amps))
+    # points last, so each outer product runs along the points
+    vectors = np.zeros((groups * 4,) + shape, dtype=np.complex128)
+    for i, row in feeds:
+        vectors[row] += amps[i]
+    vectors = vectors.reshape((groups, 4) + shape)
+    rho = np.add.reduce(vectors[:, :, None] * vectors[:, None, :].conj(), axis=0, initial=0.0j)
+    return np.ascontiguousarray(rho.transpose(*range(2, rho.ndim), 0, 1))
 
 
 def feed_forward_correction() -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +418,7 @@ def hom_coincidence(t: float, p: float, convention: str = "real") -> float:
         }
         evolved = evolve_bs(FockState(amps), t, convention)
         results[label] = float(
-            sum(abs(a) ** 2 for k, a in evolved.amps.items() if _arm_counts(k) == (1, 1))
+            sum(abs(evolved.amps[k]) ** 2 for k in _selection(tuple(evolved.amps)))
         )
     return p * results["same"] + (1.0 - p) * results["other"]
 

@@ -15,7 +15,7 @@ import pytest
 from ebrsim import cli
 from ebrsim.cli import ConfigError, SWEEP_HEADER, main, parse_config_text
 from ebrsim.core import EbrsimError, InvalidParameter
-from ebrsim.fock import oracle_protocol
+from ebrsim.fock import oracle_check, oracle_protocol
 from ebrsim.metrics import concurrence_x
 from ebrsim.protocol import (
     ChannelConfig,
@@ -868,6 +868,12 @@ class TestOracleCheckCommand:
         assert code == 0
         assert out.encode() == golden
         assert out_path.read_bytes() == golden
+
+    def test_phase_convention_equals_golden_file(self):
+        # the CLI has no convention flag, so the report goes through its text helper
+        golden = (DATA / "oracle_check_0.02_phase.txt").read_bytes()
+        report = oracle_check(0.02, convention="phase")
+        assert cli._oracle_check_text(report).encode() == golden
 
     def test_failing_output_equals_golden_file(self, capsys, tmp_path):
         # every scenario fails at 7e-16, and the first failure is mid-grid (T = 0.96)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +123,13 @@ class TestBeamSplitter:
         with pytest.raises(ValueError):
             evolve_bs(state, 0.5, "sideways")
 
+    @pytest.mark.parametrize("t", [np.array([0.2, 0.5, 0.7]), 0.5])
+    def test_rejects_amplitude_column_not_broadcasting_to_t(self, t):
+        state = FockState({key(("B", "H", 0),): np.array([1.0, 0.5j])})
+        shapes = rf"\(2,\) does not broadcast to T's shape {re.escape(str(np.shape(t)))}"
+        with pytest.raises(InvalidParameter, match=shapes):
+            evolve_bs(state, t)
+
 
 class TestPostselection:
     def test_probability_matches_kept_weight(self):
@@ -163,6 +172,200 @@ class TestConditionalState:
         selected, _ = postselect_one_per_arm(state)
         with pytest.raises(ValueError):
             conditional_state(selected, "D")
+
+
+def _reference_evolve_bs(state, t, convention):
+    """The per-term routing loop ``evolve_bs`` replays, one term at a time."""
+    t = np.asarray(t, dtype=np.float64)
+    row_b, row_e = fock._bs_rows(t, convention)
+    out = {}
+    for k, amp in state.amps.items():
+        coeff = np.full(t.shape, amp / _occupation_factor(k), dtype=np.complex128)
+        options = []
+        for mode in k:
+            if mode.path in ("B", "E"):
+                row = row_b if mode.path == "B" else row_e
+                options.append(
+                    [(mode._replace(path="B'"), row[0]), (mode._replace(path="E'"), row[1])]
+                )
+            else:
+                options.append([(mode, 1.0 + 0.0j)])
+        for combo in itertools.product(*options):
+            factor = coeff
+            for _, c in combo:
+                factor = factor * c
+            new_key = tuple(sorted(m for m, _ in combo))
+            out[new_key] = out.get(new_key, 0.0j) + factor
+    amps = {}
+    for k, monomial in out.items():
+        value = monomial * _occupation_factor(k)
+        if np.any(value != 0.0):
+            amps[k] = value
+    return FockState(amps)
+
+
+def _reference_postselect(state):
+    kept = {
+        k: a
+        for k, a in state.amps.items()
+        if sum(m.path == "B'" for m in k) == 1 and sum(m.path == "E'" for m in k) == 1
+    }
+    probability = sum(abs(a) ** 2 for a in kept.values())
+    if np.any(probability <= fock.ZERO_TRACE_FLOOR):
+        raise ZeroProbability("no amplitude with one photon per output arm")
+    scale = 1.0 / np.sqrt(probability)
+    return FockState({k: a * scale for k, a in kept.items()}), probability
+
+
+def _reference_conditional_state(state, outcome):
+    shape = np.broadcast_shapes(*(np.shape(a) for a in state.amps.values()))
+    vectors = {}
+    for k, amp in state.amps.items():
+        (a_mode,) = [m for m in k if m.path == "A"]
+        (b_mode,) = [m for m in k if m.path == "B'"]
+        (e_mode,) = [m for m in k if m.path == "E'"]
+        if outcome is not None and e_mode.pol != outcome:
+            continue
+        vec = vectors.setdefault(
+            (a_mode.time_bin, b_mode.time_bin, e_mode), np.zeros(shape + (4,), dtype=np.complex128)
+        )
+        vec[..., 2 * "HV".index(a_mode.pol) + "HV".index(b_mode.pol)] += amp
+    rho = np.zeros(shape + (4, 4), dtype=np.complex128)
+    for vec in vectors.values():
+        rho += vec[..., :, None] * vec[..., None, :].conj()
+    return rho
+
+
+def _bits(value):
+    """An amplitude or operator's type, shape and IEEE bit patterns, signed zeros included."""
+    bits = np.array(value, dtype=np.complex128, ndmin=1).view(np.uint64)
+    return type(value), np.shape(value), bits.tolist()
+
+
+def _assert_same_state(state, reference):
+    assert list(state.amps) == list(reference.amps)
+    for k in reference.amps:
+        assert _bits(state.amps[k]) == _bits(reference.amps[k]), k
+
+
+EDGE_T = [0.0, 0.5, 0.5 + 1e-10, 1.0, 5e-324]
+# the column adds generic points, where the order of a term's products shows
+COLUMN_T = np.array(EDGE_T + [0.3, 0.77, 0.123456789])
+SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+# 1-, 2- and 3-photon states, with bunched inputs and outputs (occupation
+# factor sqrt 2 and sqrt 6), signed-zero amplitudes and mixed photon numbers
+ROUTING_STATES = {
+    "one": FockState({key(("B", "H", 0)): 0.6 - 0.8j, key(("E", "V", 1)): complex(-0.0, 1.0)}),
+    "hom": FockState({key(("B", "H", 0), ("E", "H", 0)): 1.0 + 0.0j}),
+    "bunched": FockState({key(("B", "H", 0), ("B", "H", 0)): SQRT_HALF + 0.0j,
+                          key(("E", "V", 0), ("E", "V", 0)): complex(-0.0, -SQRT_HALF)}),
+    "mixed": FockState({key(("B", "V", 1)): complex(-0.5, -0.0),
+                        key(("A", "H", 0), ("E", "H", 0)): 0.5j,
+                        key(("B", "V", 1), ("E", "V", 1)): -0.5 + 0.5j}),
+    "triple": FockState({key(("B", "H", 0), ("B", "H", 0), ("E", "H", 0)): 1.0 + 0.0j}),
+    # three configurations whose routings meet: B'E' sums six terms, in order
+    "merging": FockState({key(("B", "H", 0), ("E", "H", 0)): 0.6 + 0.1j,
+                          key(("B", "H", 0), ("B", "H", 0)): -0.3 + 0.7j,
+                          key(("E", "H", 0), ("E", "H", 0)): 0.2 - 0.4j}),
+    **{
+        f"{kind}-{env}": prepare_input(scenario, env)
+        for kind, scenario in (("dist", distinguishable()), ("indist", indistinguishable()))
+        for env in ("H", "V")
+    },
+}
+
+
+class TestRoutingCore:
+    """evolve_bs, postselect_one_per_arm and conditional_state replay their
+    plans with the per-term loops' IEEE operations, bit for bit."""
+
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    @pytest.mark.parametrize("t", EDGE_T + [COLUMN_T], ids=[*map(repr, EDGE_T), "column"])
+    @pytest.mark.parametrize("name", list(ROUTING_STATES))
+    def test_evolve_bs_bits(self, name, t, convention):
+        state = ROUTING_STATES[name]
+        reference = _reference_evolve_bs(state, t, convention)
+        _assert_same_state(evolve_bs(state, t, convention), reference)
+
+    def test_column_amplitudes(self):
+        t = np.array(EDGE_T)
+        amps = np.array([1.0, -0.0, 0.5j, complex(-0.0, -0.0), -1.0]) + 0.0j
+        state = FockState({key(("B", "H", 0), ("E", "H", 0)): amps, key(("B", "V", 1)): 1j * amps})
+        _assert_same_state(evolve_bs(state, t), _reference_evolve_bs(state, t, "real"))
+
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    @pytest.mark.parametrize("t", EDGE_T + [COLUMN_T[1:]], ids=[*map(repr, EDGE_T), "column"])
+    @pytest.mark.parametrize("name", [n for n in ROUTING_STATES if "-" in n])
+    def test_postselect_and_conditional_bits(self, name, t, convention):
+        evolved = _reference_evolve_bs(ROUTING_STATES[name], t, convention)
+        try:
+            reference, probability = _reference_postselect(evolved)
+        except ZeroProbability:
+            with pytest.raises(ZeroProbability):
+                postselect_one_per_arm(evolved)
+            return
+        selected, p_select = postselect_one_per_arm(evolved)
+        _assert_same_state(selected, reference)
+        assert _bits(p_select) == _bits(probability)
+        for outcome in (None, "H", "V"):
+            assert _bits(conditional_state(selected, outcome)) == _bits(
+                _reference_conditional_state(reference, outcome)
+            ), outcome
+
+    # one time bin: an outcome keeps one group, whose unfed slots meet negative
+    # parts as signed zeros; two bins: each entry sums four groups in order
+    @pytest.mark.parametrize("bins", [(0,), (0, 1)])
+    @pytest.mark.parametrize("shape", [(), (6,)])
+    def test_conditional_state_sums_groups_from_zero_in_order(self, shape, bins):
+        rng = np.random.default_rng(7)
+        modes = [(pol, b) for pol in "HV" for b in bins]
+        amps = {}
+        for a_mode, b_mode, e_mode in itertools.product(modes, repeat=3):
+            if rng.random() < 0.75:
+                value = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                value = np.where(rng.random(shape) < 0.2, complex(-0.0, -0.0), value)
+                amps[key(("A", *a_mode), ("B'", *b_mode), ("E'", *e_mode))] = value[()]
+        state = FockState(amps)
+        for outcome in (None, "H", "V"):
+            assert _bits(conditional_state(state, outcome)) == _bits(
+                _reference_conditional_state(state, outcome)
+            ), outcome
+
+
+class TestRoutingPlans:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Each plan builder's calls, counted from an empty plan cache."""
+        fock._plan.cache_clear()
+        calls = {name: _counting(monkeypatch, name) for name in ("_route", "_selection", "_feeds")}
+        yield calls
+        fock._plan.cache_clear()
+
+    def test_second_oracle_check_builds_no_plan(self, builds):
+        first = oracle_check(0.02)
+        # four preparations: one routing each, a selection per surviving set of
+        # configurations, and a feed per selection and outcome
+        assert [len(builds[name]) for name in ("_route", "_selection", "_feeds")] == [4, 4, 8]
+        done = {name: len(calls) for name, calls in builds.items()}
+        second = oracle_check(0.02)
+        assert {name: len(calls) for name, calls in builds.items()} == done
+        _assert_same_report(second, first)
+
+    def test_errors_raise_on_every_call(self, builds):
+        four = FockState({key(*[("B", "H", 0)] * 4): 1.0 + 0.0j})
+        unselected = prepare_input(distinguishable(), "H")
+        selected, _ = postselect_one_per_arm(evolve_bs(unselected, 0.3))
+        for attempt in (1, 2):
+            with pytest.raises(InvalidParameter, match="MAX_PHOTONS"):
+                evolve_bs(four, 0.5)
+            with pytest.raises(InvalidParameter, match="one-per-arm"):
+                conditional_state(unselected)
+            with pytest.raises(InvalidParameter, match="outcome"):
+                conditional_state(selected, "D")
+            # a failed build is not cached, so each call builds again
+            assert len(builds["_route"]) == 1 + attempt
+            assert len(builds["_feeds"]) == attempt
 
 
 def test_feed_forward_correction_is_unitary():
