@@ -519,12 +519,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def _tomography_truth(cfg: dict[str, str]) -> DensityOperator:
     kind = cfg.get("state", "stage")
-    if kind == "singlet":
-        return DensityOperator.from_pure(singlet_vector())
-    if kind == "mixed":
-        return maximally_mixed(4)
-    if kind != "stage":
+    if kind not in ("singlet", "mixed", "stage"):
         raise ConfigError(f"state must be singlet, mixed or stage, got {kind!r}")
+    if kind != "stage":
+        stray = sorted(set(cfg) & (_RUN_KEYS | {"stage"}))
+        if stray:
+            raise ConfigError(f"config key {stray[0]} only applies to state = stage")
+        if kind == "mixed":
+            return maximally_mixed(4)
+        return DensityOperator.from_pure(singlet_vector())
     stage_label = cfg.get("stage", "II")
     if stage_label not in ("I", "II", "III"):
         raise ConfigError(f"stage must be I, II or III, got {stage_label!r}")

@@ -77,38 +77,26 @@ class XStateParams:
     P: float | np.ndarray
 
     def __post_init__(self) -> None:
-        # One pass over floats or columns alike; on failure the ordered checks
-        # below name the first entry and point that fails.
+        # One ordered pass over floats or columns alike: it names the first
+        # entry and point that fails.
         entries = np.array(
             (self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P), dtype=np.float64
-        )
-        if np.isfinite(entries).all():
-            alpha, beta, gamma, delta, xi, p = entries
-            total = alpha + beta + gamma + delta
-            bound = np.sqrt(np.maximum(beta, 0.0) * np.maximum(gamma, 0.0))
-            if (
-                (entries[:4] >= -_EPS).all()
-                and ((0.0 < p) & (p <= 1.0 + _EPS)).all()
-                and (abs(total - 4.0 * p) <= 4.0 * _EPS).all()
-                and (abs(xi) <= bound + _EPS).all()
-            ):
-                return
-        entries = entries.reshape(6, -1)
+        ).reshape(6, -1)
         alpha, beta, gamma, delta, xi, p = entries
         _check(np.isfinite(entries), entries, "{name} must be finite, got {value!r}")
         _check(entries[:4] >= -_EPS, entries, "{name} must be nonnegative, got {value!r}")
         _check((0.0 < p) & (p <= 1.0 + _EPS), p, "P must lie in (0, 1], got {value!r}")
-        total = alpha + beta + gamma + delta
+        total, four_p, size = alpha + beta + gamma + delta, 4.0 * p, np.abs(xi)
         _check(
-            np.abs(total - 4.0 * p) <= 4.0 * _EPS,
+            np.abs(total - four_p) <= 4.0 * _EPS,
             total,
             "diagonal sum {value!r} does not match 4P = {other!r}",
-            4.0 * p,
+            four_p,
         )
         bound = np.sqrt(np.maximum(beta, 0.0) * np.maximum(gamma, 0.0))
         _check(
-            np.abs(xi) <= bound + _EPS,
-            np.abs(xi),
+            size <= bound + _EPS,
+            size,
             "|xi| = {value!r} exceeds sqrt(beta*gamma) = {other!r}",
             bound,
         )

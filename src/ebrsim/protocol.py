@@ -25,10 +25,19 @@ resolved on its ``T``.  So a sweep over ``epsilon`` alone evaluates stages
 I-II on one point, which stage III broadcasts against the filter column.
 A single point's outputs are unwrapped to floats and
 :class:`~ebrsim.core.DensityOperator` states once, by :func:`_point`, which
-holds the single-point rule.  Each stage function is its own door: it
-converts its inputs with :func:`~ebrsim.core.columns` and unwraps a call of
-floats by :func:`_point`.  A column gets columns and ``(n, 4, 4)`` state
+holds the single-point rule.  A column gets columns and ``(n, 4, 4)`` state
 stacks, and a point without stage III is masked.
+
+Each stage map is a core plus a door.  The cores, :func:`_stage1_entries`,
+:func:`_stage2_entries` and :func:`_filtered_entries`, return the six X
+entries from ring operations alone (``+``, ``-``, ``*``, halving,
+quartering and integer literals), so the shipped code runs on float64
+columns and on :class:`fractions.Fraction` alike.  Stage III's one step
+outside the ring, the root ``sqrt(A_A A_B)``, is taken by its door and
+passed in.  The doors hold the rest: :func:`_stage` serves stages I and II
+and :func:`apply_filters` serves stage III.  Each converts its inputs with
+:func:`~ebrsim.core.columns`, checks them, builds the
+:class:`StageOutput` and unwraps a call of floats by :func:`_point`.
 """
 
 from __future__ import annotations
@@ -219,22 +228,53 @@ def _point(stages: list[StageOutput], singular: bool = False) -> list[StageOutpu
     ]
 
 
+def _stage1_entries(p, t):
+    """Stage-I entries ``(alpha, beta, gamma, delta, xi, P)``: ring operations only."""
+    r = 1 - t
+    w = 2 * t - 1  # exact for t >= 1/4: the coherence keeps its digits near T = 1/2
+    beta = r * r + 2 * t * (t - p * r)
+    return r * r, beta, beta, r * r, -2 * t * (p * w + (1 - p) * t), r * r + t * (t - p * r)
+
+
+def _stage2_entries(p, t):
+    """H-branch stage-II entries ``(alpha, beta, gamma, delta, xi, P)``: ring operations only."""
+    r = 1 - t
+    w = 2 * t - 1
+    gamma = p * w * w + (1 - p) * (r * r + t * t)
+    # alpha is +0.0 in t's shape for floats: r >= 0
+    return 0 * r, t * t, gamma, r * r, -t * (p * w + (1 - p) * t), (r * r + t * (t - p * r)) / 2
+
+
+def _filtered_entries(alpha, beta, gamma, delta, xi, a_a, a_b, root):
+    """Stage-III entries of stage-II entries under the pair whose product has the ``root``."""
+    beta, gamma, delta = a_b * beta, a_a * gamma, a_a * a_b * delta
+    return alpha, beta, gamma, delta, root * xi, (alpha + beta + gamma + delta) / 4
+
+
+def _stage(label, entries, scenario, t, flip=False, doubled=False) -> StageOutput:
+    """The door of stages I-II: ``entries`` on the ``(p, T)`` columns, as a stage output.
+
+    ``flip`` reverses the diagonal (the V branch's polarization flip), and
+    ``doubled`` doubles the cumulative probability (both branches usable).
+    """
+    (p, t), scalar = columns(scenario.p, t)
+    _check_transmittivity(t)
+    *diagonal, xi, big_p = entries(p, t)
+    params = XStateParams(*(diagonal[::-1] if flip else diagonal), xi, big_p)
+    cumulative = 2 * big_p if doubled else big_p
+    out = StageOutput(label, params, normalized_state(params), big_p, cumulative)
+    return _point([out])[0] if scalar else out
+
+
 def stage1(scenario: Scenario, t: float | np.ndarray) -> StageOutput:
     """State after the beam splitter with the environment arm ignored.
 
     Valid on the full closed interval ``T in [0, 1]``: ``T = 1`` is the
     transparent channel (singlet survives), ``T = 0`` the full swap
-    (unpolarized output).
+    (unpolarized output).  Tracing the environment out sums the two
+    stage-II outcomes, so stage I is stage II's H branch plus its V twin.
     """
-    (p, t), scalar = columns(scenario.p, t)
-    _check_transmittivity(t)
-    r = 1.0 - t
-    w = 2.0 * t - 1.0  # exact for t >= 1/4: the coherence keeps its digits near T = 1/2
-    beta = r * r + 2.0 * t * (t - p * r)
-    xi = -2.0 * t * (p * w + (1.0 - p) * t)
-    params = XStateParams(r * r, beta, beta, r * r, xi, P=r * r + t * (t - p * r))
-    out = StageOutput("I", params, normalized_state(params), params.P, params.P)
-    return _point([out])[0] if scalar else out
+    return _stage("I", _stage1_entries, scenario, t)
 
 
 def stage2(
@@ -248,21 +288,10 @@ def stage2(
     flip is undone internally, both branches become usable, and the
     cumulative probability doubles; ``probability`` stays per-branch.
     """
-    (p, t), scalar = columns(scenario.p, t)
-    _check_transmittivity(t)
     if branch not in ("H", "V"):
         raise InvalidParameter(f"branch must be 'H' or 'V', got {branch!r}")
-    r = 1.0 - t
-    w = 2.0 * t - 1.0
-    # alpha is +0.0 in t's shape: r >= 0
-    diagonal = (0.0 * r, t * t, p * w * w + (1.0 - p) * (r * r + t * t), r * r)
-    if branch == "V" and not feed_forward:
-        diagonal = diagonal[::-1]
-    xi, big_p = -t * (p * w + (1.0 - p) * t), 0.5 * (r * r + t * (t - p * r))
-    params = XStateParams(*diagonal, xi, big_p)
-    cumulative = 2.0 * params.P if feed_forward else params.P
-    out = StageOutput("II", params, normalized_state(params), params.P, cumulative)
-    return _point([out])[0] if scalar else out
+    flip = branch == "V" and not feed_forward
+    return _stage("II", _stage2_entries, scenario, t, flip, feed_forward)
 
 
 def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
@@ -287,23 +316,18 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
         old.alpha, old.beta, old.gamma, old.delta, old.xi, old.P,
         stage_out.cumulative_probability, filters.a_a, filters.a_b,
     )
-    new_beta = a_b * beta
-    new_gamma = a_a * gamma
     product = a_a * a_b
-    new_delta = product * delta
     # Below the normal range the product loses digits, or all of them: there
     # the roots are taken apart, so a tiny filter pair keeps its coherence.
     root = np.where(product >= _SMALLEST_NORMAL, np.sqrt(product), np.sqrt(a_a) * np.sqrt(a_b))
-    new_xi = root * xi
-    new_trace = alpha + new_beta + new_gamma + new_delta
-    kept = new_trace > ZERO_TRACE_FLOOR
+    new = (*_filtered_entries(alpha, beta, gamma, delta, xi, a_a, a_b, root),
+           big_p, cumulative, a_a, a_b)
+    kept = 4 * new[5] > ZERO_TRACE_FLOOR  # 4P: the filtered diagonal sum
     if not kept.all():
-        alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p, cumulative, a_a, a_b = (
-            x[kept] for x in (alpha, new_beta, new_gamma, new_delta, new_xi, new_trace, big_p,
-                              cumulative, a_a, a_b)
-        )
-    params = XStateParams(alpha, new_beta, new_gamma, new_delta, new_xi, P=new_trace / 4.0)
-    passed = new_trace / (4.0 * big_p)
+        new = [x[kept] for x in new]
+    *entries, big_p, cumulative, a_a, a_b = new
+    params = XStateParams(*entries)
+    passed = params.P / big_p  # 4P over 4P_II: the new trace over the old
     filters = unchecked(FilterPair, a_a=a_a, a_b=a_b)  # a subset of checked factors
     out = StageOutput(
         "III", params, normalized_state(params), passed, cumulative * passed, filters, kept

@@ -106,17 +106,12 @@ _PAIR_PROJECTORS = {
 }
 
 
-def setting_rate(state: DensityOperator, setting: TomographySetting) -> float:
-    """Projection probability ``Tr(rho P_a (x) P_b)`` for one analyzer pair."""
-    pi = _PAIR_PROJECTORS[setting.setting_a, setting.setting_b]
-    return max(float(np.trace(state.matrix @ pi).real), 0.0)
-
-
 def _rates(matrix: np.ndarray, settings: Sequence[tuple[str, str]]) -> np.ndarray:
-    """``setting_rate`` of every setting, as one stacked product.
+    """Projection probabilities ``Tr(rho P_a (x) P_b)`` of every setting, as one stacked product.
 
-    Each rate has the bits of its ``setting_rate``: the same 4x4 product
-    and diagonal sum, and the clamp keeps a ``-0.0`` as ``max`` does.
+    Each rate has the bits of the one-setting product ``matrix @ P_a (x) P_b``
+    and its diagonal sum, clamped at zero as ``max(rate, 0.0)`` clamps: a
+    ``-0.0`` stays.
     """
     projectors = np.array([_PAIR_PROJECTORS[s] for s in settings])
     rates = np.trace(matrix[None] @ projectors, axis1=1, axis2=2).real

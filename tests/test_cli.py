@@ -987,6 +987,22 @@ class TestTomographyCommand:
         assert (code, out) == (3, "")
         assert err == "domain error: count totals too low to calibrate the measurement scale\n"
 
+    @pytest.mark.parametrize("state", ["singlet", "mixed"])
+    @pytest.mark.parametrize(
+        "lines,key",
+        [
+            ("T = oops\nscenario = banana\nstage = IV\n", "T"),
+            ("stage = III\n", "stage"),
+            ("epsilon = 0.25\nfeed_forward = true\n", "epsilon"),
+            ("A_A = 0.5\nA_B = 0.5\nbranch = V\n", "A_A"),
+        ],
+    )
+    def test_run_keys_without_a_stage_state_exit_2(self, tmp_path, capsys, state, lines, key):
+        path = write_config(tmp_path, f"state = {state}\ntrials = 5\n{lines}")
+        code, out, err = run_cli(capsys, ["tomography", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == f"config error: config key {key} only applies to state = stage\n"
+
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, self.CFG)
         code, out, err = run_cli(capsys, ["tomography", "--config", path, "--seed", "-1"])
@@ -1095,9 +1111,10 @@ def _sweep_grid_argv(rng, path):
 
 
 def _tomography_argv(rng, path):
-    cfg = _channel_keys(rng)
-    cfg["state"] = rng.choice(["stage", "stage", "singlet", "mixed"])
-    cfg["stage"] = rng.choice(["I", "II", "III"])
+    state = rng.choice(["stage", "stage", "singlet", "mixed"])
+    # the run keys and stage apply only to state = stage; a singlet or mixed config with one exits 2
+    cfg = _channel_keys(rng) | {"stage": rng.choice(["I", "II", "III"])} if state == "stage" else {}
+    cfg["state"] = state
     for key, plain, edges in (
         ("total_triples", "2000", EDGE_VALUES),
         ("trials", "20", INTEGER_EDGE_VALUES),

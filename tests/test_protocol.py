@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import random
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -372,6 +374,107 @@ class TestStageThreeClosedForms:
             cfg = ChannelConfig(scenario=indistinguishable(), T=t, epsilon=1e-8)
             c = concurrence_x(run_protocol(cfg)[2].params)
             assert c > 1 - 1e-6
+
+
+def _exact_grid():
+    """Seeded rational ``(p, T)`` values, with the edges and the near-1/2 family."""
+    rng = random.Random(27)
+    ts = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 3)]
+    ts += [Fraction(1, 2) + s * Fraction(1, 10**k) for k in (3, 9, 15) for s in (1, -1)]
+    ts += [Fraction(rng.randrange(1, 10**6), 10**6) for _ in range(10)]
+    ps = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(17, 20)]
+    ps += [Fraction(rng.randrange(1, 10**4), 10**4) for _ in range(4)]
+    return ps, ts
+
+
+def _conjugated(entries, u, v):
+    """Stage-III entries as ``K rho K`` with ``K = diag(1, v, u, uv)``, entry by entry."""
+    alpha, beta, gamma, delta, xi, _ = entries
+    zero = Fraction(0)
+    re = [[alpha, zero, zero, zero], [zero, beta, zero, zero],
+          [zero, zero, gamma, zero], [zero, zero, zero, delta]]
+    im = [[zero] * 4 for _ in range(4)]
+    im[1][2], im[2][1] = -xi, xi  # the coherence -i xi at (HV, VH)
+    k = [1, v, u, u * v]
+    re, im = ([[k[i] * m[i][j] * k[j] for j in range(4)] for i in range(4)] for m in (re, im))
+    return re[0][0], re[1][1], re[2][2], re[3][3], im[2][1], sum(re[i][i] for i in range(4)) / 4
+
+
+class TestExactCores:
+    """The shipped stage cores on Fractions: their identities hold with ``==``."""
+
+    ps, ts = _exact_grid()
+
+    def test_cores_run_on_fractions(self):
+        for core in (protocol._stage1_entries, protocol._stage2_entries):
+            assert all(type(e) is Fraction for e in core(Fraction(1, 3), Fraction(2, 5)))
+
+    def test_diagonal_sums_to_4p(self):
+        for p in self.ps:
+            for t in self.ts:
+                s2 = protocol._stage2_entries(p, t)
+                u, v = Fraction(2, 3), Fraction(5, 7)
+                s3 = protocol._filtered_entries(*s2[:5], u * u, v * v, u * v)
+                for entries in (protocol._stage1_entries(p, t), s2, s3):
+                    assert sum(entries[:4]) == 4 * entries[5]
+
+    def test_stage1_is_stage2_plus_its_flipped_twin(self):
+        for p in self.ps:
+            for t in self.ts:
+                s1, s2 = protocol._stage1_entries(p, t), protocol._stage2_entries(p, t)
+                assert s1[:4] == tuple(a + b for a, b in zip(s2[:4], s2[3::-1]))
+                assert (s1[4], s1[5]) == (2 * s2[4], 2 * s2[5])
+
+    def test_entries_are_affine_in_p(self):
+        for core in (protocol._stage1_entries, protocol._stage2_entries):
+            for t in self.ts:
+                lo, hi = core(Fraction(0), t), core(Fraction(1), t)
+                for p in self.ps:
+                    assert core(p, t) == tuple((1 - p) * a + p * b for a, b in zip(lo, hi))
+
+    def test_coherence_is_bounded(self):
+        for p in self.ps:
+            for t in self.ts:
+                for core in (protocol._stage1_entries, protocol._stage2_entries):
+                    _, beta, gamma, _, xi, _ = core(p, t)
+                    assert xi * xi <= beta * gamma
+
+    def test_stage2_coherence_vanishes_only_at_p_over_1_plus_p(self):
+        for p in self.ps:
+            zero = p / (1 + p)
+            assert protocol._stage2_entries(p, zero)[4] == 0
+            for t in self.ts:
+                if t > 0:
+                    assert (protocol._stage2_entries(p, t)[4] == 0) == (t == zero), (p, t)
+
+    def test_unit_pair_leaves_stage2_unchanged(self):
+        for p in self.ps:
+            for t in self.ts:
+                s2 = protocol._stage2_entries(p, t)
+                assert protocol._filtered_entries(*s2[:5], 1, 1, 1) == s2
+
+    # filter roots (u, v): the pair is (u^2, v^2) and its root uv
+    roots = [(Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 10**6), Fraction(1)),
+             (Fraction(9, 10), Fraction(1, 7)), (Fraction(1, 50), Fraction(1, 60))]
+
+    def test_filtering_is_the_diagonal_conjugation(self):
+        for p in self.ps:
+            for t in self.ts:
+                s2 = protocol._stage2_entries(p, t)
+                for u, v in self.roots:
+                    s3 = protocol._filtered_entries(*s2[:5], u * u, v * v, u * v)
+                    assert s3 == _conjugated(s2, u, v)
+
+    def test_filtered_concurrence_stays_below_the_supremum(self):
+        # on the H branch (alpha = 0) C_III <= |xi| / sqrt(beta gamma), squared to stay rational
+        for p in self.ps:
+            for t in self.ts:
+                s2 = protocol._stage2_entries(p, t)
+                alpha, beta, gamma, _, xi, _ = s2
+                assert alpha == 0
+                for u, v in self.roots:
+                    s3 = protocol._filtered_entries(*s2[:5], u * u, v * v, u * v)
+                    assert s3[4] ** 2 * beta * gamma <= (2 * s3[5] * xi) ** 2
 
 
 class TestRunProtocol:

@@ -29,10 +29,15 @@ from ebrsim.tomography import (
     error_bars,
     projector,
     reconstruct,
-    setting_rate,
     simulate_counts,
     standard_settings,
 )
+
+
+def setting_rate(state, setting):
+    """Reference rate ``max(Tr(rho P_a (x) P_b), 0)`` of one analyzer pair, for ``_rates``."""
+    pi = np.kron(projector(setting.setting_a), projector(setting.setting_b))
+    return max(float(np.trace(state.matrix @ pi).real), 0.0)
 
 
 @pytest.fixture(scope="module")
