@@ -25,7 +25,7 @@ for convention in ("real", "phase"):
     brute = oracle_protocol(CONFIG, convention=convention)
     print(f"--- convention = {convention} ---")
     for c_out, b_out in zip(closed, brute):
-        dev = float(np.max(np.abs(c_out.state.matrix - b_out.state.matrix)))
+        dev = float(np.max(np.abs(c_out.state - b_out.state)))
         dp = abs(c_out.cumulative_probability - b_out.cumulative_probability)
         print(
             f"stage {c_out.stage:<4} C={concurrence_x(c_out.params):.6f}"

@@ -60,11 +60,11 @@ from typing import Callable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from .core import (
-    DensityOperator,
     EbrsimError,
     InvalidParameter,
     json_obj,
     maximally_mixed,
+    pure_state,
     singlet_vector,
 )
 from .fock import OracleCheckReport, oracle_check
@@ -466,6 +466,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = dict(cfg)
     for key in ("variable", "start", "stop", "steps"):
         base.pop(key, None)
+    if variable in base:
+        raise ConfigError(f"config key {variable} conflicts with variable = {variable}")
     if variable == "epsilon" and ("A_A" in base or "A_B" in base):
         raise ConfigError("epsilon sweep conflicts with explicit A_A/A_B filters")
     if variable == "p" and base.get("scenario", "").lower() != "partial":
@@ -517,7 +519,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _tomography_truth(cfg: dict[str, str]) -> DensityOperator:
+def _tomography_truth(cfg: dict[str, str]) -> np.ndarray:
     kind = cfg.get("state", "stage")
     if kind not in ("singlet", "mixed", "stage"):
         raise ConfigError(f"state must be singlet, mixed or stage, got {kind!r}")
@@ -527,7 +529,7 @@ def _tomography_truth(cfg: dict[str, str]) -> DensityOperator:
             raise ConfigError(f"config key {stray[0]} only applies to state = stage")
         if kind == "mixed":
             return maximally_mixed(4)
-        return DensityOperator.from_pure(singlet_vector())
+        return pure_state(singlet_vector())
     stage_label = cfg.get("stage", "II")
     if stage_label not in ("I", "II", "III"):
         raise ConfigError(f"stage must be I, II or III, got {stage_label!r}")

@@ -1,18 +1,15 @@
-"""Density-operator algebra for small optical Hilbert spaces.
+"""State algebra for small optical Hilbert spaces.
 
-Operators are plain complex128 numpy matrices carried together with a
-``trace_weight``, the trace the matrix is supposed to have.  Keeping
-unnormalized operators first-class lets post-selection and filtering
-probabilities compose by plain multiplication: every pipeline stage can
-hand back both a conditional state and the weight of the branch that
-produced it.
+A state is a plain complex128 numpy array: ``(d, d)`` for one density
+matrix and ``(n, d, d)`` for a stack of them.  Every function here and in
+:mod:`ebrsim.metrics` computes on numpy's batch axes, so one state and a
+stack run the same code.  A branch probability travels beside its state,
+as the trace :func:`unit_trace` divides out, not inside it.
 
 Basis convention for two polarization qubits: ``HH, HV, VH, VV``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,54 +92,6 @@ def require(ok, values, message: str) -> None:
     raise InvalidParameter(message.format(float(bad)))
 
 
-def _as_complex_matrix(matrix) -> np.ndarray:
-    m = np.array(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m.view(np.float64)).all():
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """A (possibly unnormalized) Hermitian operator plus its claimed trace.
-
-    ``trace_weight`` is the probability weight of the branch the operator
-    describes.  A normalized state has ``trace_weight == 1``.  The
-    constructor checks shape and finiteness only: it does not reject
-    unphysical matrices.
-    """
-
-    matrix: np.ndarray
-    trace_weight: float
-
-    def __init__(self, matrix, trace_weight: float | None = None):
-        m = _as_complex_matrix(matrix)
-        if trace_weight is None:
-            trace_weight = float(np.trace(m).real)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "trace_weight", float(trace_weight))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The matrix, so numpy reads an operator as its array; ``copy`` as numpy asks."""
-        return np.array(self.matrix, dtype=dtype, copy=copy)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def from_pure(cls, vector) -> "DensityOperator":
-        """Unit-trace projector ``|v><v|`` onto the normalized ket."""
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("cannot build a state from the zero vector")
-        v = v / norm
-        return cls(np.outer(v, v.conj()), trace_weight=1.0)
-
-
 def unit_trace(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rescale every matrix of a ``(..., d, d)`` array to unit trace.
 
@@ -161,23 +110,32 @@ def singlet_vector() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0j, 0.0], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def maximally_mixed(dim: int = 4) -> DensityOperator:
+def pure_state(vector) -> np.ndarray:
+    """Unit-trace projector ``|v><v|`` onto the normalized ket."""
+    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ValueError("cannot build a state from the zero vector")
+    v = v / norm
+    return np.outer(v, v.conj())
+
+
+def maximally_mixed(dim: int = 4) -> np.ndarray:
     """Unpolarized state ``I/dim``."""
-    return DensityOperator(np.eye(dim, dtype=np.complex128) / dim, 1.0)
+    return np.eye(dim, dtype=np.complex128) / dim
 
 
-def json_obj(rho: DensityOperator) -> dict:
-    """The JSON document of an operator, with ``[re, im]`` entry pairs, as a dict.
+def json_obj(rho: np.ndarray) -> dict:
+    """The JSON document of a ``(d, d)`` unit-trace state, with ``[re, im]`` entry pairs, as a dict.
 
-    Python's JSON float formatting is shortest-roundtrip decimal, so
-    ``json.loads(json.dumps(...))`` recovers the identical binary entries.
+    Every state written has unit trace, so ``trace_weight`` is the constant
+    ``1.0``.  Python's JSON float formatting is shortest-roundtrip decimal,
+    so ``json.loads(json.dumps(...))`` recovers the identical binary entries.
     """
-    obj: dict = {"dim": rho.dim}
-    if rho.dim == 4:
+    obj: dict = {"dim": len(rho)}
+    if len(rho) == 4:
         obj["basis"] = list(TWO_QUBIT_BASIS)
-    obj["trace_weight"] = rho.trace_weight
-    obj["matrix"] = [
-        [[float(z.real), float(z.imag)] for z in row] for row in rho.matrix
-    ]
+    obj["trace_weight"] = 1.0
+    obj["matrix"] = [[[float(z.real), float(z.imag)] for z in row] for row in rho]
     return obj
 

@@ -7,8 +7,7 @@ form.  The general Wootters computation is kept alongside it as an
 independent cross-check route.
 
 Every function computes on numpy's batch axes: a state is a ``(4, 4)``
-array (or a :class:`~ebrsim.core.DensityOperator`, which numpy reads as
-its matrix) and a stack of states an ``(..., 4, 4)`` array; the X-state
+complex array and a stack of states an ``(..., 4, 4)`` array; the X-state
 functions take parameters whose entries are floats or equal-shape float
 arrays.  A result has the input's leading shape, so a single state runs
 the stack's code and gets ``np.float64`` results.

@@ -23,10 +23,10 @@ wrap, :func:`_column_config`, converts a config to what an engine reads:
 the ``(p, T)`` broadcast, carried by the scenario, and the filter pair
 resolved on its ``T``.  So a sweep over ``epsilon`` alone evaluates stages
 I-II on one point, which stage III broadcasts against the filter column.
-A single point's outputs are unwrapped to floats and
-:class:`~ebrsim.core.DensityOperator` states once, by :func:`_point`, which
-holds the single-point rule.  A column gets columns and ``(n, 4, 4)`` state
-stacks, and a point without stage III is masked.
+A single point's outputs are unwrapped once, by :func:`_point`, which
+holds the single-point rule: to floats, and to a ``(4, 4)`` state that is
+row 0 of the column's stack.  A column gets columns and ``(n, 4, 4)``
+state stacks, and a point without stage III is masked.
 
 Each stage map is a core plus a door.  The cores, :func:`_stage1_entries`,
 :func:`_stage2_entries` and :func:`_filtered_entries`, return the six X
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityOperator,
     EbrsimError,
     InvalidParameter,
     ZeroTrace,
@@ -180,10 +179,12 @@ class ChannelConfig:
 class StageOutput:
     """Normalized state plus probability bookkeeping for one stage.
 
-    ``probability`` is the stage's own success probability (for stage III
-    the conditional filter-pass probability); ``cumulative_probability``
-    is the usable fraction of source pairs up to and including the stage.
-    ``filters`` is the attenuator pair a stage-III output was filtered with.
+    ``state`` is the unit-trace ``(4, 4)`` complex array of the stage's
+    ``params``.  ``probability`` is the stage's own success probability
+    (for stage III the conditional filter-pass probability);
+    ``cumulative_probability`` is the usable fraction of source pairs up to
+    and including the stage.  ``filters`` is the attenuator pair a stage-III
+    output was filtered with.
 
     For a column of points, ``params``, the probabilities and ``filters``
     hold columns and ``state`` is an ``(n, 4, 4)`` stack.  Stages I-II hold
@@ -194,7 +195,7 @@ class StageOutput:
 
     stage: str
     params: XStateParams
-    state: object
+    state: np.ndarray
     probability: float | np.ndarray
     cumulative_probability: float | np.ndarray
     filters: FilterPair | None = None
@@ -219,7 +220,7 @@ def _point(stages: list[StageOutput], singular: bool = False) -> list[StageOutpu
         StageOutput(
             out.stage,
             floats(out.params),
-            unchecked(DensityOperator, matrix=out.state[0].copy(), trace_weight=1.0),
+            out.state[0].copy(),
             float(out.probability[0]),
             float(out.cumulative_probability[0]),
             out.filters and floats(out.filters),

@@ -6,7 +6,8 @@ count budget, the registered triples are Poisson distributed around the
 state's projection probability, and the state is recovered by linear
 inversion on Pauli expectations followed by a projection back onto the
 physical (positive, unit-trace) set.  Error bars come from a parametric
-bootstrap around the fitted state.
+bootstrap around the fitted state.  Every state, the true one counted
+and the fitted one, is a ``(4, 4)`` complex array.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DensityOperator, EbrsimError, InvalidParameter, unit_trace
+from .core import EbrsimError, InvalidParameter, unit_trace
 from .metrics import concurrence, fidelity
 
 # Largest expected count per setting: numpy's Poisson sampler rejects a
@@ -119,7 +120,7 @@ def _rates(matrix: np.ndarray, settings: Sequence[tuple[str, str]]) -> np.ndarra
 
 
 def simulate_counts(
-    state: DensityOperator,
+    state,
     total_triples: float,
     seed: int,
     minimal: bool = False,
@@ -133,14 +134,18 @@ def simulate_counts(
     ``MAX_EXPECTED_COUNT`` per setting.  The counts are one Poisson draw
     over all settings, in setting order, from ``default_rng(seed)``: the
     same numbers as one scalar draw per setting from that generator.
+    ``state`` is array-like: a ``(4, 4)`` matrix of finite entries.
     """
-    if state.dim != 4:
-        raise InvalidParameter(f"tomography expects a two-qubit state, got dim {state.dim}")
+    matrix = np.asarray(state, dtype=np.complex128)
+    if matrix.shape != (4, 4):
+        raise InvalidParameter(f"tomography expects a (4, 4) state, got shape {matrix.shape}")
+    if not np.isfinite(matrix.view(np.float64)).all():
+        raise InvalidParameter("state contains non-finite entries")
     if not (0.0 < total_triples < np.inf):
         raise InvalidParameter(
             f"total_triples must be positive and finite, got {total_triples!r}"
         )
-    normalized, _ = unit_trace(state.matrix)
+    normalized, _ = unit_trace(matrix)
     settings = standard_settings(minimal)
     scale = 4.0 * float(total_triples) / len(settings)
     if scale > MAX_EXPECTED_COUNT:
@@ -160,6 +165,7 @@ def simulate_counts(
 class TomographyResult:
     """Reconstructed physical state plus fit metadata.
 
+    ``state`` is the fitted ``(4, 4)`` unit-trace state.
     ``scale`` is the fitted per-setting count normalization (the Pauli
     identity component), an estimate of ``4 * total / n_settings``.
     ``clipped_weight`` is the total negative eigenvalue mass removed by
@@ -167,7 +173,7 @@ class TomographyResult:
     statistics.
     """
 
-    state: DensityOperator
+    state: np.ndarray
     scale: float
     clipped_weight: float
 
@@ -250,7 +256,7 @@ def reconstruct(records: Sequence[CountRecord], background: float = 0.0) -> Tomo
     counts = np.array([[float(r.observed) - background for r in records]])
     states, scales, clipped = _invert(settings, counts)
     return TomographyResult(
-        state=DensityOperator(states[0], 1.0),
+        state=states[0],
         scale=float(scales[0]),
         clipped_weight=float(clipped[0]),
     )
@@ -309,7 +315,7 @@ def error_bars(
     if trials > MAX_TRIALS:
         raise InvalidParameter(f"trials must be at most {MAX_TRIALS}, got {trials}")
     settings = tuple(TomographySetting(r.setting_a, r.setting_b) for r in records)
-    expected = result.scale * _rates(result.state.matrix, settings)
+    expected = result.scale * _rates(result.state, settings)
     counts = _bootstrap_counts(expected, trials, seed)
     states, scales, _ = _invert(settings, counts)
     fidelities = fidelity(result.state, states)

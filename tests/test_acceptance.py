@@ -169,7 +169,7 @@ def test_07_feed_forward():
         for h_out, v_out in zip(h, v):
             worst_state = max(
                 worst_state,
-                float(np.max(np.abs(h_out.state.matrix - v_out.state.matrix))),
+                float(np.max(np.abs(h_out.state - v_out.state))),
             )
             expect = h_out.cumulative_probability * (2.0 if h_out.stage != "I" else 1.0)
             worst_ratio = max(worst_ratio, abs(v_out.cumulative_probability - expect))
@@ -192,21 +192,24 @@ def test_08_hom_calibration():
 def test_09_x_state_closed_form():
     start = time.perf_counter()
     rng = np.random.default_rng(99)
-    worst = 0.0
+    draws = []
     for _ in range(10**4):
         diag = rng.uniform(0.0, 1.0, size=4)
-        xi = rng.uniform(-1.0, 1.0) * math.sqrt(diag[1] * diag[2])
-        total = float(np.sum(diag))
-        params = XStateParams(
-            alpha=4.0 * diag[0] / total,
-            beta=4.0 * diag[1] / total,
-            gamma=4.0 * diag[2] / total,
-            delta=4.0 * diag[3] / total,
-            xi=4.0 * xi / total,
-            P=1.0,
-        )
-        full = concurrence(normalized_state(params)).value
-        worst = max(worst, abs(concurrence_x(params) - full))
+        draws.append((*diag, rng.uniform(-1.0, 1.0)))
+    # the drawn states, in draw order, as one XStateParams column and one stack
+    a, b, c, d, u = np.array(draws).T
+    xi = u * np.sqrt(b * c)
+    total = ((a + b) + c) + d
+    params = XStateParams(
+        alpha=4.0 * a / total,
+        beta=4.0 * b / total,
+        gamma=4.0 * c / total,
+        delta=4.0 * d / total,
+        xi=4.0 * xi / total,
+        P=np.ones_like(total),
+    )
+    full = concurrence(normalized_state(params)).value
+    worst = float(np.max(np.abs(concurrence_x(params) - full)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     report(9, "x-state-closed-form", ok, f"max|dC|={worst:.2e} {elapsed:.2f}s")

@@ -374,6 +374,17 @@ class TestSweepCommand:
         assert {r[0] for r in rows} == {"partial"}
         assert sorted({float(r[4]) for r in rows}) == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize(
+        "variable,value", [("T", "oops"), ("T", "0.4"), ("p", "7"), ("epsilon", "0.5")]
+    )
+    def test_sweep_rejects_its_own_variable_as_a_key(self, tmp_path, capsys, variable, value):
+        keys = {"scenario": "partial", "p": "0.5", "T": "0.3", variable: value}
+        keys.update(variable=variable, start="0.1", stop="0.9", steps="3")
+        path = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code, out, err = run_cli(capsys, ["sweep", "--config", path])
+        assert (code, out) == (2, "")
+        assert err == f"config error: config key {variable} conflicts with variable = {variable}\n"
+
     def test_epsilon_sweep_rejects_explicit_filters(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -405,7 +416,9 @@ class TestSweepCommand:
         ],
     )
     def test_sweep_config_errors(self, tmp_path, capsys, line, fragment):
-        path = write_config(tmp_path, f"scenario = distinguishable\nepsilon = 1\n{line}\n")
+        # a sweep over epsilon may not set epsilon itself
+        epsilon = "" if "variable = epsilon" in line else "epsilon = 1\n"
+        path = write_config(tmp_path, f"scenario = distinguishable\n{epsilon}{line}\n")
         code, out, err = run_cli(capsys, ["sweep", "--config", path])
         assert (code, out) == (2, "")
         assert err.startswith("config error:")
@@ -1089,6 +1102,7 @@ def _run_argv(rng, path):
 def _sweep_argv(rng, path):
     cfg = _channel_keys(rng)
     variable = rng.choice(["T", "epsilon", "p"])
+    cfg.pop(variable, None)  # a sweep that sets its own variable exits 2
     if variable == "epsilon" and rng.random() < 0.8:
         cfg.pop("A_A", None), cfg.pop("A_B", None)
     if variable == "p" and rng.random() < 0.8:
@@ -1101,6 +1115,7 @@ def _sweep_grid_argv(rng, path):
     """A sweep between two edge values, its constant keys drawn from the same edges."""
     cfg = _channel_keys(rng, GRID_EDGES)
     variable = rng.choice(["T", "epsilon", "p"])
+    cfg.pop(variable, None)
     if variable == "epsilon":
         cfg.pop("A_A", None), cfg.pop("A_B", None)
     if variable == "p":

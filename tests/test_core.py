@@ -6,6 +6,7 @@ import pytest
 import ebrsim
 from ebrsim import (
     ChannelConfig,
+    FilterPair,
     InvalidParameter,
     XStateParams,
     breaking_threshold,
@@ -17,52 +18,24 @@ from ebrsim import (
 )
 from ebrsim.core import (
     TWO_QUBIT_BASIS,
-    DensityOperator,
     EbrsimError,
     ZeroTrace,
     columns,
     json_obj,
     maximally_mixed,
+    pure_state,
     singlet_vector,
     unchecked,
     unit_trace,
 )
 
 
-def test_trace_weight_inferred_from_matrix():
-    rho = DensityOperator(np.diag([0.25, 0.75]))
-    assert rho.trace_weight == pytest.approx(1.0)
-    assert rho.dim == 2
-
-
-def test_explicit_trace_weight_is_kept():
-    rho = DensityOperator(np.diag([0.1, 0.1]), trace_weight=0.2)
-    assert rho.trace_weight == 0.2
-
-
-def test_rejects_non_square_and_non_finite():
-    with pytest.raises(ValueError):
-        DensityOperator(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        DensityOperator(np.array([[np.inf, 0], [0, 1]]))
-
-
-def test_from_pure_normalizes_the_ket():
-    rho = DensityOperator.from_pure([2.0, 0.0])
-    assert np.array_equal(rho.matrix, [[1.0, 0], [0, 0]])
-    assert rho.trace_weight == 1.0
-    with pytest.raises(ValueError):
-        DensityOperator.from_pure([0.0, 0.0])
-
-
-def test_constructor_accepts_unphysical_matrices():
-    # the constructor checks shape and finiteness only, so a non-Hermitian
-    # matrix and a trace weight it does not have are stored as given
-    m = np.array([[1.0, 1.0], [0.0, 1.0]])
-    rho = DensityOperator(m, trace_weight=0.7)
-    assert np.array_equal(rho.matrix, m)
-    assert rho.matrix.dtype == np.complex128
-    assert rho.trace_weight == 0.7
+def test_pure_state_normalizes_the_ket():
+    rho = pure_state([2.0, 0.0])
+    assert type(rho) is np.ndarray and rho.dtype == np.complex128
+    assert np.array_equal(rho, [[1.0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="zero vector"):
+        pure_state([0.0, 0.0])
 
 
 def test_singlet_vector_entries():
@@ -74,20 +47,19 @@ def test_singlet_vector_entries():
 
 
 def test_normalize_reports_the_matrix_trace():
-    # the stored trace_weight (0.7) is not the branch probability unit_trace returns
-    matrix, prob = unit_trace(DensityOperator(np.eye(2) / 2, trace_weight=0.7).matrix)
+    matrix, prob = unit_trace(np.eye(2, dtype=np.complex128) / 2)
     assert prob == 1.0
     assert np.array_equal(matrix, np.eye(2) / 2)
 
 
 def test_normalize_zero_trace_raises():
     with pytest.raises(ZeroTrace):
-        unit_trace(DensityOperator(np.zeros((4, 4)), trace_weight=0.0).matrix)
+        unit_trace(np.zeros((4, 4), dtype=np.complex128))
 
 
 def test_maximally_mixed_is_isotropic():
-    rho = maximally_mixed(4)
-    m = rho.matrix
+    m = maximally_mixed(4)
+    assert type(m) is np.ndarray and m.dtype == np.complex128
     assert np.allclose(m, np.eye(4) / 4)
     assert np.max(np.abs(m - m.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-10
@@ -98,24 +70,12 @@ def test_json_round_trip_is_bit_exact():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = m @ m.conj().T
-    rho = DensityOperator(m, trace_weight=float(np.trace(m).real))
+    rho = m / np.trace(m).real
     doc = json.loads(json.dumps(json_obj(rho)))
     pairs = np.array(doc["matrix"])
-    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], rho.matrix)
-    assert doc["trace_weight"] == rho.trace_weight
-
-
-def test_numpy_reads_an_operator_as_its_matrix():
-    rho = DensityOperator(np.diag([0.1, 0.2, 0.3, 0.4]))
-    # numpy passes copy=; a missing keyword would warn, and warnings are errors here
-    copied = np.asarray(rho, dtype=np.complex128, copy=True)
-    assert np.array_equal(copied, rho.matrix)
-    assert not np.shares_memory(copied, rho.matrix)
-    copied[0, 0] = 9.0
-    assert rho.matrix[0, 0] == 0.1
-    assert np.asarray(rho, copy=False) is rho.matrix
-    with pytest.raises(ValueError):  # a cast needs a copy
-        np.asarray(rho, dtype=np.complex64, copy=False)
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], rho)
+    # every state written has unit trace, so the key is a constant
+    assert doc["trace_weight"] == 1.0
 
 
 def test_json_declares_polarization_basis():
@@ -173,7 +133,8 @@ def test_columns_of_two_lengths_raise_a_typed_error():
 
 
 def test_unchecked_needs_every_field():
-    rho = unchecked(DensityOperator, matrix=np.eye(2), trace_weight=2.0)
-    assert rho.trace_weight == 2.0 and rho.dim == 2
+    # the checks are skipped: FilterPair(2.0, 0.5) would raise
+    pair = unchecked(FilterPair, a_a=2.0, a_b=0.5)
+    assert type(pair) is FilterPair and (pair.a_a, pair.a_b) == (2.0, 0.5)
     with pytest.raises(TypeError):
-        unchecked(DensityOperator, matrix=np.eye(2))
+        unchecked(FilterPair, a_a=0.5)

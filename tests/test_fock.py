@@ -413,7 +413,7 @@ class TestOracleAgainstClosedForm:
                 closed = run_protocol(cfg)
                 oracle = oracle_protocol(cfg, convention)
                 for ref, alt in zip(closed, oracle):
-                    dev = float(np.max(np.abs(ref.state.matrix - alt.state.matrix)))
+                    dev = float(np.max(np.abs(ref.state - alt.state)))
                     assert dev <= 1e-12, (scenario.kind, t, ref.stage, convention)
                     assert alt.probability == pytest.approx(ref.probability, abs=1e-12)
                     assert alt.cumulative_probability == pytest.approx(
@@ -428,7 +428,7 @@ class TestOracleAgainstClosedForm:
             closed = run_protocol(cfg)
             oracle = oracle_protocol(cfg)
             for ref, alt in zip(closed, oracle):
-                assert np.allclose(ref.state.matrix, alt.state.matrix, atol=1e-12)
+                assert np.allclose(ref.state, alt.state, atol=1e-12)
                 assert alt.cumulative_probability == pytest.approx(
                     ref.cumulative_probability, abs=1e-12
                 )
@@ -521,7 +521,7 @@ def _reference_oracle_check(grid_step, epsilons, convention="real"):
                             t,
                             eps,
                             ref.stage,
-                            float(np.max(np.abs(ref.state.matrix - alt.state.matrix))),
+                            float(np.max(np.abs(ref.state - alt.state))),
                             abs(ref.probability - alt.probability),
                             abs(ref.cumulative_probability - alt.cumulative_probability),
                         )
@@ -846,7 +846,7 @@ class TestOracleColumns:
             for column, j, out in zip(columns, (i, i, row_3[i]), outs):
                 entries = {k: v[j] for k, v in vars(column.params).items()}
                 assert entries == vars(out.params), (i, out.stage)
-                assert np.array_equal(column.state[j], out.state.matrix), (i, out.stage)
+                assert np.array_equal(column.state[j], out.state), (i, out.stage)
                 assert column.probability[j] == out.probability, (i, out.stage)
                 assert column.cumulative_probability[j] == out.cumulative_probability
         # T = 0 is singular in every scenario, T = 1/2 only with the 2T - 1 coherence
@@ -880,7 +880,7 @@ class TestOracleColumns:
             # stages I-II are one point, equal to every point's own
             for column, j, out in zip(columns, (0, 0, row_3[i]), outs):
                 assert {k: v[j] for k, v in vars(column.params).items()} == vars(out.params)
-                assert np.array_equal(column.state[j], out.state.matrix), (i, out.stage)
+                assert np.array_equal(column.state[j], out.state), (i, out.stage)
                 assert column.probability[j] == out.probability, (i, out.stage)
                 assert column.cumulative_probability[j] == out.cumulative_probability
         # the closed form has the same shapes and agrees
@@ -935,7 +935,7 @@ class TestOracleMirrorsRunProtocol:
         oracle = oracle_protocol(config)
         assert [o.stage for o in oracle] == [o.stage for o in closed] == ["I", "II"]
         for ref, alt in zip(closed, oracle):
-            assert np.max(np.abs(ref.state.matrix - alt.state.matrix)) <= 1e-12
+            assert np.max(np.abs(ref.state - alt.state)) <= 1e-12
             assert alt.cumulative_probability == pytest.approx(
                 ref.cumulative_probability, abs=1e-12
             )

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ebrsim.core import (
-    DensityOperator,
     InvalidParameter,
     maximally_mixed,
+    pure_state,
     singlet_vector,
     unit_trace,
 )
@@ -110,7 +110,7 @@ class TestXStateParams:
 
     def test_from_operator_rejects_overflowing_entry(self):
         # finite matrix, but 4 * 1e308 overflows to inf
-        rho = DensityOperator(np.diag([1e308, 0.0, 0.0, 0.0]).astype(complex))
+        rho = np.diag([1e308, 0.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="alpha must be finite"):
             XStateParams.from_operator(rho)
 
@@ -124,7 +124,7 @@ class TestXStateParams:
         for _ in range(100):
             p = random_x_params(rng)
             # branch operator: the assembled matrix carries trace 4P
-            branch = DensityOperator(assemble(p) / 4.0, p.P)
+            branch = assemble(p) / 4.0
             q = XStateParams.from_operator(branch)
             assert q.alpha == pytest.approx(p.alpha, abs=1e-14)
             assert q.beta == pytest.approx(p.beta, abs=1e-14)
@@ -137,14 +137,14 @@ class TestXStateParams:
         m = assemble(x_params(0.2, 0.5, 0.5, 0.2, 0.1)) / 4.0
         m[0, 3] = 1e-6
         with pytest.raises(ValueError, match="X-shaped"):
-            XStateParams.from_operator(DensityOperator(m))
+            XStateParams.from_operator(m)
 
     def test_from_operator_rejects_real_coherence(self):
         m = assemble(x_params(0.2, 0.5, 0.5, 0.2, 0.0)) / 4.0
         m[1, 2] = 0.05
         m[2, 1] = 0.05
         with pytest.raises(ValueError, match="imaginary"):
-            XStateParams.from_operator(DensityOperator(m))
+            XStateParams.from_operator(m)
 
     def test_from_operator_requires_two_qubits(self):
         with pytest.raises(NotTwoQubit):
@@ -155,7 +155,7 @@ class TestXStateParams:
         stack = np.array([assemble(random_x_params(rng)) / 4.0 for _ in range(5)])
         params = XStateParams.from_operator(stack)
         for i, m in enumerate(stack):
-            single = XStateParams.from_operator(DensityOperator(m))
+            single = XStateParams.from_operator(m)
             assert {k: v[i] for k, v in vars(params).items()} == vars(single)
 
     @pytest.mark.parametrize(
@@ -181,7 +181,7 @@ def _bits(x) -> tuple:
 
 
 def test_operator_matrix_and_stack_row_give_the_same_bits():
-    # one code path: a DensityOperator, its (4, 4) matrix and row i of a stack
+    # one code path: a (4, 4) matrix and row i of a stack
     rng = np.random.default_rng(21)
     stack = np.array([assemble(random_x_params(rng)) / 4.0 for _ in range(6)])
     others = np.array([assemble(random_x_params(rng)) / 4.0 for _ in range(6)])
@@ -191,39 +191,38 @@ def test_operator_matrix_and_stack_row_give_the_same_bits():
     closed = concurrence_x(params)
     fidelities = fidelity(stack, others)
     assert states.shape == stack.shape and closed.shape == fidelities.shape == (6,)
-    for i, m in enumerate(stack):
-        for single in (DensityOperator(m), m):
-            res = concurrence(single)
-            assert _bits(res.value) == _bits(rows.value[i])
-            assert _bits(res.sqrt_eigenvalues) == _bits(rows.sqrt_eigenvalues[i])
-            assert _bits(fidelity(single, others[i])) == _bits(fidelities[i])
-            assert _bits(fidelity(others[i], single)) == _bits(fidelity(others, stack)[i])
-            x = XStateParams.from_operator(single)
-            for name, column in vars(params).items():
-                assert _bits(getattr(x, name)) == _bits(column[i]), name
-            assert _bits(normalized_state(x)) == _bits(states[i])
-            assert _bits(concurrence_x(x)) == _bits(closed[i])
-            assert type(concurrence_x(x)) is np.float64
+    for i, single in enumerate(stack):
+        res = concurrence(single)
+        assert _bits(res.value) == _bits(rows.value[i])
+        assert _bits(res.sqrt_eigenvalues) == _bits(rows.sqrt_eigenvalues[i])
+        assert _bits(fidelity(single, others[i])) == _bits(fidelities[i])
+        assert _bits(fidelity(others[i], single)) == _bits(fidelity(others, stack)[i])
+        x = XStateParams.from_operator(single)
+        for name, column in vars(params).items():
+            assert _bits(getattr(x, name)) == _bits(column[i]), name
+        assert _bits(normalized_state(x)) == _bits(states[i])
+        assert _bits(concurrence_x(x)) == _bits(closed[i])
+        assert type(concurrence_x(x)) is np.float64
 
 
 def test_transparent_channel_is_the_source_singlet():
     # stage I at T = 1: alpha = delta = 0, xi = -2, nothing reflected
     p = XStateParams(alpha=0.0, beta=2.0, gamma=2.0, delta=0.0, xi=-2.0, P=1.0)
     state = normalized_state(p)
-    target = DensityOperator.from_pure(singlet_vector())
+    target = pure_state(singlet_vector())
     assert state.shape == (4, 4)
-    assert np.allclose(state, target.matrix, atol=1e-14)
+    assert np.allclose(state, target, atol=1e-14)
     assert concurrence_x(p) == pytest.approx(1.0)
 
 
 class TestConcurrence:
     def test_singlet_is_maximally_entangled(self):
-        res = concurrence(DensityOperator.from_pure(singlet_vector()))
+        res = concurrence(pure_state(singlet_vector()))
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.sqrt_eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_is_separable(self):
-        rho = DensityOperator.from_pure([1.0, 0.0, 0.0, 0.0])
+        rho = pure_state([1.0, 0.0, 0.0, 0.0])
         assert concurrence(rho).value == 0.0
 
     def test_mixed_state_is_separable(self):
@@ -234,14 +233,14 @@ class TestConcurrence:
         psi = singlet_vector()
         for q in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.9, 1.0):
             m = q * np.outer(psi, psi.conj()) + (1 - q) * np.eye(4) / 4
-            c = concurrence(DensityOperator(m)).value
+            c = concurrence(m).value
             assert c == pytest.approx(max(0.0, (3 * q - 1) / 2), abs=1e-12)
 
     def test_requires_two_qubits(self):
         with pytest.raises(NotTwoQubit):
             concurrence(maximally_mixed(2))
         with pytest.raises(NotTwoQubit):
-            concurrence(maximally_mixed(2).matrix[None])
+            concurrence(maximally_mixed(2)[None])
 
     def test_stack_rows_equal_single_states(self):
         stack = random_states(np.random.default_rng(11), 40)
@@ -249,7 +248,7 @@ class TestConcurrence:
         assert res.value.shape == (len(stack),)
         assert res.sqrt_eigenvalues.shape == (len(stack), 4)
         for i, m in enumerate(stack):
-            single = concurrence(DensityOperator(m))
+            single = concurrence(m)
             assert type(single.value) is np.float64
             assert single.sqrt_eigenvalues.shape == (4,)
             assert res.value[i] == single.value
@@ -291,18 +290,18 @@ class TestConcurrence:
 
     def test_unnormalized_input_is_normalized_first(self):
         p = x_params(0.0, 0.5, 0.5, 0.0, 0.5)
-        scaled = DensityOperator(assemble(p) * 3.0)
+        scaled = assemble(p) * 3.0
         assert concurrence(scaled).value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFidelity:
     def test_self_fidelity_is_one(self):
-        rho = DensityOperator.from_pure(singlet_vector())
+        rho = pure_state(singlet_vector())
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_state_overlap(self):
-        a = DensityOperator.from_pure([1.0, 0.0, 0.0, 0.0])
-        b = DensityOperator.from_pure([np.sqrt(0.7), np.sqrt(0.3), 0.0, 0.0])
+        a = pure_state([1.0, 0.0, 0.0, 0.0])
+        b = pure_state([np.sqrt(0.7), np.sqrt(0.3), 0.0, 0.0])
         assert fidelity(a, b) == pytest.approx(0.7, abs=1e-12)
 
     def test_symmetry(self):
@@ -310,20 +309,20 @@ class TestFidelity:
         for _ in range(20):
             m1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m2 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            a = DensityOperator(m1 @ m1.conj().T)
-            b = DensityOperator(m2 @ m2.conj().T)
+            a = m1 @ m1.conj().T
+            b = m2 @ m2.conj().T
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-10)
 
     def test_orthogonal_states(self):
-        a = DensityOperator.from_pure([1.0, 0.0, 0.0, 0.0])
-        b = DensityOperator.from_pure([0.0, 1.0, 0.0, 0.0])
+        a = pure_state([1.0, 0.0, 0.0, 0.0])
+        b = pure_state([0.0, 1.0, 0.0, 0.0])
         assert fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(maximally_mixed(4), maximally_mixed(2))
         with pytest.raises(ValueError):
-            fidelity(maximally_mixed(4).matrix[None], maximally_mixed(2))
+            fidelity(maximally_mixed(4)[None], maximally_mixed(2))
 
     def test_stack_order_is_symmetric(self):
         # Uhlmann fidelity is symmetric; round-off on rank-deficient states
@@ -331,24 +330,24 @@ class TestFidelity:
         rng = np.random.default_rng(15)
         stack = random_states(rng, 200)
         for ref in random_states(rng, 8)[:4]:
-            target = DensityOperator(ref)
+            target = ref
             assert np.max(np.abs(fidelity(target, stack) - fidelity(stack, target))) <= 1e-7
 
     def test_stack_rows_equal_single_states(self):
         rng = np.random.default_rng(12)
         stack = random_states(rng, 40)
         others = rng.permutation(random_states(rng, 40))
-        target = DensityOperator(others[0])
+        target = others[0]
         assert type(fidelity(target, target)) is np.float64
         left = fidelity(stack, target)
         right = fidelity(target, stack)
         paired = fidelity(stack, others)
         assert left.shape == right.shape == paired.shape == (len(stack),)
         for i, m in enumerate(stack):
-            single = DensityOperator(m)
+            single = m
             assert left[i] == fidelity(single, target)
             assert right[i] == fidelity(target, single)
-            assert paired[i] == fidelity(single, DensityOperator(others[i]))
+            assert paired[i] == fidelity(single, others[i])
 
 
 class TestWernerDecompose:
@@ -356,7 +355,7 @@ class TestWernerDecompose:
         psi = singlet_vector()
         for q in (-0.2, 0.0, 0.3, 0.85, 1.0):
             m = q * np.outer(psi, psi.conj()) + (1 - q) * np.eye(4) / 4
-            assert werner_decompose(DensityOperator(m)) == pytest.approx(q, abs=1e-12)
+            assert werner_decompose(m) == pytest.approx(q, abs=1e-12)
 
     def test_non_werner_returns_none(self):
         p = x_params(0.1, 0.6, 0.4, 0.1, 0.2)

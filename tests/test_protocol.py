@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ebrsim import protocol
-from ebrsim.core import DensityOperator, InvalidParameter, ZeroTrace, singlet_vector
+from ebrsim.core import InvalidParameter, ZeroTrace, pure_state, singlet_vector
 from ebrsim.fock import oracle_protocol
 from ebrsim.metrics import concurrence_x
 from ebrsim.protocol import (
@@ -122,8 +122,8 @@ class TestStage1:
     def test_transparent_limit_returns_the_singlet(self):
         for scenario in (distinguishable(), indistinguishable(), partial(0.4)):
             out = stage1(scenario, 1.0)
-            target = DensityOperator.from_pure(singlet_vector())
-            assert np.allclose(out.state.matrix, target.matrix, atol=1e-14)
+            target = pure_state(singlet_vector())
+            assert np.allclose(out.state, target, atol=1e-14)
             assert out.probability == pytest.approx(1.0)
 
     def test_probability_equals_cumulative(self):
@@ -176,7 +176,7 @@ class TestStage2:
         for scenario in (distinguishable(), indistinguishable(), partial(0.7)):
             h = stage2(scenario, 0.6, branch="H")
             v = stage2(scenario, 0.6, branch="V", feed_forward=True)
-            assert np.allclose(v.state.matrix, h.state.matrix, atol=1e-15)
+            assert np.allclose(v.state, h.state, atol=1e-15)
             assert v.probability == h.probability
             assert v.cumulative_probability == pytest.approx(2 * h.probability)
 
@@ -250,7 +250,7 @@ class TestFilters:
     def test_identity_filters_change_nothing(self):
         out = stage2(indistinguishable(), 0.66)
         same = apply_filters(out, FilterPair(1.0, 1.0))
-        assert np.allclose(same.state.matrix, out.state.matrix, atol=1e-15)
+        assert np.allclose(same.state, out.state, atol=1e-15)
         assert same.probability == pytest.approx(1.0)
 
     def test_filtering_is_physical(self):
@@ -261,8 +261,8 @@ class TestFilters:
         a_a, a_b = 0.41, 0.77
         filtered = apply_filters(out, FilterPair(a_a, a_b))
         k = np.kron(np.diag([1.0, math.sqrt(a_a)]), np.diag([1.0, math.sqrt(a_b)]))
-        direct_state, passed = unit_trace(k @ out.state.matrix @ k.conj().T)
-        assert np.allclose(direct_state, filtered.state.matrix, atol=1e-14)
+        direct_state, passed = unit_trace(k @ out.state @ k.conj().T)
+        assert np.allclose(direct_state, filtered.state, atol=1e-14)
         assert filtered.probability == pytest.approx(passed)
 
 
@@ -485,9 +485,9 @@ class TestRunProtocol:
         s1, s2, s3 = run_protocol(cfg)
         assert (s1.stage, s2.stage, s3.stage) == ("I", "II", "III")
         ref2 = stage2(partial(0.85), 0.3)
-        assert np.allclose(s2.state.matrix, ref2.state.matrix, atol=1e-15)
+        assert np.allclose(s2.state, ref2.state, atol=1e-15)
         ref3 = apply_filters(ref2, FilterPair(0.12, 0.30))
-        assert np.allclose(s3.state.matrix, ref3.state.matrix, atol=1e-15)
+        assert np.allclose(s3.state, ref3.state, atol=1e-15)
         assert s3.cumulative_probability == pytest.approx(
             s2.probability * s3.probability
         )
@@ -524,7 +524,7 @@ class TestRunProtocol:
         for scenario in (distinguishable(), indistinguishable(), partial(0.3)):
             for t in (0.05, 0.5, 0.95):
                 for out in run_protocol(ChannelConfig(scenario=scenario, T=t)):
-                    m = out.state.matrix
+                    m = out.state
                     where = (scenario.kind, t, out.stage)
                     assert np.max(np.abs(m - m.conj().T)) <= 1e-12, where
                     assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-10, where
@@ -584,7 +584,7 @@ class TestNearBalancedSplitter:
         filters = outs[2].filters
         exact = _exact_states(scenario.p, t, filters.a_a, filters.a_b)
         for out, ref in zip(outs, exact):
-            assert np.max(np.abs(out.state.matrix - ref)) <= 1e-15, out.stage
+            assert np.max(np.abs(out.state - ref)) <= 1e-15, out.stage
 
 
 def _point_configs(kind, t, p, eps, filters, branch, feed_forward):
@@ -667,10 +667,10 @@ class TestColumns:
             for column, j, out in zip((s1, s2, s3), (i, i, row_3[i]), outs):
                 entries = {k: v[j] for k, v in vars(column.params).items()}
                 assert entries == vars(out.params), (i, out.stage)
-                assert np.array_equal(column.state[j], out.state.matrix), (i, out.stage)
+                assert np.array_equal(column.state[j], out.state), (i, out.stage)
                 # the point owns its floats and its matrix, not a view into the column
                 assert all(type(v) is float for v in vars(out.params).values())
-                assert out.state.matrix.flags.owndata, (i, out.stage)
+                assert out.state.flags.owndata, (i, out.stage)
                 assert column.probability[j] == out.probability, (i, out.stage)
                 assert column.cumulative_probability[j] == out.cumulative_probability
             if s3.kept[i]:
@@ -691,9 +691,21 @@ class TestColumns:
             assert all(type(v) is float for v in dataclasses.astuple(out.params))
             assert type(out.probability) is float
             assert type(out.cumulative_probability) is float
-            assert isinstance(out.state, DensityOperator)
+            assert type(out.state) is np.ndarray and out.state.dtype == np.complex128
+            assert out.state.shape == (4, 4)
             assert out.kept is None
         assert type(outs[2].filters.a_a) is float
+
+    @pytest.mark.parametrize("engine", [run_protocol, oracle_protocol], ids=["closed", "oracle"])
+    def test_point_state_is_row_zero_of_its_column_stack(self, engine):
+        point = ChannelConfig(scenario=partial(0.85), T=0.3, epsilon=0.25, branch="V",
+                              feed_forward=True)
+        column = dataclasses.replace(point, T=np.array([0.3]))
+        outs, rows = engine(point), engine(column)
+        assert [o.stage for o in outs] == [r.stage for r in rows] == ["I", "II", "III"]
+        for out, row in zip(outs, rows):
+            assert type(out.state) is np.ndarray and out.state.shape == (4, 4)
+            assert np.array_equal(out.state, row.state[0]), out.stage
 
     def test_a_float_stage_call_is_row_zero_of_its_column(self):
         # each stage function is its own door: floats in, floats and an owned state out
@@ -709,7 +721,7 @@ class TestColumns:
             assert all(type(v) is float for v in dataclasses.astuple(point.params))
             assert type(point.probability) is float
             assert type(point.cumulative_probability) is float
-            assert isinstance(point.state, DensityOperator) and point.state.matrix.flags.owndata
+            assert type(point.state) is np.ndarray and point.state.flags.owndata
             assert point.kept is None
             assert dataclasses.astuple(point.params) == tuple(
                 v[0] for v in dataclasses.astuple(row.params)
@@ -717,7 +729,7 @@ class TestColumns:
             assert (point.probability, point.cumulative_probability) == (
                 row.probability[0], row.cumulative_probability[0]
             )
-            assert np.array_equal(point.state.matrix, row.state[0])
+            assert np.array_equal(point.state, row.state[0])
         assert (point.filters.a_a, point.filters.a_b) == (row.filters.a_a[0], row.filters.a_b[0])
         with pytest.raises(ZeroTrace):
             apply_filters(stage2(partial(0.85), 0.1), table_filters(partial(0.85), 0.1, 1e-300))
@@ -757,7 +769,7 @@ class TestColumns:
         for column, out in zip((s1, s2), alone):
             assert column.probability.shape == (1,) and column.state.shape == (1, 4, 4)
             assert {k: v[0] for k, v in vars(column.params).items()} == vars(out.params)
-            assert np.array_equal(column.state[0], out.state.matrix)
+            assert np.array_equal(column.state[0], out.state)
             assert column.probability[0] == out.probability
             assert column.cumulative_probability[0] == out.cumulative_probability
         assert s3.kept.size == len(points)
@@ -774,7 +786,7 @@ class TestColumns:
             if s3.kept[i]:
                 j = row_3[i]
                 assert {k: v[j] for k, v in vars(s3.params).items()} == vars(outs[2].params)
-                assert np.array_equal(s3.state[j], outs[2].state.matrix), i
+                assert np.array_equal(s3.state[j], outs[2].state), i
                 assert s3.probability[j] == outs[2].probability, i
                 assert s3.cumulative_probability[j] == outs[2].cumulative_probability, i
                 assert s3.filters.a_a[j] == outs[2].filters.a_a, i

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ebrsim.core import (
-    DensityOperator,
     InvalidParameter,
     maximally_mixed,
+    pure_state,
     singlet_vector,
 )
 from ebrsim.metrics import concurrence, fidelity
@@ -37,7 +37,7 @@ from ebrsim.tomography import (
 def setting_rate(state, setting):
     """Reference rate ``max(Tr(rho P_a (x) P_b), 0)`` of one analyzer pair, for ``_rates``."""
     pi = np.kron(projector(setting.setting_a), projector(setting.setting_b))
-    return max(float(np.trace(state.matrix @ pi).real), 0.0)
+    return max(float(np.trace(state @ pi).real), 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def stage2_state():
 def exact_records(state, total=500.0, minimal=False):
     settings = standard_settings(minimal)
     scale = 4.0 * total / len(settings)
-    normalized = DensityOperator(state.matrix / np.trace(state.matrix).real, 1.0)
+    normalized = state / np.trace(state).real
     return [
         CountRecord(s.setting_a, s.setting_b, setting_rate(normalized, s),
                     scale * setting_rate(normalized, s))
@@ -89,14 +89,14 @@ class TestRates:
         assert all(r == pytest.approx(0.25, abs=1e-12) for r in rates)
 
     def test_singlet_never_coincides_in_hh(self):
-        rho = DensityOperator.from_pure(singlet_vector())
+        rho = pure_state(singlet_vector())
         assert setting_rate(rho, TomographySetting("H", "H")) == pytest.approx(0.0, abs=1e-12)
 
     def test_basis_rates_sum_to_one(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = DensityOperator(m @ m.conj().T)
-        rho = DensityOperator(rho.matrix / np.trace(rho.matrix).real, 1.0)
+        rho = m @ m.conj().T
+        rho = rho / np.trace(rho).real
         total = sum(
             setting_rate(rho, TomographySetting(a, b)) for a in "HV" for b in "HV"
         )
@@ -106,13 +106,13 @@ class TestRates:
     def test_stacked_rates_equal_setting_rate(self, minimal):
         rng = np.random.default_rng(30)
         settings = standard_settings(minimal)
-        states = [DensityOperator.from_pure(singlet_vector()), maximally_mixed(4)]
+        states = [pure_state(singlet_vector()), maximally_mixed(4)]
         for _ in range(60):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = m @ m.conj().T
-            states.append(DensityOperator(rho / np.trace(rho).real, 1.0))
+            states.append(rho / np.trace(rho).real)
         for rho in states:
-            assert _rates(rho.matrix, settings).tolist() == [
+            assert _rates(rho, settings).tolist() == [
                 setting_rate(rho, s) for s in settings
             ]
 
@@ -120,9 +120,7 @@ class TestRates:
 class TestSimulateCounts:
     @pytest.mark.parametrize("minimal", [False, True])
     def test_one_draw_equals_a_draw_per_setting(self, stage2_state, minimal):
-        normalized = DensityOperator(
-            stage2_state.matrix / np.trace(stage2_state.matrix).real, 1.0
-        )
+        normalized = stage2_state / np.trace(stage2_state).real
         settings = standard_settings(minimal)
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -149,7 +147,7 @@ class TestSimulateCounts:
         assert abs(observed - total) < 5 * np.sqrt(total)
 
     def test_singlet_hh_observes_zero(self):
-        rho = DensityOperator.from_pure(singlet_vector())
+        rho = pure_state(singlet_vector())
         records = simulate_counts(rho, 10000, seed=2)
         hh = next(r for r in records if (r.setting_a, r.setting_b) == ("H", "H"))
         assert hh.expected_rate == pytest.approx(0.0, abs=1e-12)
@@ -160,6 +158,28 @@ class TestSimulateCounts:
         records = simulate_counts(stage2_state, 500, seed=3, minimal=minimal)
         expected = standard_settings(minimal)
         assert [(r.setting_a, r.setting_b) for r in records] == [tuple(s) for s in expected]
+
+    @pytest.mark.parametrize(
+        "state,match",
+        [
+            (np.eye(2) / 2, r"\(4, 4\) state, got shape \(2, 2\)"),
+            (np.ones((2, 3)), r"got shape \(2, 3\)"),
+            (np.diag([np.nan, 0.5, 0.5, 0.0]), "non-finite"),
+            (np.diag([0.25, 0.25, 0.25, np.inf]), "non-finite"),
+            (np.diag([0.25, complex(0.25, -np.inf), 0.25, 0.25]), "non-finite"),
+        ],
+        ids=["2x2", "2x3", "nan", "inf", "imaginary-inf"],
+    )
+    def test_state_must_be_a_finite_4x4_matrix(self, state, match):
+        with pytest.raises(InvalidParameter, match=match):
+            simulate_counts(state, 500, seed=0)
+
+    def test_state_may_be_any_4x4_array_like(self):
+        # a nested list and a real array count as their complex128 matrix does
+        m = np.diag([0.1, 0.2, 0.3, 0.4])
+        reference = simulate_counts(m.astype(np.complex128), 500, seed=4)
+        assert simulate_counts(m, 500, seed=4) == reference
+        assert simulate_counts(m.tolist(), 500, seed=4) == reference
 
     def test_input_validation(self, stage2_state):
         with pytest.raises(ValueError):
@@ -174,25 +194,21 @@ class TestSimulateCounts:
 
 class TestReconstruct:
     def test_inversion_identity_on_exact_rates(self, stage2_state):
-        normalized = DensityOperator(
-            stage2_state.matrix / np.trace(stage2_state.matrix).real, 1.0
-        )
+        normalized = stage2_state / np.trace(stage2_state).real
         result = reconstruct(exact_records(stage2_state))
-        assert np.max(np.abs(result.state.matrix - normalized.matrix)) < 1e-10
+        assert np.max(np.abs(result.state - normalized)) < 1e-10
         assert result.scale == pytest.approx(4.0 * 500 / 36, rel=1e-12)
         assert result.clipped_weight < 1e-12
 
     def test_minimal_settings_also_invert(self, stage2_state):
-        normalized = DensityOperator(
-            stage2_state.matrix / np.trace(stage2_state.matrix).real, 1.0
-        )
+        normalized = stage2_state / np.trace(stage2_state).real
         result = reconstruct(exact_records(stage2_state, minimal=True))
-        assert np.max(np.abs(result.state.matrix - normalized.matrix)) < 1e-10
+        assert np.max(np.abs(result.state - normalized)) < 1e-10
 
     def test_output_is_always_physical(self, stage2_state):
         for seed in range(10):
             records = simulate_counts(stage2_state, 300, seed=seed)
-            m = reconstruct(records).state.matrix
+            m = reconstruct(records).state
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
             assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-10
             assert abs(np.trace(m) - 1.0) <= 1e-12
@@ -205,7 +221,7 @@ class TestReconstruct:
         ]
         clean = reconstruct(records)
         corrected = reconstruct(shifted, background=7.0)
-        assert np.allclose(corrected.state.matrix, clean.state.matrix, atol=1e-12)
+        assert np.allclose(corrected.state, clean.state, atol=1e-12)
 
     @pytest.mark.parametrize("background", [float("nan"), float("inf"), -3.0])
     def test_background_must_be_nonnegative_and_finite(self, stage2_state, background):
@@ -214,11 +230,11 @@ class TestReconstruct:
 
     def test_design_cache_is_bounded(self, stage2_state):
         records = exact_records(stage2_state)
-        reference = reconstruct(records).state.matrix
+        reference = reconstruct(records).state
         rng = np.random.default_rng(14)
         for _ in range(20):
             shuffled = [records[i] for i in rng.permutation(len(records))]
-            assert np.allclose(reconstruct(shuffled).state.matrix, reference, atol=1e-12)
+            assert np.allclose(reconstruct(shuffled).state, reference, atol=1e-12)
         info = _design_matrix.cache_info()
         assert info.maxsize == 8
         assert info.currsize <= 8
@@ -239,7 +255,7 @@ class TestReconstruct:
     def test_stacked_product_equals_per_row_products(self, stage2_state, minimal, rows):
         settings = tuple(standard_settings(minimal))
         _, pinv = _design_matrix(settings)
-        counts = _bootstrap_counts(_rates(stage2_state.matrix, settings) * 500.0, rows, seed=rows)
+        counts = _bootstrap_counts(_rates(stage2_state, settings) * 500.0, rows, seed=rows)
         # the stacked product _invert takes, against one matrix-vector product per row
         stacked = np.matmul(pinv, counts[:, :, None])[:, :, 0]
         assert np.array_equal(stacked, np.array([pinv @ row for row in counts]))
@@ -291,15 +307,13 @@ class TestCalibration:
         assert in_window >= 0.85
 
     def test_reconstruction_error_shrinks_with_budget(self, stage2_state):
-        normalized = DensityOperator(
-            stage2_state.matrix / np.trace(stage2_state.matrix).real, 1.0
-        )
+        normalized = stage2_state / np.trace(stage2_state).real
         medians = []
         for total in (10**3, 10**4, 10**5):
             dists = []
             for seed in range(25):
                 res = reconstruct(simulate_counts(stage2_state, total, seed=seed))
-                diff = res.state.matrix - normalized.matrix
+                diff = res.state - normalized
                 dists.append(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
             medians.append(float(np.median(dists)))
         assert medians[0] > medians[1] > medians[2]
