@@ -31,15 +31,15 @@ for total in BUDGETS:
         result = reconstruct(simulate_counts(TRUTH, total, seed=seed))
         fids.append(fidelity(result.state, TRUTH))
         cons.append(concurrence(result.state).value)
-    records = simulate_counts(TRUTH, total, seed=0)
-    report = error_bars(reconstruct(records), records, trials=100, seed=0)
+    counts = simulate_counts(TRUTH, total, seed=0)
+    report = error_bars(reconstruct(counts), counts, trials=100, seed=0)
     hit = float(np.mean([abs(c - TRUE_C) <= 0.1 for c in cons]))
     print(f"{total:>8} {np.median(fids):>9.4f} {np.median(cons):>9.4f}"
           f" {hit:>9.0%} {report.concurrence_std:>18.4f}")
 
 print("\nrelative count-rate spread vs the Poisson prediction 1/sqrt(N):")
 for total in (10**3, 10**4, 10**5):
-    records = simulate_counts(TRUTH, total, seed=1)
-    report = error_bars(reconstruct(records), records, trials=200, seed=1)
+    counts = simulate_counts(TRUTH, total, seed=1)
+    report = error_bars(reconstruct(counts), counts, trials=200, seed=1)
     print(f"  N={total:>7}: measured {report.probability_std:.5f}"
           f"  predicted {1 / np.sqrt(total):.5f}")

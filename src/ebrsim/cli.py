@@ -551,9 +551,9 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     background = _as_float(cfg, "background") if "background" in cfg else 0.0
     truth = _tomography_truth(cfg)
 
-    records = simulate_counts(truth, total, seed, minimal=(n_settings == 16))
-    result = reconstruct(records, background=background)
-    report = error_bars(result, records, trials=trials, seed=seed)
+    counts = simulate_counts(truth, total, seed, minimal=(n_settings == 16))
+    result = reconstruct(counts, background=background)
+    report = error_bars(result, counts, trials=trials, seed=seed)
     f_truth = fidelity(result.state, truth)
 
     doc = {
@@ -584,7 +584,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         print(f"clipped_weight={_fmt(result.clipped_weight)}")
         if files:
             counts_fh, result_fh = files
-            counts_fh.write(counts_to_csv(records))
+            counts_fh.write(counts_to_csv(counts))
             result_fh.write(json.dumps(doc, indent=2))
             result_fh.write("\n")
     return 0

@@ -8,6 +8,14 @@ inversion on Pauli expectations followed by a projection back onto the
 physical (positive, unit-trace) set.  Error bars come from a parametric
 bootstrap around the fitted state.  Every state, the true one counted
 and the fitted one, is a ``(4, 4)`` complex array.
+
+Counts travel as one :class:`Counts` record of columns: the analyzer
+pairs, their model rates and their registered triples.  ``simulate_counts``
+and ``counts_from_csv`` return it; ``reconstruct``, ``error_bars`` and
+``counts_to_csv`` take it.  A counts file that is empty or has another
+header, a malformed row or a negative count, and a record whose columns
+differ in length or whose settings name an unknown analyzer, raise
+:class:`~ebrsim.core.InvalidParameter`.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import csv
 import functools
 import io
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,30 +79,29 @@ class UnusableCounts(EbrsimError, ValueError):
     """The counts fix no count scale, or no physical state survives the projection."""
 
 
-class TomographySetting(NamedTuple):
-    setting_a: str
-    setting_b: str
-
-
 @dataclass(frozen=True)
-class CountRecord:
-    """One analyzer pair with its model rate and registered triples."""
+class Counts:
+    """Coincidence counts as columns, one entry per analyzer pair.
 
-    setting_a: str
-    setting_b: str
-    expected_rate: float
-    observed: int
+    ``settings`` is a tuple of ``(a, b)`` analyzer label pairs,
+    ``expected_rate`` the float64 model projection probabilities and
+    ``observed`` the integer registered triples, all in setting order.
+    """
+
+    settings: tuple[tuple[str, str], ...]
+    expected_rate: np.ndarray
+    observed: np.ndarray
 
 
-def standard_settings(minimal: bool = False) -> list[TomographySetting]:
-    """Deterministically ordered analyzer pairs.
+def standard_settings(minimal: bool = False) -> tuple[tuple[str, str], ...]:
+    """Deterministically ordered analyzer pairs ``(a, b)``.
 
     The default overcomplete scheme runs all 36 pairs of the six Stokes
     analyzers; ``minimal=True`` selects the 16-setting subset that is
     just informationally complete.
     """
     labels = MINIMAL_LABELS if minimal else STOKES_LABELS
-    return [TomographySetting(a, b) for a in labels for b in labels]
+    return tuple((a, b) for a in labels for b in labels)
 
 
 def projector(label: str) -> np.ndarray:
@@ -119,12 +126,7 @@ def _rates(matrix: np.ndarray, settings: Sequence[tuple[str, str]]) -> np.ndarra
     return np.where(rates < 0.0, 0.0, rates)
 
 
-def simulate_counts(
-    state,
-    total_triples: float,
-    seed: int,
-    minimal: bool = False,
-) -> list[CountRecord]:
+def simulate_counts(state, total_triples: float, seed: int, minimal: bool = False) -> Counts:
     """Poissonian coincidence counts for every analyzer setting.
 
     The budget is split evenly over settings; expected counts are
@@ -154,11 +156,7 @@ def simulate_counts(
             f" counts per setting ({scale!r})"
         )
     rates = _rates(normalized, settings)
-    observed = np.random.default_rng(seed).poisson(scale * rates)
-    return [
-        CountRecord(s.setting_a, s.setting_b, rate, count)
-        for s, rate, count in zip(settings, rates.tolist(), observed.tolist())
-    ]
+    return Counts(settings, rates, np.random.default_rng(seed).poisson(scale * rates))
 
 
 @dataclass(frozen=True)
@@ -198,6 +196,25 @@ def _design_matrix(settings: tuple[tuple[str, str], ...]) -> tuple[np.ndarray, n
     return design, np.linalg.pinv(design)
 
 
+def _checked_settings(counts: Counts) -> tuple[tuple[str, str], ...]:
+    """The record's settings as the design cache key, once its columns agree.
+
+    Raises :class:`InvalidParameter` for columns of different lengths or a
+    setting that is not a pair of known analyzer labels, and
+    :class:`RankDeficient` for fewer than 16 settings.
+    """
+    settings = tuple(map(tuple, counts.settings))
+    lengths = (len(settings), len(counts.expected_rate), len(counts.observed))
+    if len(set(lengths)) > 1:
+        raise InvalidParameter(f"counts columns (settings, rates, observed) differ: {lengths}")
+    unknown = [s for s in settings if s not in _PAIR_PROJECTORS]
+    if unknown:
+        raise InvalidParameter(f"setting {unknown[0]!r} is not a pair of labels {STOKES_LABELS}")
+    if len(settings) < 16:
+        raise RankDeficient(f"need at least 16 settings, got {len(settings)}")
+    return settings
+
+
 def _invert(
     settings: tuple[tuple[str, str], ...], counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,10 +226,9 @@ def _invert(
     each row goes through the same matrix-vector product as a one-row
     call, so its bits do not depend on the other rows.  Counts that fix
     no positive, finite scale raise :class:`UnusableCounts`, without a
-    numpy warning where the product overflows.
+    numpy warning where the product overflows.  The settings have passed
+    ``_checked_settings``.
     """
-    if len(settings) < 16:
-        raise RankDeficient(f"need at least 16 settings, got {len(settings)}")
     _, pinv = _design_matrix(settings)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = np.matmul(pinv, counts[:, :, None])[:, :, 0]
@@ -238,23 +254,24 @@ def _invert(
     return states, scales, clipped
 
 
-def reconstruct(records: Sequence[CountRecord], background: float = 0.0) -> TomographyResult:
+def reconstruct(counts: Counts, background: float = 0.0) -> TomographyResult:
     """Linear inversion on Pauli expectations, then projection to physical states.
 
-    A constant ``background`` count (nonnegative and finite) is
-    subtracted from every setting before inversion.  The count scale is
-    fitted jointly with the state (it is the identity-component
-    coefficient), so no separate calibration input is needed.  Raises
-    :class:`RankDeficient` when the settings do not determine all 16
-    Pauli components.
+    Reads the record's ``settings`` and ``observed`` columns.  A constant
+    ``background`` count (nonnegative and finite) is subtracted from every
+    setting before inversion.  The count scale is fitted jointly with the
+    state (it is the identity-component coefficient), so no separate
+    calibration input is needed.  Raises :class:`InvalidParameter` for a
+    malformed record (see ``_checked_settings``) and :class:`RankDeficient`
+    when the settings do not determine all 16 Pauli components.
     """
     if not (0.0 <= background < np.inf):
         raise InvalidParameter(
             f"background must be nonnegative and finite, got {background!r}"
         )
-    settings = tuple((r.setting_a, r.setting_b) for r in records)
-    counts = np.array([[float(r.observed) - background for r in records]])
-    states, scales, clipped = _invert(settings, counts)
+    settings = _checked_settings(counts)
+    observed = np.asarray(counts.observed, dtype=np.float64) - background
+    states, scales, clipped = _invert(settings, observed[None])
     return TomographyResult(
         state=states[0],
         scale=float(scales[0]),
@@ -293,15 +310,13 @@ def _bootstrap_counts(expected: np.ndarray, trials: int, seed: int) -> np.ndarra
 
 
 def error_bars(
-    result: TomographyResult,
-    records: Sequence[CountRecord],
-    trials: int = 200,
-    seed: int = 0,
+    result: TomographyResult, counts: Counts, trials: int = 200, seed: int = 0
 ) -> UncertaintyReport:
     """Bootstrap spread around a fitted state.
 
-    Each trial draws Poisson counts from the fitted model (state times
-    fitted scale), re-runs the reconstruction, and records the fidelity
+    Each trial draws Poisson counts at the record's settings from the
+    fitted model (state times fitted scale); the record's own counts are
+    not read.  It re-runs the reconstruction, and records the fidelity
     to the point estimate, the concurrence, and the relative scale.  All
     trials' counts come from one draw (see ``_bootstrap_counts``), and
     all trials are reconstructed and evaluated as one stack; each row
@@ -314,10 +329,9 @@ def error_bars(
         raise InvalidParameter(f"trials must be at least 2 for a spread, got {trials}")
     if trials > MAX_TRIALS:
         raise InvalidParameter(f"trials must be at most {MAX_TRIALS}, got {trials}")
-    settings = tuple(TomographySetting(r.setting_a, r.setting_b) for r in records)
+    settings = _checked_settings(counts)
     expected = result.scale * _rates(result.state, settings)
-    counts = _bootstrap_counts(expected, trials, seed)
-    states, scales, _ = _invert(settings, counts)
+    states, scales, _ = _invert(settings, _bootstrap_counts(expected, trials, seed))
     fidelities = fidelity(result.state, states)
     concurrences = concurrence(states).value
     probabilities = scales / result.scale
@@ -335,19 +349,32 @@ def error_bars(
 _COUNTS_HEADER = ("setting_A", "setting_B", "expected_rate", "observed")
 
 
-def counts_to_csv(records: Iterable[CountRecord]) -> str:
-    """Serialize count records; floats keep 17 significant digits, and no field needs quoting."""
-    rows = (f"{r.setting_a},{r.setting_b},{r.expected_rate:.17g},{r.observed}\n" for r in records)
+def counts_to_csv(counts: Counts) -> str:
+    """Serialize a counts record; floats keep 17 significant digits, and no field needs quoting."""
+    columns = (counts.settings, counts.expected_rate.tolist(), counts.observed.tolist())
+    rows = (f"{a},{b},{rate:.17g},{n}\n" for (a, b), rate, n in zip(*columns, strict=True))
     return ",".join(_COUNTS_HEADER) + "\n" + "".join(rows)
 
 
-def counts_from_csv(text: str) -> list[CountRecord]:
+def counts_from_csv(text: str) -> Counts:
+    """Read what ``counts_to_csv`` writes into a :class:`Counts` record.
+
+    An empty text, another header, a row that is not two labels, a number
+    and an int64 count, and a negative count raise :class:`InvalidParameter`.
+    Blank lines are skipped; the labels are checked where the record is used.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if tuple(header) != _COUNTS_HEADER:
-        raise ValueError(f"unexpected counts header: {header!r}")
-    return [
-        CountRecord(row[0], row[1], float(row[2]), int(row[3]))
-        for row in reader
-        if row
-    ]
+        got = ",".join(header) or "an empty file"
+        raise InvalidParameter(f"counts header must be {','.join(_COUNTS_HEADER)}, got {got}")
+    rows = [row for row in reader if row]
+    try:
+        settings = tuple((a, b) for a, b, _, _ in rows)
+        rates = np.array([float(row[2]) for row in rows])
+        observed = np.array([int(row[3]) for row in rows], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"counts rows need two labels, a rate and a count: {exc}") from None
+    if (observed < 0).any():
+        raise InvalidParameter(f"counts must be nonnegative, got {observed.min()}")
+    return Counts(settings, rates, observed)

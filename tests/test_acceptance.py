@@ -227,8 +227,8 @@ def test_10_tomography_pipeline():
     poisson_ok = True
     spreads = []
     for total in (10**3, 10**4, 10**5):
-        records = simulate_counts(truth, total, seed=1)
-        rep = error_bars(reconstruct(records), records, trials=200, seed=1)
+        counts = simulate_counts(truth, total, seed=1)
+        rep = error_bars(reconstruct(counts), counts, trials=200, seed=1)
         predicted = 1.0 / math.sqrt(total)
         poisson_ok &= abs(rep.probability_std - predicted) <= 0.2 * predicted
         spreads.append((rep.probability_std, rep.concurrence_std, rep.fidelity_std))

@@ -932,8 +932,8 @@ class TestTomographyCommand:
         prefix = str(tmp_path / "tomo")
         code, _, _ = run_cli(capsys, ["tomography", "--config", path, "--out", prefix])
         assert code == 0
-        records = counts_from_csv((tmp_path / "tomo.counts.csv").read_text())
-        assert len(records) == 36
+        counts = counts_from_csv((tmp_path / "tomo.counts.csv").read_text())
+        assert len(counts.settings) == len(counts.observed) == 36
         doc = json.loads((tmp_path / "tomo.result.json").read_text())
         assert doc["seed"] == 3
         assert doc["uncertainty"]["trials"] == 20
@@ -945,8 +945,8 @@ class TestTomographyCommand:
         code, out, _ = run_cli(capsys, ["tomography", "--config", path, "--out", prefix])
         assert code == 0
         assert out.splitlines()[0].startswith("settings=16")
-        records = counts_from_csv((tmp_path / "tomo16.counts.csv").read_text())
-        assert len(records) == 16
+        counts = counts_from_csv((tmp_path / "tomo16.counts.csv").read_text())
+        assert len(counts.settings) == len(counts.observed) == 16
 
     @pytest.mark.parametrize("stage", ["II", "III"])
     def test_singular_prescription_exits_3(self, tmp_path, capsys, stage):

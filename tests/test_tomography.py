@@ -1,11 +1,15 @@
 import csv
 import io
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ebrsim.core import (
     InvalidParameter,
+    json_obj,
     maximally_mixed,
     pure_state,
     singlet_vector,
@@ -15,9 +19,8 @@ from ebrsim.protocol import ChannelConfig, distinguishable, run_protocol
 from ebrsim import tomography
 from ebrsim.tomography import (
     MAX_TRIALS,
-    CountRecord,
+    Counts,
     RankDeficient,
-    TomographySetting,
     UncertaintyReport,
     UnusableCounts,
     _bootstrap_counts,
@@ -34,10 +37,19 @@ from ebrsim.tomography import (
 )
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def setting_rate(state, setting):
     """Reference rate ``max(Tr(rho P_a (x) P_b), 0)`` of one analyzer pair, for ``_rates``."""
-    pi = np.kron(projector(setting.setting_a), projector(setting.setting_b))
+    a, b = setting
+    pi = np.kron(projector(a), projector(b))
     return max(float(np.trace(state @ pi).real), 0.0)
+
+
+def columns(counts):
+    """A counts record as plain lists, for ``==`` between records."""
+    return counts.settings, counts.expected_rate.tolist(), counts.observed.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -46,33 +58,30 @@ def stage2_state():
     return run_protocol(ChannelConfig(scenario=distinguishable(), T=0.4))[1].state
 
 
-def exact_records(state, total=500.0, minimal=False):
+def exact_counts(state, total=500.0, minimal=False):
     settings = standard_settings(minimal)
     scale = 4.0 * total / len(settings)
     normalized = state / np.trace(state).real
-    return [
-        CountRecord(s.setting_a, s.setting_b, setting_rate(normalized, s),
-                    scale * setting_rate(normalized, s))
-        for s in settings
-    ]
+    rates = np.array([setting_rate(normalized, s) for s in settings])
+    return Counts(settings, rates, scale * rates)
 
 
 class TestSettings:
     def test_overcomplete_set(self):
         settings = standard_settings()
-        assert len(settings) == 36
-        assert TomographySetting("H", "H") in settings
-        assert TomographySetting("L", "D") in settings
+        assert type(settings) is tuple and len(settings) == 36
+        assert ("H", "H") in settings
+        assert ("L", "D") in settings
         assert len(set(settings)) == 36
 
     def test_minimal_set(self):
         settings = standard_settings(minimal=True)
         assert len(settings) == 16
-        assert all(s.setting_a in "HVDR" for s in settings)
+        assert all(a in "HVDR" and b in "HVDR" for a, b in settings)
 
     def test_order_is_deterministic(self):
         assert standard_settings() == standard_settings()
-        assert standard_settings()[0] == TomographySetting("H", "H")
+        assert standard_settings()[0] == ("H", "H")
 
     def test_projectors_are_rank_one(self):
         for label in "HVDARL":
@@ -90,16 +99,14 @@ class TestRates:
 
     def test_singlet_never_coincides_in_hh(self):
         rho = pure_state(singlet_vector())
-        assert setting_rate(rho, TomographySetting("H", "H")) == pytest.approx(0.0, abs=1e-12)
+        assert setting_rate(rho, ("H", "H")) == pytest.approx(0.0, abs=1e-12)
 
     def test_basis_rates_sum_to_one(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = m @ m.conj().T
         rho = rho / np.trace(rho).real
-        total = sum(
-            setting_rate(rho, TomographySetting(a, b)) for a in "HV" for b in "HV"
-        )
+        total = sum(setting_rate(rho, (a, b)) for a in "HV" for b in "HV")
         assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("minimal", [False, True])
@@ -125,39 +132,37 @@ class TestSimulateCounts:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             scale = 4.0 * 2000 / len(settings)
-            loop = [
-                CountRecord(s.setting_a, s.setting_b, setting_rate(normalized, s),
-                            int(rng.poisson(scale * setting_rate(normalized, s))))
-                for s in settings
-            ]
-            assert simulate_counts(stage2_state, 2000, seed, minimal) == loop
+            rates = [setting_rate(normalized, s) for s in settings]
+            loop = [int(rng.poisson(scale * rate)) for rate in rates]
+            counts = simulate_counts(stage2_state, 2000, seed, minimal)
+            assert columns(counts) == (settings, rates, loop)
 
     def test_deterministic_per_seed(self, stage2_state):
-        a = simulate_counts(stage2_state, 500, seed=9)
-        b = simulate_counts(stage2_state, 500, seed=9)
+        a = columns(simulate_counts(stage2_state, 500, seed=9))
+        b = columns(simulate_counts(stage2_state, 500, seed=9))
         assert a == b
-        c = simulate_counts(stage2_state, 500, seed=10)
+        c = columns(simulate_counts(stage2_state, 500, seed=10))
         assert a != c
 
     def test_total_counts_near_budget(self, stage2_state):
         total = 100000
-        records = simulate_counts(stage2_state, total, seed=1)
-        observed = sum(r.observed for r in records)
+        observed = int(simulate_counts(stage2_state, total, seed=1).observed.sum())
         # grand total is Poisson with mean ~ total for the 36-setting scheme
         assert abs(observed - total) < 5 * np.sqrt(total)
 
     def test_singlet_hh_observes_zero(self):
         rho = pure_state(singlet_vector())
-        records = simulate_counts(rho, 10000, seed=2)
-        hh = next(r for r in records if (r.setting_a, r.setting_b) == ("H", "H"))
-        assert hh.expected_rate == pytest.approx(0.0, abs=1e-12)
-        assert hh.observed == 0
+        counts = simulate_counts(rho, 10000, seed=2)
+        hh = counts.settings.index(("H", "H"))
+        assert counts.expected_rate[hh] == pytest.approx(0.0, abs=1e-12)
+        assert counts.observed[hh] == 0
 
     @pytest.mark.parametrize("minimal", [False, True])
     def test_records_follow_standard_settings(self, stage2_state, minimal):
-        records = simulate_counts(stage2_state, 500, seed=3, minimal=minimal)
-        expected = standard_settings(minimal)
-        assert [(r.setting_a, r.setting_b) for r in records] == [tuple(s) for s in expected]
+        counts = simulate_counts(stage2_state, 500, seed=3, minimal=minimal)
+        assert counts.settings == standard_settings(minimal)
+        assert counts.expected_rate.dtype == np.float64
+        assert counts.observed.dtype == np.int64
 
     @pytest.mark.parametrize(
         "state,match",
@@ -177,9 +182,9 @@ class TestSimulateCounts:
     def test_state_may_be_any_4x4_array_like(self):
         # a nested list and a real array count as their complex128 matrix does
         m = np.diag([0.1, 0.2, 0.3, 0.4])
-        reference = simulate_counts(m.astype(np.complex128), 500, seed=4)
-        assert simulate_counts(m, 500, seed=4) == reference
-        assert simulate_counts(m.tolist(), 500, seed=4) == reference
+        reference = columns(simulate_counts(m.astype(np.complex128), 500, seed=4))
+        assert columns(simulate_counts(m, 500, seed=4)) == reference
+        assert columns(simulate_counts(m.tolist(), 500, seed=4)) == reference
 
     def test_input_validation(self, stage2_state):
         with pytest.raises(ValueError):
@@ -195,60 +200,61 @@ class TestSimulateCounts:
 class TestReconstruct:
     def test_inversion_identity_on_exact_rates(self, stage2_state):
         normalized = stage2_state / np.trace(stage2_state).real
-        result = reconstruct(exact_records(stage2_state))
+        result = reconstruct(exact_counts(stage2_state))
         assert np.max(np.abs(result.state - normalized)) < 1e-10
         assert result.scale == pytest.approx(4.0 * 500 / 36, rel=1e-12)
         assert result.clipped_weight < 1e-12
 
     def test_minimal_settings_also_invert(self, stage2_state):
         normalized = stage2_state / np.trace(stage2_state).real
-        result = reconstruct(exact_records(stage2_state, minimal=True))
+        result = reconstruct(exact_counts(stage2_state, minimal=True))
         assert np.max(np.abs(result.state - normalized)) < 1e-10
 
     def test_output_is_always_physical(self, stage2_state):
         for seed in range(10):
-            records = simulate_counts(stage2_state, 300, seed=seed)
-            m = reconstruct(records).state
+            m = reconstruct(simulate_counts(stage2_state, 300, seed=seed)).state
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
             assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -1e-10
             assert abs(np.trace(m) - 1.0) <= 1e-12
 
     def test_background_subtraction(self, stage2_state):
-        records = exact_records(stage2_state)
-        shifted = [
-            CountRecord(r.setting_a, r.setting_b, r.expected_rate, r.observed + 7.0)
-            for r in records
-        ]
-        clean = reconstruct(records)
+        counts = exact_counts(stage2_state)
+        shifted = Counts(counts.settings, counts.expected_rate, counts.observed + 7.0)
+        clean = reconstruct(counts)
         corrected = reconstruct(shifted, background=7.0)
         assert np.allclose(corrected.state, clean.state, atol=1e-12)
 
     @pytest.mark.parametrize("background", [float("nan"), float("inf"), -3.0])
     def test_background_must_be_nonnegative_and_finite(self, stage2_state, background):
         with pytest.raises(InvalidParameter, match="background must be nonnegative and finite"):
-            reconstruct(exact_records(stage2_state), background=background)
+            reconstruct(exact_counts(stage2_state), background=background)
 
     def test_design_cache_is_bounded(self, stage2_state):
-        records = exact_records(stage2_state)
-        reference = reconstruct(records).state
+        counts = exact_counts(stage2_state)
+        reference = reconstruct(counts).state
         rng = np.random.default_rng(14)
         for _ in range(20):
-            shuffled = [records[i] for i in rng.permutation(len(records))]
+            order = rng.permutation(len(counts.settings))
+            shuffled = Counts(
+                tuple(counts.settings[i] for i in order),
+                counts.expected_rate[order],
+                counts.observed[order],
+            )
             assert np.allclose(reconstruct(shuffled).state, reference, atol=1e-12)
         info = _design_matrix.cache_info()
         assert info.maxsize == 8
         assert info.currsize <= 8
 
     def test_zero_counts_cannot_be_calibrated(self):
-        records = [CountRecord(s.setting_a, s.setting_b, 0.0, 0) for s in standard_settings()]
+        counts = Counts(standard_settings(), np.zeros(36), np.zeros(36, dtype=np.int64))
         with pytest.raises(ValueError, match="calibrate"):
-            reconstruct(records)
+            reconstruct(counts)
 
     def test_overflowing_counts_are_typed(self):
         # the scale sums to +inf; any numpy overflow warning would fail this test
-        records = [CountRecord(s.setting_a, s.setting_b, 0.0, 10**308) for s in standard_settings()]
+        counts = Counts(standard_settings(), np.zeros(36), np.full(36, 1e308))
         with pytest.raises(UnusableCounts, match="too large"):
-            reconstruct(records)
+            reconstruct(counts)
 
     @pytest.mark.parametrize("minimal", [False, True])
     @pytest.mark.parametrize("rows", [1, 2, 200])
@@ -275,11 +281,11 @@ class TestReconstruct:
             _invert(settings, np.full((rows, len(settings)), -1e308))
 
     def test_rank_deficient_settings_raise(self, stage2_state):
-        records = [CountRecord("H", "H", 0.1, 10)] * 20
         with pytest.raises(RankDeficient):
-            reconstruct(records)
+            reconstruct(Counts((("H", "H"),) * 20, np.full(20, 0.1), np.full(20, 10)))
+        exact = exact_counts(stage2_state)
         with pytest.raises(RankDeficient):
-            reconstruct(exact_records(stage2_state)[:10])
+            reconstruct(Counts(exact.settings[:10], exact.expected_rate[:10], exact.observed[:10]))
 
 
 class TestCalibration:
@@ -321,25 +327,25 @@ class TestCalibration:
 
 class TestErrorBars:
     def test_deterministic_given_seed(self, stage2_state):
-        records = simulate_counts(stage2_state, 500, seed=4)
-        result = reconstruct(records)
-        a = error_bars(result, records, trials=20, seed=5)
-        b = error_bars(result, records, trials=20, seed=5)
+        counts = simulate_counts(stage2_state, 500, seed=4)
+        result = reconstruct(counts)
+        a = error_bars(result, counts, trials=20, seed=5)
+        b = error_bars(result, counts, trials=20, seed=5)
         assert a == b
 
     def test_scale_spread_follows_counting_statistics(self, stage2_state):
         # relative scale error = 1/sqrt(total counts) for Poisson triples
         for total in (10**3, 10**4):
-            records = simulate_counts(stage2_state, total, seed=6)
-            result = reconstruct(records)
-            report = error_bars(result, records, trials=300, seed=6)
+            counts = simulate_counts(stage2_state, total, seed=6)
+            result = reconstruct(counts)
+            report = error_bars(result, counts, trials=300, seed=6)
             predicted = 1.0 / np.sqrt(total)
             assert abs(report.probability_std - predicted) <= 0.2 * predicted
 
     def test_spreads_vanish_with_infinite_counts(self, stage2_state):
-        records = simulate_counts(stage2_state, 10**8, seed=7)
-        result = reconstruct(records)
-        report = error_bars(result, records, trials=30, seed=7)
+        counts = simulate_counts(stage2_state, 10**8, seed=7)
+        result = reconstruct(counts)
+        report = error_bars(result, counts, trials=30, seed=7)
         assert report.fidelity_std < 1e-3
         assert report.concurrence_std < 1e-2
         assert report.probability_std < 1e-3
@@ -347,26 +353,20 @@ class TestErrorBars:
 
     @pytest.mark.parametrize("minimal", [False, True])
     def test_batch_equals_per_trial_loop(self, stage2_state, minimal):
-        records = simulate_counts(stage2_state, 2000, seed=13, minimal=minimal)
-        result = reconstruct(records)
+        counts = simulate_counts(stage2_state, 2000, seed=13, minimal=minimal)
+        result = reconstruct(counts)
         trials, seed = 40, 13
-        expected = [
-            result.scale * setting_rate(result.state, TomographySetting(r.setting_a, r.setting_b))
-            for r in records
-        ]
+        expected = [result.scale * setting_rate(result.state, s) for s in counts.settings]
         # one bootstrap generator, one trial after another
         g = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         fids, cons, probs = [], [], []
         for _ in range(trials):
             observed = g.poisson(expected)
-            trial = reconstruct([
-                CountRecord(r.setting_a, r.setting_b, 0.0, int(o))
-                for r, o in zip(records, observed)
-            ])
+            trial = reconstruct(Counts(counts.settings, np.zeros(len(observed)), observed))
             fids.append(fidelity(result.state, trial.state))
             cons.append(concurrence(trial.state).value)
             probs.append(trial.scale / result.scale)
-        assert error_bars(result, records, trials=trials, seed=seed) == UncertaintyReport(
+        assert error_bars(result, counts, trials=trials, seed=seed) == UncertaintyReport(
             fidelity_mean=float(np.mean(fids)),
             fidelity_std=float(np.std(fids, ddof=1)),
             concurrence_mean=float(np.mean(cons)),
@@ -401,44 +401,119 @@ class TestErrorBars:
             assert (many[:k] == _bootstrap_counts(expected, k, seed=21)).all()
 
     def test_requires_two_trials(self, stage2_state):
-        records = simulate_counts(stage2_state, 500, seed=8)
-        result = reconstruct(records)
+        counts = simulate_counts(stage2_state, 500, seed=8)
+        result = reconstruct(counts)
         with pytest.raises(ValueError):
-            error_bars(result, records, trials=1)
+            error_bars(result, counts, trials=1)
 
     def test_rejects_trials_above_bound_before_drawing(self, stage2_state, monkeypatch):
-        records = simulate_counts(stage2_state, 500, seed=8)
-        result = reconstruct(records)
+        counts = simulate_counts(stage2_state, 500, seed=8)
+        result = reconstruct(counts)
 
         def unreachable(*args):
             raise AssertionError("bootstrap counts allocated for an over-bound trials")
 
         monkeypatch.setattr(tomography, "_bootstrap_counts", unreachable)
         with pytest.raises(InvalidParameter, match=f"trials must be at most {MAX_TRIALS}"):
-            error_bars(result, records, trials=MAX_TRIALS + 1)
+            error_bars(result, counts, trials=MAX_TRIALS + 1)
 
 
 class TestCountsCsv:
     def test_round_trip(self, stage2_state):
-        records = simulate_counts(stage2_state, 500, seed=11)
-        text = counts_to_csv(records)
+        counts = simulate_counts(stage2_state, 500, seed=11)
+        text = counts_to_csv(counts)
         assert text.splitlines()[0] == "setting_A,setting_B,expected_rate,observed"
         back = counts_from_csv(text)
-        assert back == records
+        assert columns(back) == columns(counts)
+        assert (back.expected_rate.dtype, back.observed.dtype) == (np.float64, np.int64)
 
     @pytest.mark.parametrize("minimal", [False, True])
     def test_equals_csv_writer(self, stage2_state, minimal):
-        records = simulate_counts(stage2_state, 500, seed=11, minimal=minimal)
+        counts = simulate_counts(stage2_state, 500, seed=11, minimal=minimal)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["setting_A", "setting_B", "expected_rate", "observed"])
-        for r in records:
-            writer.writerow([r.setting_a, r.setting_b, f"{r.expected_rate:.17g}", r.observed])
-        text = counts_to_csv(records)
-        assert len(records) == (16 if minimal else 36)
+        for (a, b), rate, n in zip(*columns(counts)):
+            writer.writerow([a, b, f"{rate:.17g}", n])
+        text = counts_to_csv(counts)
+        assert len(counts.settings) == (16 if minimal else 36)
         assert text == buf.getvalue()
-        assert counts_from_csv(text) == records
+        assert columns(counts_from_csv(text)) == columns(counts)
 
     def test_header_is_checked(self):
         with pytest.raises(ValueError):
             counts_from_csv("a,b,c,d\nH,H,0.5,3\n")
+
+    def test_golden_counts_file_reproduces_its_result(self):
+        # the counts and result files the stage-III tomography config writes with --out
+        text = (DATA / "tomography_stage3.counts.csv").read_text()
+        doc = json.loads((DATA / "tomography_stage3.result.json").read_text())
+        counts = counts_from_csv(text)
+        assert counts_to_csv(counts) == text
+        result = reconstruct(counts, background=doc["background"])
+        assert json_obj(result.state) == doc["state"]
+        assert (result.scale, result.clipped_weight) == (doc["scale"], doc["clipped_weight"])
+        uncertainty = doc["uncertainty"]
+        report = error_bars(result, counts, trials=uncertainty["trials"], seed=doc["seed"])
+        assert (uncertainty["trials"], doc["seed"]) == (200, 12345)
+        assert vars(report) == uncertainty
+
+
+class TestMalformedCounts:
+    """Every malformed counts file or record is an InvalidParameter naming the problem."""
+
+    HEADER = "setting_A,setting_B,expected_rate,observed\n"
+
+    def test_empty_text(self):
+        with pytest.raises(InvalidParameter, match="counts header must be .*, got an empty file"):
+            counts_from_csv("")
+
+    def test_wrong_header(self):
+        with pytest.raises(InvalidParameter, match="counts header must be setting_A,"):
+            counts_from_csv("a,b,c,d\nH,H,0.5,3\n")
+
+    @pytest.mark.parametrize(
+        "row,problem",
+        [
+            ("H,H,0.5", r"not enough values to unpack \(expected 4, got 3\)"),
+            ("H,H,0.5,3,4", r"too many values to unpack \(expected 4"),
+            ("H,H,0.5,x", "invalid literal for int"),
+            ("H,H,half,3", "could not convert string to float: 'half'"),
+            ("H,H,0.5,3.0", "invalid literal for int"),
+            (f"H,H,0.5,{2**63}", "too large"),
+        ],
+        ids=["3-fields", "5-fields", "observed-x", "rate-word", "observed-float", "above-int64"],
+    )
+    def test_malformed_row(self, row, problem):
+        text = self.HEADER + "H,V,0.25,7\n" + row + "\n"
+        prefix = "counts rows need two labels, a rate and a count: "
+        with pytest.raises(InvalidParameter, match=f"^{prefix}.*{problem}"):
+            counts_from_csv(text)
+
+    def test_negative_count(self):
+        with pytest.raises(InvalidParameter, match="counts must be nonnegative, got -1"):
+            counts_from_csv(self.HEADER + "H,V,0.25,7\nH,H,0.5,-1\n")
+
+    @pytest.mark.parametrize("use", ["reconstruct", "error_bars"])
+    def test_unknown_label(self, stage2_state, use):
+        # the row the console-script check reads back: parsed, then refused where it is used
+        text = counts_to_csv(simulate_counts(stage2_state, 500, seed=0))
+        counts = counts_from_csv(text + "H,X,0.1,3\n")
+        with pytest.raises(InvalidParameter, match=r"setting \('H', 'X'\) is not a pair of labels"):
+            self.use(use, counts)
+
+    @pytest.mark.parametrize("use", ["reconstruct", "error_bars"])
+    @pytest.mark.parametrize("column", ["expected_rate", "observed"])
+    def test_columns_of_different_lengths(self, stage2_state, use, column):
+        exact = exact_counts(stage2_state)
+        counts = Counts(**vars(exact) | {column: getattr(exact, column)[:-1]})
+        lengths = "(36, 35, 36)" if column == "expected_rate" else "(36, 36, 35)"
+        problem = re.escape(f"counts columns (settings, rates, observed) differ: {lengths}")
+        with pytest.raises(InvalidParameter, match=problem):
+            self.use(use, counts)
+
+    @staticmethod
+    def use(name, counts):
+        if name == "reconstruct":
+            return reconstruct(counts)
+        return error_bars(reconstruct(exact_counts(pure_state(singlet_vector()))), counts)
