@@ -9,6 +9,9 @@ form against a brute-force Fock-space oracle.  A simulated tomography
 pipeline reconstructs the states from Poissonian coincidence counts.
 """
 
+import importlib.util
+import sys
+
 from .core import (
     EbrsimError,
     InvalidParameter,
@@ -16,20 +19,6 @@ from .core import (
     maximally_mixed,
     pure_state,
     singlet_vector,
-)
-from .fock import (
-    FockState,
-    ModeLabel,
-    OracleCheckReport,
-    ZeroProbability,
-    conditional_state,
-    evolve_bs,
-    feed_forward_correction,
-    hom_coincidence,
-    oracle_check,
-    oracle_protocol,
-    postselect_one_per_arm,
-    prepare_input,
 )
 from .metrics import (
     ConcurrenceResult,
@@ -60,19 +49,78 @@ from .protocol import (
     stage2,
     table_filters,
 )
-from .tomography import (
-    Counts,
-    RankDeficient,
-    TomographyResult,
-    UncertaintyReport,
-    UnusableCounts,
-    counts_from_csv,
-    counts_to_csv,
-    error_bars,
-    reconstruct,
-    simulate_counts,
-    standard_settings,
-)
+
+
+def _deferred(name: str):
+    """``ebrsim.<name>``, registered in ``sys.modules`` with its body not yet run.
+
+    The body runs on the module's first attribute access, so a process
+    that never uses the module does not compile or execute it.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only oracle-check needs the Fock oracle, only tomography the tomography
+# loop and only sweep the number kernel; run and sweep execute neither of
+# the first two.
+fock = _deferred("fock")
+g17 = _deferred("g17")
+tomography = _deferred("tomography")
+
+# The package exports of the deferred modules, looked up on each access
+_DEFERRED_EXPORTS = {
+    **dict.fromkeys(
+        [
+            "FockState",
+            "ModeLabel",
+            "OracleCheckReport",
+            "ZeroProbability",
+            "conditional_state",
+            "evolve_bs",
+            "feed_forward_correction",
+            "hom_coincidence",
+            "oracle_check",
+            "oracle_protocol",
+            "postselect_one_per_arm",
+            "prepare_input",
+        ],
+        fock,
+    ),
+    **dict.fromkeys(
+        [
+            "Counts",
+            "RankDeficient",
+            "TomographyResult",
+            "UncertaintyReport",
+            "UnusableCounts",
+            "counts_from_csv",
+            "counts_to_csv",
+            "error_bars",
+            "reconstruct",
+            "simulate_counts",
+            "standard_settings",
+        ],
+        tomography,
+    ),
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _DEFERRED_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFERRED_EXPORTS})
+
 
 __version__ = "0.1.0"
 

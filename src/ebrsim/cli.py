@@ -37,10 +37,13 @@ is json's.
 
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
-library raises, and an ``--out`` path that cannot be opened for
-writing), 3 domain error raised by the simulation.  Every command opens
-all its output files before it writes any output, so an ``--out`` that
-cannot be opened exits 2 with nothing written.
+library raises, an ``--out`` path that cannot be opened for writing, and
+a write to or close of an ``--out`` file that fails), 3 domain error
+raised by the simulation.  Every command opens all its output files
+before it writes any output, so an ``--out`` that cannot be opened exits
+2 with nothing written; ``run``, ``oracle-check`` and ``tomography``
+print to stdout only once their ``--out`` files are closed, so one whose
+write fails exits 2 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -59,6 +63,7 @@ from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
+from . import fock, g17, tomography
 from .core import (
     EbrsimError,
     InvalidParameter,
@@ -67,7 +72,6 @@ from .core import (
     pure_state,
     singlet_vector,
 )
-from .fock import OracleCheckReport, oracle_check
 from .metrics import concurrence_x, fidelity
 from .protocol import (
     ChannelConfig,
@@ -77,7 +81,6 @@ from .protocol import (
     resolve_filters,
     run_protocol,
 )
-from .tomography import counts_to_csv, error_bars, reconstruct, simulate_counts
 
 SWEEP_HEADER = (
     "scenario,stage,T,epsilon,p,A_A,A_B,concurrence,probability,cumulative_probability"
@@ -169,6 +172,22 @@ def _load_config(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
+class _OutFile(io.TextIOWrapper):
+    """An output file whose failed write or close is a :class:`ConfigError` naming it."""
+
+    def write(self, text: str) -> int:
+        try:
+            return super().write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.name!r}: {exc}") from exc
+
+    def close(self) -> None:
+        try:
+            super().close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.name!r}: {exc}") from exc
+
+
 @contextlib.contextmanager
 def _open_outputs(*paths: str) -> Iterator[list[TextIO]]:
     """Every output file opened for writing, before a command writes any output.
@@ -176,7 +195,8 @@ def _open_outputs(*paths: str) -> Iterator[list[TextIO]]:
     A path that cannot be opened is a :class:`ConfigError`: the files opened
     so far are closed again, the ones this call created are removed, and no
     file that existed has been emptied, since a regular file is truncated
-    only once all of them are open.
+    only once all of them are open.  A write to a file, or the flush as it
+    closes (a full disk, say), that fails is a :class:`ConfigError` too.
     """
     files: list[TextIO] = []
     created = []
@@ -184,7 +204,7 @@ def _open_outputs(*paths: str) -> Iterator[list[TextIO]]:
         try:
             for path in paths:
                 existed = os.path.lexists(path)
-                files.append(stack.enter_context(open(path, "a", encoding="utf-8")))
+                files.append(stack.enter_context(_OutFile(open(path, "ab"), encoding="utf-8")))
                 if not existed:
                     created.append(path)
         except OSError as exc:
@@ -299,18 +319,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _RUN_KEYS)
     config, filters, stages = _run_point(cfg)
+    # stdout is written once the trace file is closed, so a failed write prints nothing
     with _open_outputs(*_out_paths(args.out)) as files:
-        print(
-            f"scenario={config.scenario.kind} T={config.T!r} p={config.scenario.p!r}"
-            f" branch={config.branch} feed_forward={'true' if config.feed_forward else 'false'}"
-        )
-        print(f"filters A_A={filters.a_a!r} A_B={filters.a_b!r}")
-        for out in stages:
-            c = concurrence_x(out.params)
-            print(
-                f"stage {out.stage:<4} C={c:.4f}  P={out.probability:.4f}"
-                f"  cumP={out.cumulative_probability:.4f}"
-            )
         for fh in files:
             doc = {
                 "scenario": config.scenario.kind,
@@ -323,6 +333,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             }
             fh.write(json.dumps(doc, indent=2))
             fh.write("\n")
+    print(
+        f"scenario={config.scenario.kind} T={config.T!r} p={config.scenario.p!r}"
+        f" branch={config.branch} feed_forward={'true' if config.feed_forward else 'false'}"
+    )
+    print(f"filters A_A={filters.a_a!r} A_B={filters.a_b!r}")
+    for out in stages:
+        c = concurrence_x(out.params)
+        print(
+            f"stage {out.stage:<4} C={c:.4f}  P={out.probability:.4f}"
+            f"  cumP={out.cumulative_probability:.4f}"
+        )
     return 0
 
 
@@ -356,12 +377,10 @@ def _swept(config: ChannelConfig, variable: str, values: np.ndarray) -> ChannelC
 def _csv_numbers(col: np.ndarray) -> list[str]:
     """``_fmt`` of each value of a float64 column, by the numpy kernel ``g17.strings``.
 
-    ``g17`` is imported on first use, here and in ``_json_numbers``: where
-    no ``.pyc`` is written, importing it costs about 3 ms, which ``run``,
-    ``oracle-check`` and ``tomography`` need not pay.
+    ``g17``, ``fock`` and ``tomography`` are deferred modules (see
+    :mod:`ebrsim`): each one's body runs on first use, so a command runs
+    only the ones it calls.
     """
-    from . import g17
-
     return g17.strings(col)
 
 
@@ -373,8 +392,6 @@ def _json_numbers(col: np.ndarray) -> list[str]:
     non-finite values are found by mask, and an infinity is json's
     ``Infinity``.
     """
-    from . import g17
-
     out = g17.shortest(col)
     for i in np.flatnonzero(~np.isfinite(col)).tolist():
         out[i] = "null" if math.isnan(col[i]) else json.dumps(float(col[i]))
@@ -488,7 +505,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_check_text(report: OracleCheckReport) -> str:
+def _oracle_check_text(report: fock.OracleCheckReport) -> str:
     """``oracle-check``'s text: a line per scenario, per skipped point and the first failure."""
     lines = []
     for check in report.scenarios:
@@ -511,11 +528,12 @@ def _oracle_check_text(report: OracleCheckReport) -> str:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    report = oracle_check(grid_step=args.grid_step, tol=args.tol)
+    report = fock.oracle_check(grid_step=args.grid_step, tol=args.tol)
     text = _oracle_check_text(report)
     with _open_outputs(*_out_paths(args.out)) as files:
-        for fh in (sys.stdout, *files):
+        for fh in files:
             fh.write(text)
+    sys.stdout.write(text)
     return 0 if report.ok else 1
 
 
@@ -551,9 +569,9 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     background = _as_float(cfg, "background") if "background" in cfg else 0.0
     truth = _tomography_truth(cfg)
 
-    counts = simulate_counts(truth, total, seed, minimal=(n_settings == 16))
-    result = reconstruct(counts, background=background)
-    report = error_bars(result, counts, trials=trials, seed=seed)
+    counts = tomography.simulate_counts(truth, total, seed, minimal=(n_settings == 16))
+    result = tomography.reconstruct(counts, background=background)
+    report = tomography.error_bars(result, counts, trials=trials, seed=seed)
     f_truth = fidelity(result.state, truth)
 
     doc = {
@@ -576,17 +594,17 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         },
     }
     with _open_outputs(*_out_paths(args.out, ".counts.csv", ".result.json")) as files:
-        print(f"settings={n_settings} total_triples={_fmt(total)} seed={seed} trials={trials}")
-        print(f"fidelity_to_truth={f_truth:.6f}")
-        print(f"concurrence={report.concurrence_mean:.6f} std={report.concurrence_std:.6f}")
-        print(f"fidelity_spread_std={report.fidelity_std:.6f}")
-        print(f"scale={_fmt(result.scale)} relative_std={report.probability_std:.6f}")
-        print(f"clipped_weight={_fmt(result.clipped_weight)}")
         if files:
             counts_fh, result_fh = files
-            counts_fh.write(counts_to_csv(counts))
+            counts_fh.write(tomography.counts_to_csv(counts))
             result_fh.write(json.dumps(doc, indent=2))
             result_fh.write("\n")
+    print(f"settings={n_settings} total_triples={_fmt(total)} seed={seed} trials={trials}")
+    print(f"fidelity_to_truth={f_truth:.6f}")
+    print(f"concurrence={report.concurrence_mean:.6f} std={report.concurrence_std:.6f}")
+    print(f"fidelity_spread_std={report.fidelity_std:.6f}")
+    print(f"scale={_fmt(result.scale)} relative_std={report.probability_std:.6f}")
+    print(f"clipped_weight={_fmt(result.clipped_weight)}")
     return 0
 
 

@@ -3,8 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -1234,6 +1237,27 @@ class TestExitCodeContract:
         assert stdout == ""
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("run", "scenario = distinguishable\nT = 0.4\n"),
+            # three points fail as the file's buffer is flushed on close, 4000 in a write
+            ("sweep", "scenario = distinguishable\nvariable = T\nstart = 0.2\nstop = 0.8\nsteps = 3\n"),
+            ("sweep", "scenario = distinguishable\nvariable = T\nstart = 0.2\nstop = 0.8\nsteps = 4000\n"),
+            ("oracle-check", None),
+        ],
+        ids=["run", "sweep", "sweep-blocks", "oracle-check"],
+    )
+    def test_failed_write_exits_2(self, tmp_path, capsys, command, config):
+        # /dev/full opens, but every write to it fails with ENOSPC
+        argv = [command] if config is None else [command, "--config", write_config(tmp_path, config)]
+        code, stdout, err = run_cli(capsys, argv + ["--out", "/dev/full"])
+        assert code == 2
+        assert err.startswith("config error: cannot write '/dev/full': ")
+        # stdout is written only once the --out file is closed
+        assert stdout == ""
+
     def test_unwritable_out_exits_2_before_a_failing_check(self, tmp_path, capsys):
         # the tolerance fails the check (exit 1 with a writable --out, see the golden file)
         argv = ["oracle-check", "--grid-step", "0.02", "--tol", "7e-16"]
@@ -1270,3 +1294,49 @@ class TestExitCodeContract:
         fresh = tmp_path / "fresh.txt"
         assert run_cli(capsys, argv + ["--out", str(fresh)]) == (0, stdout, "")
         assert out.read_bytes() == fresh.read_bytes()
+
+
+# A fresh interpreter imports the CLI, runs each argv, and prints which deferred
+# modules' bodies ran: a marker name each body defines is in its namespace, read
+# with object.__getattribute__, which does not run the body the way any module
+# attribute lookup would.
+_START_UP_PROBE = """
+import contextlib, io, json, sys
+import ebrsim.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [ebrsim.cli.main(argv) for argv in json.loads(sys.argv[1])]
+markers = {"fock": "oracle_check", "tomography": "simulate_counts"}
+ran = sorted(name for name, marker in markers.items()
+             if marker in object.__getattribute__(sys.modules["ebrsim." + name], "__dict__"))
+print(json.dumps({"codes": codes, "ran": ran}))
+"""
+
+
+class TestStartUp:
+    """A command runs the bodies of only the deferred modules it calls."""
+
+    def _ran(self, *argvs):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c", _START_UP_PROBE, json.dumps(list(argvs))],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0] * len(argvs)
+        return result["ran"]
+
+    def test_run_and_sweep_run_neither_oracle_nor_tomography(self):
+        run = ["run", "--config", str(DATA / "run_partial_V_ff.cfg")]
+        sweep = ["sweep", "--config", str(DATA / "sweep_T_indistinguishable.cfg")]
+        json_sweep = ["sweep", "--config", str(DATA / "sweep_p_partial.cfg"), "--format", "json"]
+        assert self._ran(run, sweep, json_sweep) == []
+
+    def test_oracle_check_runs_fock_only(self):
+        assert self._ran(["oracle-check", "--grid-step", "0.1"]) == ["fock"]
+
+    def test_tomography_runs_tomography_only(self):
+        tomo = ["tomography", "--config", str(DATA / "tomography_stage3.cfg")]
+        assert self._ran(tomo) == ["tomography"]

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +114,22 @@ def test_every_export_resolves():
     assert len(set(ebrsim.__all__)) == len(ebrsim.__all__)
     for name in ebrsim.__all__:
         getattr(ebrsim, name)  # AttributeError names a stale export
+    namespace = {}
+    exec("from ebrsim import *", namespace)
+    assert all(namespace[name] is getattr(ebrsim, name) for name in ebrsim.__all__)
+
+
+@pytest.mark.parametrize("name", ["fock", "g17", "tomography"])
+def test_deferred_module_is_the_imported_one(name):
+    module = importlib.import_module(f"ebrsim.{name}")
+    assert getattr(ebrsim, name) is module is sys.modules[f"ebrsim.{name}"]
+
+
+def test_deferred_exports_are_the_module_attributes():
+    assert ebrsim.oracle_check is ebrsim.fock.oracle_check
+    assert ebrsim.Counts is ebrsim.tomography.Counts
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ebrsim.no_such_name
 
 
 def test_columns_pass_float_columns_through():
