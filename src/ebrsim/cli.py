@@ -1,9 +1,14 @@
 """Command-line front end: run, sweep, oracle-check, tomography.
 
-Config files are flat ``key = value`` text with ``#`` comments.  All
-outputs are deterministic: identical config and seed produce
-byte-identical bytes.  CSV floats carry 17 significant digits; JSON
-floats use Python's shortest round-trip representation.
+Config files are flat ``key = value`` text with ``#`` comments.  One
+table, ``_KEYS``, gives each key's parser, default, commands and rules,
+and one parse, ``_read_config``, reads a command's config in a fixed
+order: an unknown key first, then the selectors ``variable`` and
+``state``, then keys given where they may not be or missing where they
+are required, and only then the values.  All outputs are deterministic:
+identical config and seed produce byte-identical bytes.  CSV floats
+carry 17 significant digits; JSON floats use Python's shortest
+round-trip representation.
 
 A sweep range-checks its whole swept column first, so a config error
 exits 2 before any byte is written.  It then evaluates the column in
@@ -38,12 +43,15 @@ is json's.
 Exit codes: 0 success, 1 failed consistency check, 2 usage or config
 error (including every :class:`~ebrsim.core.InvalidParameter` the
 library raises, an ``--out`` path that cannot be opened for writing, and
-a write to or close of an ``--out`` file that fails), 3 domain error
-raised by the simulation.  Every command opens all its output files
-before it writes any output, so an ``--out`` that cannot be opened exits
-2 with nothing written; ``run``, ``oracle-check`` and ``tomography``
-print to stdout only once their ``--out`` files are closed, so one whose
-write fails exits 2 with nothing on stdout.
+any write that fails), 3 domain error raised by the simulation.  One
+rule holds for every write: a failed write or flush, to an ``--out``
+file or to stdout (a full disk, a closed pipe), exits 2 with ``cannot
+write`` and the stream's name, ``'<stdout>'`` for stdout, never 1 and
+with no traceback.  Every command opens all its output files before it
+writes any output, so an ``--out`` that cannot be opened exits 2 with
+nothing written; ``run``, ``oracle-check`` and ``tomography`` print to
+stdout only once their ``--out`` files are closed, so one whose write
+fails exits 2 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -153,23 +161,13 @@ def parse_config_text(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = map(str.strip, line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def _load_config(path: str) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
 class _OutFile(io.TextIOWrapper):
@@ -221,81 +219,150 @@ def _open_outputs(*paths: str) -> Iterator[list[TextIO]]:
         yield files
 
 
+def _write_stdout(text: str) -> None:
+    """``text`` written to stdout and flushed: a failure exits 2, as an ``--out`` file's does."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The interpreter flushes stdout again as it exits: with the descriptor on
+        # os.devnull that flush has nothing to fail on, as the signal module docs'
+        # note on SIGPIPE shows.  A stream without a descriptor (a test's) stays.
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        raise ConfigError(f"cannot write '<stdout>': {exc}") from exc
+
+
 def _out_paths(out: str | None, *suffixes: str) -> list[str]:
     """The files an ``--out`` value names: the path, or for a prefix one per suffix."""
     return [out + suffix for suffix in suffixes or ("",)] if out else []
 
 
-_RUN_KEYS = {"scenario", "p", "T", "epsilon", "A_A", "A_B", "branch", "feed_forward"}
-_SWEEP_KEYS = _RUN_KEYS | {"variable", "start", "stop", "steps"}
-_TOMO_KEYS = _RUN_KEYS | {
-    "seed", "state", "stage", "total_triples", "trials", "settings", "background",
+def _parser(convert: Callable[[str], object], kind: str = "", options: tuple = ()):
+    """A config value's parser: ``convert`` of its text, which must give one of ``options``."""
+
+    def parse(key: str, text: str) -> object:
+        try:
+            value = convert(text)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"config key {key} must be {kind}, got {text!r}") from exc
+        if options and value not in options:
+            names = ", ".join(map(str, options[:-1])) + f" or {options[-1]}"
+            raise ConfigError(f"{key} must be {names}, got {value!r}")
+        return value
+
+    return parse
+
+
+_number = _parser(float, "a number")
+_integer = _parser(int, "an integer")
+_boolean = _parser(lambda text: {"true": True, "false": False}[text.lower()], "true or false")
+
+
+def _seed(key: str, text: str) -> int:
+    seed = _integer(key, text)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
+class _Key(NamedTuple):
+    parse: Callable[[str, str], object]
+    default: object  # _REQUIRED: the key must be given wherever its rules let it be
+    commands: tuple[str, ...]
+    rules: tuple = ()
+
+
+_REQUIRED = object()
+_CHANNEL = ("run", "sweep", "tomography")
+_SELECTORS = ("variable", "state")
+# A rule is a condition on the config's text, with each selector at its default
+# if absent, and the message, formatted with the key and that text, for the key
+# given where the condition fails.
+_STAGE = ((lambda c: c["state"] == "stage", "config key {key} only applies to state = stage"),)
+_FILTERS = _STAGE + (
+    (lambda c: c["variable"] != "epsilon", "epsilon sweep conflicts with explicit A_A/A_B filters"),
+    (lambda c: "A_A" in c and "A_B" in c, "A_A and A_B must be given together"),
+)
+# a missing scenario passes p's rule, so it is reported as missing
+_PARTIAL = (lambda c: c.get("scenario", "partial").lower() == "partial",
+            "config key {key} only applies to the partial scenario")
+_SWEEP = (
+    (lambda c: c["variable"] not in c,
+     "config key {variable} conflicts with variable = {variable}"),
+    (lambda c: c["variable"] != "p" or c.get("scenario", "").lower() == "partial",
+     "p sweep requires scenario = partial"),
+)
+
+# Every config key: its parser, default, the commands that take it and its
+# rules.  The library checks each value's range.
+_KEYS = {
+    "variable": _Key(_parser(str, options=("T", "epsilon", "p")), _REQUIRED, ("sweep",), _SWEEP),
+    "state": _Key(_parser(str, options=("singlet", "mixed", "stage")), "stage", ("tomography",)),
+    "start": _Key(_number, _REQUIRED, ("sweep",)),
+    "stop": _Key(_number, _REQUIRED, ("sweep",)),
+    "steps": _Key(_integer, _REQUIRED, ("sweep",)),
+    "scenario": _Key(_parser(str.lower), _REQUIRED, _CHANNEL, _STAGE),
+    "p": _Key(_number, _REQUIRED, _CHANNEL, _STAGE + (_PARTIAL,)),
+    "T": _Key(_number, _REQUIRED, _CHANNEL, _STAGE),
+    "epsilon": _Key(_number, None, _CHANNEL, _STAGE),
+    "A_A": _Key(_number, None, _CHANNEL, _FILTERS),
+    "A_B": _Key(_number, None, _CHANNEL, _FILTERS),
+    "branch": _Key(_parser(str.upper), "H", _CHANNEL, _STAGE),
+    "feed_forward": _Key(_boolean, False, _CHANNEL, _STAGE),
+    "stage": _Key(_parser(str, options=("I", "II", "III")), "II", ("tomography",), _STAGE),
+    "total_triples": _Key(_number, 500.0, ("tomography",)),
+    "trials": _Key(_integer, 200, ("tomography",)),
+    "settings": _Key(_parser(int, "an integer", (16, 36)), 36, ("tomography",)),
+    "background": _Key(_number, 0.0, ("tomography",)),
+    "seed": _Key(_seed, 0, ("tomography",)),
 }
 
 
-def _check_keys(cfg: dict[str, str], allowed: set[str]) -> None:
-    unknown = sorted(set(cfg) - allowed)
+def _read_config(path: str, command: str) -> argparse.Namespace:
+    """Each key ``command`` takes, read in the module docstring's order or at its default.
+
+    ``channel`` is the checked config (a sweep's over ``column``), or None for a named state.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = parse_config_text(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    rows = {key: row for key, row in _KEYS.items() if command in row.commands}
+    unknown = sorted(cfg.keys() - rows.keys())
     if unknown:
         raise ConfigError(f"unknown config key: {unknown[0]}")
-
-
-def _require(cfg: dict[str, str], key: str) -> str:
-    if key not in cfg:
-        raise ConfigError(f"missing required config key: {key}")
-    return cfg[key]
-
-
-def _as_float(cfg: dict[str, str], key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} must be a number, got {cfg[key]!r}") from exc
-
-
-def _as_int(cfg: dict[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} must be an integer, got {cfg[key]!r}") from exc
-
-
-def _as_bool(cfg: dict[str, str], key: str) -> bool:
-    value = cfg[key].lower()
-    if value not in ("true", "false"):
-        raise ConfigError(f"config key {key} must be true or false, got {cfg[key]!r}")
-    return value == "true"
-
-
-def _parse_scenario(cfg: dict[str, str]) -> Scenario:
-    kind = _require(cfg, "scenario").lower()
-    if kind == "partial":
-        _require(cfg, "p")
-        return Scenario("partial", _as_float(cfg, "p"))
-    if "p" in cfg:
-        raise ConfigError("config key p only applies to the partial scenario")
-    return Scenario(kind)
-
-
-def _parse_channel(cfg: dict[str, str]) -> ChannelConfig:
-    scenario = _parse_scenario(cfg)
-    _require(cfg, "T")
-    t = _as_float(cfg, "T")
-    branch = cfg.get("branch", "H").upper()
-    feed_forward = _as_bool(cfg, "feed_forward") if "feed_forward" in cfg else False
-    if ("A_A" in cfg) != ("A_B" in cfg):
-        raise ConfigError("A_A and A_B must be given together")
-    filters = None
-    if "A_A" in cfg:
-        filters = FilterPair(a_a=_as_float(cfg, "A_A"), a_b=_as_float(cfg, "A_B"))
-    epsilon = _as_float(cfg, "epsilon") if "epsilon" in cfg else None
-    return ChannelConfig(
-        scenario=scenario,
-        T=t,
-        branch=branch,
-        feed_forward=feed_forward,
-        filters=filters,
-        epsilon=epsilon,
-    )
+    for key in cfg.keys() & _SELECTORS:
+        rows[key].parse(key, cfg[key])
+    view = {key: _KEYS[key].default for key in _SELECTORS} | cfg
+    for key in sorted(cfg):
+        for holds, message in rows[key].rules:
+            if not holds(view):
+                raise ConfigError(message.format(key=key, **view))
+    # the swept key's values are the sweep's column
+    for key, row in rows.items():
+        given = key in cfg or key == view["variable"]
+        if row.default is _REQUIRED and not given and all(rule[0](view) for rule in row.rules):
+            raise ConfigError(f"missing required config key: {key}")
+    conf = argparse.Namespace(channel=None, **{
+        key: None if row.default is _REQUIRED else row.default for key, row in rows.items()
+    })
+    for key, text in cfg.items():
+        setattr(conf, key, rows[key].parse(key, text))
+    if command == "sweep":
+        conf.column = _sweep_values(conf.start, conf.stop, conf.steps)
+        # checked at the start point first, so a start out of range is named as
+        # written: the column's first value is never -0.0
+        setattr(conf, conf.variable, conf.start)
+    if view["state"] == "stage":
+        filters = None if conf.A_A is None else FilterPair(conf.A_A, conf.A_B)
+        conf.channel = ChannelConfig(Scenario(conf.scenario, conf.p), conf.T, conf.branch,
+                                     conf.feed_forward, filters, conf.epsilon)
+    if command == "sweep":
+        conf.channel = _swept(conf.channel, conf.variable, conf.column)
+    return conf
 
 
 def _stage_obj(out: StageOutput) -> dict:
@@ -309,16 +376,14 @@ def _stage_obj(out: StageOutput) -> dict:
     }
 
 
-def _run_point(cfg: dict[str, str]) -> tuple[ChannelConfig, FilterPair, list[StageOutput]]:
-    config = _parse_channel(cfg)
+def _run_point(config: ChannelConfig) -> tuple[FilterPair, list[StageOutput]]:
     filters = resolve_filters(config)  # a singular prescription is a domain error here
-    return config, filters, run_protocol(dataclasses.replace(config, filters=filters, epsilon=None))
+    return filters, run_protocol(dataclasses.replace(config, filters=filters, epsilon=None))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, _RUN_KEYS)
-    config, filters, stages = _run_point(cfg)
+    config = _read_config(args.config, "run").channel
+    filters, stages = _run_point(config)
     # stdout is written once the trace file is closed, so a failed write prints nothing
     with _open_outputs(*_out_paths(args.out)) as files:
         for fh in files:
@@ -331,26 +396,22 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "filters": {"A_A": filters.a_a, "A_B": filters.a_b},
                 "stages": [_stage_obj(s) for s in stages],
             }
-            fh.write(json.dumps(doc, indent=2))
-            fh.write("\n")
-    print(
+            fh.write(json.dumps(doc, indent=2) + "\n")
+    text = (
         f"scenario={config.scenario.kind} T={config.T!r} p={config.scenario.p!r}"
-        f" branch={config.branch} feed_forward={'true' if config.feed_forward else 'false'}"
+        f" branch={config.branch} feed_forward={'true' if config.feed_forward else 'false'}\n"
+        f"filters A_A={filters.a_a!r} A_B={filters.a_b!r}\n"
     )
-    print(f"filters A_A={filters.a_a!r} A_B={filters.a_b!r}")
     for out in stages:
-        c = concurrence_x(out.params)
-        print(
-            f"stage {out.stage:<4} C={c:.4f}  P={out.probability:.4f}"
-            f"  cumP={out.cumulative_probability:.4f}"
+        text += (
+            f"stage {out.stage:<4} C={concurrence_x(out.params):.4f}  P={out.probability:.4f}"
+            f"  cumP={out.cumulative_probability:.4f}\n"
         )
+    _write_stdout(text)
     return 0
 
 
-def _sweep_values(cfg: dict[str, str]) -> np.ndarray:
-    start = _as_float(cfg, "start")
-    stop = _as_float(cfg, "stop")
-    steps = _as_int(cfg, "steps")
+def _sweep_values(start: float, stop: float, steps: int) -> np.ndarray:
     if steps < 1:
         raise ConfigError(f"steps must be at least 1, got {steps}")
     if steps > MAX_SWEEP_POINTS:
@@ -471,37 +532,18 @@ def _sweep_text(cells: np.ndarray, fmt: _SweepFormat, first: bool, last: bool) -
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, _SWEEP_KEYS)
-    variable = _require(cfg, "variable")
-    if variable not in ("T", "epsilon", "p"):
-        raise ConfigError(f"variable must be T, epsilon or p, got {variable!r}")
-    for key in ("start", "stop", "steps"):
-        _require(cfg, key)
-    values = _sweep_values(cfg)
-
-    base = dict(cfg)
-    for key in ("variable", "start", "stop", "steps"):
-        base.pop(key, None)
-    if variable in base:
-        raise ConfigError(f"config key {variable} conflicts with variable = {variable}")
-    if variable == "epsilon" and ("A_A" in base or "A_B" in base):
-        raise ConfigError("epsilon sweep conflicts with explicit A_A/A_B filters")
-    if variable == "p" and base.get("scenario", "").lower() != "partial":
-        raise ConfigError("p sweep requires scenario = partial")
-
-    # The whole swept column is range-checked here, so a config error exits 2
-    # before any byte is written; then each block is written as it is done.
-    config = _swept(_parse_channel({**base, variable: cfg["start"]}), variable, values)
+    # The whole swept column is range-checked as the config is read, so a config
+    # error exits 2 before any byte is written; then each block is written as it is done.
+    conf = _read_config(args.config, "sweep")
     fmt = _SWEEP_FORMATS[args.format]
     with _open_outputs(*_out_paths(args.out)) as files:
-        fh = files[0] if files else sys.stdout
-        for start in range(0, values.size, SWEEP_BLOCK):
+        write = files[0].write if files else _write_stdout
+        for start in range(0, conf.column.size, SWEEP_BLOCK):
             stop = start + SWEEP_BLOCK
             # no name holds a block's cells, so they are freed once its text is
             # written, before the next block is built
-            block = _swept(config, variable, values[start:stop])
-            fh.write(_sweep_text(_sweep_cells(block, fmt), fmt, start == 0, stop >= values.size))
+            block = _swept(conf.channel, conf.variable, conf.column[start:stop])
+            write(_sweep_text(_sweep_cells(block, fmt), fmt, start == 0, stop >= conf.column.size))
     return 0
 
 
@@ -533,78 +575,49 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     with _open_outputs(*_out_paths(args.out)) as files:
         for fh in files:
             fh.write(text)
-    sys.stdout.write(text)
+    _write_stdout(text)
     return 0 if report.ok else 1
 
 
-def _tomography_truth(cfg: dict[str, str]) -> np.ndarray:
-    kind = cfg.get("state", "stage")
-    if kind not in ("singlet", "mixed", "stage"):
-        raise ConfigError(f"state must be singlet, mixed or stage, got {kind!r}")
-    if kind != "stage":
-        stray = sorted(set(cfg) & (_RUN_KEYS | {"stage"}))
-        if stray:
-            raise ConfigError(f"config key {stray[0]} only applies to state = stage")
-        if kind == "mixed":
-            return maximally_mixed(4)
-        return pure_state(singlet_vector())
-    stage_label = cfg.get("stage", "II")
-    if stage_label not in ("I", "II", "III"):
-        raise ConfigError(f"stage must be I, II or III, got {stage_label!r}")
-    _, _, stages = _run_point({k: v for k, v in cfg.items() if k in _RUN_KEYS})
-    return {s.stage: s for s in stages}[stage_label].state
-
-
 def cmd_tomography(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, _TOMO_KEYS)
-    total = _as_float(cfg, "total_triples") if "total_triples" in cfg else 500.0
-    trials = _as_int(cfg, "trials") if "trials" in cfg else 200
-    seed = args.seed if args.seed is not None else (_as_int(cfg, "seed") if "seed" in cfg else 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    n_settings = _as_int(cfg, "settings") if "settings" in cfg else 36
-    if n_settings not in (16, 36):
-        raise ConfigError(f"settings must be 16 or 36, got {n_settings}")
-    background = _as_float(cfg, "background") if "background" in cfg else 0.0
-    truth = _tomography_truth(cfg)
-
-    counts = tomography.simulate_counts(truth, total, seed, minimal=(n_settings == 16))
-    result = tomography.reconstruct(counts, background=background)
-    report = tomography.error_bars(result, counts, trials=trials, seed=seed)
+    conf = _read_config(args.config, "tomography")
+    seed = conf.seed if args.seed is None else _seed("seed", str(args.seed))
+    if conf.channel is None:
+        truth = maximally_mixed(4) if conf.state == "mixed" else pure_state(singlet_vector())
+    else:
+        truth = {s.stage: s for s in _run_point(conf.channel)[1]}[conf.stage].state
+    minimal = conf.settings == 16
+    counts = tomography.simulate_counts(truth, conf.total_triples, seed, minimal=minimal)
+    result = tomography.reconstruct(counts, background=conf.background)
+    report = tomography.error_bars(result, counts, trials=conf.trials, seed=seed)
     f_truth = fidelity(result.state, truth)
 
     doc = {
-        "settings": n_settings,
-        "total_triples": total,
+        "settings": conf.settings,
+        "total_triples": conf.total_triples,
         "seed": seed,
-        "background": background,
+        "background": conf.background,
         "state": json_obj(result.state),
         "scale": result.scale,
         "clipped_weight": result.clipped_weight,
         "fidelity_to_truth": f_truth,
-        "uncertainty": {
-            "trials": report.trials,
-            "fidelity_mean": report.fidelity_mean,
-            "fidelity_std": report.fidelity_std,
-            "concurrence_mean": report.concurrence_mean,
-            "concurrence_std": report.concurrence_std,
-            "probability_mean": report.probability_mean,
-            "probability_std": report.probability_std,
-        },
+        # the bootstrap's trials first, then its fields in their order
+        "uncertainty": {"trials": report.trials, **vars(report)},
     }
     with _open_outputs(*_out_paths(args.out, ".counts.csv", ".result.json")) as files:
         if files:
             counts_fh, result_fh = files
             counts_fh.write(tomography.counts_to_csv(counts))
-            result_fh.write(json.dumps(doc, indent=2))
-            result_fh.write("\n")
-    print(f"settings={n_settings} total_triples={_fmt(total)} seed={seed} trials={trials}")
-    print(f"fidelity_to_truth={f_truth:.6f}")
-    print(f"concurrence={report.concurrence_mean:.6f} std={report.concurrence_std:.6f}")
-    print(f"fidelity_spread_std={report.fidelity_std:.6f}")
-    print(f"scale={_fmt(result.scale)} relative_std={report.probability_std:.6f}")
-    print(f"clipped_weight={_fmt(result.clipped_weight)}")
+            result_fh.write(json.dumps(doc, indent=2) + "\n")
+    _write_stdout(
+        f"settings={conf.settings} total_triples={_fmt(conf.total_triples)} seed={seed}"
+        f" trials={conf.trials}\n"
+        f"fidelity_to_truth={f_truth:.6f}\n"
+        f"concurrence={report.concurrence_mean:.6f} std={report.concurrence_std:.6f}\n"
+        f"fidelity_spread_std={report.fidelity_std:.6f}\n"
+        f"scale={_fmt(result.scale)} relative_std={report.probability_std:.6f}\n"
+        f"clipped_weight={_fmt(result.clipped_weight)}\n"
+    )
     return 0
 
 

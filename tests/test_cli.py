@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -1025,6 +1026,18 @@ class TestTomographyCommand:
         assert (code, out) == (2, "")
         assert err == "config error: seed must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize(
+        "seed,message",
+        [("oops", "config key seed must be an integer, got 'oops'"),
+         ("-1", "seed must be nonnegative, got -1")],
+    )
+    def test_config_seed_is_read_under_the_seed_flag(self, tmp_path, capsys, seed, message):
+        # --seed overrides the config's seed, but the config's is still read and checked
+        path = write_config(tmp_path, f"state = singlet\nseed = {seed}\ntrials = 5\n")
+        for flags in ([], ["--seed", "3"]):
+            code, out, err = run_cli(capsys, ["tomography", "--config", path, *flags])
+            assert (code, out, err) == (2, "", f"config error: {message}\n"), flags
+
     def test_named_truth_states(self, tmp_path, capsys):
         path = write_config(tmp_path, "state = singlet\ntotal_triples = 400\ntrials = 5\n")
         code, out, _ = run_cli(capsys, ["tomography", "--config", path])
@@ -1057,6 +1070,74 @@ class TestTomographyCommand:
         assert code == 2
         assert err.startswith("config error:")
         assert fragment in err
+
+
+# A valid config of each command that gives every key it requires
+KEY_BASES = {
+    "run": {"scenario": "partial", "p": "0.85", "T": "0.3"},
+    "sweep": {"scenario": "partial", "p": "0.85", "T": "0.3", "variable": "epsilon",
+              "start": "0.5", "stop": "1", "steps": "2"},
+    "tomography": {"state": "stage", "scenario": "partial", "p": "0.85", "T": "0.3", "trials": "5"},
+}
+FOREIGN_KEYS = [(command, key) for command in KEY_BASES for key, row in cli._KEYS.items()
+                if command not in row.commands]
+REQUIRED_KEYS = [(command, key) for command in KEY_BASES for key, row in cli._KEYS.items()
+                 if command in row.commands and row.default is cli._REQUIRED]
+
+
+def run_config(tmp_path, capsys, command, cfg):
+    text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
+    return run_cli(capsys, [command, "--config", write_config(tmp_path, text)])
+
+
+class TestKeyTable:
+    """Each command's keys, rules and defaults come from the one table, ``cli._KEYS``."""
+
+    @pytest.mark.parametrize("command", KEY_BASES)
+    def test_bases_are_valid(self, tmp_path, capsys, command):
+        assert run_config(tmp_path, capsys, command, KEY_BASES[command])[0] == 0
+
+    @pytest.mark.parametrize("command,key", FOREIGN_KEYS)
+    def test_a_key_the_command_does_not_take_exits_2(self, tmp_path, capsys, command, key):
+        cfg = KEY_BASES[command] | {key: "1"}
+        code, out, err = run_config(tmp_path, capsys, command, cfg)
+        assert (code, out, err) == (2, "", f"config error: unknown config key: {key}\n")
+
+    @pytest.mark.parametrize("command,key", REQUIRED_KEYS)
+    def test_a_missing_required_key_exits_2(self, tmp_path, capsys, command, key):
+        cfg = {k: v for k, v in KEY_BASES[command].items() if k != key}
+        code, out, err = run_config(tmp_path, capsys, command, cfg)
+        assert (code, out, err) == (2, "", f"config error: missing required config key: {key}\n")
+
+    def test_readme_lists_the_table(self):
+        # README's common-keys table, and the tables of the keys sweep and tomography add,
+        # each row a key (or two) and its default: "required", "none" or its value's text
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = {}
+        for command, heading in [("run", "Common keys"), ("sweep", "`sweep` adds:"),
+                                 ("tomography", "`tomography` adds:")]:
+            rest = readme[readme.index(heading):].splitlines()[1:]
+            first = next(i for i, line in enumerate(rest) if line.startswith("|"))
+            rows = rest[first + 2:]
+            rows = rows[: next(i for i, line in enumerate(rows) if not line.startswith("|"))]
+            listed[command] = {}
+            for line in rows:
+                names, default = [cell.strip() for cell in line.strip("|").split("|")][:2]
+                for key in re.findall(r"`([^`]+)`", names):
+                    listed[command][key] = default.strip("`")
+        for command in ("sweep", "tomography"):
+            listed[command] |= listed["run"]
+        for command, keys in listed.items():
+            taken = {key for key, row in cli._KEYS.items() if command in row.commands}
+            assert keys.keys() == taken, command
+            for key, default in keys.items():
+                row = cli._KEYS[key]
+                if default == "required":
+                    assert row.default is cli._REQUIRED, key
+                elif default == "none":
+                    assert row.default is None, key
+                else:
+                    assert row.parse(key, default) == row.default, key
 
 
 # Values at, just past or far beyond an edge of some input's domain, and one
@@ -1155,6 +1236,13 @@ def _oracle_check_argv(rng, path):
     return {}, ["oracle-check", f"--grid-step={_value(rng)}", f"--tol={_value(rng)}"]
 
 
+def _env(**overrides):
+    """The environment of a fresh interpreter that imports this ebrsim."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
 def _out_argv(rng, command, work):
     """No ``--out``, or one into a missing directory, onto a directory, or to a new file."""
     kind = rng.choice(["none", "missing", "directory", "valid"])
@@ -1168,6 +1256,14 @@ def _out_argv(rng, command, work):
     suffix = rng.choice([".counts.csv", ".result.json"]) if command == "tomography" else ""
     (work / f"taken{suffix}").mkdir(exist_ok=True)
     return ["--out", str(work / "taken")]
+
+
+# A small valid config of each command that reads one, for the tests of failed writes
+WRITE_CONFIGS = {
+    "run": "scenario = distinguishable\nT = 0.4\n",
+    "sweep": "scenario = distinguishable\nvariable = T\nstart = 0.2\nstop = 0.8\nsteps = 3\n",
+    "tomography": "state = singlet\ntotal_triples = 2000\ntrials = 20\n",
+}
 
 
 class TestExitCodeContract:
@@ -1216,14 +1312,9 @@ class TestExitCodeContract:
     )
     def test_unwritable_out_exits_2(self, tmp_path, capsys, command, suffix, kind):
         # tomography's --out is a prefix: the directory takes one of the two file names
-        config = {
-            "run": "scenario = distinguishable\nT = 0.4\n",
-            "sweep": "scenario = distinguishable\nvariable = T\nstart = 0.2\nstop = 0.8\nsteps = 3\n",
-            "tomography": "state = singlet\ntotal_triples = 2000\ntrials = 20\n",
-        }
         argv = [command]
-        if command in config:
-            argv += ["--config", write_config(tmp_path, config[command])]
+        if command in WRITE_CONFIGS:
+            argv += ["--config", write_config(tmp_path, WRITE_CONFIGS[command])]
         if kind == "missing":
             out = tmp_path / "missing" / "out"
         else:
@@ -1257,6 +1348,67 @@ class TestExitCodeContract:
         assert err.startswith("config error: cannot write '/dev/full': ")
         # stdout is written only once the --out file is closed
         assert stdout == ""
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("error", [errno.ENOSPC, errno.EPIPE], ids=["full", "closed"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle-check", "tomography"])
+    def test_failed_stdout_write_exits_2(self, tmp_path, capsys, monkeypatch, command, error,
+                                         method):
+        # a full stdout (ENOSPC) and one whose reader has gone (EPIPE), failing as it is
+        # written to or flushed: never an OSError, never the failed-check status 1
+        argv = [command]
+        if command in WRITE_CONFIGS:
+            argv += ["--config", write_config(tmp_path, WRITE_CONFIGS[command])]
+        else:
+            argv += ["--grid-step", "0.25", "--tol", "1e-18"]  # a check that fails
+
+        class Failing(io.StringIO):
+            pass
+
+        def fail(*args):
+            raise OSError(error, os.strerror(error))
+
+        setattr(Failing, method, fail)
+        monkeypatch.setattr(sys, "stdout", Failing())
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(ConfigError):
+            args.func(args)
+        assert main(argv) == 2
+        message = f"cannot write '<stdout>': [Errno {error}] {os.strerror(error)}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_full_stdout_prints_no_traceback(self, tmp_path, unbuffered):
+        # block-buffered stdout fails only as it is flushed; the flush at exit then prints nothing
+        path = write_config(tmp_path, WRITE_CONFIGS["run"])
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ebrsim.cli", "run", "--config", path],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=_env(PYTHONUNBUFFERED=unbuffered),
+            )
+        assert proc.returncode == 2
+        message = "cannot write '<stdout>': [Errno 28] No space left on device"
+        assert proc.stderr == f"config error: {message}\n"
+
+    def test_closed_pipe_prints_no_traceback(self, tmp_path):
+        # sweep | head -n 1: the reader goes after one line, four blocks into a 20 001-point sweep
+        path = write_config(
+            tmp_path,
+            "scenario = partial\nT = 0.35\nepsilon = 0.4\nbranch = V\nvariable = p\n"
+            "start = 0\nstop = 1\nsteps = 20001\n",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ebrsim.cli", "sweep", "--config", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_env(),
+        )
+        assert proc.stdout.readline() == SWEEP_HEADER + "\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert err == "config error: cannot write '<stdout>': [Errno 32] Broken pipe\n"
 
     def test_unwritable_out_exits_2_before_a_failing_check(self, tmp_path, capsys):
         # the tolerance fails the check (exit 1 with a writable --out, see the golden file)
