@@ -19,15 +19,21 @@ stage III (a singular prescription, or a filtered trace of zero) gets
 its stage I-II rows with NaN filter factors.
 
 A block is built as a ``(rows, 10)`` array of cell strings
-(``_sweep_cells``) in which each distinct value is formatted once: a
-swept-over constant once per block, a point's swept value and filter
-factors once per point, a stage's concurrence and probabilities once per
-stage row, and once in all for the one-point stages I-II of a sweep over
-``epsilon``.  All of a block's distinct float columns are concatenated and
-formatted in one call by the numpy kernel :mod:`ebrsim.g17`: for CSV
-by ``_csv_numbers``, the exact ``%.17g`` text of the whole column, and
-for JSON by ``_json_numbers``, its exact ``repr`` text, the shortest
-digits that round back, with NaN and infinities found by mask.  Values
+(``_sweep_cells``).  A swept-over constant is formatted once per block, a
+point's swept value once per point, a stage's concurrence and
+probabilities once per stage row, and the one-point stages I-II of a
+sweep over ``epsilon`` once in all.  Two rules cover the filter factors,
+and both compare a float's bits, never ``==``, so ``0.0`` and ``-0.0``
+never share a text and a column of NaNs is one value: a factor column of
+one bit pattern (a ``p`` sweep's pair, an explicit pair, the NaN pair of
+a ``p`` sweep at a singular ``T``) is formatted once, and in any other
+column a point's factor with ``epsilon``'s bits (the prescription's
+unattenuated arm) takes ``epsilon``'s text.  All of a block's distinct
+float columns are concatenated and formatted in one call by the numpy
+kernel :mod:`ebrsim.g17`: for CSV by ``_csv_numbers``, the exact
+``%.17g`` text of the whole column, and for JSON by ``_json_numbers``,
+its exact ``repr`` text, the shortest digits that round back, with NaN
+and infinities found by mask.  Values
 outside the kernel's fast domain, and those whose digits it cannot
 decide, go through ``"%.17g" %`` or ``repr`` one at a time.  Each format
 is one ``_SweepFormat`` record: its number and label maps, the text
@@ -47,11 +53,14 @@ any write that fails), 3 domain error raised by the simulation.  One
 rule holds for every write: a failed write or flush, to an ``--out``
 file or to stdout (a full disk, a closed pipe), exits 2 with ``cannot
 write`` and the stream's name, ``'<stdout>'`` for stdout, never 1 and
-with no traceback.  Every command opens all its output files before it
-writes any output, so an ``--out`` that cannot be opened exits 2 with
-nothing written; ``run``, ``oracle-check`` and ``tomography`` print to
-stdout only once their ``--out`` files are closed, so one whose write
-fails exits 2 with nothing on stdout.
+with no traceback.  The rule covers argparse's help and usage text,
+written to buffers and then to stdout or stderr; an error message that
+cannot be written to stderr leaves the status as it is.  Every command
+opens all its output files before it writes any output, so an ``--out``
+that cannot be opened exits 2 with nothing written; ``run``,
+``oracle-check`` and ``tomography`` print to stdout only once their
+``--out`` files are closed, so one whose write fails exits 2 with
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -219,19 +228,19 @@ def _open_outputs(*paths: str) -> Iterator[list[TextIO]]:
         yield files
 
 
-def _write_stdout(text: str) -> None:
-    """``text`` written to stdout and flushed: a failure exits 2, as an ``--out`` file's does."""
+def _write_std(text: str, name: str = "stdout") -> None:
+    """``text`` written to ``sys.<name>``, stdout or stderr, and flushed: a failure exits 2."""
+    stream = getattr(sys, name)
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError as exc:
-        # The interpreter flushes stdout again as it exits: with the descriptor on
-        # os.devnull that flush has nothing to fail on, as the signal module docs'
-        # note on SIGPIPE shows.  A stream without a descriptor (a test's) stays.
+        # The interpreter flushes the stream again as it exits: with the descriptor
+        # on os.devnull that flush has nothing to fail on, as the signal module
+        # docs' note on SIGPIPE shows.  A stream without a descriptor (a test's) stays.
         with contextlib.suppress(OSError, ValueError):
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-        raise ConfigError(f"cannot write '<stdout>': {exc}") from exc
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise ConfigError(f"cannot write '<{name}>': {exc}") from exc
 
 
 def _out_paths(out: str | None, *suffixes: str) -> list[str]:
@@ -407,7 +416,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"stage {out.stage:<4} C={concurrence_x(out.params):.4f}  P={out.probability:.4f}"
             f"  cumP={out.cumulative_probability:.4f}\n"
         )
-    _write_stdout(text)
+    _write_std(text)
     return 0
 
 
@@ -465,14 +474,16 @@ def _sweep_cells(config: ChannelConfig, fmt: _SweepFormat) -> np.ndarray:
     Rows go point by point: stages I and II, then III where the point kept
     it; a point without stage III (a singular prescription, or a filtered
     trace of zero) has NaN filter factors.  ``fmt.number`` is called once,
-    with every distinct float column of the block concatenated.
+    with every distinct float column of the block concatenated: a filter
+    factor column whose values share one bit pattern as that one value, and
+    any other without the points whose bits equal ``epsilon``'s there.
 
     Each cell carries the separator that follows it, and the scenario cell
     also the record's opening, so the block's text is its cells joined.  A
     separator is added to a column's distinct values before they fill rows:
-    once per point, or once for a constant.  A stage whose cumulative
-    probability is its probability adds both of those columns' separators
-    to the one formatted text.
+    once per point, or once for a constant; a factor left out is
+    ``epsilon``'s text with its own column's separator.  A stage whose
+    cumulative probability is its probability adds both separators to it.
     """
     stages = run_protocol(config)
     kept = stages[2].kept
@@ -482,9 +493,15 @@ def _sweep_cells(config: ChannelConfig, fmt: _SweepFormat) -> np.ndarray:
     filters = np.full((2, kept.size), math.nan)
     filters[:, kept] = stages[2].filters.a_a, stages[2].filters.a_b
 
-    epsilon = 0.0 if config.epsilon is None else config.epsilon
-    inputs = (config.T, epsilon, config.scenario.p, *filters)
-    columns = [*inputs]
+    epsilon = np.reshape(0.0 if config.epsilon is None else config.epsilon, -1)
+    columns = [config.T, epsilon, config.scenario.p]
+    # per column from T to A_B, the points that take epsilon's text, or None; bits,
+    # never ==: 0.0 and -0.0 keep their own texts, and a column of NaNs is one value
+    reused = [None] * 3
+    for factor in filters:
+        bits = factor.view(np.uint64)
+        reused.append(None if (bits == bits[0]).all() else bits == epsilon.view(np.uint64))
+        columns.append(factor[:1] if reused[-1] is None else factor[~reused[-1]])
     for out in stages:
         columns += [concurrence_x(out.params), out.probability]
         # stage I's cumulative column, and stage II's without feed-forward, is its probability
@@ -498,10 +515,15 @@ def _sweep_cells(config: ChannelConfig, fmt: _SweepFormat) -> np.ndarray:
     opening, *after = fmt.separators
     cells[:, 0] = opening + fmt.label(config.scenario.kind) + after[0]
     # a separator replaces a value's text in place, so its bare text is freed
-    for column, values in enumerate(inputs, start=2):
+    for column, same in enumerate(reused, start=2):
         cell = next(text)
+        if column == 3:
+            epsilon_text = cell.copy()
+        if same is not None:  # a filter factor's points with epsilon's bits take its text
+            cell, own = np.broadcast_to(epsilon_text, same.shape).copy(), cell
+            cell[~same] = own
         cell += after[column]
-        cells[:, column] = np.repeat(cell, per_point) if np.ndim(values) else cell
+        cells[:, column] = np.repeat(cell, per_point) if cell.size > 1 else cell
     # stages I-II of a sweep over epsilon are one point, whose cells fill every row
     for out, rows in zip(stages, (first, first + 1, first[kept] + 2)):
         concurrence, probability = next(text), next(text)
@@ -537,7 +559,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     conf = _read_config(args.config, "sweep")
     fmt = _SWEEP_FORMATS[args.format]
     with _open_outputs(*_out_paths(args.out)) as files:
-        write = files[0].write if files else _write_stdout
+        write = files[0].write if files else _write_std
         for start in range(0, conf.column.size, SWEEP_BLOCK):
             stop = start + SWEEP_BLOCK
             # no name holds a block's cells, so they are freed once its text is
@@ -575,7 +597,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     with _open_outputs(*_out_paths(args.out)) as files:
         for fh in files:
             fh.write(text)
-    _write_stdout(text)
+    _write_std(text)
     return 0 if report.ok else 1
 
 
@@ -609,7 +631,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
             counts_fh, result_fh = files
             counts_fh.write(tomography.counts_to_csv(counts))
             result_fh.write(json.dumps(doc, indent=2) + "\n")
-    _write_stdout(
+    _write_std(
         f"settings={conf.settings} total_triples={_fmt(conf.total_triples)} seed={seed}"
         f" trials={conf.trials}\n"
         f"fidelity_to_truth={f_truth:.6f}\n"
@@ -659,15 +681,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse prints help and usage itself: here into buffers, written by the write rule
+    out, err = io.StringIO(), io.StringIO()
     try:
-        return args.func(args)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            _write_std(out.getvalue())
+            message, status = err.getvalue(), exc.code
+        else:
+            return args.func(args)
     except (ConfigError, InvalidParameter) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        message, status = f"config error: {exc}\n", 2
     except (EbrsimError, ValueError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
+        message, status = f"domain error: {exc}\n", 3
+    # a message that cannot be written leaves the status as it is
+    with contextlib.suppress(ConfigError):
+        _write_std(message, "stderr")
+    return status
 
 
 if __name__ == "__main__":

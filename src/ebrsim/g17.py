@@ -220,7 +220,8 @@ def _words(negative: np.ndarray, n: np.ndarray, exponent: np.ndarray, dot: bool)
     to the last significant one (and the integer part's), the point where a
     fraction follows it, the exponent in scientific notation (``e < -4``)
     and the separator.  With ``dot`` an integral fixed number ends in
-    ``.0``, as ``repr`` prints it.
+    ``.0``, as ``repr`` prints it.  Indices, words and masks are ``(6, size)``
+    rows; the result is their transposed view, whose ``tobytes()`` is in value order.
     """
     text_words, keep_words, last = _tables()[3:]
     high = n // 10**8
@@ -245,18 +246,18 @@ def _words(negative: np.ndarray, n: np.ndarray, exponent: np.ndarray, dot: bool)
         ending = np.where(integral, _EXPONENT_TEXT + _DOT_ZERO, ending)
         notation = np.where(integral, _EXPONENT_KEEP + 3, notation)
 
-    index = np.empty((n.size, 6), dtype=np.intp)
-    index[:, 0] = first
+    index = np.empty((6, n.size), dtype=np.intp)
+    index[0] = first
     for word, group in enumerate(groups, start=1):
-        index[:, word] = _GROUP_TEXT + group
-    index[:, 5] = ending
+        index[word] = _GROUP_TEXT + group
+    index[5] = ending
     text = text_words.take(index)
-    index[:, 0] = negative + 2 * lead + 12 * (point == 0)
+    index[0] = negative + 2 * lead + 12 * (point == 0)
     state = 18 * count + point + 1
     for word in range(1, 5):
-        index[:, word] = _GROUP_KEEP + 324 * (word - 1) + state
-    index[:, 5] = notation
-    return text & keep_words.take(index)
+        index[word] = _GROUP_KEEP + 324 * (word - 1) + state
+    index[5] = notation
+    return (text & keep_words.take(index)).T
 
 
 def _text(col: np.ndarray, digits, dot: bool, fallback) -> list[str]:

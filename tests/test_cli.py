@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -18,7 +19,7 @@ import pytest
 
 from ebrsim import cli
 from ebrsim.cli import ConfigError, SWEEP_HEADER, main, parse_config_text
-from ebrsim.core import EbrsimError, InvalidParameter
+from ebrsim.core import EbrsimError, InvalidParameter, unchecked
 from ebrsim.fock import oracle_check, oracle_protocol
 from ebrsim.metrics import concurrence_x
 from ebrsim.protocol import (
@@ -45,6 +46,10 @@ GOLDEN_SWEEPS = [
     "sweep_epsilon_tiny_ff",
     # p in tenths on the V branch: short decimals, zeros and 1.0 as JSON prints them
     "sweep_p_decimal",
+    # a p sweep's explicit pair: one filter value per column
+    "sweep_p_filters",
+    # a distinguishable T sweep: every A_B is epsilon's own float, and so is A_A at T = 1
+    "sweep_T_distinguishable",
 ]
 
 STAGE_LINE = re.compile(
@@ -597,6 +602,96 @@ class TestSweepGoldenFiles:
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (DATA / f"sweep_epsilon_tiny_ff.{fmt}").read_bytes()
         assert len(blocks) == 9
+
+
+class TestDistinctValues:
+    """A block's number map is given each distinct value once, compared by its bits."""
+
+    @staticmethod
+    def numbers(capsys, monkeypatch, path, fmt):
+        """The columns a sweep hands to ``fmt``'s number map, one per block, and its stdout."""
+        name = {"csv": "_csv_numbers", "json": "_json_numbers"}[fmt]
+        number = getattr(cli, name)
+        columns = []
+        monkeypatch.setattr(cli, name, lambda col: columns.append(col.copy()) or number(col))
+        code, out, err = run_cli(capsys, ["sweep", "--config", str(path), "--format", fmt])
+        assert (code, err) == (0, "")
+        return columns, out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("steps", [1, 2, 10])
+    def test_prescribed_p_sweep(self, tmp_path, capsys, monkeypatch, fmt, steps):
+        # per point p and stages I-II's concurrence and probability, stage III's three
+        # columns; once in all T, epsilon and the prescribed pair
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 5)
+        path = write_config(
+            tmp_path,
+            "scenario = partial\nT = 0.35\nepsilon = 0.4\nbranch = V\nvariable = p\n"
+            f"start = 0\nstop = 1\nsteps = {steps}\n",
+        )
+        columns, _ = self.numbers(capsys, monkeypatch, path, fmt)
+        blocks = [min(5, steps - start) for start in range(0, steps, 5)]
+        assert [col.size for col in columns] == [8 * n + 4 for n in blocks]
+
+    @staticmethod
+    def filter_values(path, col):
+        """The filter factors in a one-block column: after the swept column and two constants."""
+        conf = cli._read_config(str(path), "sweep")
+        kept = run_protocol(conf.channel)[2].kept
+        # stage I's concurrence and probability, stage II's and with feed-forward its
+        # cumulative probability, and stage III's three where kept
+        stage_values = (4 + conf.feed_forward) * kept.size + 3 * kept.sum()
+        return col[kept.size + 2 : col.size - stage_values], conf.epsilon
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["sweep_T_filters", "sweep_p_filters"])
+    def test_explicit_pair_once(self, capsys, monkeypatch, fmt, name):
+        (col,), out = self.numbers(capsys, monkeypatch, DATA / f"{name}.cfg", fmt)
+        assert out.encode("utf-8") == (DATA / f"{name}.{fmt}").read_bytes()
+        assert self.filter_values(DATA / f"{name}.cfg", col)[0].tolist() == [0.35, 0.9]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["sweep_T_indistinguishable", "sweep_T_distinguishable"])
+    def test_prescribed_T_sweep_reuses_epsilon(self, capsys, monkeypatch, fmt, name):
+        # the unattenuated arm's factor is epsilon's own float, whose text epsilon's cell
+        # gives; only the distinguishable sweep's constant A_B is formatted, once
+        (col,), out = self.numbers(capsys, monkeypatch, DATA / f"{name}.cfg", fmt)
+        assert out.encode("utf-8") == (DATA / f"{name}.{fmt}").read_bytes()
+        filters, epsilon = self.filter_values(DATA / f"{name}.cfg", col)
+        same = filters.view(np.uint64) == np.float64(epsilon).view(np.uint64)
+        assert same.sum() == (name == "sweep_T_distinguishable")
+        # the other arm at every point, and both NaN factors where stage III is dropped
+        sizes = {"sweep_T_indistinguishable": 42, "sweep_T_distinguishable": 20}
+        assert filters.size == sizes[name]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_signed_zeros_and_nans_keep_their_text(self, tmp_path, capsys, monkeypatch, fmt):
+        # an explicit pair's epsilon cell is 0.0: a -0.0 factor does not take its text, a
+        # column of 0.0 and -0.0 is not one value, nor one of NaN and a number
+        path = write_config(
+            tmp_path,
+            "scenario = partial\np = 0.6\nA_A = 0.5\nA_B = 0.5\nvariable = T\n"
+            "start = 0.2\nstop = 0.4\nsteps = 3\n",
+        )
+        pairs = {"a_a": [-0.0, 0.0, -0.0], "a_b": [math.nan, 0.5, math.nan]}
+        real = cli.run_protocol
+
+        def crafted(config):
+            stages = real(config)
+            filters = unchecked(FilterPair, **{k: np.array(v) for k, v in pairs.items()})
+            stages[2] = dataclasses.replace(stages[2], filters=filters)
+            return stages
+
+        monkeypatch.setattr(cli, "run_protocol", crafted)
+        _, out = self.numbers(capsys, monkeypatch, path, fmt)
+        if fmt == "csv":
+            cells = [line.split(",")[5:7] for line in out.splitlines()[1::3]]
+            assert cells == [["-0", "nan"], ["0", "0.5"], ["-0", "nan"]]
+        else:
+            records = json.loads(out)["records"][::3]
+            assert [(r["A_A"], r["A_B"]) for r in records] == [(-0.0, None), (0.0, 0.5),
+                                                               (-0.0, None)]
+            assert [math.copysign(1, r["A_A"]) for r in records] == [-1, 1, -1]
 
 
 def reference_csv(rows):
@@ -1266,6 +1361,24 @@ WRITE_CONFIGS = {
 }
 
 
+def failing_stream(error, method):
+    """A text stream whose ``method``, ``write`` or ``flush``, fails with ``error``."""
+
+    class Failing(io.StringIO):
+        pass
+
+    def fail(*args):
+        raise OSError(error, os.strerror(error))
+
+    setattr(Failing, method, fail)
+    return Failing()
+
+
+# Each command's --help, and the top-level one
+HELP_ARGVS = [["--help"], *([command, "--help"] for command in
+                            ("run", "sweep", "oracle-check", "tomography"))]
+
+
 class TestExitCodeContract:
     """Whatever a config or flag holds, a command returns a status or raises a typed error.
 
@@ -1361,21 +1474,76 @@ class TestExitCodeContract:
             argv += ["--config", write_config(tmp_path, WRITE_CONFIGS[command])]
         else:
             argv += ["--grid-step", "0.25", "--tol", "1e-18"]  # a check that fails
-
-        class Failing(io.StringIO):
-            pass
-
-        def fail(*args):
-            raise OSError(error, os.strerror(error))
-
-        setattr(Failing, method, fail)
-        monkeypatch.setattr(sys, "stdout", Failing())
+        monkeypatch.setattr(sys, "stdout", failing_stream(error, method))
         args = cli.build_parser().parse_args(argv)
         with pytest.raises(ConfigError):
             args.func(args)
         assert main(argv) == 2
         message = f"cannot write '<stdout>': [Errno {error}] {os.strerror(error)}"
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_failed_help_write_exits_2(self, capsys, monkeypatch, argv, method):
+        # argparse prints help itself; its text is written by the same rule as a command's
+        monkeypatch.setattr(sys, "stdout", failing_stream(errno.ENOSPC, method))
+        assert main(argv) == 2
+        message = "cannot write '<stdout>': [Errno 28] No space left on device"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (["run", "--config", "missing.cfg"], 2),
+            (["sweep", "--config", "missing.cfg", "--format", "json"], 2),
+            (["tomography", "--config", "missing.cfg", "--seed", "3"], 2),
+            (["oracle-check", "--out", "missing/report.txt"], 2),
+            # argparse's usage errors: a missing command, flag and flag value
+            ([], 2),
+            (["run"], 2),
+            (["oracle-check", "--grid-step", "oops"], 2),
+            # a singular prescription is a domain error
+            (["run", "--config", "singular.cfg"], 3),
+            # help is written to stdout, and nothing to stderr
+            (["--help"], 0),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_unwritable_error_message_keeps_the_status(self, tmp_path, capsys, monkeypatch, argv,
+                                                       status, method):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, "scenario = indistinguishable\nT = 0.5\nepsilon = 1\n",
+                     "singular.cfg")
+        monkeypatch.setattr(sys, "stderr", failing_stream(errno.ENOSPC, method))
+        assert main(argv) == status
+        assert capsys.readouterr().out.startswith("usage: ebrsim" if status == 0 else "")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_full_stdout_help_exits_2(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ebrsim.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+                text=True, timeout=120, env=_env(PYTHONUNBUFFERED=unbuffered),
+            )
+        assert proc.returncode == 2
+        message = "cannot write '<stdout>': [Errno 28] No space left on device"
+        assert proc.stderr == f"config error: {message}\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", [["run", "--config", "/nonexistent"], ["run"]],
+                             ids=["config", "usage"])
+    def test_full_stderr_keeps_exit_2(self, argv, unbuffered):
+        # the error message cannot be written: the status is still 2, and stdout stays empty
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ebrsim.cli", *argv], stdout=subprocess.PIPE, stderr=full,
+                text=True, timeout=120, env=_env(PYTHONUNBUFFERED=unbuffered),
+            )
+        assert (proc.returncode, proc.stdout) == (2, "")
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
     @pytest.mark.parametrize("unbuffered", ["1", ""])
