@@ -613,23 +613,22 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     result = tomography.reconstruct(counts, background=conf.background)
     report = tomography.error_bars(result, counts, trials=conf.trials, seed=seed)
     f_truth = fidelity(result.state, truth)
-
-    doc = {
-        "settings": conf.settings,
-        "total_triples": conf.total_triples,
-        "seed": seed,
-        "background": conf.background,
-        "state": json_obj(result.state),
-        "scale": result.scale,
-        "clipped_weight": result.clipped_weight,
-        "fidelity_to_truth": f_truth,
-        # the bootstrap's trials first, then its fields in their order
-        "uncertainty": {"trials": report.trials, **vars(report)},
-    }
     with _open_outputs(*_out_paths(args.out, ".counts.csv", ".result.json")) as files:
         if files:
             counts_fh, result_fh = files
             counts_fh.write(tomography.counts_to_csv(counts))
+            doc = {
+                "settings": conf.settings,
+                "total_triples": conf.total_triples,
+                "seed": seed,
+                "background": conf.background,
+                "state": json_obj(result.state),
+                "scale": result.scale,
+                "clipped_weight": result.clipped_weight,
+                "fidelity_to_truth": f_truth,
+                # the bootstrap's trials first, then its fields in their order
+                "uncertainty": {"trials": report.trials, **vars(report)},
+            }
             result_fh.write(json.dumps(doc, indent=2) + "\n")
     _write_std(
         f"settings={conf.settings} total_triples={_fmt(conf.total_triples)} seed={seed}"

@@ -42,9 +42,11 @@ def columns(*values) -> tuple[list[np.ndarray], bool]:
     """The values as equal-length 1-D float64 columns, and whether all were scalars.
 
     Scalars and one-element columns broadcast against the columns, so a
-    call with scalars only gives length-1 columns: the closed-form layer
+    call with scalars only gives length-1 columns: the Fock oracle
     evaluates a single point as a one-element column and unwraps the
-    result.  Values that already are such columns pass as they are.
+    result, while the closed-form doors keep a point on Python floats and
+    call this only for columns.  Values that already are such columns pass
+    as they are.
     Columns of two other lengths raise :class:`InvalidParameter`.
     """
     shape = getattr(values[0], "shape", None)

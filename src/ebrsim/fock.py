@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, ZeroTrace
+from .core import EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, ZeroTrace, unchecked
 from .metrics import XStateParams
 from .protocol import (
     ChannelConfig,
@@ -47,7 +47,7 @@ from .protocol import (
     StageOutput,
     _check_transmittivity,
     _column_config,
-    _point,
+    _is_point,
     distinguishable,
     indistinguishable,
     partial,
@@ -326,6 +326,34 @@ def _pure_branches(
     return p_select, conditional_state(selected, None), conditional_state(selected, branch)
 
 
+def _point(stages: list[StageOutput], singular: bool = False) -> list[StageOutput]:
+    """:func:`oracle_protocol`'s one-point column outputs as floats and ``(4, 4)`` states.
+
+    This is the closed form's single-point rule: a point the last stage did
+    not keep has the stages before it if its prescription was ``singular``
+    (NaN factors), and raises ZeroTrace if not.
+    """
+    if stages[-1].kept is not None and not stages[-1].kept[0]:
+        if not singular:
+            raise ZeroTrace("filtering removed all population from the state")
+        stages = stages[:-1]
+
+    def floats(obj):  # the column's checks covered its values
+        return unchecked(type(obj), **{name: float(v[0]) for name, v in vars(obj).items()})
+
+    return [
+        StageOutput(
+            out.stage,
+            floats(out.params),
+            out.state[0].copy(),
+            float(out.probability[0]),
+            float(out.cumulative_probability[0]),
+            out.filters and floats(out.filters),
+        )
+        for out in stages
+    ]
+
+
 def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[StageOutput]:
     """Stage I-III outputs obtained purely from the Fock simulation.
 
@@ -348,7 +376,8 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
     column, so a column that repeats its ``T`` values, as
     :func:`oracle_check`'s merged blocks do, evolves each value once.
     """
-    config, scalar = _column_config(config)
+    scalar = _is_point(config)
+    config = _column_config(config)
     p, a_a, a_b = config.scenario.p, config.filters.a_a, config.filters.a_b
     t, index = np.unique(config.T, return_inverse=True)
     preparations: list[tuple[np.ndarray, str]] = []

@@ -17,27 +17,34 @@ classical mixture of preparations mixes the unnormalized entries, and the
 state is their quotient by ``4P``.
 
 Every parameter of the pipeline (``p``, ``T``, ``epsilon`` and the filter
-factors) may be a float or a 1-D float64 column, and every stage function
-evaluates a column at once: a sweep is one call per block of points.  One
-wrap, :func:`_column_config`, converts a config to what an engine reads:
-the ``(p, T)`` broadcast, carried by the scenario, and the filter pair
-resolved on its ``T``.  So a sweep over ``epsilon`` alone evaluates stages
-I-II on one point, which stage III broadcasts against the filter column.
-A single point's outputs are unwrapped once, by :func:`_point`, which
-holds the single-point rule: to floats, and to a ``(4, 4)`` state that is
-row 0 of the column's stack.  A column gets columns and ``(n, 4, 4)``
-state stacks, and a point without stage III is masked.
+factors) may be a float or a 1-D float64 column.  A call whose inputs are
+all floats is a single point: it stays on Python floats through every
+door, gets floats and a ``(4, 4)`` state, and follows the single-point
+rule.  A point filtered to no trace raises :class:`~ebrsim.core.ZeroTrace`,
+and :func:`run_protocol` drops stage III at a singular prescription.
+IEEE ``+ - * /`` and ``sqrt`` round the same on Python floats and on
+float64 columns, so a point's outputs have the bits of its column row.
+
+A call with a column evaluates every point at once: a sweep is one call
+per block of points.  One wrap, :func:`_column_config`, converts a column
+config to what an engine reads: the ``(p, T)`` broadcast, carried by the
+scenario, and the filter pair resolved on its ``T``.  So a sweep over
+``epsilon`` alone evaluates stages I-II on one point, which stage III
+broadcasts against the filter column.  A column gets columns and
+``(n, 4, 4)`` state stacks, and a point without stage III is masked.  The
+Fock oracle wraps a point as a one-element column too, and unwraps it by
+the same single-point rule (:func:`ebrsim.fock._point`).
 
 Each stage map is a core plus a door.  The cores, :func:`_stage1_entries`,
 :func:`_stage2_entries` and :func:`_filtered_entries`, return the six X
 entries from ring operations alone (``+``, ``-``, ``*``, halving,
-quartering and integer literals), so the shipped code runs on float64
-columns and on :class:`fractions.Fraction` alike.  Stage III's one step
-outside the ring, the root ``sqrt(A_A A_B)``, is taken by its door and
+quartering and integer literals), so the shipped code runs on floats,
+float64 columns and :class:`fractions.Fraction` alike.  Stage III's one
+step outside the ring, the root ``sqrt(A_A A_B)``, is taken by its door and
 passed in.  The doors hold the rest: :func:`_stage` serves stages I and II
-and :func:`apply_filters` serves stage III.  Each converts its inputs with
-:func:`~ebrsim.core.columns`, checks them, builds the
-:class:`StageOutput` and unwraps a call of floats by :func:`_point`.
+and :func:`apply_filters` serves stage III.  Each takes its inputs as
+floats or as columns by :func:`_floats_or_columns`, checks them and builds
+the :class:`StageOutput`.
 """
 
 from __future__ import annotations
@@ -66,15 +73,32 @@ _SCENARIO_KINDS = ("distinguishable", "indistinguishable", "partial")
 SINGULAR_T_WINDOW = 1e-9
 
 # A product of filter factors below the smallest normal float has lost digits.
-_SMALLEST_NORMAL = np.finfo(np.float64).tiny
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 class SingularPrescription(EbrsimError):
     """The tabulated filter prescription is singular at this transmittivity."""
 
 
+def _ndim(x) -> int:
+    """``np.ndim(x)``, without its microsecond for a Python float."""
+    return 0 if type(x) is float else np.ndim(x)
+
+
 def _as_float_or_column(x) -> float | np.ndarray:
-    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=np.float64)
+    return float(x) if _ndim(x) == 0 else np.asarray(x, dtype=np.float64)
+
+
+def _floats_or_columns(*values) -> tuple[list, bool]:
+    """The values as Python floats if all are scalars (a point), else as :func:`columns`."""
+    if any(map(_ndim, values)):
+        return columns(*values)
+    return [float(v) for v in values], True
+
+
+def _where(ok, a, b):
+    """``np.where`` on columns; on a point, the float that the bool ``ok`` picks."""
+    return (a if ok else b) if type(ok) is bool else np.where(ok, a, b)
 
 
 def _check_transmittivity(t: float | np.ndarray) -> None:
@@ -141,7 +165,7 @@ class FilterPair:
     def __post_init__(self) -> None:
         for name, value in (("a_a", self.a_a), ("a_b", self.a_b)):
             ok = (0.0 < value) & (value <= 1.0)
-            if np.ndim(value):
+            if _ndim(value):
                 ok |= np.isnan(value)
             require(ok, value, name + " must lie in (0, 1], got {!r}")
 
@@ -186,11 +210,13 @@ class StageOutput:
     and including the stage.  ``filters`` is the attenuator pair a stage-III
     output was filtered with.
 
-    For a column of points, ``params``, the probabilities and ``filters``
-    hold columns and ``state`` is an ``(n, 4, 4)`` stack.  Stages I-II hold
-    one entry per point of the ``(p, T)`` broadcast, which may be one.  A
-    stage-III column holds only the points in its boolean mask ``kept``:
-    the others had a singular prescription or were filtered down to zero trace.
+    A single point's output holds Python floats, its own ``(4, 4)`` state
+    and no ``kept`` mask.  For a column of points, ``params``, the
+    probabilities and ``filters`` hold columns and ``state`` is an
+    ``(n, 4, 4)`` stack.  Stages I-II hold one entry per point of the
+    ``(p, T)`` broadcast, which may be one.  A stage-III column holds only
+    the points in its boolean mask ``kept``: the others had a singular
+    prescription or were filtered down to zero trace.
     """
 
     stage: str
@@ -200,33 +226,6 @@ class StageOutput:
     cumulative_probability: float | np.ndarray
     filters: FilterPair | None = None
     kept: np.ndarray | None = None
-
-
-def _point(stages: list[StageOutput], singular: bool = False) -> list[StageOutput]:
-    """One-point column outputs as floats and states, by the single-point rule.
-
-    A point the last stage did not keep has the stages before it if its
-    prescription was ``singular`` (NaN factors), and raises ZeroTrace if not.
-    """
-    if stages[-1].kept is not None and not stages[-1].kept[0]:
-        if not singular:
-            raise ZeroTrace("filtering removed all population from the state")
-        stages = stages[:-1]
-
-    def floats(obj):  # the column's checks covered its values
-        return unchecked(type(obj), **{name: float(v[0]) for name, v in vars(obj).items()})
-
-    return [
-        StageOutput(
-            out.stage,
-            floats(out.params),
-            out.state[0].copy(),
-            float(out.probability[0]),
-            float(out.cumulative_probability[0]),
-            out.filters and floats(out.filters),
-        )
-        for out in stages
-    ]
 
 
 def _stage1_entries(p, t):
@@ -258,13 +257,12 @@ def _stage(label, entries, scenario, t, flip=False, doubled=False) -> StageOutpu
     ``flip`` reverses the diagonal (the V branch's polarization flip), and
     ``doubled`` doubles the cumulative probability (both branches usable).
     """
-    (p, t), scalar = columns(scenario.p, t)
+    (p, t), _ = _floats_or_columns(scenario.p, t)
     _check_transmittivity(t)
     *diagonal, xi, big_p = entries(p, t)
     params = XStateParams(*(diagonal[::-1] if flip else diagonal), xi, big_p)
     cumulative = 2 * big_p if doubled else big_p
-    out = StageOutput(label, params, normalized_state(params), big_p, cumulative)
-    return _point([out])[0] if scalar else out
+    return StageOutput(label, params, normalized_state(params), big_p, cumulative)
 
 
 def stage1(scenario: Scenario, t: float | np.ndarray) -> StageOutput:
@@ -313,27 +311,30 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     floor, which also drops the NaN factors of a singular prescription.
     """
     old = stage_out.params
-    (alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b), scalar = columns(
+    (alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b), scalar = _floats_or_columns(
         old.alpha, old.beta, old.gamma, old.delta, old.xi, old.P,
         stage_out.cumulative_probability, filters.a_a, filters.a_b,
     )
     product = a_a * a_b
     # Below the normal range the product loses digits, or all of them: there
     # the roots are taken apart, so a tiny filter pair keeps its coherence.
-    root = np.where(product >= _SMALLEST_NORMAL, np.sqrt(product), np.sqrt(a_a) * np.sqrt(a_b))
+    sqrt = math.sqrt if scalar else np.sqrt
+    root = _where(product >= _SMALLEST_NORMAL, sqrt(product), sqrt(a_a) * sqrt(a_b))
     new = (*_filtered_entries(alpha, beta, gamma, delta, xi, a_a, a_b, root),
            big_p, cumulative, a_a, a_b)
     kept = 4 * new[5] > ZERO_TRACE_FLOOR  # 4P: the filtered diagonal sum
-    if not kept.all():
+    if scalar and not kept:
+        raise ZeroTrace("filtering removed all population from the state")
+    if not scalar and not kept.all():
         new = [x[kept] for x in new]
     *entries, big_p, cumulative, a_a, a_b = new
     params = XStateParams(*entries)
     passed = params.P / big_p  # 4P over 4P_II: the new trace over the old
     filters = unchecked(FilterPair, a_a=a_a, a_b=a_b)  # a subset of checked factors
-    out = StageOutput(
-        "III", params, normalized_state(params), passed, cumulative * passed, filters, kept
+    return StageOutput(
+        "III", params, normalized_state(params), passed, cumulative * passed, filters,
+        None if scalar else kept,
     )
-    return _point([out])[0] if scalar else out
 
 
 def table_filters(
@@ -352,14 +353,14 @@ def table_filters(
     In a column the singular points get NaN factors; a single point raises
     :class:`SingularPrescription` instead, with a message naming the cause.
     """
-    (t, epsilon), scalar = columns(t, epsilon)
+    (t, epsilon), scalar = _floats_or_columns(t, epsilon)
     require((0.0 < epsilon) & (epsilon <= 1.0), epsilon, "epsilon must lie in (0, 1], got {!r}")
     _check_transmittivity(t)
     r = 1.0 - t
-    w = np.abs(2.0 * t - 1.0)
+    w = abs(2.0 * t - 1.0)
     if scenario.kind == "distinguishable":
         a_a, a_b = epsilon * t * t / (t * t + r * r), epsilon
-        near = np.zeros_like(t, dtype=bool)  # the coherence does not vanish at T = 1/2
+        near = False  # the coherence does not vanish at T = 1/2
     else:
         # Indistinguishable prescription; also used for partial mixtures,
         # whose coherence is dominated by the engineered-overlap component.
@@ -368,16 +369,15 @@ def table_filters(
         # Python's float ** 2 calls pow, which need not round correctly.
         near = w < SINGULAR_T_WINDOW
         wide = t > w
-        q = np.where(wide, w, t) / np.where(wide, t, w)
+        q = _where(wide, w, t) / _where(wide, t, w)
         scaled = epsilon * (q * q)
-        a_a, a_b = np.where(wide, epsilon, scaled), np.where(wide, scaled, epsilon)
+        a_a, a_b = _where(wide, epsilon, scaled), _where(wide, scaled, epsilon)
     zero = (a_a == 0.0) | (a_b == 0.0)
-    if scalar and (near[0] or zero[0]):
-        t0, a_a0, a_b0 = float(t[0]), float(a_a[0]), float(a_b[0])
-        cause = f"|2T-1| = {float(w[0])!r}" if near[0] else f"A_A = {a_a0!r}, A_B = {a_b0!r}"
-        raise SingularPrescription(f"filter prescription is singular at T = {t0!r} ({cause})")
-    # the factors lie in (0, 1] by construction, or are NaN
-    a_a, a_b = (float(x[0]) if scalar else np.where(near | zero, np.nan, x) for x in (a_a, a_b))
+    if scalar and (near or zero):
+        cause = f"|2T-1| = {w!r}" if near else f"A_A = {a_a!r}, A_B = {a_b!r}"
+        raise SingularPrescription(f"filter prescription is singular at T = {t!r} ({cause})")
+    if not scalar:  # the factors lie in (0, 1] by construction, or are NaN
+        a_a, a_b = (np.where(near | zero, np.nan, x) for x in (a_a, a_b))
     return unchecked(FilterPair, a_a=a_a, a_b=a_b)
 
 
@@ -390,23 +390,28 @@ def resolve_filters(config: ChannelConfig) -> FilterPair:
     return FilterPair(a_a=1.0, a_b=1.0)
 
 
-def _column_config(config: ChannelConfig) -> tuple[ChannelConfig, bool]:
-    """The config as 1-D float64 columns, and whether it was one point: the one conversion.
+def _is_point(config: ChannelConfig) -> bool:
+    """Whether every input of the config is a scalar: ``p``, ``T``, ``epsilon`` and the pair."""
+    f = config.filters
+    inputs = (config.scenario.p, config.T, config.epsilon) + (() if f is None else (f.a_a, f.a_b))
+    return not any(map(_ndim, inputs))
+
+
+def _column_config(config: ChannelConfig) -> ChannelConfig:
+    """The config as 1-D float64 columns: the one conversion.
 
     The wrapped scenario carries the ``(p, T)`` column for every kind; the
     filter pair is resolved on that ``T`` (NaN where the prescription is
     singular; a float factor holds at every ``T``), and ``epsilon`` is None.
     """
-    f = config.filters
-    inputs = (config.scenario.p, config.T, config.epsilon) + (() if f is None else (f.a_a, f.a_b))
     (p, t), _ = columns(config.scenario.p, config.T)  # the config checked its values
     scenario = unchecked(Scenario, kind=config.scenario.kind, p_value=p)
     wrapped = vars(config) | {"scenario": scenario, "T": t}
     resolved = resolve_filters(unchecked(ChannelConfig, **wrapped))
     pair = (resolved.a_a, resolved.a_b)
-    (a_a, a_b, *_), _ = columns(*pair) if all(map(np.ndim, pair)) else columns(*pair, t)
+    (a_a, a_b, *_), _ = columns(*pair) if all(map(_ndim, pair)) else columns(*pair, t)
     wrapped |= {"filters": unchecked(FilterPair, a_a=a_a, a_b=a_b), "epsilon": None}
-    return unchecked(ChannelConfig, **wrapped), not any(map(np.ndim, inputs))
+    return unchecked(ChannelConfig, **wrapped)
 
 
 def run_protocol(config: ChannelConfig) -> list[StageOutput]:
@@ -414,11 +419,15 @@ def run_protocol(config: ChannelConfig) -> list[StageOutput]:
 
     Stages I-II run on the ``(p, T)`` broadcast; stage III broadcasts them
     against the filter column and holds the points of its ``kept`` mask.  A
-    single point gets floats: stages I-II only with a singular
+    single point runs on floats: stages I-II only with a singular
     prescription, and :class:`~ebrsim.core.ZeroTrace` if filtered to no trace.
     """
-    config, scalar = _column_config(config)
+    if not _is_point(config):
+        config = _column_config(config)
     s1 = stage1(config.scenario, config.T)
     s2 = stage2(config.scenario, config.T, branch=config.branch, feed_forward=config.feed_forward)
-    stages = [s1, s2, apply_filters(s2, config.filters)]
-    return _point(stages, math.isnan(config.filters.a_a[0])) if scalar else stages
+    try:
+        filters = resolve_filters(config)
+    except SingularPrescription:  # a point's; a column's singular points have NaN factors
+        return [s1, s2]
+    return [s1, s2, apply_filters(s2, filters)]

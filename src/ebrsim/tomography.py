@@ -64,6 +64,27 @@ _PAULIS = (
 # The 16 two-qubit Pauli products, index 4 * i + j for sigma_i (x) sigma_j.
 _PAULI_BASIS = np.array([np.kron(si, sj) for si in _PAULIS for sj in _PAULIS])
 
+
+def _pauli_terms() -> np.ndarray:
+    """The ``(4, 32)`` table of the terms of each float of a Pauli sum's ``(4, 4)`` matrix.
+
+    Float ``f`` is the real (even ``f``) or imaginary part of entry
+    ``f // 2`` in C order.  Every Pauli product's entries are ``0``,
+    ``+-1`` or ``+-i``, so column ``f`` lists the ``k`` whose product has a
+    nonzero part ``f``, in ascending ``k``: ``k`` for ``+1`` and ``16 + k``
+    for ``-1``.  A float has no, two or four such terms, and ``32``, a zero,
+    fills the slots it leaves.
+    """
+    parts = _PAULI_BASIS.reshape(16, 16).view(np.float64)
+    table = np.full((4, 32), 32)
+    for f, part in enumerate(parts.T):
+        k = np.flatnonzero(part)
+        table[: k.size, f] = np.where(part[k] > 0.0, k, k + 16)
+    return table
+
+
+_PAULI_TERMS = _pauli_terms()
+
 # Single-qubit Pauli expectations <k|sigma_i|k> per analyzer label.
 _STOKES_VECTORS = {
     label: np.array([float((ket.conj() @ (s @ ket)).real) for s in _PAULIS])
@@ -114,6 +135,14 @@ _PAIR_PROJECTORS = {
 }
 
 
+@functools.lru_cache(maxsize=8)
+def _projectors(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
+    """The read-only ``(len(settings), 4, 4)`` stack of ``P_a (x) P_b``, cached as the design is."""
+    stack = np.array([_PAIR_PROJECTORS[s] for s in settings])
+    stack.flags.writeable = False
+    return stack
+
+
 def _rates(matrix: np.ndarray, settings: Sequence[tuple[str, str]]) -> np.ndarray:
     """Projection probabilities ``Tr(rho P_a (x) P_b)`` of every setting, as one stacked product.
 
@@ -121,8 +150,7 @@ def _rates(matrix: np.ndarray, settings: Sequence[tuple[str, str]]) -> np.ndarra
     and its diagonal sum, clamped at zero as ``max(rate, 0.0)`` clamps: a
     ``-0.0`` stays.
     """
-    projectors = np.array([_PAIR_PROJECTORS[s] for s in settings])
-    rates = np.trace(matrix[None] @ projectors, axis1=1, axis2=2).real
+    rates = np.trace(matrix[None] @ _projectors(tuple(settings)), axis1=1, axis2=2).real
     return np.where(rates < 0.0, 0.0, rates)
 
 
@@ -215,6 +243,26 @@ def _checked_settings(counts: Counts) -> tuple[tuple[str, str], ...]:
     return settings
 
 
+def _pauli_sum(components: np.ndarray) -> np.ndarray:
+    """The ``(n, 4, 4)`` stack ``sum_k components[:, k] S_k / 4`` of an ``(n, 16)`` array.
+
+    One gather through ``_PAULI_TERMS`` takes each float's terms
+    ``+-components[:, k]``, which are added onto ``+0.0`` in ascending
+    ``k``.  Those are the additions, in order, of a loop that adds each
+    whole ``components[:, k] S_k``: its other terms are zeros, and adding a
+    zero leaves a sum that started at ``+0.0`` unchanged (such a sum is
+    never ``-0.0``).  So for finite components the bits are the loop's,
+    signed zeros included.
+    """
+    n = len(components)
+    signed = np.concatenate((components, -components, np.zeros((n, 1))), axis=1)
+    terms = signed[:, _PAULI_TERMS]  # (n, 4, 32), not in C order
+    sums = np.ascontiguousarray(0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3])
+    rho = sums.view(np.complex128).reshape(n, 4, 4)
+    rho /= 4.0
+    return rho
+
+
 def _invert(
     settings: tuple[tuple[str, str], ...], counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,10 +272,12 @@ def _invert(
     states, the fitted count scales and the clipped negative weights.
     The coefficients are one stacked ``pinv @ row`` product over all rows:
     each row goes through the same matrix-vector product as a one-row
-    call, so its bits do not depend on the other rows.  Counts that fix
-    no positive, finite scale raise :class:`UnusableCounts`, without a
-    numpy warning where the product overflows.  The settings have passed
-    ``_checked_settings``.
+    call, so its bits do not depend on the other rows.  Each unnormalized
+    ``rho`` is then one gather of its Pauli coefficients (``_pauli_sum``),
+    whose additions and their order keep the bits of a 16-term loop.
+    Counts that fix no positive, finite scale raise
+    :class:`UnusableCounts`, without a numpy warning where the product
+    overflows.  The settings have passed ``_checked_settings``.
     """
     _, pinv = _design_matrix(settings)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -237,11 +287,7 @@ def _invert(
         raise UnusableCounts("count totals too low to calibrate the measurement scale")
     if not np.isfinite(coeffs).all():
         raise UnusableCounts("counts too large for the linear inversion")
-    pauli_components = coeffs / scales[:, None]
-    rho = np.zeros((len(counts), 4, 4), dtype=np.complex128)
-    for k in range(16):
-        rho += pauli_components[:, k, None, None] * _PAULI_BASIS[k]
-    rho /= 4.0
+    rho = _pauli_sum(coeffs / scales[:, None])
     vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
     # 0.0 - sum rather than -sum: nothing clipped gives +0.0, not -0.0
     clipped = 0.0 - np.sum(np.minimum(vals, 0.0), axis=-1)

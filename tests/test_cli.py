@@ -195,13 +195,19 @@ class TestRunCommand:
         assert err.startswith(f"config error: cannot read config {str(path)!r}:")
         assert "can't decode byte 0xe9" in err
 
-    # the wrap's three filter branches: a prescription, an explicit pair, the unit pair
+    # the three filter branches: a prescription, an explicit pair, the unit pair; and a
+    # pair whose product is subnormal, whose root is sqrt(A_A) * sqrt(A_B)
     @pytest.mark.parametrize(
         "name",
-        ["run_partial_V_ff", "run_indistinguishable_H_filters", "run_distinguishable_V_unit"],
+        [
+            "run_partial_V_ff",
+            "run_indistinguishable_H_filters",
+            "run_distinguishable_V_unit",
+            "run_tiny_filters",
+        ],
     )
     def test_output_equals_golden_files(self, tmp_path, capsys, name):
-        # one closed-form point through the single-point wrap and unwrap: stdout and --out
+        # one closed-form point on floats: stdout and --out
         argv = ["run", "--config", str(DATA / f"{name}.cfg")]
         code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "trace.json")])
         assert (code, err) == (0, "")
@@ -1072,15 +1078,17 @@ class TestTomographyCommand:
         text = (tmp_path / "tomo.result.json").read_text()
         assert '"clipped_weight": 0.0,' in text
 
-    def test_output_equals_golden_files(self, tmp_path, capsys):
-        # the counts file has the bytes the per-setting draw loop wrote
-        argv = ["tomography", "--config", str(DATA / "tomography_stage3.cfg")]
+    # stage III on 36 settings, whose counts file has the bytes the per-setting draw loop
+    # wrote; and stage II on the 16 minimal settings with a background and a clipped weight
+    @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("tomography_*.cfg")))
+    def test_output_equals_golden_files(self, tmp_path, capsys, name):
+        argv = ["tomography", "--config", str(DATA / f"{name}.cfg")]
         code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "tomo")])
         assert (code, err) == (0, "")
-        assert out.encode() == (DATA / "tomography_stage3.txt").read_bytes()
+        assert out.encode() == (DATA / f"{name}.txt").read_bytes()
         for suffix in (".counts.csv", ".result.json"):
             got = (tmp_path / f"tomo{suffix}").read_bytes()
-            assert got == (DATA / f"tomography_stage3{suffix}").read_bytes()
+            assert got == (DATA / f"{name}{suffix}").read_bytes()
 
     @pytest.mark.parametrize(
         "line",

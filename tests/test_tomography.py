@@ -25,7 +25,9 @@ from ebrsim.tomography import (
     UnusableCounts,
     _bootstrap_counts,
     _design_matrix,
+    _PAULI_BASIS,
     _invert,
+    _pauli_sum,
     _rates,
     counts_from_csv,
     counts_to_csv,
@@ -195,6 +197,35 @@ class TestSimulateCounts:
         # numpy's Poisson sampler fails near a mean of 1e19 per setting
         with pytest.raises(InvalidParameter, match="expected counts per setting"):
             simulate_counts(stage2_state, 1e300, seed=0)
+
+
+def pauli_loop(components):
+    """Reference ``sum_k c_k S_k / 4`` of ``(n, 16)`` components: one whole ``(n, 4, 4)`` term a ``k``."""
+    rho = np.zeros((len(components), 4, 4), dtype=np.complex128)
+    for k in range(16):
+        rho += components[:, k, None, None] * _PAULI_BASIS[k]
+    rho /= 4.0
+    return rho
+
+
+class TestPauliSum:
+    @pytest.mark.parametrize("rows", [1, 200])
+    def test_gather_equals_the_loop_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        signs = rng.choice([-1.0, 1.0], (rows, 16))
+        # a row's magnitudes span one decade around a scale from 1e-298 to 1e298, so
+        # a diagonal entry's four terms round differently when added in another order
+        scales = rng.uniform(-298.0, 298.0, (rows, 1))
+        components = signs * 10.0 ** (scales + rng.uniform(-0.5, 0.5, (rows, 16)))
+        # then rows whose magnitudes run from 1e-300 to 1e300, rows of small integers,
+        # whose terms cancel to exact zeros, and rows whose diagonal terms are all -0.0
+        components[1::4] = signs[1::4] * 10.0 ** rng.uniform(-300.0, 300.0, (rows // 4, 16))
+        components[2::4] = rng.integers(-2, 3, (rows // 4, 16))
+        components[3::4, [0, 3, 12, 15]] = -0.0
+        components[:, 6], components[:, 9] = -0.0, 0.0  # zeros of both signs in every row
+        got, want = _pauli_sum(components), pauli_loop(components)
+        assert got.shape == want.shape == (rows, 4, 4) and got.dtype == np.complex128
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestReconstruct:
