@@ -61,12 +61,21 @@ that cannot be opened exits 2 with nothing written; ``run``,
 ``oracle-check`` and ``tomography`` print to stdout only once their
 ``--out`` files are closed, so one whose write fails exits 2 with
 nothing on stdout.
+
+On glibc, the first ``main`` call fixes the process's allocator policy
+(``_keep_heap``): ``M_MMAP_THRESHOLD`` at 32 MiB and ``M_TRIM_THRESHOLD``
+at 64 MiB, the ceilings of glibc's own dynamic thresholds.  Freed blocks
+then stay in the heap for the next sweep block or call, which reuses
+them instead of faulting in fresh pages; a process may keep up to 64 MiB
+of freed heap.  Importing the package changes nothing, and off glibc
+``main`` leaves the allocator as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import io
@@ -88,6 +97,7 @@ from .core import (
     maximally_mixed,
     pure_state,
     singlet_vector,
+    unchecked,
 )
 from .metrics import concurrence_x, fidelity
 from .protocol import (
@@ -112,6 +122,13 @@ MAX_SWEEP_POINTS = 1_000_000
 # before the next block is built, so a sweep's memory does not grow with its
 # length.
 SWEEP_BLOCK = 4096
+
+# glibc's mallopt parameters, and the ceilings of its own dynamic thresholds
+# (mallopt(3)): DEFAULT_MMAP_THRESHOLD_MAX, 32 MiB on 64-bit, and twice that
+# for trimming, the ratio glibc keeps as it raises the mmap threshold.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2**20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
 class _SweepFormat(NamedTuple):
@@ -387,7 +404,10 @@ def _stage_obj(out: StageOutput) -> dict:
 
 def _run_point(config: ChannelConfig) -> tuple[FilterPair, list[StageOutput]]:
     filters = resolve_filters(config)  # a singular prescription is a domain error here
-    return filters, run_protocol(dataclasses.replace(config, filters=filters, epsilon=None))
+    # the config's fields were checked as it was read, and the pair is a checked one
+    # or the prescription's, whose factors lie in (0, 1]
+    point = unchecked(ChannelConfig, **(vars(config) | {"filters": filters, "epsilon": None}))
+    return filters, run_protocol(point)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -678,7 +698,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """On glibc, fix the allocator policy that keeps freed heap for the next block or call.
+
+    Anywhere else, or where the C library cannot be reached, nothing changes.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_heap()
     parser = build_parser()
     # argparse prints help and usage itself: here into buffers, written by the write rule
     out, err = io.StringIO(), io.StringIO()

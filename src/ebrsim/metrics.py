@@ -166,8 +166,31 @@ def assemble(params: XStateParams) -> np.ndarray:
 
 
 def normalized_state(params: XStateParams) -> np.ndarray:
-    """Unit-trace state ``assemble(params) / 4P``: ``(4, 4)``, or ``(n, 4, 4)`` for columns."""
-    return assemble(params) / (4.0 * np.asarray(params.P)[..., None, None])
+    """Unit-trace state ``assemble(params) / 4P``: ``(4, 4)``, or ``(n, 4, 4)`` for columns.
+
+    The entries are written through the stack's float view as the float
+    operations of numpy's complex division by ``4P + 0j`` (Smith's method:
+    ``scl = 1 / 4P``, then ``((re + im * 0.0) * scl, (im - re * 0.0) * scl)``)
+    on ``assemble``'s entries, so the bits are the quotient's, signed zeros
+    included, with one stack allocated instead of two.  A ``4P`` whose
+    reciprocal overflows turns the quotient's zeros into NaN, so it divides.
+    """
+    xi = params.xi  # a float, or a column the other entries share the shape of
+    shape = getattr(xi, "shape", ())
+    scl = 1.0 / (4.0 * params.P)
+    if np.isinf(scl).any() if shape else math.isinf(scl):
+        return assemble(params) / (4.0 * np.asarray(params.P)[..., None, None])
+    state = np.zeros(shape + (4, 4), dtype=np.complex128)
+    parts = state.view(np.float64)  # (..., 4, 8): entry (i, j) is (re, im) at 2j, 2j + 1
+    for i, entry in enumerate((params.alpha, params.beta, params.gamma, params.delta)):
+        parts[..., i, 2 * i] = (entry + 0.0) * scl  # re of (entry, +0.0)
+    # (+0.0, -xi) at (1, 2), from -1j * xi: its re quotient is +0.0
+    parts[..., 1, 5] = -xi * scl
+    # (0.0 * xi - 0.0, 0.0 + xi) at (2, 1), from 1j * xi: -0.0 + (-0.0) is -0.0 where xi < 0
+    im = xi + 0.0
+    parts[..., 2, 2] = (0.0 * xi - 0.0 + im * 0.0) * scl
+    parts[..., 2, 3] = im * scl
+    return state
 
 
 @dataclass(frozen=True)

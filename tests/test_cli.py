@@ -73,6 +73,78 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+class TestHeapPolicy:
+    RUN = "scenario = distinguishable\nT = 0.4\n"
+
+    @pytest.fixture
+    def fresh(self):
+        # the policy is applied again by the next main, with whatever libc is in place
+        cli._keep_heap.cache_clear()
+        yield
+        cli._keep_heap.cache_clear()
+
+    @staticmethod
+    def fake_libc(monkeypatch, libc):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+
+    def test_main_applies_it_once(self, tmp_path, capsys, monkeypatch, fresh):
+        calls = []
+        libc = argparse.Namespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        self.fake_libc(monkeypatch, libc)
+        argv = ["run", "--config", write_config(tmp_path, self.RUN)]
+        for _ in range(3):
+            assert run_cli(capsys, argv)[0] == 0
+        # M_MMAP_THRESHOLD at glibc's 64-bit ceiling, M_TRIM_THRESHOLD at twice it
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+    @pytest.mark.parametrize("case", ["confstr raises", "confstr None", "no mallopt", "no libc"])
+    def test_a_silent_no_op_without_glibc(self, tmp_path, capsys, monkeypatch, fresh, case):
+        def confstr(name):
+            if case == "confstr raises":
+                raise ValueError("unrecognized configuration name")
+            return None if case == "confstr None" else "glibc 2.36"
+
+        def cdll(name):
+            if case == "no libc":
+                raise OSError("no such library")
+            if case == "confstr None":
+                raise AssertionError("the C library was loaded without glibc")
+            return argparse.Namespace()  # a library without mallopt
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        argv = ["run", "--config", write_config(tmp_path, self.RUN)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("scenario=distinguishable T=0.4")
+
+    @pytest.mark.skipif(not _glibc(), reason="the policy is glibc's")
+    def test_second_sweep_reuses_the_heap(self, tmp_path, capsys):
+        # freed blocks stay in the heap, so the same sweep again faults in few new pages
+        cfg = write_config(tmp_path, "scenario = partial\np = 0.85\nepsilon = 0.25\n"
+                           "variable = T\nstart = 0\nstop = 1\nsteps = 1001\n")
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "sweep.csv")]
+
+        import resource  # Unix only
+
+        def faults():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert main(argv) == 0
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        first = faults()
+        assert faults() <= max(16, first // 4)
+        assert capsys.readouterr() == ("", "")
+
+
 class TestConfigParsing:
     def test_values_comments_whitespace(self):
         cfg = parse_config_text(

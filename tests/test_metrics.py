@@ -9,6 +9,7 @@ from ebrsim.core import (
     maximally_mixed,
     pure_state,
     singlet_vector,
+    unchecked,
     unit_trace,
 )
 from ebrsim.metrics import (
@@ -203,6 +204,40 @@ def test_operator_matrix_and_stack_row_give_the_same_bits():
         assert _bits(normalized_state(x)) == _bits(states[i])
         assert _bits(concurrence_x(x)) == _bits(closed[i])
         assert type(concurrence_x(x)) is np.float64
+
+
+def test_normalized_state_has_the_complex_quotients_bits():
+    # the complex division of assemble's stack by 4P is the reference, signed zeros,
+    # subnormal and 1e-12-scale entries included, on columns and on float points
+    rng = np.random.default_rng(34)
+    n = 20_000
+
+    def column():
+        v = rng.random(n) * 10.0 ** rng.integers(-14, 2, n)
+        kind = rng.integers(0, 5, n)
+        v[kind == 0] = 0.0
+        v[kind == 1] = -0.0
+        v[kind == 2] *= 1e-310
+        return v
+
+    entries = [column() for _ in range(4)]
+    xi = column() * rng.choice([-1.0, 1.0], n)
+    big_p = sum(entries) / 4
+    big_p[big_p == 0.0] = 1e-300
+    big_p[:50] = rng.random(50) * 1e-309  # 4P whose reciprocal overflows: the NaN quotients
+    with np.errstate(all="ignore"):
+        for rows in (slice(50, None), slice(None)):
+            params = unchecked(XStateParams, **dict(
+                zip(("alpha", "beta", "gamma", "delta", "xi", "P"),
+                    [e[rows] for e in (*entries, xi, big_p)])))
+            state = normalized_state(params)
+            reference = assemble(params) / (4.0 * params.P[:, None, None])
+            assert state.tobytes() == reference.tobytes()
+            assert state.flags.owndata
+        for i in range(0, n, 401):
+            point = unchecked(XStateParams, **{k: float(v[i]) for k, v in vars(params).items()})
+            reference = assemble(point) / (4.0 * point.P)
+            assert _bits(normalized_state(point)) == _bits(reference), i
 
 
 def test_transparent_channel_is_the_source_singlet():
