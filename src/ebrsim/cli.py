@@ -28,7 +28,11 @@ never share a text and a column of NaNs is one value: a factor column of
 one bit pattern (a ``p`` sweep's pair, an explicit pair, the NaN pair of
 a ``p`` sweep at a singular ``T``) is formatted once, and in any other
 column a point's factor with ``epsilon``'s bits (the prescription's
-unattenuated arm) takes ``epsilon``'s text.  All of a block's distinct
+unattenuated arm) takes ``epsilon``'s text.  A third bit rule covers the
+cumulative probabilities: a stage's cumulative column with the bits of its
+own or an earlier stage's probability column (stage I's, stage II's
+without feed-forward, and with it stage II's ``2 P_II``, which is stage
+I's ``P``) takes that column's text.  All of a block's distinct
 float columns are concatenated and formatted in one call by the numpy
 kernel :mod:`ebrsim.g17`: for CSV by ``_csv_numbers``, the exact
 ``%.17g`` text of the whole column, and for JSON by ``_json_numbers``,
@@ -495,15 +499,20 @@ def _sweep_cells(config: ChannelConfig, fmt: _SweepFormat) -> np.ndarray:
     it; a point without stage III (a singular prescription, or a filtered
     trace of zero) has NaN filter factors.  ``fmt.number`` is called once,
     with every distinct float column of the block concatenated: a filter
-    factor column whose values share one bit pattern as that one value, and
-    any other without the points whose bits equal ``epsilon``'s there.
+    factor column whose values share one bit pattern as that one value, any
+    other without the points whose bits equal ``epsilon``'s there, and a
+    cumulative probability column only where no probability column has its bits.
 
     Each cell carries the separator that follows it, and the scenario cell
     also the record's opening, so the block's text is its cells joined.  A
     separator is added to a column's distinct values before they fill rows:
     once per point, or once for a constant; a factor left out is
-    ``epsilon``'s text with its own column's separator.  A stage whose
-    cumulative probability is its probability adds both separators to it.
+    ``epsilon``'s text with its own column's separator.  A stage's
+    cumulative probability column whose bits equal its own probability
+    column, or an earlier stage's, is left out too, and takes that column's
+    text with the cumulative separator: stage I's always, stage II's
+    without feed-forward, and with it stage II's ``2 P_II``, which is stage
+    I's ``P`` bit for bit.
     """
     stages = run_protocol(config)
     kept = stages[2].kept
@@ -522,11 +531,16 @@ def _sweep_cells(config: ChannelConfig, fmt: _SweepFormat) -> np.ndarray:
         bits = factor.view(np.uint64)
         reused.append(None if (bits == bits[0]).all() else bits == epsilon.view(np.uint64))
         columns.append(factor[:1] if reused[-1] is None else factor[~reused[-1]])
+    # per stage, the first stage up to it whose probability column has its cumulative
+    # column's bits, or None
+    probabilities, sources = [], []
     for out in stages:
         columns += [concurrence_x(out.params), out.probability]
-        # stage I's cumulative column, and stage II's without feed-forward, is its probability
-        if out.cumulative_probability is not out.probability:
-            columns.append(out.cumulative_probability)
+        probabilities.append(np.reshape(out.probability, -1).view(np.uint64))
+        bits = np.reshape(out.cumulative_probability, -1).view(np.uint64)
+        matches = (k for k, p in enumerate(probabilities) if np.array_equal(p, bits))
+        sources.append(next(matches, None))
+        columns += [out.cumulative_probability] if sources[-1] is None else []
     # a single value (a constant) broadcasts
     columns = [np.reshape(values, -1) for values in columns]
     ends = np.cumsum([values.size for values in columns])
@@ -545,16 +559,15 @@ def _sweep_cells(config: ChannelConfig, fmt: _SweepFormat) -> np.ndarray:
         cell += after[column]
         cells[:, column] = np.repeat(cell, per_point) if cell.size > 1 else cell
     # stages I-II of a sweep over epsilon are one point, whose cells fill every row
-    for out, rows in zip(stages, (first, first + 1, first[kept] + 2)):
+    bare = []  # each stage's probability text, without its separator
+    for out, rows, source in zip(stages, (first, first + 1, first[kept] + 2), sources):
         concurrence, probability = next(text), next(text)
-        cumulative = probability if out.cumulative_probability is out.probability else next(text)
-        concurrence += after[7]
-        cumulative = cumulative + after[9]  # before the probability's text changes
-        probability += after[8]
+        bare.append(probability)
+        cumulative = next(text) if source is None else bare[source]
         cells[rows, 1] = fmt.label(out.stage) + after[1]
-        cells[rows, 7] = concurrence
-        cells[rows, 8] = probability
-        cells[rows, 9] = cumulative
+        cells[rows, 7] = concurrence + after[7]
+        cells[rows, 8] = probability + after[8]
+        cells[rows, 9] = cumulative + after[9]
     return cells
 
 

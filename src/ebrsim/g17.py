@@ -15,10 +15,11 @@ per-value cost:
   ``.0`` after an integral number.
 
 Both build the text from table-driven bytes.  Their fast domain is
-``1e-200 <= |x| < 1e16``, and zero for ``shortest``; values outside it, and
-those whose digits the double-double cannot decide (near-ties of the 17th
-digit, and for ``shortest`` an end of the rounding interval), are formatted
-one at a time by ``"%.17g" %`` or ``repr``.
+``1e-200 <= |x| < 1e16`` and the two zeros; values outside it (NaN,
+infinities and the other magnitudes), and those whose digits the
+double-double cannot decide (near-ties of the 17th digit, and for
+``shortest`` an end of the rounding interval), are formatted one at a time
+by ``"%.17g" %`` or ``repr``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ _GROUP_TEXT, _EXPONENT_TEXT = 10, 10_010
 _GROUP_KEEP, _EXPONENT_KEEP = 24, 24 + 4 * 324
 # Row of the ".0" word after word 5's 202 exponent rows.
 _DOT_ZERO = 202
+# The decimal exponents of _layout's table, -201..16, are every e that _words
+# is given: _digits' floor(log10|x|) is -200..15 on the fast domain and one
+# lower where log10 rounded up, a lane off the domain or a zero computes on 1
+# and carries 0, and _normal adds one at N = 1e17.  So no exponent falls
+# outside the table, and none is clipped.
+_LEAST_EXPONENT, _EXPONENTS = -201, 218
 # Values per pass of _text(): a pass's temporaries, about 300 bytes a
 # value, stay near a 2 MB L2 cache, where 4096-value passes over an
 # 11 000-value block ran faster than one pass (Xeon, 2 MB L2 per core), and a
@@ -106,6 +113,38 @@ def _tables() -> tuple[np.ndarray, ...]:
     return hi_head, hi - hi_head, np.array(lo), text, keep, last
 
 
+@functools.cache
+def _layout(dot: bool) -> np.ndarray:
+    """A value's layout rows, by its exponent and significant digits, built on first use.
+
+    Column ``(e - _LEAST_EXPONENT) * 18 + significant`` is the layout of a
+    value of decimal exponent ``e`` whose digits up to the last nonzero one
+    number ``significant`` (1..17; 0 is never looked up): its word 5 text
+    row, then its keep rows of word 0 without the sign, of words 1-4 and of
+    word 5.  ``dot`` is ``_words``' layout.
+    """
+    exponent = np.arange(_LEAST_EXPONENT, _LEAST_EXPONENT + _EXPONENTS)[:, None]
+    significant = np.arange(18)
+    scientific = exponent < -4
+    point = np.where(scientific, 0, exponent)
+    point = np.where((point >= 0) & (significant > point + 1), point, -1)
+    count = np.where(scientific, significant, np.maximum(significant, exponent + 1))
+    lead = np.where(scientific | (exponent >= 0), 0, 1 - exponent)  # "0." and its zeros
+    # word 5 by notation: fixed, scientific, scientific with three exponent digits
+    ending = _EXPONENT_TEXT + np.where(scientific, -exponent, 0)
+    notation = _EXPONENT_KEEP + scientific + (exponent <= -100)
+    if dot:
+        integral = (exponent >= 0) & (point < 0)
+        ending = np.where(integral, _EXPONENT_TEXT + _DOT_ZERO, ending)
+        notation = np.where(integral, _EXPONENT_KEEP + 3, notation)
+    state = 18 * count + point + 1
+    rows = [ending, 2 * lead + 12 * (point == 0)]
+    rows += [_GROUP_KEEP + 324 * word + state for word in range(4)] + [notation]
+    table = np.stack(np.broadcast_arrays(*rows)).reshape(7, -1).astype(np.intp)
+    table.setflags(write=False)  # one table serves every caller
+    return table
+
+
 def _scaled(x: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(N, rem)`` of ``V = x * 10**(16 - e)``: the int64 ``N = round(V)`` and ``V - N``."""
     hi_head, hi_tail, lo_table = _tables()[:3]
@@ -159,9 +198,10 @@ def _normal(n: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _g17_digits(col: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(fast, N, e)`` of ``%.17g``: ``_digits``' 17 digits."""
+    """``(fast, N, e)`` of ``%.17g``: ``_digits``' 17 digits, and a zero fast at ``N = 0``."""
     fast, n, exponent, _ = _digits(col)
-    return (fast, *_normal(n, exponent))
+    zero = col == 0
+    return (fast | zero, *_normal(np.where(zero, 0, n), exponent))  # a zero's e is 0
 
 
 def _shortest_digits(col: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -220,8 +260,11 @@ def _words(negative: np.ndarray, n: np.ndarray, exponent: np.ndarray, dot: bool)
     to the last significant one (and the integer part's), the point where a
     fraction follows it, the exponent in scientific notation (``e < -4``)
     and the separator.  With ``dot`` an integral fixed number ends in
-    ``.0``, as ``repr`` prints it.  Indices, words and masks are ``(6, size)``
-    rows; the result is their transposed view, whose ``tobytes()`` is in value order.
+    ``.0``, as ``repr`` prints it.  Word 5's text row and every keep row
+    depend only on the number of significant digits and the exponent, so
+    they are one gather from ``_layout``'s table.  Indices, words and masks
+    are ``(6, size)`` rows; the result is their transposed view, whose
+    ``tobytes()`` is in value order.
     """
     text_words, keep_words, last = _tables()[3:]
     high = n // 10**8
@@ -233,31 +276,16 @@ def _words(negative: np.ndarray, n: np.ndarray, exponent: np.ndarray, dot: bool)
         top = half // 10**4
         groups += [top, half - top * 10**4]
     significant = np.maximum.reduce([table[g] for table, g in zip(last, groups)], initial=1)
-    scientific = exponent < -4
-    point = np.where(scientific, 0, exponent)
-    point = np.where((point >= 0) & (significant > point + 1), point, -1)
-    count = np.where(scientific, significant, np.maximum(significant, exponent + 1))
-    lead = np.where(scientific | (exponent >= 0), 0, 1 - exponent)  # "0." and its zeros
-    # word 5 by notation: fixed, scientific, scientific with three exponent digits
-    ending = _EXPONENT_TEXT + np.where(scientific, -exponent, 0)
-    notation = _EXPONENT_KEEP + scientific + (exponent <= -100)
-    if dot:
-        integral = (exponent >= 0) & (point < 0)
-        ending = np.where(integral, _EXPONENT_TEXT + _DOT_ZERO, ending)
-        notation = np.where(integral, _EXPONENT_KEEP + 3, notation)
+    layout = _layout(dot).take((exponent - _LEAST_EXPONENT) * 18 + significant, axis=1)
 
     index = np.empty((6, n.size), dtype=np.intp)
     index[0] = first
     for word, group in enumerate(groups, start=1):
         index[word] = _GROUP_TEXT + group
-    index[5] = ending
-    text = text_words.take(index)
-    index[0] = negative + 2 * lead + 12 * (point == 0)
-    state = 18 * count + point + 1
-    for word in range(1, 5):
-        index[word] = _GROUP_KEEP + 324 * (word - 1) + state
-    index[5] = notation
-    return (text & keep_words.take(index)).T
+    index[5] = layout[0]
+    keep = layout[1:]
+    keep[0] += negative
+    return (text_words.take(index) & keep_words.take(keep)).T
 
 
 def _text(col: np.ndarray, digits, dot: bool, fallback) -> list[str]:
@@ -295,10 +323,12 @@ def strings(col: np.ndarray) -> list[str]:
     two-product's error term.  So a remainder ``V - N`` within
     ``_TIE_MARGIN`` of 1/2 may be a tie that ``%.17g`` breaks to even, and
     such a value is formatted by ``"%.17g" %`` instead, as are NaN,
-    infinities, zero, every value outside the domain and every ``N`` whose
-    ``V`` lies outside ``[1e16, 1e17]``.  Where ``log10`` rounded a value
-    just below a power of ten up to it, ``V`` is computed again at ``e - 1``
-    (``_digits``).  ``N = 1e17`` is ``1e16`` at ``e + 1``.
+    infinities, every other value outside the domain and every ``N`` whose
+    ``V`` lies outside ``[1e16, 1e17]``.  A zero is fast with ``N = 0`` at
+    ``e = 0``, which lays out as ``0``, or ``-0`` with its sign.  Where
+    ``log10`` rounded a value just below a power of ten up to it, ``V`` is
+    computed again at ``e - 1`` (``_digits``).  ``N = 1e17`` is ``1e16`` at
+    ``e + 1``.
 
     Each value is laid out in six 8-byte text words, masked by six keep
     words to the bytes ``%.17g`` prints (``_words``).
@@ -310,7 +340,7 @@ def shortest(col: np.ndarray) -> list[str]:
     """``repr(x)`` for each value ``x`` of a float64 column: the shortest round-trip text.
 
     The digits come from ``strings``' double-double ``V`` by
-    ``_shortest_digits``, on the same fast domain plus the zeros.  A value
+    ``_shortest_digits``, on the same fast domain.  A value
     ``strings`` would format one at a time, or one with an end of its
     rounding interval within ``_EDGE_MARGIN`` of an integer in ``V``'s
     units, or two candidates that near to a tie, is formatted by ``repr``.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EbrsimError, InvalidParameter, singlet_vector, unit_trace
+from .core import EbrsimError, InvalidParameter, ZeroTrace, singlet_vector, unit_trace
 
 _EPS = 1e-12
 # Largest entry an exact fit may miss by: stray X-pattern entries in
@@ -173,13 +173,17 @@ def normalized_state(params: XStateParams) -> np.ndarray:
     ``scl = 1 / 4P``, then ``((re + im * 0.0) * scl, (im - re * 0.0) * scl)``)
     on ``assemble``'s entries, so the bits are the quotient's, signed zeros
     included, with one stack allocated instead of two.  A ``4P`` whose
-    reciprocal overflows turns the quotient's zeros into NaN, so it divides.
+    reciprocal overflows (``4P <= 2**-1024``, so ``P`` below about 1.4e-309)
+    has no finite unit-trace state: it raises
+    :class:`~ebrsim.core.ZeroTrace`, naming the least ``P``, before dividing.
     """
     xi = params.xi  # a float, or a column the other entries share the shape of
     shape = getattr(xi, "shape", ())
-    scl = 1.0 / (4.0 * params.P)
-    if np.isinf(scl).any() if shape else math.isinf(scl):
-        return assemble(params) / (4.0 * np.asarray(params.P)[..., None, None])
+    four_p = 4.0 * params.P
+    if (four_p <= 2.0**-1024).any() if shape else four_p <= 2.0**-1024:
+        least = float(np.min(params.P))
+        raise ZeroTrace(f"cannot normalize a state with P = {least!r}: 1/4P overflows")
+    scl = 1.0 / four_p
     state = np.zeros(shape + (4, 4), dtype=np.complex128)
     parts = state.view(np.float64)  # (..., 4, 8): entry (i, j) is (re, im) at 2j, 2j + 1
     for i, entry in enumerate((params.alpha, params.beta, params.gamma, params.delta)):

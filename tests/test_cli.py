@@ -716,9 +716,10 @@ class TestDistinctValues:
         """The filter factors in a one-block column: after the swept column and two constants."""
         conf = cli._read_config(str(path), "sweep")
         kept = run_protocol(conf.channel)[2].kept
-        # stage I's concurrence and probability, stage II's and with feed-forward its
-        # cumulative probability, and stage III's three where kept
-        stage_values = (4 + conf.feed_forward) * kept.size + 3 * kept.sum()
+        # stages I-II's concurrence and probability (stage II's cumulative probability is
+        # its own, or with feed-forward stage I's, and takes that text), and stage III's
+        # three where kept
+        stage_values = 4 * kept.size + 3 * kept.sum()
         return col[kept.size + 2 : col.size - stage_values], conf.epsilon
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -741,6 +742,32 @@ class TestDistinctValues:
         # the other arm at every point, and both NaN factors where stage III is dropped
         sizes = {"sweep_T_indistinguishable": 42, "sweep_T_distinguishable": 20}
         assert filters.size == sizes[name]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("feed_forward", ["true", "false"])
+    def test_cumulative_column_takes_a_probability_text(
+        self, tmp_path, capsys, monkeypatch, fmt, feed_forward
+    ):
+        # stage II's cumulative probability is stage I's probability (2 P_II with
+        # feed-forward) or its own: the number map is given no column for it
+        path = write_config(
+            tmp_path,
+            "scenario = partial\np = 0.85\nepsilon = 0.25\nbranch = V\n"
+            f"feed_forward = {feed_forward}\nvariable = T\nstart = 0.1\nstop = 0.9\nsteps = 9\n",
+        )
+        (col,), out = self.numbers(capsys, monkeypatch, path, fmt)
+        s1, s2, s3 = run_protocol(cli._read_config(path, "sweep").channel)
+        handed = np.concatenate([concurrence_x(s1.params), s1.probability,
+                                 concurrence_x(s2.params), s2.probability,
+                                 concurrence_x(s3.params), s3.probability,
+                                 s3.cumulative_probability])
+        assert col[-handed.size :].view(np.uint64).tolist() == handed.view(np.uint64).tolist()
+        if fmt == "csv":
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+        else:
+            rows = [list(r.values()) for r in json.loads(out)["records"]]
+        cumulative = [float(r[9]) for r in rows if r[1] == "II"]
+        assert cumulative == s2.cumulative_probability.tolist()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_signed_zeros_and_nans_keep_their_text(self, tmp_path, capsys, monkeypatch, fmt):
@@ -956,6 +983,30 @@ class TestSweepWriters:
         x = 4.421976605688792e-92
         assert g17.strings(np.array([x, -x])) == ["%.17g" % v for v in (x, -x)]
 
+    def test_zeros_take_the_fast_path(self):
+        # a zero's digits are N = 0 at e = 0, laid out as "0" or "-0" without "%.17g" %
+        from ebrsim import g17
+
+        col = np.array([0.0, -0.0, 0.5, -0.0])
+        fast, n, exponent = g17._g17_digits(col)
+        assert fast.all()
+        assert (n[[0, 1, 3]].tolist(), exponent[[0, 1, 3]].tolist()) == ([0] * 3, [0] * 3)
+        assert g17.strings(col) == ["0", "-0", "0.5", "-0"]
+
+    def test_layout_table_holds_every_exponent(self):
+        # the fast domain's ends, a zero and values off the domain, which compute on 1
+        from ebrsim import g17
+
+        tiny = 1e-200  # below 10**-200: its 17 digits lie a decade lower, its shortest not
+        col = np.array([tiny, np.nextafter(tiny, 1), np.nextafter(1e16, 0), 1e16, 0.0, -0.0,
+                        math.nan, math.inf, 1e300, 5e-324])
+        assert g17._g17_digits(col)[2][0] == g17._LEAST_EXPONENT == -201
+        for digits in (g17._g17_digits, g17._shortest_digits):
+            exponent = digits(col)[2]
+            assert g17._LEAST_EXPONENT <= exponent.min()
+            assert exponent.max() < g17._LEAST_EXPONENT + g17._EXPONENTS
+        assert g17.strings(col) == ["%.17g" % x for x in col.tolist()]
+        assert g17.shortest(col) == [repr(x) for x in col.tolist()]
 
     def test_near_power_values_take_the_fast_path(self):
         # log10 rounds a value a few ulps below a power of ten up to that power; such a

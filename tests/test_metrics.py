@@ -1,4 +1,5 @@
 import math
+import re
 from typing import Callable
 
 import numpy as np
@@ -9,6 +10,7 @@ from ebrsim.core import (
     maximally_mixed,
     pure_state,
     singlet_vector,
+    ZeroTrace,
     unchecked,
     unit_trace,
 )
@@ -84,17 +86,41 @@ def random_states(rng, n):
 
 
 class TestXStateParams:
-    def test_rejects_negative_population(self):
+    # The checks' absolute floor is 1e-12 (4e-12 for the diagonal sum): each "floor"
+    # case at P = 1 lies ten to twenty-five times past it, and is accepted under a
+    # floor of 1e-9.
+
+    @pytest.mark.parametrize(
+        "entries", [(-0.1, 0.5, 0.5, 0.1, 0.0), (-1e-11, 2.0, 2.0, 1e-11, 0.0)],
+        ids=["large", "floor"],
+    )
+    def test_rejects_negative_population(self, entries):
         with pytest.raises(ValueError, match="nonnegative"):
-            x_params(-0.1, 0.5, 0.5, 0.1, 0.0)
+            x_params(*entries)
 
-    def test_rejects_oversized_coherence(self):
+    @pytest.mark.parametrize(
+        "entries", [(0.0, 0.5, 0.5, 0.0, 0.51), (1.0, 1.0, 1.0, 1.0, 1.0 + 1e-11)],
+        ids=["large", "floor"],
+    )
+    def test_rejects_oversized_coherence(self, entries):
         with pytest.raises(ValueError, match="exceeds"):
-            x_params(0.0, 0.5, 0.5, 0.0, 0.51)
+            x_params(*entries)
 
-    def test_rejects_trace_mismatch(self):
+    @pytest.mark.parametrize(
+        "delta, big_p", [(1.0, 0.5), (1.0 + 1e-10, 1.0)], ids=["large", "floor"]
+    )
+    def test_rejects_trace_mismatch(self, delta, big_p):
         with pytest.raises(ValueError, match="4P"):
-            XStateParams(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, xi=0.0, P=0.5)
+            XStateParams(alpha=1.0, beta=1.0, gamma=1.0, delta=delta, xi=0.0, P=big_p)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [(-1e-13, 2.0, 2.0, 1e-13, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0 + 1e-13, 0.0, 1.0),
+         (1.0, 1.0, 1.0, 1.0, 1.0 + 1e-13, 1.0)],
+        ids=["population", "trace", "coherence"],
+    )
+    def test_accepts_rounding_within_the_floor(self, entries):
+        XStateParams(*entries)
 
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError, match="P must"):
@@ -224,18 +250,27 @@ def test_normalized_state_has_the_complex_quotients_bits():
     xi = column() * rng.choice([-1.0, 1.0], n)
     big_p = sum(entries) / 4
     big_p[big_p == 0.0] = 1e-300
-    big_p[:50] = rng.random(50) * 1e-309  # 4P whose reciprocal overflows: the NaN quotients
+    big_p[:50] = rng.random(50) * 1e-309
+    big_p[50:52] = 2.0**-1026, 2.0**-1026 + 2.0**-1074  # 4P at 2**-1024 and one step above
     with np.errstate(all="ignore"):
-        for rows in (slice(50, None), slice(None)):
-            params = unchecked(XStateParams, **dict(
-                zip(("alpha", "beta", "gamma", "delta", "xi", "P"),
-                    [e[rows] for e in (*entries, xi, big_p)])))
-            state = normalized_state(params)
-            reference = assemble(params) / (4.0 * params.P[:, None, None])
-            assert state.tobytes() == reference.tobytes()
-            assert state.flags.owndata
-        for i in range(0, n, 401):
+        finite = np.isfinite(1.0 / (4.0 * big_p))  # elsewhere 1/4P overflows: no unit trace
+        assert finite[50:52].tolist() == [False, True]
+        params = unchecked(XStateParams, **dict(
+            zip(("alpha", "beta", "gamma", "delta", "xi", "P"), (*entries, xi, big_p))))
+        least = re.escape(repr(float(big_p.min())))
+        with pytest.raises(ZeroTrace, match=f"P = {least}: 1/4P overflows"):
+            normalized_state(params)
+        kept = unchecked(XStateParams, **{k: v[finite] for k, v in vars(params).items()})
+        state = normalized_state(kept)
+        reference = assemble(kept) / (4.0 * kept.P[:, None, None])
+        assert state.tobytes() == reference.tobytes()
+        assert state.flags.owndata
+        for i in [*range(1, 52, 7), 50, 51, *range(0, n, 401)]:
             point = unchecked(XStateParams, **{k: float(v[i]) for k, v in vars(params).items()})
+            if not finite[i]:
+                with pytest.raises(ZeroTrace, match=re.escape(f"P = {point.P!r}")):
+                    normalized_state(point)
+                continue
             reference = assemble(point) / (4.0 * point.P)
             assert _bits(normalized_state(point)) == _bits(reference), i
 

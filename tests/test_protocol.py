@@ -188,6 +188,25 @@ class TestStage2:
             2 * plain.cumulative_probability
         )
 
+    @pytest.mark.parametrize("branch", ["H", "V"])
+    def test_feed_forward_cumulative_has_stage_one_bits(self, branch):
+        # 2 * (P_I / 2) is exact, so the CLI gives stage II's cumulative probability the
+        # text of stage I's probability; without feed-forward it is stage II's probability
+        rng = np.random.default_rng(36)
+        t = np.concatenate([rng.random(2000), [0.0, 0.5, 1.0]])
+        p = rng.random(t.size)
+        for scenario in (partial(p), partial(p[:1]), distinguishable(), indistinguishable()):
+            plain = stage2(scenario, t, branch)
+            both = stage2(scenario, t, branch, feed_forward=True)
+            assert _bits(both.cumulative_probability) == _bits(stage1(scenario, t).probability)
+            assert _bits(plain.cumulative_probability) == _bits(plain.probability)
+        for i in [*range(0, t.size, 100), -3, -2, -1]:
+            scenario, point = partial(float(p[i])), float(t[i])
+            plain = stage2(scenario, point, branch)
+            both = stage2(scenario, point, branch, feed_forward=True)
+            assert both.cumulative_probability.hex() == stage1(scenario, point).probability.hex()
+            assert plain.cumulative_probability.hex() == plain.probability.hex()
+
     def test_branch_label_checked(self):
         with pytest.raises(ValueError):
             stage2(distinguishable(), 0.5, branch="X")
