@@ -78,20 +78,27 @@ def unchecked(cls, **fields):
     return obj
 
 
-def require(ok, values, message: str) -> None:
-    """Raise ``InvalidParameter(message.format(v))`` for the first ``v`` where ``ok`` fails.
+def require(ok, values, message: str, *more, error: type[Exception] = InvalidParameter) -> None:
+    """Raise ``error(message.format(v, *w))`` at the first point where ``ok`` fails.
 
-    ``ok`` and ``values`` are a scalar or same-shape columns, so one check
-    serves a single point and a whole column.
+    The one first-failure check: a single point and a whole column run the
+    same statements.  On a point of Python floats ``ok`` is a bool, and the
+    check makes no numpy call: floats stay floats.  On columns ``ok`` is a
+    bool column, checked by one reduction, and the message names the first
+    failing point.  ``v`` is ``values`` and each ``w`` one of ``more`` at that
+    point, as a float, so a point and a column row fail with the same text.
+    The values are floats or columns that broadcast against ``ok``.
     """
     if ok is True:
         return
-    ok = np.asarray(ok)
-    if ok.all():
-        return
-    ok = ok.reshape(-1)
-    bad = np.broadcast_to(np.asarray(values, dtype=np.float64), ok.shape)[np.argmin(ok)]
-    raise InvalidParameter(message.format(float(bad)))
+    if type(ok) is not bool:
+        ok = np.asarray(ok).reshape(-1)
+        if np.count_nonzero(ok) == ok.size:
+            return
+        k = np.argmin(ok)
+        values, *more = (np.broadcast_to(np.asarray(v, dtype=np.float64), ok.shape)[k]
+                         for v in (values, *more))
+    raise error(message.format(float(values), *map(float, more)))
 
 
 def unit_trace(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,20 +9,26 @@ independent cross-check route.
 Every function computes on numpy's batch axes: a state is a ``(4, 4)``
 complex array and a stack of states an ``(..., 4, 4)`` array; the X-state
 functions take parameters whose entries are floats or equal-shape float
-arrays.  A result has the input's leading shape, so a single state runs
-the stack's code and gets ``np.float64`` results.
+arrays.  A result has the input's leading shape: a single state runs the
+stack's code and gets ``np.float64`` results.  :class:`XStateParams`
+checks its entries by :func:`~ebrsim.core.require`, the one check rule:
+floats stay floats, so a point of six Python floats is checked without a
+numpy call; columns name their first failing point; and a failed check
+raises a plain ``ValueError`` with the same message either way.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EbrsimError, InvalidParameter, ZeroTrace, singlet_vector, unit_trace
+from .core import EbrsimError, InvalidParameter, ZeroTrace, require, singlet_vector, unit_trace
 
 _EPS = 1e-12
+_MAX = sys.float_info.max  # |x| <= _MAX: x is finite
 # Largest entry an exact fit may miss by: stray X-pattern entries in
 # XStateParams.from_operator, the Werner model in werner_decompose.
 _FIT_TOL = 1e-10
@@ -65,7 +71,12 @@ class XStateParams:
     source singlet ``(|HV> - i|VH>)/sqrt(2)`` exactly.
 
     The entries are floats, or six equal-shape arrays holding one state
-    per point; the checks run on every point and report the first failure.
+    per point.  Both run the same checks through :func:`~ebrsim.core.require`,
+    in a fixed order (finiteness of all six, the four lower bounds, ``P``,
+    the diagonal sum, the coherence bound): floats stay floats, with no
+    numpy call, and columns name their first failing entry and point.  A
+    failed check raises a plain ``ValueError``, not ``InvalidParameter``,
+    with the same message for a point and for the column row holding it.
     """
 
     alpha: float | np.ndarray
@@ -76,29 +87,24 @@ class XStateParams:
     P: float | np.ndarray
 
     def __post_init__(self) -> None:
-        # One ordered pass over floats or columns alike: it names the first
-        # entry and point that fails.
-        entries = np.array(
-            (self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P), dtype=np.float64
-        ).reshape(6, -1)
+        # One fixed order: each check names the first failing entry and point.
+        entries = (self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P)
+        for name, x in zip(_ENTRY_NAMES, entries):
+            require(abs(x) <= _MAX, x, name + " must be finite, got {!r}", error=ValueError)
+        for name, x in zip(_ENTRY_NAMES, entries[:4]):
+            require(x >= -_EPS, x, name + " must be nonnegative, got {!r}", error=ValueError)
         alpha, beta, gamma, delta, xi, p = entries
-        _check(np.isfinite(entries), entries, "{name} must be finite, got {value!r}")
-        _check(entries[:4] >= -_EPS, entries, "{name} must be nonnegative, got {value!r}")
-        _check((0.0 < p) & (p <= 1.0 + _EPS), p, "P must lie in (0, 1], got {value!r}")
-        total, four_p, size = alpha + beta + gamma + delta, 4.0 * p, np.abs(xi)
-        _check(
-            np.abs(total - four_p) <= 4.0 * _EPS,
-            total,
-            "diagonal sum {value!r} does not match 4P = {other!r}",
-            four_p,
-        )
-        bound = np.sqrt(np.maximum(beta, 0.0) * np.maximum(gamma, 0.0))
-        _check(
-            size <= bound + _EPS,
-            size,
-            "|xi| = {value!r} exceeds sqrt(beta*gamma) = {other!r}",
-            bound,
-        )
+        require((0.0 < p) & (p <= 1.0 + _EPS), p, "P must lie in (0, 1], got {!r}",
+                error=ValueError)
+        total, four_p, size = alpha + beta + gamma + delta, 4.0 * p, abs(xi)
+        require(abs(total - four_p) <= 4.0 * _EPS, total,
+                "diagonal sum {!r} does not match 4P = {!r}", four_p, error=ValueError)
+        # max(0, x) on floats and columns alike: x + |x| is +0.0 for x <= 0 and
+        # exactly 2x otherwise, as beta and gamma are at most about 4P here
+        product = (beta + abs(beta)) / 2 * ((gamma + abs(gamma)) / 2)
+        bound = (math.sqrt if type(product) is float else np.sqrt)(product)
+        require(size <= bound + _EPS, size,
+                "|xi| = {!r} exceeds sqrt(beta*gamma) = {!r}", bound, error=ValueError)
 
     @classmethod
     def from_operator(cls, rho) -> "XStateParams":
@@ -120,11 +126,11 @@ class XStateParams:
         # the checks see the operators in C order, so they report the first failure
         flat = stack.reshape(-1, 4, 4)
         stray = np.max(np.abs(flat[:, _OFF_X]), axis=1)
-        _check(
-            stray <= _FIT_TOL, stray, "operator is not X-shaped: stray entry magnitude {value!r}"
-        )
+        require(stray <= _FIT_TOL, stray, "operator is not X-shaped: stray entry magnitude {!r}",
+                error=ValueError)
         real = flat[:, 1, 2].real
-        _check(np.abs(real) <= _FIT_TOL, real, "HV-VH coherence is not purely imaginary")
+        require(np.abs(real) <= _FIT_TOL, real, "HV-VH coherence is not purely imaginary",
+                error=ValueError)
         # an entry that overflows here fails the finiteness check of __post_init__
         with np.errstate(over="ignore"):
             entries = [
@@ -136,20 +142,6 @@ class XStateParams:
                 np.trace(stack, axis1=-2, axis2=-1).real,
             ]
         return cls(*entries)
-
-
-def _check(ok: np.ndarray, values: np.ndarray, message: str, other=None) -> None:
-    """Raise ``ValueError`` at the first point (entry-major) where ``ok`` fails."""
-    if ok.all():
-        return
-    k = np.unravel_index(np.argmin(ok), ok.shape)
-    raise ValueError(
-        message.format(
-            name=_ENTRY_NAMES[k[0]] if ok.ndim == 2 else None,
-            value=float(values[k]),
-            other=None if other is None else float(other[k]),
-        )
-    )
 
 
 def assemble(params: XStateParams) -> np.ndarray:
@@ -312,11 +304,14 @@ def breaking_threshold(scenario, stage: str = "I") -> float:
     ``T = p / (1 + p)``.  For ``p = 0`` that is ``T = 0``, so stage II is
     entangled on all of ``(0, 1)`` and :class:`NoThreshold` is raised.
     ``crossing_threshold`` in ``tests/test_metrics.py``, a grid scan plus
-    bisection, is the numerical reference for both.
+    bisection, is the numerical reference for both.  The threshold is one
+    number: a scenario whose ``p`` is a column raises :class:`InvalidParameter`.
     """
     if stage not in ("I", "II"):
         raise InvalidParameter(f"stage must be 'I' or 'II', got {stage!r}")
     p = scenario.p
+    if np.ndim(p):
+        raise InvalidParameter(f"breaking_threshold takes one p, got a column of shape {p.shape}")
     if stage == "I":
         return (math.sqrt(p * p + 2.0) - (1.0 - p)) / (1.0 + 2.0 * p)
     if p == 0.0:

@@ -201,6 +201,36 @@ class TestXStateParams:
         with pytest.raises(ValueError, match=match):
             XStateParams.from_operator(stack)
 
+    # Each rejection case above as six entries and its whole message; -0.0 rows: a
+    # clamp max(x, 0.0) keeps -0.0 and its root prints "= -0.0"
+    REJECTIONS = [
+        ((-0.1, 0.5, 0.5, 0.1, 0.0, 0.25), "alpha must be nonnegative, got -0.1"),
+        ((-1e-11, 2.0, 2.0, 1e-11, 0.0, 1.0), "alpha must be nonnegative, got -1e-11"),
+        ((1.0, 1.0, -1e-11, 1.0, 0.0, 1.5), "gamma must be nonnegative, got -1e-11"),
+        ((0.0, 0.5, 0.5, 0.0, 0.51, 0.25), "|xi| = 0.51 exceeds sqrt(beta*gamma) = 0.5"),
+        ((1.0, 1.0, 1.0, 1.0, 1.0 + 1e-11, 1.0),
+         "|xi| = 1.00000000001 exceeds sqrt(beta*gamma) = 1.0"),
+        ((2.0, -0.0, 2.0, 0.0, 0.5, 1.0), "|xi| = 0.5 exceeds sqrt(beta*gamma) = 0.0"),
+        ((2.0, 2.0, -0.0, 0.0, -0.5, 1.0), "|xi| = 0.5 exceeds sqrt(beta*gamma) = 0.0"),
+        ((1.0, 1.0, 1.0, 1.0, 0.0, 0.5), "diagonal sum 4.0 does not match 4P = 2.0"),
+        ((1.0, 1.0, 1.0, 1.0 + 1e-10, 0.0, 1.0), "diagonal sum 4.0000000001 does not match 4P = 4.0"),
+        ((0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "P must lie in (0, 1], got 0.0"),
+        ((-1.0, 1.0, 1.0, 1.0, 0.0, math.nan), "P must be finite, got nan"),
+    ] + [
+        (tuple(value if k == i else entry for k, entry in enumerate((1.0, 1.0, 1.0, 1.0, 0.0, 1.0))),
+         f"{name} must be finite, got {value!r}")
+        for i, name in enumerate(("alpha", "beta", "gamma", "delta", "xi", "P"))
+        for value in (math.nan, math.inf, -math.inf)
+    ]
+
+    @pytest.mark.parametrize("columns", [False, True], ids=["floats", "columns"])
+    @pytest.mark.parametrize("entries, message", REJECTIONS, ids=[m for _, m in REJECTIONS])
+    def test_rejection_is_the_same_on_floats_and_columns(self, entries, message, columns):
+        values = [np.array([x]) for x in entries] if columns else entries
+        with pytest.raises(ValueError) as info:
+            XStateParams(*values)
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
 
 def _bits(x) -> tuple:
     x = np.asarray(x)
@@ -490,3 +520,9 @@ class TestThresholds:
     def test_stage_label_is_checked(self):
         with pytest.raises(ValueError):
             breaking_threshold(distinguishable(), "III")
+
+    @pytest.mark.parametrize("stage", ["I", "II"])
+    @pytest.mark.parametrize("p", [[0.2, 0.5], [0.5]], ids=["two", "one"])
+    def test_a_column_scenario_is_a_typed_error(self, p, stage):
+        with pytest.raises(InvalidParameter, match=rf"column of shape \({len(p)},\)"):
+            breaking_threshold(partial(np.array(p)), stage)
