@@ -20,6 +20,10 @@ infinities and the other magnitudes), and those whose digits the
 double-double cannot decide (near-ties of the 17th digit, and for
 ``shortest`` an end of the rounding interval), are formatted one at a time
 by ``"%.17g" %`` or ``repr``.
+
+Each call formats its whole column in one pass, with about 210 bytes of
+temporaries a value besides the strings it returns; the caller bounds them
+by the column it passes, as a sweep does by formatting one block at a time.
 """
 
 from __future__ import annotations
@@ -51,12 +55,6 @@ _DOT_ZERO = 202
 # and carries 0, and _normal adds one at N = 1e17.  So no exponent falls
 # outside the table, and none is clipped.
 _LEAST_EXPONENT, _EXPONENTS = -201, 218
-# Values per pass of _text(): a pass's temporaries, about 300 bytes a
-# value, stay near a 2 MB L2 cache, where 4096-value passes over an
-# 11 000-value block ran faster than one pass (Xeon, 2 MB L2 per core), and a
-# long column needs no more memory than one pass.
-_PASS = 4096
-
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
@@ -235,9 +233,9 @@ def _shortest_digits(col: np.ndarray) -> tuple[np.ndarray, ...]:
     unsure = (np.abs(ends - np.rint(ends)) <= _EDGE_MARGIN).any(axis=0)
     a, b = n + np.floor(ends).astype(np.int64)
 
-    # at most one multiple of 100 fits in the interval, which is under 23 wide
-    k = (b // 10 > a // 10) + (b // 100 > a // 100).astype(np.int64)
-    power = 10**k
+    # at most one multiple of 100 fits in the interval, which is under 23 wide, and
+    # where one does, so does a multiple of 10: power is 10**k for k = 0, 1 or 2
+    power = 1 + 9 * (b // 10 > a // 10) + 90 * (b // 100 > a // 100)
     floor = n - n % power
     nearer_ceiling = 2.0 * (n - floor) + 2.0 * remainder - power  # > 0 where V is nearer it
     floor_in, ceiling_in = floor > a, floor + power <= b
@@ -289,24 +287,24 @@ def _words(negative: np.ndarray, n: np.ndarray, exponent: np.ndarray, dot: bool)
 
 
 def _text(col: np.ndarray, digits, dot: bool, fallback) -> list[str]:
-    """Each value's text, ``_PASS`` values at a time, from ``digits`` and the ``dot`` layout.
+    """Each value's text, in one pass over the column, from ``digits`` and the ``dot`` layout.
 
     One ``bytes.translate`` that deletes the unprinted (zero) bytes, one
-    ``decode`` and one ``split`` per pass make every string; a value off
-    ``digits``' fast path is formatted by ``fallback``.
+    ``decode`` and one ``split`` make every string; a value off ``digits``'
+    fast path is formatted by ``fallback``.  The pass holds about 210 bytes
+    of temporaries a value besides the strings (the digit columns, the
+    ``(6, size)`` index, keep and word rows, and the text before and after
+    ``translate``), so a caller that bounds its memory passes a bounded
+    column: a sweep formats one block at a time.
     """
-    out: list[str] = []
-    for start in range(0, col.size, _PASS):
-        part = col[start : start + _PASS]
-        fast, n, exponent = digits(part)
-        words = _words(np.signbit(part), n, exponent, dot)
-        text = words.tobytes().translate(None, b"\0").decode("ascii").split("\n")
-        text.pop()  # the empty string after the last separator
-        slow = np.flatnonzero(~fast)
-        for i, x in zip(slow.tolist(), part[slow].tolist()):
-            text[i] = fallback(x)
-        out += text
-    return out
+    fast, n, exponent = digits(col)
+    words = _words(np.signbit(col), n, exponent, dot)
+    text = words.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    text.pop()  # the empty string after the last separator
+    slow = np.flatnonzero(~fast)
+    for i, x in zip(slow.tolist(), col[slow].tolist()):
+        text[i] = fallback(x)
+    return text
 
 
 def strings(col: np.ndarray) -> list[str]:

@@ -248,9 +248,11 @@ def concurrence_x(params: XStateParams) -> float | np.ndarray:
     """Closed-form concurrence for X states: ``max(0, (|xi| - sqrt(alpha delta)) / 2P)``.
 
     An ``np.float64`` for float entries, an array of their shape for arrays.
+    ``|xi| <= 2P`` holds for the entries, but not always for their rounded
+    values, so the result is clamped at 1.
     """
     root = np.sqrt(np.maximum(params.alpha, 0.0) * np.maximum(params.delta, 0.0))
-    return np.maximum(0.0, (np.abs(params.xi) - root) / (2.0 * params.P))
+    return np.minimum(np.maximum(0.0, (np.abs(params.xi) - root) / (2.0 * params.P)), 1.0)
 
 
 def fidelity(a, b) -> float | np.ndarray:

@@ -299,7 +299,7 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     Entry map: ``beta -> A_B beta``, ``gamma -> A_A gamma``,
     ``delta -> A_A A_B delta``, ``xi -> sqrt(A_A A_B) xi``; ``alpha`` is
     untouched.  ``probability`` is the conditional pass probability
-    (new trace over old), and the cumulative probability multiplies.
+    (new trace over old, at most 1), and the cumulative probability multiplies.
     Below the normal float range ``sqrt(A_A A_B)`` is ``sqrt(A_A) sqrt(A_B)``.
 
     The floor applies to the sum of the filtered diagonal entries
@@ -329,7 +329,10 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
         new = [x[kept] for x in new]
     *entries, big_p, cumulative, a_a, a_b = new
     params = XStateParams(*entries)
-    passed = params.P / big_p  # 4P over 4P_II: the new trace over the old
+    # 4P over 4P_II, the new trace over the old.  P is rounded as an entry sum
+    # and P_II as a polynomial, so near the unit pair the ratio can exceed 1 by
+    # an ulp or two; clamped at 1, the cumulative never exceeds stage II's
+    passed = (min if scalar else np.minimum)(params.P / big_p, 1.0)
     filters = unchecked(FilterPair, a_a=a_a, a_b=a_b)  # a subset of checked factors
     return StageOutput(
         "III", params, normalized_state(params), passed, cumulative * passed, filters,

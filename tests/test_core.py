@@ -1,6 +1,9 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +151,39 @@ def test_columns_of_two_lengths_raise_a_typed_error():
     # a one-element column broadcasts, as a float does
     (x, y), scalar = columns(np.array([0.5]), np.array([0.1, 0.2, 0.3]))
     assert x.tolist() == [0.5] * 3 and y.tolist() == [0.1, 0.2, 0.3] and not scalar
+
+
+def test_columns_reject_a_two_dimensional_value():
+    for values in [(np.zeros((2, 2)), 0.5), (np.array([0.1, 0.2]), np.zeros((1, 2)))]:
+        with pytest.raises(InvalidParameter, match=r"^expected floats or 1-D columns$"):
+            columns(*values)
+
+
+# A fresh interpreter lists the package, then reports which deferred modules'
+# bodies ran: a marker name each body defines is in its namespace, read with
+# object.__getattribute__, which does not run the body as an attribute lookup would.
+_DIR_PROBE = """
+import json, sys
+import ebrsim
+names = dir(ebrsim)
+markers = {"fock": "oracle_check", "g17": "strings", "tomography": "simulate_counts"}
+ran = [name for name, marker in markers.items()
+       if marker in object.__getattribute__(sys.modules["ebrsim." + name], "__dict__")]
+print(json.dumps({"names": names, "all": ebrsim.__all__, "ran": ran}))
+"""
+
+
+def test_dir_lists_every_export_and_runs_no_deferred_module():
+    src = str(Path(ebrsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    proc = subprocess.run([sys.executable, "-c", _DIR_PROBE], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    result = json.loads(proc.stdout)
+    assert set(result["all"]) <= set(result["names"])
+    assert result["names"] == sorted(result["names"])
+    assert result["ran"] == []
 
 
 def test_unchecked_needs_every_field():
