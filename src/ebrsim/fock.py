@@ -374,7 +374,11 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
 
     Each pure preparation is expanded once per distinct ``T`` of the
     column, so a column that repeats its ``T`` values, as
-    :func:`oracle_check`'s merged blocks do, evolves each value once.
+    :func:`oracle_check`'s merged blocks do, evolves each value once.  The
+    three stages' X entries come from one
+    :meth:`~ebrsim.metrics.XStateParams.from_operator` call on their
+    operators stacked in stage order, so one set of checks covers every
+    row, and a failure names the first failing check over all three stages.
     """
     scalar = _is_point(config)
     config = _column_config(config)
@@ -403,10 +407,13 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
     # as in apply_filters, the floor bounds the X entries' sum, 4 times the trace
     kept = 4.0 * np.trace(rho_3, axis1=1, axis2=2).real > ZERO_TRACE_FLOOR
 
-    factor = 2.0 if config.feed_forward else 1.0
-    params_1 = XStateParams.from_operator(rho_1)
-    params_2 = XStateParams.from_operator(rho_2)
-    p2 = params_2.P
+    rho_3, n = rho_3[kept], index.size
+    # one extraction checks the rows of all three stages; each stage reads its slice
+    stacked = vars(XStateParams.from_operator(np.concatenate([rho_1, rho_2, rho_3])))
+    params_1, params_2, params_3 = (
+        unchecked(XStateParams, **{name: v[rows] for name, v in stacked.items()})
+        for rows in (slice(0, n), slice(n, 2 * n), slice(2 * n, None))
+    )
 
     def _stage(stage, rho, params, probability, cumulative, mask=None) -> StageOutput:
         return StageOutput(
@@ -418,16 +425,14 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
             kept=mask,
         )
 
+    factor = 2.0 if config.feed_forward else 1.0
+    p2 = np.broadcast_to(params_2.P, kept.shape)[kept]
+    pass_probability = params_3.P / p2
     stages = [
         _stage("I", rho_1, params_1, params_1.P, params_1.P),
-        _stage("II", rho_2, params_2, p2, factor * p2),
+        _stage("II", rho_2, params_2, params_2.P, factor * params_2.P),
+        _stage("III", rho_3, params_3, pass_probability, factor * p2 * pass_probability, kept),
     ]
-    rho_3, p2 = rho_3[kept], np.broadcast_to(p2, kept.shape)[kept]
-    params_3 = XStateParams.from_operator(rho_3)
-    pass_probability = params_3.P / p2
-    stages.append(
-        _stage("III", rho_3, params_3, pass_probability, factor * p2 * pass_probability, kept)
-    )
     return _point(stages, math.isnan(a_a[0])) if scalar else stages
 
 
@@ -504,7 +509,13 @@ class ScenarioDeviations:
 
 @dataclass(frozen=True)
 class OracleCheckReport:
-    """:func:`oracle_check`'s deviation columns over the grid ``T`` and ``epsilons``."""
+    """:func:`oracle_check`'s deviation columns over the grid ``T`` and ``epsilons``.
+
+    The verdict is computed once per report: :attr:`failures` and
+    :attr:`first_failure` are cached on the instance, and :attr:`ok` and the
+    CLI's report text read them.  A report with another ``tol``, as
+    ``dataclasses.replace`` makes one, is a new instance with its own cache.
+    """
 
     T: np.ndarray
     epsilons: tuple[float, ...]
@@ -512,11 +523,15 @@ class OracleCheckReport:
     skipped: list[str]
     tol: float
 
-    @property
+    @functools.cached_property
+    def failures(self) -> tuple[np.ndarray, ...]:
+        """Each scenario's :meth:`ScenarioDeviations.failures` at ``tol``, in scenario order."""
+        return tuple(check.failures(self.tol) for check in self.scenarios)
+
+    @functools.cached_property
     def first_failure(self) -> OracleFailure | None:
         """The first failing tuple by scenario, then ``T``, ``epsilon`` and stage."""
-        for check in self.scenarios:
-            hits = check.failures(self.tol)
+        for check, hits in zip(self.scenarios, self.failures):
             if hits.size:
                 i, j, s = np.unravel_index(hits[0], check.compared.shape)
                 return OracleFailure(

@@ -54,6 +54,45 @@ class NoThreshold(EbrsimError):
     """Concurrence has no zero-to-positive transition for T in (0, 1)."""
 
 
+def _require_in_order(entries: tuple) -> None:
+    """:class:`XStateParams`'s checks in their fixed order, each naming the first failing point."""
+    for name, x in zip(_ENTRY_NAMES, entries):
+        require(abs(x) <= _MAX, x, name + " must be finite, got {!r}", error=ValueError)
+    for name, x in zip(_ENTRY_NAMES, entries[:4]):
+        require(x >= -_EPS, x, name + " must be nonnegative, got {!r}", error=ValueError)
+    alpha, beta, gamma, delta, xi, p = entries
+    require((0.0 < p) & (p <= 1.0 + _EPS), p, "P must lie in (0, 1], got {!r}",
+            error=ValueError)
+    total, four_p, size = alpha + beta + gamma + delta, 4.0 * p, abs(xi)
+    require(abs(total - four_p) <= 4.0 * _EPS, total,
+            "diagonal sum {!r} does not match 4P = {!r}", four_p, error=ValueError)
+    # max(0, x) on floats and columns alike: x + |x| is +0.0 for x <= 0 and
+    # exactly 2x otherwise, as beta and gamma are at most about 4P here
+    product = (beta + abs(beta)) / 2 * ((gamma + abs(gamma)) / 2)
+    bound = (math.sqrt if type(product) is float else np.sqrt)(product)
+    require(size <= bound + _EPS, size,
+            "|xi| = {!r} exceeds sqrt(beta*gamma) = {!r}", bound, error=ValueError)
+
+
+def _passes(alpha, beta, gamma, delta, xi, p) -> bool:
+    """Whether array entries pass every check of :class:`XStateParams`, by one reduction.
+
+    The mask is the conjunction of the 13 conditions.  The finiteness checks
+    are implied by the others: a NaN fails every comparison, a ``P`` in
+    ``(0, 1 + _EPS]`` is finite, four entries of at least ``-_EPS`` whose sum
+    lies within ``4 _EPS`` of ``4P`` are finite, and so is an ``|xi|`` within
+    their coherence bound.  On such entries ``max(x, 0)`` is ``(x + |x|) / 2``
+    up to the sign of a zero, so the bound is the ordered check's.  A
+    non-finite entry fails its row without a numpy warning.
+    """
+    with np.errstate(all="ignore"):
+        low = np.minimum(np.minimum(alpha, beta), np.minimum(gamma, delta))
+        bound = np.sqrt(np.maximum(beta, 0.0) * np.maximum(gamma, 0.0)) + _EPS
+        ok = (low >= -_EPS) & (0.0 < p) & (p <= 1.0 + _EPS) & (abs(xi) <= bound)
+        ok &= abs(alpha + beta + gamma + delta - 4.0 * p) <= 4.0 * _EPS
+    return np.count_nonzero(ok) == np.size(ok)
+
+
 @dataclass(frozen=True)
 class XStateParams:
     """Unnormalized X-state entries ``(alpha, beta, gamma, delta, xi)``.
@@ -74,9 +113,12 @@ class XStateParams:
     per point.  Both run the same checks through :func:`~ebrsim.core.require`,
     in a fixed order (finiteness of all six, the four lower bounds, ``P``,
     the diagonal sum, the coherence bound): floats stay floats, with no
-    numpy call, and columns name their first failing entry and point.  A
-    failed check raises a plain ``ValueError``, not ``InvalidParameter``,
-    with the same message for a point and for the column row holding it.
+    numpy call, and columns name their first failing entry and point.
+    Arrays first fold the 13 conditions into one mask, reduced once, so a
+    passing column costs one reduction; only a failing one walks the ordered
+    checks for its message.  A failed check raises a plain ``ValueError``,
+    not ``InvalidParameter``, with the same message for a point and for the
+    column row holding it.
     """
 
     alpha: float | np.ndarray
@@ -87,24 +129,14 @@ class XStateParams:
     P: float | np.ndarray
 
     def __post_init__(self) -> None:
-        # One fixed order: each check names the first failing entry and point.
         entries = (self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P)
-        for name, x in zip(_ENTRY_NAMES, entries):
-            require(abs(x) <= _MAX, x, name + " must be finite, got {!r}", error=ValueError)
-        for name, x in zip(_ENTRY_NAMES, entries[:4]):
-            require(x >= -_EPS, x, name + " must be nonnegative, got {!r}", error=ValueError)
-        alpha, beta, gamma, delta, xi, p = entries
-        require((0.0 < p) & (p <= 1.0 + _EPS), p, "P must lie in (0, 1], got {!r}",
-                error=ValueError)
-        total, four_p, size = alpha + beta + gamma + delta, 4.0 * p, abs(xi)
-        require(abs(total - four_p) <= 4.0 * _EPS, total,
-                "diagonal sum {!r} does not match 4P = {!r}", four_p, error=ValueError)
-        # max(0, x) on floats and columns alike: x + |x| is +0.0 for x <= 0 and
-        # exactly 2x otherwise, as beta and gamma are at most about 4P here
-        product = (beta + abs(beta)) / 2 * ((gamma + abs(gamma)) / 2)
-        bound = (math.sqrt if type(product) is float else np.sqrt)(product)
-        require(size <= bound + _EPS, size,
-                "|xi| = {!r} exceeds sqrt(beta*gamma) = {!r}", bound, error=ValueError)
+        if type(self.P) is float:
+            _require_in_order(entries)
+        elif not _passes(*entries):
+            # only a failing column walks the ordered checks, for its message; a
+            # non-finite or huge entry fails its check without a numpy warning
+            with np.errstate(all="ignore"):
+                _require_in_order(entries)
 
     @classmethod
     def from_operator(cls, rho) -> "XStateParams":

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebrsim import cli
+from ebrsim import cli, fock
 from ebrsim.cli import ConfigError, SWEEP_HEADER, main, parse_config_text
 from ebrsim.core import EbrsimError, InvalidParameter, unchecked
 from ebrsim.fock import oracle_check, oracle_protocol
@@ -1115,6 +1115,35 @@ class TestOracleCheckCommand:
         golden = (DATA / "oracle_check_0.02_phase.txt").read_bytes()
         report = oracle_check(0.02, convention="phase")
         assert cli._oracle_check_text(report).encode() == golden
+
+    @pytest.fixture(scope="class")
+    def report_002(self):
+        return oracle_check(0.02)
+
+    # 0 and 7e-16 fail every scenario, 1e-10 none
+    @pytest.mark.parametrize("tol", [0.0, 7e-16, 1e-10])
+    def test_replaced_tolerance_gets_its_own_verdict(self, report_002, tol):
+        # the verdict at the report's own 1e-10 is cached before the copy is made
+        assert report_002.ok and cli._oracle_check_text(report_002).count("PASS") == 3
+        copy = dataclasses.replace(report_002, tol=tol)
+        fresh = oracle_check(0.02, tol=tol)
+        assert copy.first_failure == fresh.first_failure
+        assert copy.ok == fresh.ok == (tol == 1e-10)
+        assert cli._oracle_check_text(copy).splitlines() == cli._oracle_check_text(fresh).splitlines()
+
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-18"])
+    def test_each_scenario_is_judged_once(self, capsys, monkeypatch, tol):
+        judged = []
+        failures = fock.ScenarioDeviations.failures
+
+        def counting(check, tol):
+            judged.append(check.kind)
+            return failures(check, tol)
+
+        monkeypatch.setattr(fock.ScenarioDeviations, "failures", counting)
+        code, _, _ = run_cli(capsys, ["oracle-check", "--grid-step", "0.25", "--tol", tol])
+        assert code == (0 if tol == "1e-10" else 1)
+        assert judged == ["distinguishable", "indistinguishable", "partial"]
 
     def test_failing_output_equals_golden_file(self, capsys, tmp_path):
         # every scenario fails at 7e-16, and the first failure is mid-grid (T = 0.96)

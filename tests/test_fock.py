@@ -809,6 +809,67 @@ def _filter_column(scenario, branch, feed_forward, swept):
     return replace(config, filters=FilterPair(*pair)), points
 
 
+def _words(values):
+    """The 64-bit words of float or complex values, flattened: equal only if every bit is."""
+    return np.ascontiguousarray(values).view(np.uint64).reshape(-1)
+
+
+class TestStackedExtraction:
+    """One ``from_operator`` call on the stacked stages equals one call per stage, bit for bit."""
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The operator stacks ``XStateParams.from_operator`` is called on, and the real call."""
+        calls, extract = [], XStateParams.from_operator
+
+        def recording(cls, rho):
+            calls.append(rho)
+            return extract(rho)
+
+        monkeypatch.setattr(XStateParams, "from_operator", classmethod(recording))
+        return calls, extract
+
+    @staticmethod
+    def _assert_per_stage_bits(stages, stacks):
+        calls, extract = stacks
+        assert len(calls) == 1  # one extraction per oracle_protocol call
+        n = np.size(stages[0].params.P)
+        for out, rows in zip(stages, (calls[0][:n], calls[0][n:2 * n], calls[0][2 * n:])):
+            own = extract(rows)
+            for name in ("alpha", "beta", "gamma", "delta", "xi", "P"):
+                assert np.array_equal(_words(getattr(out.params, name)), _words(getattr(own, name)))
+            # the rows are the stage's own operators: they divide into its states
+            assert np.array_equal(_words(out.state), _words(rows / own.P[:, None, None]))
+
+    def test_merged_block_of_the_002_grid(self, stacks):
+        # T = 1/2 is on the grid: stage III leaves out its singular points
+        scenarios = (distinguishable(), indistinguishable(), partial(0.5))
+        _, oracle = fock._run_block(scenarios, np.arange(1, 50) * 0.02, np.array([1.0, 0.25]),
+                                    "real")
+        assert not oracle[2].kept.all()
+        self._assert_per_stage_bits(oracle, stacks)
+
+    def test_v_branch_feed_forward_column(self, stacks):
+        t = np.array([0.0, 0.2, 0.5, 0.62, 1.0])
+        # a NaN pair and a pair that filters T = 1/2 to zero trace leave stage III
+        a_a, a_b = np.array([0.4, math.nan, 1e-300, 1.0, 0.3]), np.full(5, 0.8)
+        a_b[2] = 1e-300
+        filters = FilterPair(a_a, a_b)
+        config = ChannelConfig(partial(0.35), T=t, filters=filters, branch="V", feed_forward=True)
+        stages = oracle_protocol(config, "phase")
+        assert stages[2].kept.tolist() == [True, False, False, True, True]
+        self._assert_per_stage_bits(stages, stacks)
+
+    @pytest.mark.parametrize("t", [0.3, 0.5], ids=["filtered", "singular"])
+    def test_single_point(self, stacks, t):
+        # _point unwraps the one-point column: floats and (4, 4) states; at the singular
+        # T = 1/2 stage III is left out
+        stages = oracle_protocol(ChannelConfig(indistinguishable(), T=t, epsilon=0.25))
+        assert len(stages) == (3 if t == 0.3 else 2)
+        assert all(type(out.params.P) is float for out in stages)
+        self._assert_per_stage_bits(stages, stacks)
+
+
 class TestOracleColumns:
     """A column of points runs the same code as each point alone."""
 

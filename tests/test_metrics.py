@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -17,6 +18,7 @@ from ebrsim.core import (
 from ebrsim.metrics import (
     _FLIP_SIGNS,
     _hermitian_part,
+    _passes,
     _psd_sqrt,
     NoThreshold,
     NotTwoQubit,
@@ -230,6 +232,59 @@ class TestXStateParams:
         with pytest.raises(ValueError) as info:
             XStateParams(*values)
         assert (type(info.value), str(info.value)) == (ValueError, message)
+
+    # Row 1 fails the coherence bound and row 3 an earlier check: a column that fails
+    # the one-reduction pass walks the ordered checks, so the earlier check type wins
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("delta", math.inf, "delta must be finite, got inf"),
+         ("gamma", -0.5, "gamma must be nonnegative, got -0.5")],
+        ids=["finite", "lower-bound"],
+    )
+    def test_failing_column_reports_the_earliest_check(self, name, value, message):
+        entries = {key: np.ones(4) for key in ("alpha", "beta", "gamma", "delta", "P")}
+        entries["xi"] = np.array([0.0, 1.5, 0.0, 0.0])
+        entries[name][3] = value
+        with pytest.raises(ValueError) as info:
+            XStateParams(**entries)
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
+    def test_nan_and_inf_column_fails_without_a_warning(self):
+        # inf * 0 and inf - inf arise in the coherence bound and the diagonal sum
+        alpha, beta, gamma = np.ones(3), np.ones(3), np.ones(3)
+        alpha[2], beta[1], gamma[1] = math.inf, math.inf, -math.inf
+        xi, big_p = np.array([0.0, math.nan, 0.0]), np.array([1.0, 1.0, math.nan])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as info:
+                XStateParams(alpha, beta, gamma, np.ones(3), xi, big_p)
+        assert str(info.value) == "alpha must be finite, got inf"
+        assert caught == []
+
+    def test_column_verdict_equals_the_float_checks_row_by_row(self):
+        # one-row columns take the one-reduction pass, Python floats the ordered checks
+        rng = np.random.default_rng(11)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-12, -1.1e-12, 1e308]
+        for _ in range(600):
+            row = [float(x) for x in vars(random_x_params(rng)).values()]
+            for k in rng.choice(6, size=rng.integers(0, 3), replace=False):
+                if rng.random() < 0.4:
+                    row[k] = specials[rng.integers(len(specials))]
+                else:  # at most 1.5e-12 from the edge of this entry's check
+                    step = float(rng.integers(-3, 4)) * 5e-13
+                    edges = [-step, -step, -step, -step,
+                             math.copysign(math.sqrt(max(row[1] * row[2], 0.0)), row[4]) + step,
+                             sum(row[:4]) / 4 + step]
+                    row[k] = edges[k]
+            try:
+                XStateParams(*row)
+                message = None
+            except ValueError as exc:
+                message = str(exc)
+            assert _passes(*(np.array([x]) for x in row)) == (message is None), row
+            if message is not None:
+                with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                    XStateParams(*(np.array([x]) for x in row))
 
 
 def _bits(x) -> tuple:

@@ -287,6 +287,21 @@ class TestReconstruct:
         with pytest.raises(UnusableCounts, match="too large"):
             reconstruct(counts)
 
+    @pytest.mark.parametrize("fill", [0.0, -1e-3], ids=["zero", "negative"])
+    def test_projection_without_weight_is_typed(self, monkeypatch, stage2_state, fill):
+        # no finite counts record gets here, so eigh is made to return no positive
+        # eigenvalue: the clipped weights sum to zero and the guard names the counts
+        eigh = np.linalg.eigh
+
+        def weightless(matrices):
+            vals, vecs = eigh(matrices)
+            return np.full_like(vals, fill), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", weightless)
+        with pytest.raises(UnusableCounts, match="^projection removed all weight; counts are "
+                                                 "unusable$"):
+            reconstruct(exact_counts(stage2_state))
+
     @pytest.mark.parametrize("minimal", [False, True])
     @pytest.mark.parametrize("rows", [1, 2, 200])
     def test_stacked_product_equals_per_row_products(self, stage2_state, minimal, rows):
