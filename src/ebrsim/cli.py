@@ -101,7 +101,6 @@ from .core import (
     maximally_mixed,
     pure_state,
     singlet_vector,
-    unchecked,
 )
 from .metrics import concurrence_x, fidelity
 from .protocol import (
@@ -407,11 +406,10 @@ def _stage_obj(out: StageOutput) -> dict:
 
 
 def _run_point(config: ChannelConfig) -> tuple[FilterPair, list[StageOutput]]:
-    filters = resolve_filters(config)  # a singular prescription is a domain error here
-    # the config's fields were checked as it was read, and the pair is a checked one
-    # or the prescription's, whose factors lie in (0, 1]
-    point = unchecked(ChannelConfig, **(vars(config) | {"filters": filters, "epsilon": None}))
-    return filters, run_protocol(point)
+    stages = run_protocol(config)
+    if len(stages) < 3:  # a singular prescription is a domain error here: raise its message
+        resolve_filters(config)
+    return stages[2].filters, stages
 
 
 def cmd_run(args: argparse.Namespace) -> int:

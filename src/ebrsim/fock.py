@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, ZeroTrace, unchecked
+from .core import EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, unchecked
 from .metrics import XStateParams
 from .protocol import (
     ChannelConfig,
@@ -48,6 +48,9 @@ from .protocol import (
     _check_transmittivity,
     _column_config,
     _is_point,
+    _keeps_trace,
+    _unwrap_point,
+    _zero_trace,
     distinguishable,
     indistinguishable,
     partial,
@@ -326,34 +329,6 @@ def _pure_branches(
     return p_select, conditional_state(selected, None), conditional_state(selected, branch)
 
 
-def _point(stages: list[StageOutput], singular: bool = False) -> list[StageOutput]:
-    """:func:`oracle_protocol`'s one-point column outputs as floats and ``(4, 4)`` states.
-
-    This is the closed form's single-point rule: a point the last stage did
-    not keep has the stages before it if its prescription was ``singular``
-    (NaN factors), and raises ZeroTrace if not.
-    """
-    if stages[-1].kept is not None and not stages[-1].kept[0]:
-        if not singular:
-            raise ZeroTrace("filtering removed all population from the state")
-        stages = stages[:-1]
-
-    def floats(obj):  # the column's checks covered its values
-        return unchecked(type(obj), **{name: float(v[0]) for name, v in vars(obj).items()})
-
-    return [
-        StageOutput(
-            out.stage,
-            floats(out.params),
-            out.state[0].copy(),
-            float(out.probability[0]),
-            float(out.cumulative_probability[0]),
-            out.filters and floats(out.filters),
-        )
-        for out in stages
-    ]
-
-
 def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[StageOutput]:
     """Stage I-III outputs obtained purely from the Fock simulation.
 
@@ -365,12 +340,11 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
     filter column.  A column config gives columns and ``(n, 4, 4)`` state
     stacks, and its stage III holds only the points in its ``kept`` mask:
     those whose filter factors are not NaN and whose filtered diagonal X
-    entries sum to more than ``ZERO_TRACE_FLOOR``, the rule of
-    :func:`~ebrsim.protocol.apply_filters`.  That sum is four times the
-    trace of the filtered operator.  It reads only the ``p``, ``T`` and
-    filter columns of the closed form's wrap, and unwraps a point by its
-    single-point rule: stages I-II only with a singular prescription,
-    :class:`~ebrsim.core.ZeroTrace` with a sum at most the floor.
+    entries, four times the trace of the oracle's own filtered operator,
+    pass the floor test :func:`~ebrsim.protocol._keeps_trace`.  It reads
+    only the ``p``, ``T`` and filter columns of the closed form's wrap, and
+    unwraps a point by :func:`~ebrsim.protocol._unwrap_point`: the
+    single-point rule is :mod:`ebrsim.protocol`'s, stated there once.
 
     Each pure preparation is expanded once per distinct ``T`` of the
     column, so a column that repeats its ``T`` values, as
@@ -404,8 +378,8 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
     s_a, s_b = np.sqrt(a_a), np.sqrt(a_b)
     k = np.stack([np.ones_like(s_a), s_b, s_a, s_a * s_b], axis=1)
     rho_3 = k[:, :, None] * rho_2 * k[:, None, :]
-    # as in apply_filters, the floor bounds the X entries' sum, 4 times the trace
-    kept = 4.0 * np.trace(rho_3, axis1=1, axis2=2).real > ZERO_TRACE_FLOOR
+    # apply_filters' floor on the oracle's own X entries' sum, 4 times the trace
+    kept = _keeps_trace(4.0 * np.trace(rho_3, axis1=1, axis2=2).real)
 
     rho_3, n = rho_3[kept], index.size
     # one extraction checks the rows of all three stages; each stage reads its slice
@@ -416,14 +390,8 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
     )
 
     def _stage(stage, rho, params, probability, cumulative, mask=None) -> StageOutput:
-        return StageOutput(
-            stage=stage,
-            params=params,
-            state=rho / params.P[:, None, None],
-            probability=probability,
-            cumulative_probability=cumulative,
-            kept=mask,
-        )
+        state = rho / params.P[:, None, None]
+        return StageOutput(stage, params, state, probability, cumulative, kept=mask)
 
     factor = 2.0 if config.feed_forward else 1.0
     p2 = np.broadcast_to(params_2.P, kept.shape)[kept]
@@ -433,7 +401,7 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
         _stage("II", rho_2, params_2, params_2.P, factor * params_2.P),
         _stage("III", rho_3, params_3, pass_probability, factor * p2 * pass_probability, kept),
     ]
-    return _point(stages, math.isnan(a_a[0])) if scalar else stages
+    return _unwrap_point(stages, math.isnan(a_a[0])) if scalar else stages
 
 
 def hom_coincidence(t: float, p: float, convention: str = "real") -> float:
@@ -663,7 +631,7 @@ def _run_block(
         np.array_equal(kept, ~np.isnan(config.filters.a_a))
         and np.array_equal(kept, oracle[2].kept)
     ):
-        raise ZeroTrace("filtering removed all population from the state")
+        _zero_trace()
     return closed, oracle
 
 

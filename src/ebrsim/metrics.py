@@ -110,10 +110,12 @@ class XStateParams:
     source singlet ``(|HV> - i|VH>)/sqrt(2)`` exactly.
 
     The entries are floats, or six equal-shape arrays holding one state
-    per point.  Both run the same checks through :func:`~ebrsim.core.require`,
-    in a fixed order (finiteness of all six, the four lower bounds, ``P``,
-    the diagonal sum, the coherence bound): floats stay floats, with no
-    numpy call, and columns name their first failing entry and point.
+    per point; arrays of two shapes raise a plain ``ValueError`` naming
+    them, before any other check.  Both run the same checks through
+    :func:`~ebrsim.core.require`, in a fixed order (finiteness of all six,
+    the four lower bounds, ``P``, the diagonal sum, the coherence bound):
+    floats stay floats, with no numpy call, and columns name their first
+    failing entry and point.
     Arrays first fold the 13 conditions into one mask, reduced once, so a
     passing column costs one reduction; only a failing one walks the ordered
     checks for its message.  A failed check raises a plain ``ValueError``,
@@ -132,7 +134,12 @@ class XStateParams:
         entries = (self.alpha, self.beta, self.gamma, self.delta, self.xi, self.P)
         if type(self.P) is float:
             _require_in_order(entries)
-        elif not _passes(*entries):
+            return
+        arrays = {n: x.shape for n, x in zip(_ENTRY_NAMES, entries) if isinstance(x, np.ndarray)}
+        if len(set(arrays.values())) > 1:  # before numpy broadcasts them, or fails to
+            shapes = ", ".join(f"{name} {shape}" for name, shape in arrays.items())
+            raise ValueError(f"X-state entries must share one shape, got {shapes}")
+        if not _passes(*entries):
             # only a failing column walks the ordered checks, for its message; a
             # non-finite or huge entry fails its check without a numpy warning
             with np.errstate(all="ignore"):

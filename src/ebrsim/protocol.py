@@ -33,7 +33,8 @@ scenario, and the filter pair resolved on its ``T``.  So a sweep over
 broadcasts against the filter column.  A column gets columns and
 ``(n, 4, 4)`` state stacks, and a point without stage III is masked.  The
 Fock oracle wraps a point as a one-element column too, and unwraps it by
-the same single-point rule (:func:`ebrsim.fock._point`).
+:func:`_unwrap_point`, beside :func:`run_protocol`: this module owns the
+single-point rule, and the oracle and the CLI call it.
 
 Each stage map is a core plus a door.  The cores, :func:`_stage1_entries`,
 :func:`_stage2_entries` and :func:`_filtered_entries`, return the six X
@@ -293,6 +294,16 @@ def stage2(
     return _stage("II", _stage2_entries, scenario, t, flip, feed_forward)
 
 
+def _keeps_trace(four_p):
+    """Whether a filtered diagonal sum ``4P`` keeps stage III: it exceeds ``ZERO_TRACE_FLOOR``."""
+    return four_p > ZERO_TRACE_FLOOR
+
+
+def _zero_trace():
+    """Raise the :class:`~ebrsim.core.ZeroTrace` of a point filtered to no trace."""
+    raise ZeroTrace("filtering removed all population from the state")
+
+
 def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     """Apply the local V attenuators to a stage-II output.
 
@@ -305,10 +316,12 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     The floor applies to the sum of the filtered diagonal entries
     ``alpha + beta + gamma + delta``, which is ``4P``: four times the
     filtered branch probability, so a point keeps stage III while that
-    probability exceeds ``ZERO_TRACE_FLOOR / 4``.  A single point whose sum
-    is at most ``ZERO_TRACE_FLOOR`` raises :class:`~ebrsim.core.ZeroTrace`.
-    For a column the output keeps only the points whose sum exceeds the
-    floor, which also drops the NaN factors of a singular prescription.
+    probability exceeds ``ZERO_TRACE_FLOOR / 4`` (:func:`_keeps_trace`).  A
+    single point whose sum is at most ``ZERO_TRACE_FLOOR`` raises
+    :class:`~ebrsim.core.ZeroTrace` (:func:`_zero_trace`).  For a column the
+    output keeps only the points whose sum exceeds the floor, which also
+    drops the NaN factors of a singular prescription.  This module owns the
+    rule; see :func:`run_protocol`.
     """
     old = stage_out.params
     (alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b), scalar = _floats_or_columns(
@@ -322,9 +335,9 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     root = _where(product >= _SMALLEST_NORMAL, sqrt(product), sqrt(a_a) * sqrt(a_b))
     new = (*_filtered_entries(alpha, beta, gamma, delta, xi, a_a, a_b, root),
            big_p, cumulative, a_a, a_b)
-    kept = 4 * new[5] > ZERO_TRACE_FLOOR  # 4P: the filtered diagonal sum
+    kept = _keeps_trace(4 * new[5])  # 4P: the filtered diagonal sum
     if scalar and not kept:
-        raise ZeroTrace("filtering removed all population from the state")
+        _zero_trace()
     if not scalar and not kept.all():
         new = [x[kept] for x in new]
     *entries, big_p, cumulative, a_a, a_b = new
@@ -424,6 +437,11 @@ def run_protocol(config: ChannelConfig) -> list[StageOutput]:
     against the filter column and holds the points of its ``kept`` mask.  A
     single point runs on floats: stages I-II only with a singular
     prescription, and :class:`~ebrsim.core.ZeroTrace` if filtered to no trace.
+
+    That single-point rule is stated once, here and in :func:`_unwrap_point`
+    beside it, which applies it to a one-point column; the floor test is
+    :func:`_keeps_trace` and the raise :func:`_zero_trace`.  The Fock oracle
+    and the CLI call these and restate none of them.
     """
     if not _is_point(config):
         config = _column_config(config)
@@ -434,3 +452,24 @@ def run_protocol(config: ChannelConfig) -> list[StageOutput]:
     except SingularPrescription:  # a point's; a column's singular points have NaN factors
         return [s1, s2]
     return [s1, s2, apply_filters(s2, filters)]
+
+
+def _unwrap_point(stages: list[StageOutput], singular: bool) -> list[StageOutput]:
+    """The oracle's one-point column outputs as a point's: floats and ``(4, 4)`` states.
+
+    The single-point rule on a column: a point that stage III did not keep
+    has stages I-II alone if its prescription was ``singular`` (NaN
+    factors), and raises :class:`~ebrsim.core.ZeroTrace` if not.  The
+    oracle's outputs carry no filter pair, and neither do the point's.
+    """
+    if not stages[-1].kept[0]:
+        if not singular:
+            _zero_trace()
+        stages = stages[:-1]
+
+    def floats(obj):  # the column's checks covered its values
+        return unchecked(type(obj), **{name: float(v[0]) for name, v in vars(obj).items()})
+
+    return [StageOutput(out.stage, floats(out.params), out.state[0].copy(),
+                        float(out.probability[0]), float(out.cumulative_probability[0]))
+            for out in stages]

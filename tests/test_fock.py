@@ -1001,6 +1001,43 @@ class TestOracleMirrorsRunProtocol:
                 ref.cumulative_probability, abs=1e-12
             )
 
+    def test_lone_points_take_the_same_branch_in_both_engines(self):
+        # the closed form runs a point on floats, the oracle as an unwrapped one-point
+        # column: both must keep stage III, drop it, or raise ZeroTrace alike
+        rng = np.random.default_rng(20261022)
+        scenarios = [distinguishable(), indistinguishable(), partial(0.0), partial(0.85),
+                     partial(1.0)]
+        ts = [0.0, 1e-200, 0.5, 0.5 - 1e-10, 0.5 + 1e-10, 1.0, *rng.uniform(0.0, 1.0, 4)]
+        filters = [{"epsilon": eps} for eps in (1.0, 0.25, 1e-300)] + [
+            {"filters": FilterPair(a_a, a_b)}
+            for a_a, a_b in ((0.4, 0.8), (5e-324, 1.0), (1e-300, 1e-300))
+        ] + [{}]
+        branches = [("H", False), ("V", False), ("V", True)]
+        outcomes = {2: 0, 3: 0, "ZeroTrace": 0}
+
+        def outcome(engine, config):
+            try:
+                return engine(config)
+            except ZeroTrace:
+                return "ZeroTrace"
+
+        for scenario, t, pair, (branch, ff) in itertools.product(scenarios, ts, filters, branches):
+            config = ChannelConfig(scenario=scenario, T=float(t), branch=branch,
+                                   feed_forward=ff, **pair)
+            closed, oracle = outcome(run_protocol, config), outcome(oracle_protocol, config)
+            where = (scenario, t, pair, branch, ff)
+            if closed == "ZeroTrace" or oracle == "ZeroTrace":
+                assert closed == oracle, where
+                outcomes["ZeroTrace"] += 1
+                continue
+            assert [o.stage for o in closed] == [o.stage for o in oracle], where
+            assert len(closed) in (2, 3), where
+            outcomes[len(closed)] += 1
+            for out in closed + oracle:
+                assert type(out.params.P) is float and out.state.shape == (4, 4), where
+        assert sum(outcomes.values()) == 1050
+        assert all(outcomes.values()), outcomes
+
     def test_zero_trace_is_masked_in_a_column_and_raised_alone(self):
         # epsilon = 1e-300 filters partial(0.85) to zero trace up to T = 0.8071
         t = np.linspace(0.1, 1.0, 15)

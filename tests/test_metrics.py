@@ -6,6 +6,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from ebrsim import metrics
 from ebrsim.core import (
     InvalidParameter,
     maximally_mixed,
@@ -285,6 +286,27 @@ class TestXStateParams:
             if message is not None:
                 with pytest.raises(ValueError, match=re.escape(message) + "$"):
                     XStateParams(*(np.array([x]) for x in row))
+
+    @pytest.mark.parametrize(
+        "alpha,big_p,shapes",
+        [(np.full(2, 0.25), np.full(3, 0.25), "alpha (2,), beta (3,), gamma (3,), delta (3,),"
+          " xi (3,), P (3,)"),
+         (np.full(3, 0.25), np.full((3, 1), 0.25), "alpha (3,), beta (3,), gamma (3,),"
+          " delta (3,), xi (3,), P (3, 1)")],
+        ids=["short-alpha", "column-P"],
+    )
+    def test_array_entries_of_two_shapes_are_rejected(self, monkeypatch, alpha, big_p, shapes):
+        # before the one-reduction pass: numpy would fail to broadcast the first
+        # and broadcast the second to (3, 3)
+        monkeypatch.setattr(metrics, "_passes", lambda *entries: pytest.fail("reduced"))
+        q = np.full(3, 0.25)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as info:
+                XStateParams(alpha, q, q, q, np.zeros(3), big_p)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "X-state entries must share one shape, got " + shapes
+        assert caught == []
 
 
 def _bits(x) -> tuple:
