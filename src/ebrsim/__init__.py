@@ -37,7 +37,6 @@ from .protocol import (
     ChannelConfig,
     FilterPair,
     Scenario,
-    SingularPrescription,
     StageOutput,
     apply_filters,
     distinguishable,
@@ -138,7 +137,6 @@ __all__ = [
     "OracleCheckReport",
     "RankDeficient",
     "Scenario",
-    "SingularPrescription",
     "StageOutput",
     "TomographyResult",
     "UncertaintyReport",

@@ -14,9 +14,9 @@ A sweep range-checks its whole swept column first, so a config error
 exits 2 before any byte is written.  It then evaluates the column in
 blocks of ``SWEEP_BLOCK`` points, one columnar ``run_protocol`` call per
 block, and writes each block's text before the next block starts, so
-memory stays bounded whatever the number of steps.  A point without
-stage III (a singular prescription, or a filtered trace of zero) gets
-its stage I-II rows with NaN filter factors.
+memory stays bounded whatever the number of steps.  A point filtered
+to a trace of zero has no stage III: it gets its stage I-II rows with NaN
+filter factors.
 
 A block is built as a ``(rows, 10)`` array of cell strings
 (``_sweep_cells``).  A swept-over constant is formatted once per block, a
@@ -25,10 +25,10 @@ probabilities once per stage row, and the one-point stages I-II of a
 sweep over ``epsilon`` once in all.  Two rules cover the filter factors,
 and both compare a float's bits, never ``==``, so ``0.0`` and ``-0.0``
 never share a text and a column of NaNs is one value: a factor column of
-one bit pattern (a ``p`` sweep's pair, an explicit pair, the NaN pair of
-a ``p`` sweep at a singular ``T``) is formatted once, and in any other
-column a point's factor with ``epsilon``'s bits (the prescription's
-unattenuated arm) takes ``epsilon``'s text.  A third bit rule covers the
+one bit pattern (an explicit pair, or the unit pair of a ``p`` sweep at
+``T = 0``) is formatted once, and in any other column a point's factor
+with ``epsilon``'s bits (the prescription's unattenuated arm) takes
+``epsilon``'s text.  A third bit rule covers the
 cumulative probabilities: a stage's cumulative column with the bits of its
 own or an earlier stage's probability column (stage I's, stage II's
 without feed-forward, and with it stage II's ``2 P_II``, which is stage
@@ -108,7 +108,6 @@ from .protocol import (
     FilterPair,
     Scenario,
     StageOutput,
-    resolve_filters,
     run_protocol,
 )
 
@@ -405,16 +404,10 @@ def _stage_obj(out: StageOutput) -> dict:
     }
 
 
-def _run_point(config: ChannelConfig) -> tuple[FilterPair, list[StageOutput]]:
-    stages = run_protocol(config)
-    if len(stages) < 3:  # a singular prescription is a domain error here: raise its message
-        resolve_filters(config)
-    return stages[2].filters, stages
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = _read_config(args.config, "run").channel
-    filters, stages = _run_point(config)
+    stages = run_protocol(config)
+    filters = stages[2].filters
     # stdout is written once the trace file is closed, so a failed write prints nothing
     with _open_outputs(*_out_paths(args.out)) as files:
         for fh in files:
@@ -494,9 +487,9 @@ def _sweep_cells(config: ChannelConfig, fmt: _SweepFormat) -> np.ndarray:
     """The table of a column of points as a ``(rows, 10)`` array of ``fmt``'s cells.
 
     Rows go point by point: stages I and II, then III where the point kept
-    it; a point without stage III (a singular prescription, or a filtered
-    trace of zero) has NaN filter factors.  ``fmt.number`` is called once,
-    with every distinct float column of the block concatenated: a filter
+    it; a point without stage III (a filtered trace of zero) has NaN filter
+    factors.  ``fmt.number`` is called once, with every distinct float
+    column of the block concatenated: a filter
     factor column whose values share one bit pattern as that one value, any
     other without the points whose bits equal ``epsilon``'s there, and a
     cumulative probability column only where no probability column has its bits.
@@ -601,7 +594,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _oracle_check_text(report: fock.OracleCheckReport) -> str:
-    """``oracle-check``'s text: a line per scenario, per skipped point and the first failure."""
+    """``oracle-check``'s text: a line per scenario and the first failure."""
     lines = []
     for check, hits in zip(report.scenarios, report.failures):
         status = "FAIL" if hits.size else "PASS"
@@ -610,7 +603,6 @@ def _oracle_check_text(report: fock.OracleCheckReport) -> str:
             f" max|dstate|={check.max_state_deviation:.3e}"
             f" max|dP|={check.max_probability_deviation:.3e}"
         )
-    lines.extend(f"SKIPPED-singular {note}" for note in report.skipped)
     first = report.first_failure
     if first is not None:
         lines.append(
@@ -638,7 +630,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     if conf.channel is None:
         truth = maximally_mixed(4) if conf.state == "mixed" else pure_state(singlet_vector())
     else:
-        truth = {s.stage: s for s in _run_point(conf.channel)[1]}[conf.stage].state
+        truth = {s.stage: s for s in run_protocol(conf.channel)}[conf.stage].state
     minimal = conf.settings == 16
     counts = tomography.simulate_counts(truth, conf.total_triples, seed, minimal=minimal)
     result = tomography.reconstruct(counts, background=conf.background)

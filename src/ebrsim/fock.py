@@ -334,17 +334,17 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
 
     Mirrors :func:`ebrsim.protocol.run_protocol` for the same
     configuration, including the per-branch probability bookkeeping, the
-    cumulative doubling under feed-forward, the points without a stage
-    III and the shapes: stages I-II hold one entry per point of the
+    cumulative doubling under feed-forward, the points filtered to no
+    trace and the shapes: stages I-II hold one entry per point of the
     ``(p, T)`` broadcast, and stage III broadcasts stage II against the
     filter column.  A column config gives columns and ``(n, 4, 4)`` state
     stacks, and its stage III holds only the points in its ``kept`` mask:
-    those whose filter factors are not NaN and whose filtered diagonal X
-    entries, four times the trace of the oracle's own filtered operator,
-    pass the floor test :func:`~ebrsim.protocol._keeps_trace`.  It reads
-    only the ``p``, ``T`` and filter columns of the closed form's wrap, and
-    unwraps a point by :func:`~ebrsim.protocol._unwrap_point`: the
-    single-point rule is :mod:`ebrsim.protocol`'s, stated there once.
+    those whose filtered diagonal X entries, four times the trace of the
+    oracle's own filtered operator, pass the floor test
+    :func:`~ebrsim.protocol._keeps_trace`.  It reads only the ``p``, ``T``
+    and filter columns of the closed form's wrap, and unwraps a point by
+    :func:`~ebrsim.protocol._unwrap_point`: the single-point rule is
+    :mod:`ebrsim.protocol`'s, stated there once.
 
     Each pure preparation is expanded once per distinct ``T`` of the
     column, so a column that repeats its ``T`` values, as
@@ -401,7 +401,7 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
         _stage("II", rho_2, params_2, params_2.P, factor * params_2.P),
         _stage("III", rho_3, params_3, pass_probability, factor * p2 * pass_probability, kept),
     ]
-    return _unwrap_point(stages, math.isnan(a_a[0])) if scalar else stages
+    return _unwrap_point(stages) if scalar else stages
 
 
 def hom_coincidence(t: float, p: float, convention: str = "real") -> float:
@@ -445,34 +445,30 @@ class ScenarioDeviations:
 
     ``deviations[i, j, s]`` holds the state, probability and cumulative
     probability deviations at the ``i``-th grid ``T``, the ``j``-th
-    ``epsilon`` and stage ``STAGES[s]``.  ``compared`` has the shape of
-    its first three axes and marks the stages compared: all of stages
-    I-II, and stage III where the prescription is not singular.
-    Uncompared entries hold zero.
+    ``epsilon`` and stage ``STAGES[s]``; every stage of every point is
+    compared.
     """
 
     kind: str
     deviations: np.ndarray
-    compared: np.ndarray
 
     @property
     def points(self) -> int:
-        return int(np.count_nonzero(self.compared))
+        """The number of stages compared."""
+        return self.deviations[..., 0].size
 
     @property
     def max_state_deviation(self) -> float:
-        return float(np.max(self.deviations[..., 0], where=self.compared, initial=0.0))
+        return float(np.max(self.deviations[..., 0], initial=0.0))
 
     @property
     def max_probability_deviation(self) -> float:
         """Largest probability or cumulative probability deviation."""
-        return float(
-            np.max(self.deviations[..., 1:], where=self.compared[..., None], initial=0.0)
-        )
+        return float(np.max(self.deviations[..., 1:], initial=0.0))
 
     def failures(self, tol: float) -> np.ndarray:
-        """Flat C-order indices of the compared stages deviating by more than ``tol``."""
-        return np.flatnonzero((self.deviations.max(axis=-1) > tol) & self.compared)
+        """Flat C-order indices of the stages deviating by more than ``tol``."""
+        return np.flatnonzero(self.deviations.max(axis=-1) > tol)
 
 
 @dataclass(frozen=True)
@@ -488,7 +484,6 @@ class OracleCheckReport:
     T: np.ndarray
     epsilons: tuple[float, ...]
     scenarios: tuple[ScenarioDeviations, ...]
-    skipped: list[str]
     tol: float
 
     @functools.cached_property
@@ -501,7 +496,7 @@ class OracleCheckReport:
         """The first failing tuple by scenario, then ``T``, ``epsilon`` and stage."""
         for check, hits in zip(self.scenarios, self.failures):
             if hits.size:
-                i, j, s = np.unravel_index(hits[0], check.compared.shape)
+                i, j, s = np.unravel_index(hits[0], check.deviations.shape[:-1])
                 return OracleFailure(
                     scenario=check.kind,
                     T=float(self.T[i]),
@@ -537,11 +532,8 @@ def oracle_check(
     """Sweep the closed form against the oracle over a transmittivity grid.
 
     Covers all three scenarios (partial at ``p = 0.5``) and stages I-III
-    with the tabulated filter prescription at each ``epsilon``.  Points
-    where the prescription is singular contribute the stages I-II that
-    :func:`ebrsim.protocol.run_protocol` returns there and are listed in
-    ``skipped``; a point filtered down to zero trace raises
-    :class:`~ebrsim.core.ZeroTrace`.
+    with the tabulated filter prescription at each ``epsilon``.  A point
+    filtered down to zero trace raises :class:`~ebrsim.core.ZeroTrace`.
 
     The grid is ``k * grid_step`` for ``k = 1 .. round(1/grid_step) - 1``;
     a step that leaves no point, or more than :data:`MAX_GRID_POINTS`, is
@@ -552,12 +544,12 @@ def oracle_check(
     of the block, of at most :data:`CHECK_BLOCK` points.  Per block the
     four pure preparations are evolved once, on the block's ``T`` values,
     and the closed form and the oracle each run once, the oracle on the
-    closed form's filter column with its singular points marked NaN.  Every
-    step is elementwise, so a point's deviations do not depend on the block
-    it sits in.  The report holds one :class:`ScenarioDeviations` per
-    scenario, whose arrays are indexed by ``T``, ``epsilon`` and stage;
-    ``skipped`` and :attr:`OracleCheckReport.first_failure` follow the same
-    order, scenario by scenario, then by ``T``, ``epsilon`` and stage.
+    closed form's filter column.  Every step is elementwise, so a point's
+    deviations do not depend on the block it sits in.  The report holds one
+    :class:`ScenarioDeviations` per scenario, whose arrays are indexed by
+    ``T``, ``epsilon`` and stage; :attr:`OracleCheckReport.first_failure`
+    follows the same order, scenario by scenario, then by ``T``, ``epsilon``
+    and stage.
     """
     if not (0.0 <= tol < math.inf):
         raise InvalidParameter(f"tol must be nonnegative and finite, got {tol!r}")
@@ -577,7 +569,6 @@ def oracle_check(
     eps = np.asarray(epsilons, dtype=np.float64)
     # indexed by scenario, T, epsilon and stage
     deviations = np.zeros((len(scenarios), column.size, eps.size, len(STAGES), 3))
-    compared = np.ones(deviations.shape[:-1], dtype=bool)
     width = max(1, CHECK_BLOCK // (len(scenarios) * eps.size))
     for lo in range(0, column.size, width):
         block = slice(lo, lo + width)
@@ -586,22 +577,15 @@ def oracle_check(
         # them, so the allocator reuses their memory instead of handing it back
         # to the system and faulting it in again for every block.
         closed, oracle = _run_block(scenarios, t, eps, convention)
-        deviations[:, block], compared[:, block] = _block_deviations(
+        deviations[:, block] = _block_deviations(
             closed, oracle, (len(scenarios), eps.size, t.size)
         )
-    skipped = [
-        f"{scenario.kind} T={column[i]:.6g} epsilon={epsilons[j]:.6g}: singular prescription"
-        for scenario, mask in zip(scenarios, compared)
-        for i, j in zip(*np.nonzero(~mask[:, :, 2]))
-    ]
     return OracleCheckReport(
         T=column,
         epsilons=tuple(epsilons),
         scenarios=tuple(
-            ScenarioDeviations(scenario.kind, dev, mask)
-            for scenario, dev, mask in zip(scenarios, deviations, compared)
+            ScenarioDeviations(scenario.kind, dev) for scenario, dev in zip(scenarios, deviations)
         ),
-        skipped=skipped,
         tol=tol,
     )
 
@@ -626,11 +610,7 @@ def _run_block(
     )
     closed = run_protocol(config)
     oracle = oracle_protocol(config, convention)
-    kept = closed[2].kept
-    if not (
-        np.array_equal(kept, ~np.isnan(config.filters.a_a))
-        and np.array_equal(kept, oracle[2].kept)
-    ):
+    if not (closed[2].kept.all() and oracle[2].kept.all()):
         _zero_trace()
     return closed, oracle
 
@@ -638,25 +618,22 @@ def _run_block(
 def _block_deviations(
     closed: list[StageOutput], oracle: list[StageOutput], shape: tuple[int, int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deviations and compared mask of a merged column of ``shape`` (scenarios, epsilons, T).
+    """Deviations of a merged column of ``shape`` (scenarios, epsilons, T).
 
-    Both come back indexed by scenario, ``T``, ``epsilon`` and stage.
+    They come back indexed by scenario, ``T``, ``epsilon`` and stage.
     """
-    kept = closed[2].kept
-    compared = np.ones((kept.size, len(STAGES)), dtype=bool)
-    compared[:, 2] = kept
-    deviations = np.zeros((kept.size, len(STAGES), 3))
-    # stages I-II hold every point, stage III only the kept ones
-    for s, (ref, alt) in enumerate(zip(closed, oracle)):
-        deviations[compared[:, s], s] = np.stack(
-            [
-                np.max(np.abs(ref.state - alt.state), axis=(1, 2)),
-                np.abs(ref.probability - alt.probability),
-                np.abs(ref.cumulative_probability - alt.cumulative_probability),
-            ],
-            axis=-1,
-        )
-    return (
-        deviations.reshape(*shape, len(STAGES), 3).swapaxes(1, 2),
-        compared.reshape(*shape, len(STAGES)).swapaxes(1, 2),
+    deviations = np.stack(
+        [
+            np.stack(
+                [
+                    np.max(np.abs(ref.state - alt.state), axis=(1, 2)),
+                    np.abs(ref.probability - alt.probability),
+                    np.abs(ref.cumulative_probability - alt.cumulative_probability),
+                ],
+                axis=-1,
+            )
+            for ref, alt in zip(closed, oracle)
+        ],
+        axis=1,
     )
+    return deviations.reshape(*shape, len(STAGES), 3).swapaxes(1, 2)

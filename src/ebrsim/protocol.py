@@ -20,19 +20,18 @@ Every parameter of the pipeline (``p``, ``T``, ``epsilon`` and the filter
 factors) may be a float or a 1-D float64 column.  A call whose inputs are
 all floats is a single point: it stays on Python floats through every
 door, gets floats and a ``(4, 4)`` state, and follows the single-point
-rule.  A point filtered to no trace raises :class:`~ebrsim.core.ZeroTrace`,
-and :func:`run_protocol` drops stage III at a singular prescription.
+rule: a point filtered to no trace raises :class:`~ebrsim.core.ZeroTrace`.
 IEEE ``+ - * /`` and ``sqrt`` round the same on Python floats and on
 float64 columns, so a point's outputs have the bits of its column row.
 
 A call with a column evaluates every point at once: a sweep is one call
 per block of points.  One wrap, :func:`_column_config`, converts a column
 config to what an engine reads: the ``(p, T)`` broadcast, carried by the
-scenario, and the filter pair resolved on its ``T``.  So a sweep over
+scenario, and the filter pair resolved on that broadcast.  So a sweep over
 ``epsilon`` alone evaluates stages I-II on one point, which stage III
 broadcasts against the filter column.  A column gets columns and
-``(n, 4, 4)`` state stacks, and a point without stage III is masked.  The
-Fock oracle wraps a point as a one-element column too, and unwraps it by
+``(n, 4, 4)`` state stacks, and a point filtered to no trace is masked.
+The Fock oracle wraps a point as a one-element column too, and unwraps it by
 :func:`_unwrap_point`, beside :func:`run_protocol`: this module owns the
 single-point rule, and the oracle and the CLI call it.
 
@@ -45,7 +44,9 @@ step outside the ring, the root ``sqrt(A_A A_B)``, is taken by its door and
 passed in.  The doors hold the rest: :func:`_stage` serves stages I and II
 and :func:`apply_filters` serves stage III.  Each takes its inputs as
 floats or as columns by :func:`_floats_or_columns`, checks them and builds
-the :class:`StageOutput`.
+the :class:`StageOutput`.  The filter prescription, :func:`table_filters`,
+reads its ratio ``beta / gamma`` off :func:`_stage2_entries`, so one rule
+serves every scenario.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EbrsimError,
     InvalidParameter,
     ZeroTrace,
     ZERO_TRACE_FLOOR,
@@ -69,16 +69,8 @@ from .metrics import XStateParams, normalized_state
 
 _SCENARIO_KINDS = ("distinguishable", "indistinguishable", "partial")
 
-# Below this distance from T = 1/2 the indistinguishable filter
-# prescription degenerates (the 2T-1 coherence amplitude vanishes).
-SINGULAR_T_WINDOW = 1e-9
-
 # A product of filter factors below the smallest normal float has lost digits.
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-
-
-class SingularPrescription(EbrsimError):
-    """The tabulated filter prescription is singular at this transmittivity."""
 
 
 def _ndim(x) -> int:
@@ -156,8 +148,7 @@ def partial(p: float | np.ndarray) -> Scenario:
 class FilterPair:
     """Local V-attenuation factors ``|V> -> sqrt(A)|V>`` for the two arms.
 
-    Floats, or columns with one pair per point; in a column, NaN marks a
-    point whose prescription is singular (see :func:`table_filters`).
+    Floats, or columns with one pair per point.
     """
 
     a_a: float | np.ndarray
@@ -165,10 +156,7 @@ class FilterPair:
 
     def __post_init__(self) -> None:
         for name, value in (("a_a", self.a_a), ("a_b", self.a_b)):
-            ok = (0.0 < value) & (value <= 1.0)
-            if _ndim(value):
-                ok |= np.isnan(value)
-            require(ok, value, name + " must lie in (0, 1], got {!r}")
+            require((0.0 < value) & (value <= 1.0), value, name + " must lie in (0, 1], got {!r}")
 
 
 @dataclass(frozen=True)
@@ -216,8 +204,8 @@ class StageOutput:
     probabilities and ``filters`` hold columns and ``state`` is an
     ``(n, 4, 4)`` stack.  Stages I-II hold one entry per point of the
     ``(p, T)`` broadcast, which may be one.  A stage-III column holds only
-    the points in its boolean mask ``kept``: the others had a singular
-    prescription or were filtered down to zero trace.
+    the points in its boolean mask ``kept``: the others were filtered down
+    to zero trace.
     """
 
     stage: str
@@ -319,9 +307,8 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
     probability exceeds ``ZERO_TRACE_FLOOR / 4`` (:func:`_keeps_trace`).  A
     single point whose sum is at most ``ZERO_TRACE_FLOOR`` raises
     :class:`~ebrsim.core.ZeroTrace` (:func:`_zero_trace`).  For a column the
-    output keeps only the points whose sum exceeds the floor, which also
-    drops the NaN factors of a singular prescription.  This module owns the
-    rule; see :func:`run_protocol`.
+    output keeps only the points whose sum exceeds the floor.  This module
+    owns the rule; see :func:`run_protocol`.
     """
     old = stage_out.params
     (alpha, beta, gamma, delta, xi, big_p, cumulative, a_a, a_b), scalar = _floats_or_columns(
@@ -356,45 +343,40 @@ def apply_filters(stage_out: StageOutput, filters: FilterPair) -> StageOutput:
 def table_filters(
     scenario: Scenario, t: float | np.ndarray, epsilon: float | np.ndarray
 ) -> FilterPair:
-    """Attenuation pair that drives the stage-II state toward the singlet.
+    """Attenuation pair that drives the stage-II state toward its best filtered state.
 
-    ``epsilon`` in ``(0, 1]`` trades success probability for concurrence;
-    as ``epsilon -> 0`` the filtered state approaches the scenario's best
-    attainable state.  For the indistinguishable (and partial) scenario
-    the prescription is singular at ``T = 1/2``, where the surviving
-    coherence amplitude ``2T - 1`` vanishes.  Every scenario's
-    prescription is singular where an attenuation factor comes out as
-    zero: at ``T = 0``, and where it underflows at tiny ``T``.
+    On the H-branch stage-II X state of :func:`_stage2_entries`, whose
+    ``alpha`` is 0, a pair's filtered concurrence is
+    ``2 sqrt(A_A A_B) |xi| / (A_B beta + A_A gamma + A_A A_B delta)``.  It
+    grows toward its supremum ``|xi| / sqrt(beta gamma)`` as both factors
+    fall at the ratio ``A_A / A_B = beta / gamma`` (Kent, Linden & Massar,
+    PRL 83, 2656 (1999); Verstraete, Dehaene & De Moor, PRA 64, 010101(R)
+    (2001)).  So with ``q = min(sqrt(beta), sqrt(gamma)) / max(sqrt(beta),
+    sqrt(gamma))``, the arm of the larger root gets ``epsilon`` and the other
+    ``epsilon q^2``: ``epsilon`` in ``(0, 1]`` trades success probability for
+    concurrence, which tends to the supremum as ``epsilon -> 0``.  One rule
+    serves every scenario, read off stage II's core at the scenario's ``p``,
+    and the pair does not depend on the branch.
 
-    In a column the singular points get NaN factors; a single point raises
-    :class:`SingularPrescription` instead, with a message naming the cause.
+    Where the smaller factor comes out 0.0 the pair is the unit pair
+    ``(1, 1)``.  In exact arithmetic that happens only where
+    ``beta gamma = 0``: at ``T = 0``, and at ``T = 1/2`` with ``p = 1``.  There
+    stage II's ``xi`` is 0, so no filter restores anything, and stage III is
+    stage II.  In floats it also happens where the factor underflows.
     """
-    (t, epsilon), scalar = _floats_or_columns(t, epsilon)
+    (p, t, epsilon), scalar = _floats_or_columns(scenario.p, t, epsilon)
     require((0.0 < epsilon) & (epsilon <= 1.0), epsilon, "epsilon must lie in (0, 1], got {!r}")
     _check_transmittivity(t)
-    r = 1.0 - t
-    w = abs(2.0 * t - 1.0)
-    if scenario.kind == "distinguishable":
-        a_a, a_b = epsilon * t * t / (t * t + r * r), epsilon
-        near = False  # the coherence does not vanish at T = 1/2
-    else:
-        # Indistinguishable prescription; also used for partial mixtures,
-        # whose coherence is dominated by the engineered-overlap component.
-        # The wider of T and |2T-1| keeps its arm unfiltered; the other arm
-        # gets epsilon times the squared ratio, written q * q because
-        # Python's float ** 2 calls pow, which need not round correctly.
-        near = w < SINGULAR_T_WINDOW
-        wide = t > w
-        q = _where(wide, w, t) / _where(wide, t, w)
-        scaled = epsilon * (q * q)
-        a_a, a_b = _where(wide, epsilon, scaled), _where(wide, scaled, epsilon)
-    zero = (a_a == 0.0) | (a_b == 0.0)
-    if scalar and (near or zero):
-        cause = f"|2T-1| = {w!r}" if near else f"A_A = {a_a!r}, A_B = {a_b!r}"
-        raise SingularPrescription(f"filter prescription is singular at T = {t!r} ({cause})")
-    if not scalar:  # the factors lie in (0, 1] by construction, or are NaN
-        a_a, a_b = (np.where(near | zero, np.nan, x) for x in (a_a, a_b))
-    return unchecked(FilterPair, a_a=a_a, a_b=a_b)
+    _, beta, gamma, *_ = _stage2_entries(p, t)
+    sqrt = math.sqrt if scalar else np.sqrt
+    root_beta, root_gamma = sqrt(beta), sqrt(gamma)
+    wide = root_beta > root_gamma  # A_A / A_B = beta / gamma: arm A takes the larger factor
+    q = _where(wide, root_gamma, root_beta) / _where(wide, root_beta, root_gamma)
+    # q * q, as Python's float ** 2 calls pow, which need not round correctly
+    scaled = epsilon * (q * q)
+    unit = scaled == 0.0
+    large, small = _where(unit, 1.0, epsilon), _where(unit, 1.0, scaled)
+    return unchecked(FilterPair, a_a=_where(wide, large, small), a_b=_where(wide, small, large))
 
 
 def resolve_filters(config: ChannelConfig) -> FilterPair:
@@ -417,8 +399,8 @@ def _column_config(config: ChannelConfig) -> ChannelConfig:
     """The config as 1-D float64 columns: the one conversion.
 
     The wrapped scenario carries the ``(p, T)`` column for every kind; the
-    filter pair is resolved on that ``T`` (NaN where the prescription is
-    singular; a float factor holds at every ``T``), and ``epsilon`` is None.
+    filter pair is resolved on that ``(p, T)`` column (a float factor holds
+    at every point), and ``epsilon`` is None.
     """
     (p, t), _ = columns(config.scenario.p, config.T)  # the config checked its values
     scenario = unchecked(Scenario, kind=config.scenario.kind, p_value=p)
@@ -435,8 +417,8 @@ def run_protocol(config: ChannelConfig) -> list[StageOutput]:
 
     Stages I-II run on the ``(p, T)`` broadcast; stage III broadcasts them
     against the filter column and holds the points of its ``kept`` mask.  A
-    single point runs on floats: stages I-II only with a singular
-    prescription, and :class:`~ebrsim.core.ZeroTrace` if filtered to no trace.
+    single point runs on floats, and raises :class:`~ebrsim.core.ZeroTrace`
+    if filtered to no trace.
 
     That single-point rule is stated once, here and in :func:`_unwrap_point`
     beside it, which applies it to a one-point column; the floor test is
@@ -447,25 +429,18 @@ def run_protocol(config: ChannelConfig) -> list[StageOutput]:
         config = _column_config(config)
     s1 = stage1(config.scenario, config.T)
     s2 = stage2(config.scenario, config.T, branch=config.branch, feed_forward=config.feed_forward)
-    try:
-        filters = resolve_filters(config)
-    except SingularPrescription:  # a point's; a column's singular points have NaN factors
-        return [s1, s2]
-    return [s1, s2, apply_filters(s2, filters)]
+    return [s1, s2, apply_filters(s2, resolve_filters(config))]
 
 
-def _unwrap_point(stages: list[StageOutput], singular: bool) -> list[StageOutput]:
+def _unwrap_point(stages: list[StageOutput]) -> list[StageOutput]:
     """The oracle's one-point column outputs as a point's: floats and ``(4, 4)`` states.
 
     The single-point rule on a column: a point that stage III did not keep
-    has stages I-II alone if its prescription was ``singular`` (NaN
-    factors), and raises :class:`~ebrsim.core.ZeroTrace` if not.  The
-    oracle's outputs carry no filter pair, and neither do the point's.
+    raises :class:`~ebrsim.core.ZeroTrace`.  The oracle's outputs carry no
+    filter pair, and neither do the point's.
     """
     if not stages[-1].kept[0]:
-        if not singular:
-            _zero_trace()
-        stages = stages[:-1]
+        _zero_trace()
 
     def floats(obj):  # the column's checks covered its values
         return unchecked(type(obj), **{name: float(v[0]) for name, v in vars(obj).items()})

@@ -38,7 +38,8 @@ GOLDEN_SWEEPS = [
     "sweep_T_filters",
     "sweep_epsilon_V",
     "sweep_p_partial",
-    # p sweeps at a singular T: stages I-II with NaN filters at every point
+    # p sweeps at T = 1/2, with the unit pair at p = 1, and at T = 0, with the unit
+    # pair at every point
     "sweep_p_T_half",
     "sweep_p_T_zero",
     # an epsilon sweep from 1e-300: filter factors and stage-III probabilities below
@@ -287,20 +288,26 @@ class TestRunCommand:
         got = (tmp_path / "trace.json").read_bytes()
         assert got == (DATA / f"{name}.json").read_bytes()
 
-    def test_singular_prescription_exits_3(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path, "scenario = indistinguishable\nT = 0.5\nepsilon = 1\n"
-        )
-        code, _, err = run_cli(capsys, ["run", "--config", path])
-        assert code == 3
-        assert err.startswith("domain error:")
-
-    def test_zero_transmittivity_prescription_exits_3(self, tmp_path, capsys):
-        path = write_config(tmp_path, "scenario = distinguishable\nT = 0\nepsilon = 0.5\n")
-        code, out, err = run_cli(capsys, ["run", "--config", path])
-        assert code == 3
-        assert out == ""
-        assert err.startswith("domain error: filter prescription is singular at T = 0.0")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario = indistinguishable\nT = 0.5\nepsilon = 1\n",
+            "scenario = distinguishable\nT = 0\nepsilon = 0.5\n",
+            "scenario = partial\np = 0.85\nT = 0\nepsilon = 0.25\nbranch = V\n"
+            "feed_forward = true\n",
+        ],
+        ids=["indistinguishable-T-half", "distinguishable-T-0", "partial-T-0-V-ff"],
+    )
+    def test_zero_factor_runs_the_unit_pair(self, tmp_path, capsys, text):
+        # a prescribed factor of zero (beta gamma = 0, where stage II's xi is 0) gives the
+        # unit pair: stage III is stage II, passed with probability 1
+        code, out, err = run_cli(capsys, ["run", "--config", write_config(tmp_path, text)])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[1] == "filters A_A=1.0 A_B=1.0"
+        stage_2, stage_3 = (STAGE_LINE.match(line).groups() for line in lines[3:5])
+        assert stage_3 == ("III", stage_2[1], "1.0000", stage_2[3])
+        assert stage_2[1] == "0.0000"
 
 
 class TestSweepCommand:
@@ -321,7 +328,7 @@ class TestSweepCommand:
         concurrences = [float(r[7]) for r in rows[1:]]
         assert all(0.0 <= c <= 1.0 for c in concurrences)
 
-    def test_singular_point_drops_stage_three(self, tmp_path, capsys):
+    def test_unit_pair_point_keeps_stage_two_as_stage_three(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
             "scenario = indistinguishable\nvariable = T\nstart = 0.3\nstop = 0.5\n"
@@ -331,29 +338,32 @@ class TestSweepCommand:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))[1:]
         at_half = [r for r in rows if float(r[2]) == 0.5]
-        assert [r[1] for r in at_half] == ["I", "II"]
-        assert all(r[5] == "nan" and r[6] == "nan" for r in at_half)
+        assert [r[1] for r in at_half] == ["I", "II", "III"]
+        assert all(r[5] == "1" and r[6] == "1" for r in at_half)
+        # stage III's concurrence and cumulative probability are stage II's, passed at 1
+        assert at_half[2][7::2] == at_half[1][7::2] and at_half[2][8] == "1"
         at_03 = [r for r in rows if float(r[2]) == 0.3]
         assert [r[1] for r in at_03] == ["I", "II", "III"]
 
     @pytest.mark.parametrize(
         "text,stage3_points",
         [
-            # every T within 1e-10 of the singular T = 1/2
+            # every T within 1e-10 of T = 1/2, where the 2T - 1 coherence vanishes
             ("scenario = partial\np = 0.85\nvariable = T\nstart = 0.4999999999\n"
-             "stop = 0.5000000001\nsteps = 7\nepsilon = 0.25\n", 0),
+             "stop = 0.5000000001\nsteps = 7\nepsilon = 0.25\n", 7),
             ("scenario = partial\np = 0\nvariable = T\nstart = 0\nstop = 1\nsteps = 2\n"
-             "epsilon = 0.25\n", 1),
+             "epsilon = 0.25\n", 2),
             ("scenario = partial\nT = 1\nvariable = p\nstart = 0\nstop = 1\nsteps = 2\n"
              "epsilon = 0.25\n", 2),
-            # A_A A_B = 1e-600 underflows: only sqrt(A_A) sqrt(A_B) keeps the T = 1 coherence
+            # A_A A_B = 1e-600 underflows: only sqrt(A_A) sqrt(A_B) keeps the T = 1 coherence;
+            # T = 0 and 1/2 take the unit pair, and the rest is filtered to zero trace
             ("scenario = indistinguishable\nvariable = T\nstart = 0\nstop = 1\nsteps = 7\n"
-             "epsilon = 1e-300\nbranch = V\nfeed_forward = true\n", 1),
+             "epsilon = 1e-300\nbranch = V\nfeed_forward = true\n", 3),
             # epsilon sweeps: stages I-II are one point, whose rows fill every point
             ("scenario = indistinguishable\nT = 1\nvariable = epsilon\nstart = 1e-300\n"
              "stop = 1\nsteps = 7\nbranch = V\nfeed_forward = true\n", 7),
             ("scenario = partial\np = 0.85\nT = 0.5\nvariable = epsilon\nstart = 1e-300\n"
-             "stop = 1\nsteps = 7\n", 0),
+             "stop = 1\nsteps = 7\n", 6),
         ],
         ids=["T-half", "T-0-1-p-0", "p-0-1-T-1", "epsilon-1e-300-V-ff", "epsilon-T-1-V-ff",
              "epsilon-T-half"],
@@ -380,10 +390,11 @@ class TestSweepCommand:
         for stage in stages:
             got = [float(r[7]) for r in rows if r[1] == stage.stage]
             assert got == pytest.approx(concurrence_x(stage.params).tolist(), rel=1e-9, abs=1e-12)
-        singular = np.isnan(resolve_filters(config).a_a)
+        pair = resolve_filters(config)
+        unit = (pair.a_a == 1.0) & (pair.a_b == 1.0)
         assert len(stage3) == stage3_points == np.count_nonzero(oracle.kept)
-        # a point keeps stage III where the oracle keeps it, singular points never
-        assert not np.any(oracle.kept & singular)
+        # a point keeps stage III where the oracle keeps it, unit-pair points always
+        assert np.all(oracle.kept[unit])
         assert [float(r[2]) for r in stage3] == config.T[oracle.kept].tolist()
         for row, c in zip(stage3, concurrence_x(oracle.params).tolist()):
             assert float(row[7]) == pytest.approx(c, rel=1e-9, abs=1e-12), row
@@ -406,9 +417,11 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, ["sweep", "--config", path])
         assert (code, err) == (0, "")
         rows = list(csv.reader(io.StringIO(out)))[1:]
+        # T = 0 takes the unit pair: stage III is stage II
         at_zero = [r for r in rows if float(r[2]) == 0.0]
-        assert [r[1] for r in at_zero] == ["I", "II"]
-        assert all(r[5] == "nan" and r[6] == "nan" for r in at_zero)
+        assert [r[1] for r in at_zero] == ["I", "II", "III"]
+        assert all(r[5] == "1" and r[6] == "1" for r in at_zero)
+        assert at_zero[2][7::2] == at_zero[1][7::2]
         assert [r[1] for r in rows if float(r[2]) == 0.3] == ["I", "II", "III"]
 
     def test_json_format_is_loadable(self, tmp_path, capsys):
@@ -420,9 +433,9 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, ["sweep", "--config", path, "--format", "json"])
         assert code == 0
         doc = json.loads(out)
-        singular = [r for r in doc["records"] if r["T"] == 0.5]
-        assert len(singular) == 2
-        assert all(r["A_A"] is None and r["A_B"] is None for r in singular)
+        unit = [r for r in doc["records"] if r["T"] == 0.5]
+        assert len(unit) == 3
+        assert all(r["A_A"] == r["A_B"] == 1.0 for r in unit)
         regular = [r for r in doc["records"] if r["T"] == 0.3]
         assert len(regular) == 3
 
@@ -575,7 +588,7 @@ class TestSweepCommand:
 
     def test_zero_trace_point_drops_stage_three(self, tmp_path, capsys):
         # epsilon = 1e-300 filters the stage-II population down to zero trace
-        # at the 12 points up to T = 0.8071; each gets stages I-II, as at a singular one
+        # at the 12 points up to T = 0.8071; each gets stages I-II, with NaN factors
         path = write_config(
             tmp_path,
             "scenario = partial\np = 0.85\nepsilon = 1e-300\nvariable = T\nstart = 0.1\n"
@@ -597,10 +610,12 @@ class TestSweepCommand:
         assert [len(p) for p in points.values()] == [2] * 12 + [3] * 3
 
     def test_zero_trace_point_still_fails_a_run(self, tmp_path, capsys):
-        path = write_config(tmp_path, "scenario = partial\np = 0.85\nepsilon = 1e-300\nT = 0.1\n")
-        code, out, err = run_cli(capsys, ["run", "--config", path])
-        assert (code, out) == (3, "")
-        assert err.startswith("domain error: filtering removed all population")
+        # the prescribed pair is not the unit pair at T = 0.3: its factors are tiny, not zero
+        for t in ("0.1", "0.3"):
+            text = f"scenario = partial\np = 0.85\nepsilon = 1e-300\nT = {t}\n"
+            code, out, err = run_cli(capsys, ["run", "--config", write_config(tmp_path, text)])
+            assert (code, out) == (3, ""), t
+            assert err.startswith("domain error: filtering removed all population"), t
 
     def test_steps_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
@@ -699,8 +714,11 @@ class TestDistinctValues:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("steps", [1, 2, 10])
     def test_prescribed_p_sweep(self, tmp_path, capsys, monkeypatch, fmt, steps):
-        # per point p and stages I-II's concurrence and probability, stage III's three
-        # columns; once in all T, epsilon and the prescribed pair
+        # per point p, stages I-II's concurrence and probability, stage III's three
+        # columns and the prescribed pair's attenuated factor; the other factor is epsilon's
+        # own float and takes its text.  Once per block T and epsilon, and a factor column
+        # of one bit pattern: both of a one-point block's, and the first 10-step block's
+        # A_B, all epsilon, as gamma > beta up to p = 0.93
         monkeypatch.setattr(cli, "SWEEP_BLOCK", 5)
         path = write_config(
             tmp_path,
@@ -708,8 +726,7 @@ class TestDistinctValues:
             f"start = 0\nstop = 1\nsteps = {steps}\n",
         )
         columns, _ = self.numbers(capsys, monkeypatch, path, fmt)
-        blocks = [min(5, steps - start) for start in range(0, steps, 5)]
-        assert [col.size for col in columns] == [8 * n + 4 for n in blocks]
+        assert [col.size for col in columns] == {1: [12], 2: [20], 10: [48, 47]}[steps]
 
     @staticmethod
     def filter_values(path, col):
@@ -1041,8 +1058,9 @@ class TestOracleCheckCommand:
         assert len(passes) == 3
         assert any("distinguishable" in l for l in passes)
         assert any("partial" in l for l in passes)
-        # T = 0.5 sits on this grid, so the singular skips are reported
-        assert any(l.startswith("SKIPPED-singular") for l in lines)
+        # T = 0.5 sits on this grid, and its three stages are compared like every T's
+        assert lines == passes
+        assert all(" points=18 " in l for l in passes)
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(
@@ -1205,16 +1223,22 @@ class TestTomographyCommand:
         counts = counts_from_csv((tmp_path / "tomo16.counts.csv").read_text())
         assert len(counts.settings) == len(counts.observed) == 16
 
-    @pytest.mark.parametrize("stage", ["II", "III"])
-    def test_singular_prescription_exits_3(self, tmp_path, capsys, stage):
-        path = write_config(
-            tmp_path,
-            f"state = stage\nstage = {stage}\nscenario = indistinguishable\nT = 0.5\n"
-            "epsilon = 1\ntotal_triples = 500\ntrials = 5\n",
-        )
-        code, out, err = run_cli(capsys, ["tomography", "--config", path])
-        assert (code, out) == (3, "")
-        assert err.startswith("domain error: filter prescription is singular")
+    @pytest.mark.parametrize(
+        "source",
+        ["scenario = indistinguishable\nT = 0.5\nepsilon = 1\n",
+         "scenario = distinguishable\nT = 0\nepsilon = 0.5\n"],
+        ids=["indistinguishable-T-half", "distinguishable-T-0"],
+    )
+    def test_unit_pair_stage_three_is_stage_two(self, tmp_path, capsys, source):
+        # the unit pair leaves stage II as it is: the same truth, seed and counts
+        outs = []
+        for stage in ("II", "III"):
+            text = f"state = stage\nstage = {stage}\n{source}total_triples = 500\ntrials = 5\n"
+            path = write_config(tmp_path, text)
+            code, out, err = run_cli(capsys, ["tomography", "--config", path])
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_nothing_clipped_is_positive_zero(self, tmp_path, capsys):
         # a fit that is already physical clips nothing: report 0, never -0
@@ -1663,8 +1687,8 @@ class TestExitCodeContract:
             ([], 2),
             (["run"], 2),
             (["oracle-check", "--grid-step", "oops"], 2),
-            # a singular prescription is a domain error
-            (["run", "--config", "singular.cfg"], 3),
+            # a point filtered to zero trace is a domain error
+            (["run", "--config", "zero_trace.cfg"], 3),
             # help is written to stdout, and nothing to stderr
             (["--help"], 0),
         ],
@@ -1673,8 +1697,8 @@ class TestExitCodeContract:
     def test_unwritable_error_message_keeps_the_status(self, tmp_path, capsys, monkeypatch, argv,
                                                        status, method):
         monkeypatch.chdir(tmp_path)
-        write_config(tmp_path, "scenario = indistinguishable\nT = 0.5\nepsilon = 1\n",
-                     "singular.cfg")
+        write_config(tmp_path, "scenario = partial\np = 0.85\nT = 0.3\nepsilon = 1e-300\n",
+                     "zero_trace.cfg")
         monkeypatch.setattr(sys, "stderr", failing_stream(errno.ENOSPC, method))
         assert main(argv) == status
         assert capsys.readouterr().out.startswith("usage: ebrsim" if status == 0 else "")

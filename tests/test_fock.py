@@ -30,7 +30,6 @@ from ebrsim.metrics import XStateParams, concurrence_x
 from ebrsim.protocol import (
     ChannelConfig,
     FilterPair,
-    SingularPrescription,
     distinguishable,
     indistinguishable,
     partial,
@@ -443,15 +442,20 @@ class TestOracleCheck:
         kinds = [check.kind for check in report.scenarios]
         assert kinds == ["distinguishable", "indistinguishable", "partial"]
 
-    def test_singular_points_are_skipped_not_compared(self):
+    def test_every_stage_is_compared_at_the_balanced_splitter(self):
+        # the indistinguishable prescription at T = 1/2 is the unit pair: its stage III
+        # is stage II, and it is compared like every other tuple
         report = oracle_check(grid_step=0.25, epsilons=(1.0,))
-        assert any("T=0.5" in note for note in report.skipped)
+        assert all(check.points == 3 * 3 for check in report.scenarios)
         check = report.scenarios[1]
         assert check.kind == "indistinguishable"
         half = report.T.tolist().index(0.5)
-        stages_at_half = [STAGES[s] for s in np.flatnonzero(check.compared[half, 0])]
-        assert stages_at_half == ["I", "II"]
-        assert not check.deviations[half, 0, 2].any()
+        # the state and cumulative deviations; stage III's own probability is the pass ratio
+        stage_2, stage_3 = check.deviations[half, 0, 1:]
+        assert np.array_equal(stage_3[::2], stage_2[::2])
+        config = ChannelConfig(scenario=indistinguishable(), T=0.5, epsilon=1.0)
+        for outs in (run_protocol(config), oracle_protocol(config)):
+            assert outs[2].params == outs[1].params
 
     def test_impossible_tolerance_reports_failures(self):
         report = oracle_check(grid_step=0.25, epsilons=(1.0,), tol=0.0)
@@ -499,21 +503,16 @@ def _reference_oracle_check(grid_step, epsilons, convention="real"):
     """Scenario-major loop of single-point closed-form and oracle calls.
 
     Returns one ``(kind, T, epsilon, stage, state, probability,
-    cumulative)`` deviation tuple per compared stage, and the skipped notes.
+    cumulative)`` deviation tuple per stage.
     """
     records = []
-    skipped = []
     for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
         for t in [k * grid_step for k in range(1, round(1.0 / grid_step))]:
             for eps in epsilons:
                 config = ChannelConfig(scenario=scenario, T=t, epsilon=eps)
                 closed = run_protocol(config)
                 oracle = oracle_protocol(config, convention)
-                assert len(oracle) == len(closed)
-                if len(closed) == 2:
-                    skipped.append(
-                        f"{scenario.kind} T={t:.6g} epsilon={eps:.6g}: singular prescription"
-                    )
+                assert len(oracle) == len(closed) == 3
                 for ref, alt in zip(closed, oracle):
                     records.append(
                         (
@@ -526,7 +525,7 @@ def _reference_oracle_check(grid_step, epsilons, convention="real"):
                             abs(ref.cumulative_probability - alt.cumulative_probability),
                         )
                     )
-    return records, skipped
+    return records
 
 
 def _counting(monkeypatch, name):
@@ -591,28 +590,24 @@ class TestPureBranchReuse:
     @pytest.mark.parametrize("convention", ["real", "phase"])
     def test_records_equal_cold_scenario_major_reference(self, convention):
         epsilons = (1.0, 0.25)
-        records, skipped = _reference_oracle_check(0.25, epsilons, convention)
+        records = _reference_oracle_check(0.25, epsilons, convention)
         report = oracle_check(grid_step=0.25, epsilons=epsilons, convention=convention)
         grid = [0.25, 0.5, 0.75]
         assert report.T.tolist() == grid
         assert [c.kind for c in report.scenarios] == list(dict.fromkeys(r[0] for r in records))
         for check in report.scenarios:
-            deviations = np.zeros((len(grid), len(epsilons), len(STAGES), 3))
-            compared = np.zeros(deviations.shape[:-1], dtype=bool)
+            deviations = np.full((len(grid), len(epsilons), len(STAGES), 3), np.nan)
             for kind, t, eps, stage, *devs in records:
                 if kind == check.kind:
-                    at = (grid.index(t), epsilons.index(eps), STAGES.index(stage))
-                    deviations[at] = devs
-                    compared[at] = True
+                    deviations[grid.index(t), epsilons.index(eps), STAGES.index(stage)] = devs
+            # every tuple of the grid is filled: no stage is left out
             assert np.array_equal(check.deviations, deviations)
-            assert np.array_equal(check.compared, compared)
-        assert report.skipped == skipped
 
     # at 7e-16 on the 0.02 grid the first failure sits mid-grid, at T = 0.96;
     # None stands for the largest deviation itself, which does not exceed it
     @pytest.mark.parametrize("tol", [0.0, 3e-16, 7e-16, None])
     def test_first_failure_follows_reference_order(self, reference_002, tol):
-        records, _ = reference_002
+        records = reference_002
         if tol is None:
             tol = max(max(r[4:]) for r in records)
         report = oracle_check(grid_step=0.02, epsilons=(1.0, 0.25), tol=tol)
@@ -688,21 +683,16 @@ def _per_slice_oracle_check(grid_step, epsilons, convention, tol):
     """
     column = np.arange(1, round(1.0 / grid_step)) * grid_step
     scenarios = []
-    skipped = []
     for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
         deviations = np.zeros((column.size, len(epsilons), len(STAGES), 3))
-        compared = np.ones(deviations.shape[:-1], dtype=bool)
         for j, eps in enumerate(epsilons):
             filters = table_filters(scenario, column, eps)
             config = ChannelConfig(scenario=scenario, T=column, filters=filters)
             closed = run_protocol(config)
             oracle = oracle_protocol(config, convention)
-            kept = closed[2].kept
-            assert np.array_equal(kept, ~np.isnan(filters.a_a))
-            assert np.array_equal(kept, oracle[2].kept)
-            compared[:, j, 2] = kept
+            assert closed[2].kept.all() and oracle[2].kept.all()
             for s, (ref, alt) in enumerate(zip(closed, oracle)):
-                deviations[compared[:, j, s], j, s] = np.stack(
+                deviations[:, j, s] = np.stack(
                     [
                         np.max(np.abs(ref.state - alt.state), axis=(1, 2)),
                         np.abs(ref.probability - alt.probability),
@@ -710,13 +700,9 @@ def _per_slice_oracle_check(grid_step, epsilons, convention, tol):
                     ],
                     axis=-1,
                 )
-        scenarios.append(ScenarioDeviations(scenario.kind, deviations, compared))
-        skipped.extend(
-            f"{scenario.kind} T={column[i]:.6g} epsilon={epsilons[j]:.6g}: singular prescription"
-            for i, j in zip(*np.nonzero(~compared[:, :, 2]))
-        )
+        scenarios.append(ScenarioDeviations(scenario.kind, deviations))
     return OracleCheckReport(
-        T=column, epsilons=tuple(epsilons), scenarios=tuple(scenarios), skipped=skipped, tol=tol
+        T=column, epsilons=tuple(epsilons), scenarios=tuple(scenarios), tol=tol
     )
 
 
@@ -727,15 +713,14 @@ def _assert_same_report(merged, reference):
     for check, ref in zip(merged.scenarios, reference.scenarios):
         assert check.deviations.shape == ref.deviations.shape
         assert np.array_equal(check.deviations, ref.deviations), check.kind
-        assert np.array_equal(check.compared, ref.compared), check.kind
-    assert merged.skipped == reference.skipped
     assert merged.first_failure == reference.first_failure
 
 
 class TestMergedColumns:
     """oracle_check's merged blocks give the per-(scenario, epsilon) loop's bits."""
 
-    # 0.5: the only grid point is the singular T = 1/2; 0.001: 999 T values,
+    # 0.5: the only grid point is T = 1/2, where the indistinguishable pair is the unit
+    # pair; 0.001: 999 T values,
     # a full block of 682 and a short one of 317 at two epsilons
     @pytest.mark.parametrize("grid_step", [0.5, 0.25, 0.02, 0.0199, 0.001])
     @pytest.mark.parametrize("epsilons", [(1.0,), (1.0, 0.25), (1.0, 0.25, 1e-3)])
@@ -767,8 +752,9 @@ class TestMergedColumns:
             scenario=partial(np.repeat([0.0, 1.0, 0.35], t.size)),
             T=np.tile(t, repeats),
             filters=FilterPair(
-                np.tile([0.4, math.nan, 0.9, 1.0, 0.3], repeats),
-                np.tile([0.8, 1.0, 0.05, 0.6, 1.0], repeats),
+                # (1e-300, 1e-300) filters T = 0.2 to zero trace but on the flipped V branch
+                np.tile([0.4, 1e-300, 0.9, 1.0, 0.3], repeats),
+                np.tile([0.8, 1e-300, 0.05, 0.6, 1.0], repeats),
             ),
             branch=branch,
             feed_forward=feed_forward,
@@ -842,30 +828,31 @@ class TestStackedExtraction:
             assert np.array_equal(_words(out.state), _words(rows / own.P[:, None, None]))
 
     def test_merged_block_of_the_002_grid(self, stacks):
-        # T = 1/2 is on the grid: stage III leaves out its singular points
+        # T = 1/2 is on the grid, where the indistinguishable pair is the unit pair
         scenarios = (distinguishable(), indistinguishable(), partial(0.5))
         _, oracle = fock._run_block(scenarios, np.arange(1, 50) * 0.02, np.array([1.0, 0.25]),
                                     "real")
-        assert not oracle[2].kept.all()
+        assert oracle[2].kept.all()
         self._assert_per_stage_bits(oracle, stacks)
 
     def test_v_branch_feed_forward_column(self, stacks):
         t = np.array([0.0, 0.2, 0.5, 0.62, 1.0])
-        # a NaN pair and a pair that filters T = 1/2 to zero trace leave stage III
-        a_a, a_b = np.array([0.4, math.nan, 1e-300, 1.0, 0.3]), np.full(5, 0.8)
-        a_b[2] = 1e-300
+        # the pairs that filter T = 0.2 and T = 1/2 to zero trace leave stage III
+        a_a, a_b = np.array([0.4, 1e-300, 1e-300, 1.0, 0.3]), np.full(5, 0.8)
+        a_b[1:3] = 1e-300
         filters = FilterPair(a_a, a_b)
         config = ChannelConfig(partial(0.35), T=t, filters=filters, branch="V", feed_forward=True)
         stages = oracle_protocol(config, "phase")
         assert stages[2].kept.tolist() == [True, False, False, True, True]
         self._assert_per_stage_bits(stages, stacks)
 
-    @pytest.mark.parametrize("t", [0.3, 0.5], ids=["filtered", "singular"])
+    @pytest.mark.parametrize("t", [0.3, 0.5], ids=["filtered", "unit-pair"])
     def test_single_point(self, stacks, t):
-        # _point unwraps the one-point column: floats and (4, 4) states; at the singular
-        # T = 1/2 stage III is left out
+        # _unwrap_point unwraps the one-point column: floats and (4, 4) states; at
+        # T = 1/2 the pair is the unit pair, so stage III is stage II
         stages = oracle_protocol(ChannelConfig(indistinguishable(), T=t, epsilon=0.25))
-        assert len(stages) == (3 if t == 0.3 else 2)
+        assert len(stages) == 3
+        assert (stages[2].params == stages[1].params) == (t == 0.5)
         assert all(type(out.params.P) is float for out in stages)
         self._assert_per_stage_bits(stages, stacks)
 
@@ -888,8 +875,10 @@ class TestOracleColumns:
         t = np.concatenate([self.T_EDGES, rng.uniform(0.0, 1.0, 9)])
         if explicit:
             a_a = rng.uniform(1e-6, 1.0, t.size)
-            a_a[3] = math.nan  # the NaN a singular prescription leaves in a column
-            filters = FilterPair(a_a, np.concatenate([[1.0], rng.uniform(1e-6, 1.0, t.size - 1)]))
+            a_b = np.concatenate([[1.0], rng.uniform(1e-6, 1.0, t.size - 1)])
+            # filters T = 1/4 to zero trace, but on the flipped V branch
+            a_a[3] = a_b[3] = 1e-300
+            filters = FilterPair(a_a, a_b)
             config = ChannelConfig(scenario=scenario, T=t, branch=branch,
                                    feed_forward=feed_forward, filters=filters)
         else:
@@ -899,20 +888,21 @@ class TestOracleColumns:
         kept = columns[2].kept
         row_3 = np.cumsum(kept) - 1
         for i in range(t.size):
-            if explicit and i == 3:
-                assert not kept[i]
+            if not kept[i]:
+                with pytest.raises(ZeroTrace):
+                    oracle_protocol(_single_point(config, i), convention)
                 continue
             outs = oracle_protocol(_single_point(config, i), convention)
-            assert len(outs) == (3 if kept[i] else 2), i
+            assert len(outs) == 3, i
             for column, j, out in zip(columns, (i, i, row_3[i]), outs):
                 entries = {k: v[j] for k, v in vars(column.params).items()}
                 assert entries == vars(out.params), (i, out.stage)
                 assert np.array_equal(column.state[j], out.state), (i, out.stage)
                 assert column.probability[j] == out.probability, (i, out.stage)
                 assert column.cumulative_probability[j] == out.cumulative_probability
-        # T = 0 is singular in every scenario, T = 1/2 only with the 2T - 1 coherence
-        assert kept[0] == explicit
-        assert kept[2] == (explicit or scenario.kind == "distinguishable")
+        # a prescription keeps every point, the unit pairs at T = 0 and 1e-200 too
+        flipped = branch == "V" and not feed_forward
+        assert kept.tolist() == [i != 3 or not explicit or flipped for i in range(t.size)]
 
     @pytest.mark.parametrize("convention", ["real", "phase"])
     @pytest.mark.parametrize("branch,feed_forward", [("H", False), ("V", False), ("V", True)])
@@ -973,28 +963,32 @@ class TestOracleColumns:
         assert np.allclose(norm, 1.0, rtol=0.0, atol=1e-12)
 
     def test_column_stacks_and_kept_mask(self):
+        # epsilon = 1e-300 filters T = 0.2 and 0.7 to zero trace; T = 1/2 takes the unit pair
         t = np.array([0.2, 0.5, 0.7])
-        outs = oracle_protocol(ChannelConfig(scenario=indistinguishable(), T=t, epsilon=0.25))
+        outs = oracle_protocol(ChannelConfig(scenario=indistinguishable(), T=t, epsilon=1e-300))
         assert [o.stage for o in outs] == ["I", "II", "III"]
         assert outs[0].state.shape == outs[1].state.shape == (3, 4, 4)
-        assert outs[2].kept.tolist() == [True, False, True]
-        assert outs[2].state.shape == (2, 4, 4)
-        assert outs[2].probability.shape == (2,)
+        assert outs[2].kept.tolist() == [False, True, False]
+        assert outs[2].state.shape == (1, 4, 4)
+        assert outs[2].probability.shape == (1,)
+        assert np.array_equal(outs[2].state[0], outs[1].state[1])
 
 
 class TestOracleMirrorsRunProtocol:
-    """Points without a stage III behave as in :func:`run_protocol`."""
+    """Points with the unit pair or without a stage III behave as in :func:`run_protocol`."""
 
     @pytest.mark.parametrize("t", [0.5, 0.0])
     @pytest.mark.parametrize("scenario", [indistinguishable(), partial(0.85)],
                              ids=["indist", "partial"])
-    def test_singular_point_returns_stages_one_and_two(self, scenario, t):
+    def test_unit_pair_point_keeps_stage_two_as_stage_three(self, scenario, t):
+        # a zero factor (T = 0, and T = 1/2 at p = 1) gives the unit pair: stage III is stage II
         config = ChannelConfig(scenario=scenario, T=t, epsilon=0.25)
-        with pytest.raises(SingularPrescription):
-            resolve_filters(config)
+        unit = t == 0.0 or scenario.kind == "indistinguishable"
+        assert (resolve_filters(config) == FilterPair(1.0, 1.0)) == unit
         closed = run_protocol(config)
         oracle = oracle_protocol(config)
-        assert [o.stage for o in oracle] == [o.stage for o in closed] == ["I", "II"]
+        assert [o.stage for o in oracle] == [o.stage for o in closed] == ["I", "II", "III"]
+        assert (closed[2].params == closed[1].params) == unit
         for ref, alt in zip(closed, oracle):
             assert np.max(np.abs(ref.state - alt.state)) <= 1e-12
             assert alt.cumulative_probability == pytest.approx(
@@ -1003,7 +997,7 @@ class TestOracleMirrorsRunProtocol:
 
     def test_lone_points_take_the_same_branch_in_both_engines(self):
         # the closed form runs a point on floats, the oracle as an unwrapped one-point
-        # column: both must keep stage III, drop it, or raise ZeroTrace alike
+        # column: both must keep stage III or raise ZeroTrace alike
         rng = np.random.default_rng(20261022)
         scenarios = [distinguishable(), indistinguishable(), partial(0.0), partial(0.85),
                      partial(1.0)]
@@ -1013,7 +1007,7 @@ class TestOracleMirrorsRunProtocol:
             for a_a, a_b in ((0.4, 0.8), (5e-324, 1.0), (1e-300, 1e-300))
         ] + [{}]
         branches = [("H", False), ("V", False), ("V", True)]
-        outcomes = {2: 0, 3: 0, "ZeroTrace": 0}
+        outcomes = {3: 0, "ZeroTrace": 0}
 
         def outcome(engine, config):
             try:
@@ -1031,7 +1025,7 @@ class TestOracleMirrorsRunProtocol:
                 outcomes["ZeroTrace"] += 1
                 continue
             assert [o.stage for o in closed] == [o.stage for o in oracle], where
-            assert len(closed) in (2, 3), where
+            assert len(closed) == 3, where
             outcomes[len(closed)] += 1
             for out in closed + oracle:
                 assert type(out.params.P) is float and out.state.shape == (4, 4), where

@@ -7,6 +7,11 @@ explicit pairs down to subnormal factors.  Each invariant holds on the
 physics, not on this code's own output: none compares two paths of ebrsim.
 The upper bounds of probabilities, concurrences and the cumulative are
 exact: no rounding may push one past 1 or past the stage before.
+
+The prescribed filter pair is judged against :func:`_attainable_bound`,
+the supremum of the stage-III concurrence over all diagonal filter pairs,
+computed here from the Fock oracle's X entries and checked against a
+brute-force maximum of Wootters' concurrence over a grid of pairs.
 """
 
 import functools
@@ -16,6 +21,7 @@ import numpy as np
 import pytest
 
 from ebrsim.core import ZeroTrace
+from ebrsim.fock import oracle_protocol
 from ebrsim.metrics import XStateParams, breaking_threshold, concurrence, concurrence_x
 from ebrsim.protocol import (
     ChannelConfig,
@@ -181,3 +187,134 @@ def test_stage_two_concurrence_vanishes_only_at_p_over_one_plus_p(draws):
         distance = np.abs(t - p / (1.0 + p))
         assert (c[(t > 0.0) & (distance > _THRESHOLD_MARGIN)] > 0.0).all(), config.scenario.kind
         assert (c[(t > 0.0) & (distance == 0.0)] <= _ZERO_TOL).all(), config.scenario.kind
+
+
+def _attainable_bound(params):
+    """The supremum of the filtered concurrence over pairs ``(A_A, A_B)`` in ``(0, 1]^2``.
+
+    A pair maps an X state's diagonal ``(alpha, beta, gamma, delta)`` to
+    ``(alpha, A_B beta, A_A gamma, A_A A_B delta)`` and its coherence ``xi``
+    to ``sqrt(A_A A_B) xi``, so the filtered concurrence is
+    ``2 sqrt(A_A A_B) c / D``, with ``c = max(0, |xi| - sqrt(alpha delta))``
+    and ``D`` the filtered diagonal sum.  Its supremum is the largest of:
+
+    - the unit pair;
+    - the edge optima ``A_A = 1``, ``A_B = min(1, (alpha + gamma) / (beta + delta))``,
+      and the same with the arms swapped;
+    - the interior critical point ``A_A A_B = alpha / delta``,
+      ``A_A / A_B = beta / gamma``, where it lies in the box, with value
+      ``c / (sqrt(alpha delta) + sqrt(beta gamma))``.  For ``alpha = 0``
+      it is the corner's unattained limit ``|xi| / sqrt(beta gamma)``.
+
+    Kent, Linden & Massar, PRL 83, 2656 (1999); Verstraete, Dehaene &
+    De Moor, PRA 64, 010101(R) (2001).  Not valid where ``beta gamma = 0``
+    while ``c > 0``, where the supremum is infinite.
+    """
+    alpha, beta, gamma, delta, xi = (
+        np.asarray(getattr(params, name)) for name in ("alpha", "beta", "gamma", "delta", "xi")
+    )
+    c = np.maximum(0.0, np.abs(xi) - np.sqrt(alpha * delta))
+
+    def value(a_a, a_b):
+        return 2.0 * np.sqrt(a_a * a_b) * c / (alpha + a_b * beta + a_a * gamma + a_a * a_b * delta)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmin and fmax pass over the NaN of a 0 / 0
+        candidates = [
+            value(1.0, 1.0),
+            value(1.0, np.fmin(1.0, (alpha + gamma) / (beta + delta))),
+            value(np.fmin(1.0, (alpha + beta) / (gamma + delta)), 1.0),
+        ]
+        a_a = np.sqrt(alpha * beta / (delta * gamma))
+        a_b = np.sqrt(alpha * gamma / (delta * beta))
+        inside = (a_a <= 1.0) & (a_b <= 1.0)
+        interior = c / (np.sqrt(alpha * delta) + np.sqrt(beta * gamma))
+        candidates.append(np.where(inside, interior, 0.0))
+    return np.fmax.reduce(candidates)
+
+
+# the grid's maximum falls short of the supremum by about 0.4 % on these draws:
+# the optimal ratio lies between grid ratios, and for alpha = 0 the supremum is a limit
+_GRID_GAP = 1e-2
+_GRID = np.logspace(-6.0, 0.0, 41)
+
+
+def test_attainable_bound_is_the_brute_force_wootters_maximum():
+    # stage-I (alpha delta > 0) and stage-II (alpha delta = 0) oracle states on every
+    # branch, each filtered by every pair of a 41 x 41 log grid over [1e-6, 1]
+    rng = np.random.default_rng(23)
+    a_a, a_b = (np.sqrt(a.ravel()) for a in np.meshgrid(_GRID, _GRID, indexing="ij"))
+    k = np.stack([np.ones_like(a_a), a_b, a_a, a_a * a_b], axis=1)
+    p = np.concatenate([[0.0, 1.0, 0.5, 0.85], rng.random(2)])
+    t = np.concatenate([[0.5, 0.5, 1.0 / 3.0, 0.3], rng.uniform(0.02, 0.98, 2)])
+    for branch, feed_forward in (("H", False), ("V", False), ("V", True)):
+        config = ChannelConfig(partial(p), t, branch, feed_forward)
+        for out in oracle_protocol(config)[:2]:
+            filtered = k[None, :, :, None] * out.state[:, None] * k[None, :, None, :]
+            best = concurrence(filtered).value.reshape(t.size, -1).max(axis=1)
+            bound = _attainable_bound(out.params)
+            where = (branch, feed_forward, out.stage)
+            assert (best <= bound + _WOOTTERS_TOL).all(), where
+            assert (best >= bound * (1.0 - _GRID_GAP)).all(), where
+
+
+_EPSILONS = [1.0, 0.5, 0.25, 0.1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-12]
+# relative slack for comparisons that hold in exact arithmetic
+_ROUNDING = 8 * _EPS
+
+
+@pytest.fixture(scope="module")
+def prescribed():
+    """Per branch (H, and V with feed-forward): the points' stage-II concurrence, the
+    bound from the oracle's stage-II entries and, per epsilon, the pair and C_III.
+
+    The points: p = 0, 1 and seeded partial values, each at T = 0, 1/2 and
+    p / (1 + p), where stage II's xi vanishes for p = 1, and at seeded T.
+    """
+    rng = np.random.default_rng(14)
+    p = np.concatenate([[0.0, 1.0], rng.random(38)])
+    t = np.stack([np.zeros_like(p), np.full_like(p, 0.5), p / (1.0 + p),
+                  *rng.uniform(0.0, 1.0, (4, p.size))], axis=1)
+    p, t = np.repeat(p, t.shape[1]), t.ravel()
+    runs = {}
+    for branch, feed_forward in (("H", False), ("V", True)):
+        config = ChannelConfig(partial(p), t, branch, feed_forward)
+        c_2 = concurrence_x(run_protocol(config)[1].params)
+        bound = _attainable_bound(oracle_protocol(config)[1].params)
+        stage_3 = []
+        for eps in _EPSILONS:
+            out = run_protocol(ChannelConfig(partial(p), t, branch, feed_forward, epsilon=eps))[2]
+            assert out.kept.all(), eps
+            stage_3.append((out.filters, concurrence_x(out.params)))
+        runs[branch] = c_2, bound, stage_3
+    return runs
+
+
+def test_prescribed_stage_three_never_lowers_the_concurrence(prescribed):
+    for branch, (c_2, _, stage_3) in prescribed.items():
+        for eps, (_, c_3) in zip(_EPSILONS, stage_3):
+            assert (c_3 >= c_2 * (1.0 - _ROUNDING)).all(), (branch, eps)
+
+
+def test_stage_three_concurrence_never_falls_as_epsilon_falls(prescribed):
+    for branch, (_, _, stage_3) in prescribed.items():
+        for eps, (_, before), (_, after) in zip(_EPSILONS[1:], stage_3, stage_3[1:]):
+            assert (after >= before * (1.0 - _ROUNDING)).all(), (branch, eps)
+
+
+def test_stage_three_reaches_the_bound_as_epsilon_falls(prescribed):
+    for branch, (_, bound, stage_3) in prescribed.items():
+        _, c_3 = stage_3[_EPSILONS.index(1e-6)]
+        # the oracle's xi is off by an ulp or so where it vanishes, at T = p / (1 + p)
+        assert (np.abs(c_3 - bound) <= 1e-5 * bound + 1e-12).all(), branch
+
+
+def test_bound_is_exactly_zero_where_the_unit_pair_is_used(prescribed):
+    # the unit pair is used where beta gamma = 0: at T = 0, and at T = 1/2 with p = 1.
+    # The bound is 0 on the wider set xi = 0, which adds T = p / (1 + p) for 0 < p < 1;
+    # there any pair restores nothing, and the prescribed one is not the unit pair
+    for branch, (_, bound, stage_3) in prescribed.items():
+        for eps, (pair, c_3) in zip(_EPSILONS, stage_3):
+            unit = (pair.a_a == 1.0) & (pair.a_b == 1.0)
+            assert unit.any() and (bound[unit] == 0.0).all(), (branch, eps)
+            assert (c_3[bound == 0.0] <= 1e-12).all(), (branch, eps)

@@ -15,7 +15,6 @@ from ebrsim.protocol import (
     ChannelConfig,
     FilterPair,
     Scenario,
-    SingularPrescription,
     apply_filters,
     distinguishable,
     indistinguishable,
@@ -307,28 +306,35 @@ class TestTableFilters:
         assert pair == FilterPair(pair.a_a, pair.a_b)
         assert dataclasses.astuple(pair) == (pair.a_a, pair.a_b)
 
-    def test_partial_follows_indistinguishable_prescription(self):
+    @pytest.mark.parametrize("p,t", [(0.85, 0.3), (0.5, 0.45), (0.2, 0.8), (0.5, 0.5)])
+    def test_partial_ratio_is_beta_over_gamma(self, p, t):
+        # A_A / A_B = beta / gamma of the H-branch stage-II state, the larger factor epsilon
         eps = 0.6
-        a = table_filters(partial(0.85), 0.3, eps)
-        b = table_filters(indistinguishable(), 0.3, eps)
-        assert a == b
+        pair = table_filters(partial(p), t, eps)
+        beta = t * t
+        gamma = p * (2 * t - 1) ** 2 + (1 - p) * (t * t + (1 - t) ** 2)
+        assert pair.a_a / pair.a_b == pytest.approx(beta / gamma, rel=1e-14)
+        assert max(pair.a_a, pair.a_b) == eps
+        # for 0 < p < 1 the indistinguishable pair is not this ratio
+        assert pair != table_filters(indistinguishable(), t, eps)
 
-    def test_singular_at_balanced_splitter(self):
-        with pytest.raises(SingularPrescription):
-            table_filters(indistinguishable(), 0.5, 1.0)
-        with pytest.raises(SingularPrescription):
-            table_filters(partial(0.5), 0.5 + 1e-12, 0.5)
-        # the distinguishable prescription has no singularity there
-        table_filters(distinguishable(), 0.5, 1.0)
+    def test_unit_pair_at_the_balanced_splitter(self):
+        # p = 1 at T = 1/2: gamma = 0, the factor of arm B is zero
+        assert table_filters(indistinguishable(), 0.5, 1.0) == FilterPair(1.0, 1.0)
+        # any p < 1 keeps gamma > 0 there, so the pair is prescribed: at p = 1/2,
+        # beta = gamma = 1/4 up to O(1e-12)
+        pair = table_filters(partial(0.5), 0.5 + 1e-12, 0.5)
+        assert pair.a_a == 0.5 and pair.a_b == pytest.approx(0.5, rel=1e-10) and pair.a_b < 0.5
+        pair = table_filters(distinguishable(), 0.5, 1.0)
+        assert pair.a_a == pytest.approx(0.5, rel=1e-15) and pair.a_b == 1.0
 
     @pytest.mark.parametrize(
         "scenario", [distinguishable(), indistinguishable(), partial(0.85)]
     )
     @pytest.mark.parametrize("t", [0.0, 1e-200])
-    def test_zero_attenuation_is_singular(self, scenario, t):
+    def test_zero_factor_gives_the_unit_pair(self, scenario, t):
         # T = 0 prescribes a zero factor exactly; tiny T underflows to one
-        with pytest.raises(SingularPrescription, match="singular"):
-            table_filters(scenario, t, 0.25)
+        assert table_filters(scenario, t, 0.25) == FilterPair(1.0, 1.0)
 
     def test_ratio_is_squared_by_multiplication(self):
         # q * q is correctly rounded; Python's q ** 2 calls libm pow, which
@@ -342,16 +348,15 @@ class TestTableFilters:
     @pytest.mark.parametrize(
         "scenario", [distinguishable(), indistinguishable(), partial(0.85)]
     )
-    def test_column_marks_singular_points_with_nan(self, scenario):
+    def test_column_rows_equal_single_points(self, scenario):
         t = np.array([0.0, 0.5, 0.3, 1e-200, 0.5 + 1e-10, 0.7, 1.0])
         pair = table_filters(scenario, t, 0.25)
         for i, ti in enumerate(t.tolist()):
-            try:
-                point = table_filters(scenario, ti, 0.25)
-            except SingularPrescription:
-                assert math.isnan(pair.a_a[i]) and math.isnan(pair.a_b[i]), ti
-            else:
-                assert (pair.a_a[i], pair.a_b[i]) == (point.a_a, point.a_b), ti
+            point = table_filters(scenario, ti, 0.25)
+            assert (pair.a_a[i], pair.a_b[i]) == (point.a_a, point.a_b), ti
+        assert not np.isnan(pair.a_a).any() and not np.isnan(pair.a_b).any()
+        # T = 0 and T = 1e-200 take the unit pair in every scenario
+        assert (pair.a_a[[0, 3]] == 1.0).all() and (pair.a_b[[0, 3]] == 1.0).all()
 
     def test_resolve_precedence(self):
         explicit = FilterPair(0.4, 0.9)
@@ -527,11 +532,18 @@ class TestRunProtocol:
         [(indistinguishable(), 0.5), (partial(0.85), 0.5), (distinguishable(), 0.0),
          (indistinguishable(), 0.0), (partial(0.85), 0.0)],
     )
-    def test_singular_prescription_yields_stages_one_and_two(self, scenario, t):
+    def test_zero_factor_yields_stage_two_as_stage_three(self, scenario, t):
         outs = run_protocol(ChannelConfig(scenario=scenario, T=t, epsilon=0.25))
-        assert [o.stage for o in outs] == ["I", "II"]
+        assert [o.stage for o in outs] == ["I", "II", "III"]
         assert outs[0].params == stage1(scenario, t).params
         assert outs[1].params == stage2(scenario, t).params
+        # partial(0.85) at T = 1/2 has gamma > 0, so a prescribed pair
+        unit = t == 0.0 or scenario.kind == "indistinguishable"
+        assert (outs[2].filters == FilterPair(1.0, 1.0)) == unit
+        if unit:
+            assert outs[2].params == outs[1].params
+            assert outs[2].probability == 1.0
+            assert outs[2].cumulative_probability == outs[1].cumulative_probability
 
     def test_stage_three_records_its_filters(self):
         cfg = ChannelConfig(scenario=partial(0.85), T=0.3, epsilon=0.25)
@@ -684,10 +696,10 @@ class TestColumns:
                 outs = run_protocol(point)
             except ZeroTrace:
                 # a point filtered to zero trace raises alone and is masked in a column
-                assert not s3.kept[i] and not np.isnan(resolve_filters(config).a_a[i])
+                assert not s3.kept[i]
                 masked += 1
                 continue
-            assert len(outs) == (3 if s3.kept[i] else 2), i
+            assert s3.kept[i] and len(outs) == 3, i
             for column, j, out in zip((s1, s2, s3), (i, i, row_3[i]), outs):
                 # the point on floats has its column row's bits, signed zeros included
                 entries = {k: _bits(v[j]) for k, v in vars(column.params).items()}
@@ -706,8 +718,10 @@ class TestColumns:
                 )
                 assert concurrence_x(s3.params)[row_3[i]] == concurrence_x(outs[2].params)
         assert s3.params.alpha.size == np.count_nonzero(s3.kept)
-        # T = 0 is singular in every scenario; with explicit filters nothing is masked
-        assert s3.kept[0] == explicit
+        # T = 0 takes the unit pair in every scenario; with explicit filters nothing is masked
+        assert s3.kept[0]
+        if not explicit:
+            assert (s3.filters.a_a[0], s3.filters.a_b[0]) == (1.0, 1.0)
         # the flipped V branch keeps R^2 in alpha, which no filter touches
         assert (masked > 0) == (not explicit and (branch == "H" or feed_forward))
 
@@ -776,13 +790,16 @@ class TestColumns:
         p = np.array([0.0, 0.85, 1.0])
         config = ChannelConfig(scenario=partial(p), T=t, epsilon=0.4)
         s1, s2, s3 = run_protocol(config)
-        singular = t != 0.3
-        assert s3.kept.tolist() == [not singular] * 3
+        assert s3.kept.tolist() == [True] * 3
         for i, p_i in enumerate(p.tolist()):
             outs = run_protocol(ChannelConfig(scenario=partial(p_i), T=t, epsilon=0.4))
-            assert len(outs) == (2 if singular else 3)
-            for column, out in zip((s1, s2), outs):
+            assert len(outs) == 3
+            for column, out in zip((s1, s2, s3), outs):
                 assert {k: v[i] for k, v in vars(column.params).items()} == vars(out.params)
+            pair = (s3.filters.a_a[i], s3.filters.a_b[i])
+            assert pair == (outs[2].filters.a_a, outs[2].filters.a_b)
+            # a zero factor: T = 0, T = 1e-300 (beta underflows) and T = 1/2 at p = 1
+            assert (pair == (1.0, 1.0)) == (t != 0.3 and (t != 0.5 or p_i == 1.0)), p_i
 
     @pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable", "partial"])
     @pytest.mark.parametrize("branch,feed_forward", [("H", False), ("V", False), ("V", True)])
@@ -828,6 +845,15 @@ class TestColumns:
             partial(np.array([0.5, math.nan]))
         with pytest.raises(ValueError, match=r"a_b must lie in \(0, 1\], got 0.0"):
             FilterPair(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+
+    def test_nan_factor_column_is_rejected(self):
+        # a NaN factor fails the range check in a column, as it does on a float
+        with pytest.raises(InvalidParameter, match=r"a_a must lie in \(0, 1\], got nan"):
+            FilterPair(np.array([0.5, math.nan]), np.array([1.0, 1.0]))
+        with pytest.raises(InvalidParameter, match=r"a_b must lie in \(0, 1\], got nan"):
+            FilterPair(np.array([0.5, 0.5]), np.array([math.nan, 1.0]))
+        with pytest.raises(InvalidParameter, match=r"a_a must lie in \(0, 1\], got nan"):
+            FilterPair(math.nan, 1.0)
 
     def test_one_wrap_converts_every_column(self, monkeypatch):
         # a columns call converts when it returns a value other than the one it was given:
