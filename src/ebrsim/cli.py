@@ -596,12 +596,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _oracle_check_text(report: fock.OracleCheckReport) -> str:
     """``oracle-check``'s text: a line per scenario and the first failure."""
     lines = []
-    for check, hits in zip(report.scenarios, report.failures):
-        status = "FAIL" if hits.size else "PASS"
+    for kind, deviations, failing in zip(report.kinds, report.deviations, report.failing):
         lines.append(
-            f"{status} {check.kind:<18} points={check.points}"
-            f" max|dstate|={check.max_state_deviation:.3e}"
-            f" max|dP|={check.max_probability_deviation:.3e}"
+            f"{'FAIL' if failing.any() else 'PASS'} {kind:<18} points={failing.size}"
+            f" max|dstate|={deviations[..., 0].max():.3e}"
+            f" max|dP|={deviations[..., 1:].max():.3e}"
         )
     first = report.first_failure
     if first is not None:

@@ -34,15 +34,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR, unchecked
+from .core import EbrsimError, InvalidParameter, ZERO_TRACE_FLOOR
+from .core import require, require_lengths, unchecked
 from .metrics import XStateParams
 from .protocol import (
     ChannelConfig,
-    FilterPair,
     Scenario,
     StageOutput,
     _check_transmittivity,
@@ -55,7 +55,6 @@ from .protocol import (
     indistinguishable,
     partial,
     run_protocol,
-    table_filters,
 )
 
 MAX_PHOTONS = 3
@@ -404,24 +403,26 @@ def oracle_protocol(config: ChannelConfig, convention: str = "real") -> list[Sta
     return _unwrap_point(stages) if scalar else stages
 
 
-def hom_coincidence(t: float, p: float, convention: str = "real") -> float:
+def hom_coincidence(
+    t: float | np.ndarray, p: float | np.ndarray, convention: str = "real"
+) -> float | np.ndarray:
     """Two-photon coincidence probability behind the beam splitter.
 
     Both photons share one polarization; ``p`` is the probability that
     they occupy the same time bin.  At ``t = 0.5`` the coincidence rate
-    is ``(1 - p)/2``, so the dip visibility equals ``p`` exactly.
+    is ``(1 - p)/2``, so the dip visibility equals ``p`` exactly.  ``t``
+    and ``p`` may each be a float or a 1-D column, like every input of
+    the oracle; columns have one length (a one-element column broadcasts).
     """
-    if not (0.0 <= p <= 1.0):
-        raise InvalidParameter(f"p must lie in [0, 1], got {p!r}")
+    require((0.0 <= p) & (p <= 1.0), p, "p must lie in [0, 1], got {!r}")
+    require_lengths(t, p)
     results = {}
     for label, env_bin in (("same", 0), ("other", 1)):
         amps = {
             _canonical([ModeLabel("B", "H", 0), ModeLabel("E", "H", env_bin)]): 1.0 + 0.0j
         }
         evolved = evolve_bs(FockState(amps), t, convention)
-        results[label] = float(
-            sum(abs(evolved.amps[k]) ** 2 for k in _selection(tuple(evolved.amps)))
-        )
+        results[label] = sum(abs(evolved.amps[k]) ** 2 for k in _selection(tuple(evolved.amps)))
     return p * results["same"] + (1.0 - p) * results["other"]
 
 
@@ -440,17 +441,44 @@ class OracleFailure(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ScenarioDeviations:
-    """One scenario's deviations between the closed form and the oracle.
+class OracleCheckReport:
+    """:func:`oracle_check`'s deviations over its scenarios, grid ``T`` and ``epsilons``.
 
-    ``deviations[i, j, s]`` holds the state, probability and cumulative
-    probability deviations at the ``i``-th grid ``T``, the ``j``-th
-    ``epsilon`` and stage ``STAGES[s]``; every stage of every point is
-    compared.
+    ``deviations[k, i, j, s]`` holds the state, probability and cumulative
+    probability deviations of scenario ``kinds[k]`` at the ``i``-th grid
+    ``T``, the ``j``-th ``epsilon`` and stage ``STAGES[s]``; every stage of
+    every point is compared.  The verdict is computed once per report:
+    :attr:`failing` is cached on the instance, and :attr:`first_failure`,
+    :attr:`ok` and the CLI's report text read it.  A report with another
+    ``tol``, as ``dataclasses.replace`` makes one, is a new instance with its
+    own cache.
     """
 
-    kind: str
+    T: np.ndarray
+    epsilons: tuple[float, ...]
+    kinds: tuple[str, ...]
     deviations: np.ndarray
+    tol: float
+
+    @functools.cached_property
+    def failing(self) -> np.ndarray:
+        """Whether each (scenario, ``T``, ``epsilon``, stage) deviates by more than ``tol``."""
+        return self.deviations.max(axis=-1) > self.tol
+
+    @property
+    def first_failure(self) -> OracleFailure | None:
+        """The first failing tuple in C order: by scenario, then ``T``, ``epsilon`` and stage."""
+        if self.ok:
+            return None
+        k, i, j, s = np.unravel_index(np.argmax(self.failing), self.failing.shape)
+        deviation = float(self.deviations[k, i, j, s].max())
+        return OracleFailure(
+            self.kinds[k], float(self.T[i]), self.epsilons[j], STAGES[s], deviation
+        )
+
+    @property
+    def ok(self) -> bool:
+        return not self.failing.any()
 
     @property
     def points(self) -> int:
@@ -466,66 +494,10 @@ class ScenarioDeviations:
         """Largest probability or cumulative probability deviation."""
         return float(np.max(self.deviations[..., 1:], initial=0.0))
 
-    def failures(self, tol: float) -> np.ndarray:
-        """Flat C-order indices of the stages deviating by more than ``tol``."""
-        return np.flatnonzero(self.deviations.max(axis=-1) > tol)
-
-
-@dataclass(frozen=True)
-class OracleCheckReport:
-    """:func:`oracle_check`'s deviation columns over the grid ``T`` and ``epsilons``.
-
-    The verdict is computed once per report: :attr:`failures` and
-    :attr:`first_failure` are cached on the instance, and :attr:`ok` and the
-    CLI's report text read them.  A report with another ``tol``, as
-    ``dataclasses.replace`` makes one, is a new instance with its own cache.
-    """
-
-    T: np.ndarray
-    epsilons: tuple[float, ...]
-    scenarios: tuple[ScenarioDeviations, ...]
-    tol: float
-
-    @functools.cached_property
-    def failures(self) -> tuple[np.ndarray, ...]:
-        """Each scenario's :meth:`ScenarioDeviations.failures` at ``tol``, in scenario order."""
-        return tuple(check.failures(self.tol) for check in self.scenarios)
-
-    @functools.cached_property
-    def first_failure(self) -> OracleFailure | None:
-        """The first failing tuple by scenario, then ``T``, ``epsilon`` and stage."""
-        for check, hits in zip(self.scenarios, self.failures):
-            if hits.size:
-                i, j, s = np.unravel_index(hits[0], check.deviations.shape[:-1])
-                return OracleFailure(
-                    scenario=check.kind,
-                    T=float(self.T[i]),
-                    epsilon=self.epsilons[j],
-                    stage=STAGES[s],
-                    deviation=float(check.deviations[i, j, s].max()),
-                )
-        return None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_failure is None
-
-    @property
-    def points(self) -> int:
-        return sum(check.points for check in self.scenarios)
-
-    @property
-    def max_state_deviation(self) -> float:
-        return max((c.max_state_deviation for c in self.scenarios), default=0.0)
-
-    @property
-    def max_probability_deviation(self) -> float:
-        return max((c.max_probability_deviation for c in self.scenarios), default=0.0)
-
 
 def oracle_check(
     grid_step: float = 0.05,
-    epsilons: tuple[float, ...] = (1.0, 0.25),
+    epsilons: Sequence[float] | np.ndarray = (1.0, 0.25),
     tol: float = 1e-10,
     convention: str = "real",
 ) -> OracleCheckReport:
@@ -537,24 +509,27 @@ def oracle_check(
 
     The grid is ``k * grid_step`` for ``k = 1 .. round(1/grid_step) - 1``;
     a step that leaves no point, or more than :data:`MAX_GRID_POINTS`, is
-    rejected, and so are an empty ``epsilons`` and a ``tol`` that is
-    negative, infinite or NaN, since each would make the check vacuous.
+    rejected, and so are a ``tol`` that is negative, infinite or NaN and
+    an ``epsilons`` that is empty or not one-dimensional, since each would
+    make the check vacuous.  ``epsilons`` is read once as a float64 column,
+    so a tuple, a list and an array of the same values give one report,
+    whose ``epsilons`` are Python floats.
     The grid is evaluated in blocks of ``T`` values, each one merged
     column over every scenario, ``epsilon`` and ``T``
     of the block, of at most :data:`CHECK_BLOCK` points.  Per block the
     four pure preparations are evolved once, on the block's ``T`` values,
-    and the closed form and the oracle each run once, the oracle on the
-    closed form's filter column.  Every step is elementwise, so a point's
-    deviations do not depend on the block it sits in.  The report holds one
-    :class:`ScenarioDeviations` per scenario, whose arrays are indexed by
-    ``T``, ``epsilon`` and stage; :attr:`OracleCheckReport.first_failure`
-    follows the same order, scenario by scenario, then by ``T``, ``epsilon``
-    and stage.
+    and the closed form and the oracle each run once on the merged column
+    and resolve its ``epsilon`` column to filter pairs as they do every
+    column's.  Every step is elementwise, so a point's deviations do not
+    depend on the block it sits in.  The report's one deviation array is
+    indexed by scenario, ``T``, ``epsilon`` and stage, and
+    :attr:`OracleCheckReport.first_failure` follows the same order.
     """
     if not (0.0 <= tol < math.inf):
         raise InvalidParameter(f"tol must be nonnegative and finite, got {tol!r}")
-    if not epsilons:
-        raise InvalidParameter("epsilons must hold at least one filter prescription")
+    eps = np.asarray(epsilons, dtype=np.float64)
+    if eps.ndim != 1 or eps.size == 0:
+        raise InvalidParameter("epsilons must be a 1-D column of at least one filter prescription")
     if not (grid_step > 0.0 and 1.0 / grid_step >= 1.5):
         raise InvalidParameter(f"grid_step must leave a grid point in (0, 1), got {grid_step!r}")
     # 1/grid_step overflows to inf for subnormal steps
@@ -566,7 +541,6 @@ def oracle_check(
     # k * grid_step for k = 1 .. round(1/grid_step) - 1, one product per point
     column = np.arange(1, round(intervals)) * grid_step
     scenarios = (distinguishable(), indistinguishable(), partial(0.5))
-    eps = np.asarray(epsilons, dtype=np.float64)
     # indexed by scenario, T, epsilon and stage
     deviations = np.zeros((len(scenarios), column.size, eps.size, len(STAGES), 3))
     width = max(1, CHECK_BLOCK // (len(scenarios) * eps.size))
@@ -580,14 +554,8 @@ def oracle_check(
         deviations[:, block] = _block_deviations(
             closed, oracle, (len(scenarios), eps.size, t.size)
         )
-    return OracleCheckReport(
-        T=column,
-        epsilons=tuple(epsilons),
-        scenarios=tuple(
-            ScenarioDeviations(scenario.kind, dev) for scenario, dev in zip(scenarios, deviations)
-        ),
-        tol=tol,
-    )
+    kinds = tuple(scenario.kind for scenario in scenarios)
+    return OracleCheckReport(column, tuple(eps.tolist()), kinds, deviations, tol)
 
 
 def _run_block(
@@ -598,15 +566,14 @@ def _run_block(
     Both run once on the merged column, ordered by scenario, then
     ``epsilon``, then ``T``, so it repeats ``t`` once per scenario and
     ``epsilon``, and the oracle evolves its pure preparations on ``t`` alone.
+    Each engine resolves the column's ``epsilon`` to its filter pairs as it
+    does any column's, through :func:`~ebrsim.protocol._column_config`.
     """
     eps = np.repeat(epsilons, t.size)
-    filters = [table_filters(scenario, np.tile(t, epsilons.size), eps) for scenario in scenarios]
     config = ChannelConfig(
         scenario=partial(np.repeat([scenario.p for scenario in scenarios], eps.size)),
         T=np.tile(t, len(scenarios) * epsilons.size),
-        filters=FilterPair(
-            np.concatenate([f.a_a for f in filters]), np.concatenate([f.a_b for f in filters])
-        ),
+        epsilon=np.tile(eps, len(scenarios)),
     )
     closed = run_protocol(config)
     oracle = oracle_protocol(config, convention)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import errno
+import functools
 import io
 import json
 import math
@@ -1150,18 +1151,34 @@ class TestOracleCheckCommand:
         assert cli._oracle_check_text(copy).splitlines() == cli._oracle_check_text(fresh).splitlines()
 
     @pytest.mark.parametrize("tol", ["1e-10", "1e-18"])
-    def test_each_scenario_is_judged_once(self, capsys, monkeypatch, tol):
+    def test_verdict_is_judged_once(self, capsys, monkeypatch, tol):
         judged = []
-        failures = fock.ScenarioDeviations.failures
+        failing = vars(fock.OracleCheckReport)["failing"].func
 
-        def counting(check, tol):
-            judged.append(check.kind)
-            return failures(check, tol)
+        def counting(report):
+            judged.append(report.tol)
+            return failing(report)
 
-        monkeypatch.setattr(fock.ScenarioDeviations, "failures", counting)
+        counted = functools.cached_property(counting)
+        counted.__set_name__(fock.OracleCheckReport, "failing")
+        monkeypatch.setattr(fock.OracleCheckReport, "failing", counted)
         code, _, _ = run_cli(capsys, ["oracle-check", "--grid-step", "0.25", "--tol", tol])
         assert code == (0 if tol == "1e-10" else 1)
-        assert judged == ["distinguishable", "indistinguishable", "partial"]
+        # the text, its first offending tuple and the exit status share one array
+        assert judged == [float(tol)]
+
+    def test_text_ok_and_first_failure_read_the_cached_failing(self):
+        report = oracle_check(0.25)
+        assert report.ok
+        forged = np.zeros_like(report.failing)
+        forged[2, 1, 0, 2] = True  # partial, T = 1/2, epsilon = 1, stage III
+        vars(report)["failing"] = forged
+        assert not report.ok
+        deviation = report.deviations[2, 1, 0, 2].max()
+        assert report.first_failure == ("partial", 0.5, 1.0, "III", deviation)
+        lines = cli._oracle_check_text(report).splitlines()
+        assert [line.split()[0] for line in lines] == ["PASS", "PASS", "FAIL", "FAIL"]
+        assert lines[-1].startswith("FAIL first offending tuple: scenario=partial T=0.5 ")
 
     def test_failing_output_equals_golden_file(self, capsys, tmp_path):
         # every scenario fails at 7e-16, and the first failure is mid-grid (T = 0.96)

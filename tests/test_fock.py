@@ -14,7 +14,6 @@ from ebrsim.fock import (
     ModeLabel,
     OracleCheckReport,
     STAGES,
-    ScenarioDeviations,
     ZeroProbability,
     _occupation_factor,
     conditional_state,
@@ -399,6 +398,28 @@ class TestHom:
         with pytest.raises(ValueError):
             hom_coincidence(0.5, 1.4)
 
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    def test_columns_give_each_points_value(self, convention):
+        t, p = np.array([0.0, 0.2, 0.5, 0.77, 1.0]), np.array([0.0, 0.4, 0.85, 1.0, 0.5])
+        # a T column, a p column and both: each point as the float call gives it
+        assert hom_coincidence(t, 0.4, convention).tolist() == [
+            hom_coincidence(x, 0.4, convention) for x in t.tolist()
+        ]
+        assert hom_coincidence(0.5, p, convention).tolist() == [
+            hom_coincidence(0.5, y, convention) for y in p.tolist()
+        ]
+        assert hom_coincidence(t, p, convention).tolist() == [
+            hom_coincidence(x, y, convention) for x, y in zip(t.tolist(), p.tolist())
+        ]
+
+    def test_rejects_bad_overlap_in_a_column(self):
+        with pytest.raises(InvalidParameter, match=r"p must lie in \[0, 1\], got 1.4"):
+            hom_coincidence(0.5, np.array([0.3, 1.4]))
+
+    def test_rejects_columns_of_two_lengths(self):
+        with pytest.raises(InvalidParameter, match="one length"):
+            hom_coincidence(np.array([0.2, 0.5]), np.array([0.1, 0.2, 0.3]))
+
 
 class TestOracleAgainstClosedForm:
     @pytest.mark.parametrize("convention", ["real", "phase"])
@@ -439,19 +460,20 @@ class TestOracleCheck:
         assert report.ok
         assert report.max_state_deviation <= 1e-12
         assert report.max_probability_deviation <= 1e-12
-        kinds = [check.kind for check in report.scenarios]
-        assert kinds == ["distinguishable", "indistinguishable", "partial"]
+        assert report.kinds == ("distinguishable", "indistinguishable", "partial")
+        # scenario, T, epsilon, stage and the three deviations
+        assert report.deviations.shape == (3, 3, 2, len(STAGES), 3)
+        assert report.failing.shape == (3, 3, 2, len(STAGES))
 
     def test_every_stage_is_compared_at_the_balanced_splitter(self):
         # the indistinguishable prescription at T = 1/2 is the unit pair: its stage III
         # is stage II, and it is compared like every other tuple
         report = oracle_check(grid_step=0.25, epsilons=(1.0,))
-        assert all(check.points == 3 * 3 for check in report.scenarios)
-        check = report.scenarios[1]
-        assert check.kind == "indistinguishable"
+        assert report.points == 3 * 3 * 3
+        assert report.kinds[1] == "indistinguishable"
         half = report.T.tolist().index(0.5)
         # the state and cumulative deviations; stage III's own probability is the pass ratio
-        stage_2, stage_3 = check.deviations[half, 0, 1:]
+        stage_2, stage_3 = report.deviations[1, half, 0, 1:]
         assert np.array_equal(stage_3[::2], stage_2[::2])
         config = ChannelConfig(scenario=indistinguishable(), T=0.5, epsilon=1.0)
         for outs in (run_protocol(config), oracle_protocol(config)):
@@ -477,6 +499,24 @@ class TestOracleCheck:
     def test_rejects_empty_epsilons(self):
         with pytest.raises(InvalidParameter, match="epsilons"):
             oracle_check(grid_step=0.25, epsilons=())
+
+    @pytest.mark.parametrize(
+        "epsilons", [[], np.array([]), 0.25, np.array(0.25), np.array([[1.0, 0.25]])],
+        ids=["list", "array", "float", "0-d", "2-D"],
+    )
+    def test_rejects_empty_or_not_one_dimensional_column(self, epsilons):
+        with pytest.raises(InvalidParameter, match="epsilons"):
+            oracle_check(grid_step=0.25, epsilons=epsilons)
+
+    def test_epsilons_as_tuple_list_or_array_give_one_report(self):
+        reports = [
+            oracle_check(grid_step=0.25, epsilons=eps, tol=3e-16)
+            for eps in ((1.0, 0.25), [1.0, 0.25], np.array([1.0, 0.25]))
+        ]
+        for report in reports:
+            assert report.epsilons == (1.0, 0.25)
+            assert all(type(eps) is float for eps in report.epsilons)
+            _assert_same_report(report, reports[0])
 
     @pytest.mark.parametrize(
         "grid_step",
@@ -594,14 +634,14 @@ class TestPureBranchReuse:
         report = oracle_check(grid_step=0.25, epsilons=epsilons, convention=convention)
         grid = [0.25, 0.5, 0.75]
         assert report.T.tolist() == grid
-        assert [c.kind for c in report.scenarios] == list(dict.fromkeys(r[0] for r in records))
-        for check in report.scenarios:
-            deviations = np.full((len(grid), len(epsilons), len(STAGES), 3), np.nan)
-            for kind, t, eps, stage, *devs in records:
-                if kind == check.kind:
-                    deviations[grid.index(t), epsilons.index(eps), STAGES.index(stage)] = devs
-            # every tuple of the grid is filled: no stage is left out
-            assert np.array_equal(check.deviations, deviations)
+        kinds = list(dict.fromkeys(r[0] for r in records))
+        assert list(report.kinds) == kinds
+        deviations = np.full((len(kinds), len(grid), len(epsilons), len(STAGES), 3), np.nan)
+        for kind, t, eps, stage, *devs in records:
+            index = kinds.index(kind), grid.index(t), epsilons.index(eps), STAGES.index(stage)
+            deviations[index] = devs
+        # every tuple of the grid is filled: no stage is left out
+        assert np.array_equal(report.deviations, deviations)
 
     # at 7e-16 on the 0.02 grid the first failure sits mid-grid, at T = 0.96;
     # None stands for the largest deviation itself, which does not exceed it
@@ -617,9 +657,19 @@ class TestPureBranchReuse:
             assert report.first_failure == (kind, t, eps, stage, max(devs))
         else:
             assert report.first_failure is None and report.ok
-        for check in report.scenarios:
-            failing = any(r[0] == check.kind for r in over)
-            assert (check.failures(tol).size > 0) == failing
+        for kind, failing in zip(report.kinds, report.failing):
+            assert failing.any() == any(r[0] == kind for r in over)
+
+    @pytest.mark.parametrize("grid_step", [0.02, 0.0199])
+    def test_first_failure_at_every_deviation_follows_reference_order(self, grid_step):
+        # each distinct deviation as the tolerance; on the 0.0199 grid some put the
+        # first failure at a T whose second epsilon fails before a later T's first
+        records = _reference_oracle_check(grid_step, (1.0, 0.25))
+        report = oracle_check(grid_step=grid_step, epsilons=(1.0, 0.25))
+        for tol in sorted({0.0} | {max(r[4:]) for r in records}):
+            over = [r for r in records if max(r[4:]) > tol]
+            want = (*over[0][:4], max(over[0][4:])) if over else None
+            assert replace(report, tol=tol).first_failure == want, tol
 
     @pytest.mark.parametrize("convention", ["real", "phase"])
     @pytest.mark.parametrize("branch", ["H", "V"])
@@ -678,13 +728,14 @@ def _per_slice(config, repeats, convention):
 def _per_slice_oracle_check(grid_step, epsilons, convention, tol):
     """Reference for the merged blocks: one column call per scenario and epsilon.
 
-    Runs the closed form and the oracle on the whole grid once per slice and
-    returns the report built from their deviation arrays.
+    Runs the closed form and the oracle on the whole grid once per slice, each
+    on the pair ``table_filters`` prescribes for its scenario, and returns the
+    report built from their deviations.
     """
     column = np.arange(1, round(1.0 / grid_step)) * grid_step
-    scenarios = []
-    for scenario in (distinguishable(), indistinguishable(), partial(0.5)):
-        deviations = np.zeros((column.size, len(epsilons), len(STAGES), 3))
+    scenarios = (distinguishable(), indistinguishable(), partial(0.5))
+    deviations = np.zeros((len(scenarios), column.size, len(epsilons), len(STAGES), 3))
+    for k, scenario in enumerate(scenarios):
         for j, eps in enumerate(epsilons):
             filters = table_filters(scenario, column, eps)
             config = ChannelConfig(scenario=scenario, T=column, filters=filters)
@@ -692,7 +743,7 @@ def _per_slice_oracle_check(grid_step, epsilons, convention, tol):
             oracle = oracle_protocol(config, convention)
             assert closed[2].kept.all() and oracle[2].kept.all()
             for s, (ref, alt) in enumerate(zip(closed, oracle)):
-                deviations[:, j, s] = np.stack(
+                deviations[k, :, j, s] = np.stack(
                     [
                         np.max(np.abs(ref.state - alt.state), axis=(1, 2)),
                         np.abs(ref.probability - alt.probability),
@@ -700,19 +751,17 @@ def _per_slice_oracle_check(grid_step, epsilons, convention, tol):
                     ],
                     axis=-1,
                 )
-        scenarios.append(ScenarioDeviations(scenario.kind, deviations))
-    return OracleCheckReport(
-        T=column, epsilons=tuple(epsilons), scenarios=tuple(scenarios), tol=tol
-    )
+    kinds = tuple(scenario.kind for scenario in scenarios)
+    return OracleCheckReport(column, tuple(epsilons), kinds, deviations, tol)
 
 
 def _assert_same_report(merged, reference):
     assert np.array_equal(merged.T, reference.T)
     assert merged.epsilons == reference.epsilons
-    assert [c.kind for c in merged.scenarios] == [c.kind for c in reference.scenarios]
-    for check, ref in zip(merged.scenarios, reference.scenarios):
-        assert check.deviations.shape == ref.deviations.shape
-        assert np.array_equal(check.deviations, ref.deviations), check.kind
+    assert merged.kinds == reference.kinds
+    assert merged.deviations.shape == reference.deviations.shape
+    assert np.array_equal(merged.deviations, reference.deviations)
+    assert np.array_equal(merged.failing, reference.failing)
     assert merged.first_failure == reference.first_failure
 
 
@@ -731,6 +780,23 @@ class TestMergedColumns:
         # on the finer grids 0 and 3e-16 put the first failure at different tuples
         for tol in (0.0, 3e-16, 1e-10):
             _assert_same_report(replace(merged, tol=tol), replace(reference, tol=tol))
+
+    @pytest.mark.parametrize("grid_step", [0.02, 0.0199])
+    @pytest.mark.parametrize("convention", ["real", "phase"])
+    def test_block_equals_each_slice_on_its_table_filters(self, grid_step, convention):
+        # the merged epsilon column resolves, in both engines, to the pair that
+        # table_filters gives each scenario and epsilon alone
+        scenarios = (distinguishable(), indistinguishable(), partial(0.5))
+        t, epsilons = np.arange(1, round(1.0 / grid_step)) * grid_step, (1.0, 0.25)
+        merged = fock._run_block(scenarios, t, np.array(epsilons), convention)
+        for k, j in itertools.product(range(len(scenarios)), range(len(epsilons))):
+            rows = slice((k * len(epsilons) + j) * t.size, (k * len(epsilons) + j + 1) * t.size)
+            filters = table_filters(scenarios[k], t, epsilons[j])
+            config = ChannelConfig(scenario=scenarios[k], T=t, filters=filters)
+            alone = run_protocol(config), oracle_protocol(config, convention)
+            for outs, refs in zip(merged, alone):
+                for out, ref in zip(outs, refs):
+                    _assert_rows_bits(out, rows, ref)
 
     @pytest.mark.parametrize("block", [6, 7, 50, 100])
     @pytest.mark.parametrize("convention", ["real", "phase"])
@@ -763,6 +829,22 @@ class TestMergedColumns:
         _assert_same_stages(
             oracle_protocol(config, convention), _per_slice(config, repeats, convention)
         )
+
+
+def _assert_rows_bits(out, rows, ref):
+    """``out`` restricted to ``rows`` has ``ref``'s bits in every field."""
+    assert out.stage == ref.stage
+    fields = [(vars(out.params)[name], value) for name, value in vars(ref.params).items()]
+    fields += [(out.state, ref.state), (out.probability, ref.probability),
+               (out.cumulative_probability, ref.cumulative_probability)]
+    if ref.filters is not None:
+        fields += [(out.filters.a_a, ref.filters.a_a), (out.filters.a_b, ref.filters.a_b)]
+    for got, want in fields:
+        assert np.array_equal(_words(got[rows]), _words(want)), out.stage
+    if ref.kept is None:
+        assert out.kept is None
+    else:
+        assert out.kept[rows].all() and ref.kept.all()
 
 
 def _single_point(config, i):
